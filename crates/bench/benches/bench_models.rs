@@ -1,7 +1,8 @@
 //! Downstream-model training cost — the "Train" phase of Figure 7 —
 //! plus the GBDT histogram-granularity ablation from DESIGN.md.
 
-use autofp_data::SynthConfig;
+use autofp_bench::HarnessConfig;
+use autofp_data::{spec_by_name, SynthConfig};
 use autofp_models::classifier::{ModelKind, Trainer};
 use autofp_models::gbdt::GbdtParams;
 use autofp_models::tree::DecisionTreeParams;
@@ -31,6 +32,22 @@ fn bench_model_scaling_with_rows(c: &mut Criterion) {
             b.iter(|| black_box(trainer.fit(&d.x, &d.y, d.n_classes)))
         });
     }
+    group.finish();
+}
+
+fn bench_lr_wide(c: &mut Criterion) {
+    // The wide case: LR on madeline's training split at scale 0.2
+    // (402 x 259), where the blocked-logits epoch kernel dominates.
+    let spec = spec_by_name("madeline").expect("registry dataset");
+    let data = HarnessConfig { scale: 0.2, ..HarnessConfig::default() }.generate(&spec);
+    let train = data.stratified_split(0.8, 7).train;
+    let mut group = c.benchmark_group("lr_train_wide");
+    group.sample_size(10);
+    let trainer = ModelKind::Lr.trainer(0);
+    let (rows, cols) = train.x.shape();
+    group.bench_function(format!("{rows}x{cols}"), |b| {
+        b.iter(|| black_box(trainer.fit(&train.x, &train.y, train.n_classes)))
+    });
     group.finish();
 }
 
@@ -86,6 +103,7 @@ criterion_group!(
     benches,
     bench_three_downstream_models,
     bench_model_scaling_with_rows,
+    bench_lr_wide,
     bench_gbdt_bins_ablation,
     bench_budgeted_training,
     bench_decision_tree_depths

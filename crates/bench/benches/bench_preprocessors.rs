@@ -2,7 +2,8 @@
 //! ablations: Yeo-Johnson λ-search cost and QuantileTransformer
 //! resolution. These costs are the "Prep" phase of Figure 7.
 
-use autofp_data::SynthConfig;
+use autofp_bench::HarnessConfig;
+use autofp_data::{spec_by_name, SynthConfig};
 use autofp_preprocess::power::optimal_lambda;
 use autofp_preprocess::{OutputDist, Preproc, PreprocKind};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -34,6 +35,26 @@ fn bench_yeo_johnson_lambda(c: &mut Criterion) {
             b.iter(|| black_box(optimal_lambda(col)))
         });
     }
+    group.finish();
+}
+
+fn bench_power_wide(c: &mut Criterion) {
+    // The wide case: Yeo-Johnson on madeline's training split at scale
+    // 0.2 (402 x 259), where the per-column λ search dominates.
+    let spec = spec_by_name("madeline").expect("registry dataset");
+    let data = HarnessConfig { scale: 0.2, ..HarnessConfig::default() }.generate(&spec);
+    let train = data.stratified_split(0.8, 7).train;
+    let p = Preproc::default_for(PreprocKind::PowerTransformer);
+    let mut group = c.benchmark_group("power_fit_transform_wide");
+    group.sample_size(10);
+    let (rows, cols) = train.x.shape();
+    group.bench_function(format!("{rows}x{cols}"), |b| {
+        b.iter(|| {
+            let mut x = train.x.clone();
+            let fitted = p.fit_transform(&mut x);
+            black_box((fitted, x))
+        })
+    });
     group.finish();
 }
 
@@ -74,6 +95,7 @@ criterion_group!(
     benches,
     bench_each_preprocessor,
     bench_yeo_johnson_lambda,
+    bench_power_wide,
     bench_quantile_resolution,
     bench_pipeline_depth
 );

@@ -130,9 +130,10 @@ impl Matrix {
         }
     }
 
-    /// Iterate over rows as slices.
+    /// Iterate over rows as slices (`rows` empty slices when there are no
+    /// columns).
     pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols.max(1))
+        (0..self.rows).map(move |r| self.row(r))
     }
 
     /// The underlying row-major buffer.
@@ -325,6 +326,15 @@ mod tests {
         let a = Matrix::from_rows(&[vec![1.0, -1.0, 2.0], vec![0.5, 0.0, -3.0]]);
         let v = vec![2.0, 3.0, 1.0];
         assert_eq!(a.matvec(&v), vec![1.0, -2.0]);
+    }
+
+    #[test]
+    fn zero_column_matrix_has_empty_rows() {
+        let m = Matrix::zeros(3, 0);
+        let rows: Vec<&[f64]> = m.rows_iter().collect();
+        assert_eq!(rows, vec![&[] as &[f64]; 3]);
+        assert_eq!(m.matvec(&[]), vec![0.0; 3]);
+        assert_eq!(Matrix::zeros(0, 2).rows_iter().count(), 0);
     }
 
     #[test]

@@ -93,52 +93,65 @@ impl LogisticParams {
     ) -> LogisticRegression {
         let (n, d) = x.shape();
         assert_eq!(n, y.len());
-        let epochs = ((self.max_epochs as f64 * budget.clamp(0.0, 1.0)).round() as usize).max(1);
-        let k = n_classes;
-        let mut w = Matrix::zeros(k, d + 1);
-        let mut m = Matrix::zeros(k, d + 1);
-        let mut v = Matrix::zeros(k, d + 1);
-        let (b1, b2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
-        let nf = n.max(1) as f64;
-        let mut prev_loss = f64::INFINITY;
-
-        let mut probs = vec![0.0; k];
-        let mut grad = Matrix::zeros(k, d + 1);
-        for epoch in 1..=epochs {
-            // Cooperative cancellation: always finish at least one epoch
-            // so the returned model carries a real gradient step.
-            if epoch > 1 && cancel.is_cancelled() {
-                break;
-            }
-            grad.as_mut_slice().fill(0.0);
+        // `sanitize` is idempotent, so sanitizing once per fit gives every
+        // epoch the operands the per-element calls would.
+        let xs: Vec<f64> = x.as_slice().iter().map(|&v| sanitize(v)).collect();
+        let mut logits = vec![0.0; n * n_classes];
+        self.adam(d, n_classes, budget, cancel, n.max(1) as f64, |w, grad| {
+            block_logits(w, &xs, d, &mut logits);
             let mut loss = 0.0;
-            for (i, row) in x.rows_iter().enumerate() {
-                for (c, p) in probs.iter_mut().enumerate() {
-                    let wr = w.row(c);
-                    let mut z = wr[d];
-                    for (j, &val) in row.iter().enumerate() {
-                        z += wr[j] * sanitize(val);
-                    }
-                    *p = z;
-                }
-                let lse = autofp_linalg::dist::logsumexp(&probs);
-                loss += lse - probs[y[i]];
-                softmax_inplace(&mut probs);
-                for c in 0..k {
-                    let delta = probs[c] - if c == y[i] { 1.0 } else { 0.0 };
+            for (i, z) in logits.chunks_exact_mut(n_classes.max(1)).enumerate() {
+                let lse = autofp_linalg::dist::logsumexp(z);
+                loss += lse - z[y[i]];
+                softmax_inplace(z);
+                let row = &xs[i * d..(i + 1) * d];
+                for (c, &p) in z.iter().enumerate() {
+                    let delta = p - if c == y[i] { 1.0 } else { 0.0 };
                     if delta == 0.0 {
                         continue;
                     }
                     let g = grad.row_mut(c);
-                    for (j, &val) in row.iter().enumerate() {
-                        g[j] += delta * sanitize(val);
+                    for (gj, &val) in g.iter_mut().zip(row) {
+                        *gj += delta * val;
                     }
                     g[d] += delta;
                 }
             }
-            loss /= nf;
+            loss
+        })
+    }
+
+    /// Full-batch Adam with L2 on the non-bias weights and early stopping
+    /// on `tol`. `epoch` adds the summed loss gradient at `w` into the
+    /// zeroed `grad` and returns the summed loss; dividing both by `nf`
+    /// makes them means.
+    fn adam(
+        &self,
+        d: usize,
+        k: usize,
+        budget: f64,
+        cancel: &CancelToken,
+        nf: f64,
+        mut epoch: impl FnMut(&Matrix, &mut Matrix) -> f64,
+    ) -> LogisticRegression {
+        let epochs = ((self.max_epochs as f64 * budget.clamp(0.0, 1.0)).round() as usize).max(1);
+        let mut w = Matrix::zeros(k, d + 1);
+        let mut m = Matrix::zeros(k, d + 1);
+        let mut v = Matrix::zeros(k, d + 1);
+        let (b1, b2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
+        let mut prev_loss = f64::INFINITY;
+
+        let mut grad = Matrix::zeros(k, d + 1);
+        for t in 1..=epochs {
+            // Cooperative cancellation: always finish at least one epoch
+            // so the returned model carries a real gradient step.
+            if t > 1 && cancel.is_cancelled() {
+                break;
+            }
+            grad.as_mut_slice().fill(0.0);
+            let loss = epoch(&w, &mut grad) / nf;
             // L2 on non-bias weights + Adam update.
-            let t = epoch as f64;
+            let t = t as f64;
             let bc1 = 1.0 - b1.powf(t);
             let bc2 = 1.0 - b2.powf(t);
             for c in 0..k {
@@ -161,6 +174,40 @@ impl LogisticParams {
             prev_loss = loss;
         }
         LogisticRegression { weights: w, n_classes: k }
+    }
+}
+
+/// Rows whose logits [`block_logits`] computes together.
+const ROW_BLOCK: usize = 4;
+
+/// Every row's logits under `w` into `out` (`n x k`, row-major), for the
+/// sanitized row-major `xs` with `d` columns.
+///
+/// Each logit is the bias plus `w[j] * x[j]` for j = 0..d, added in that
+/// order, exactly as a per-row loop computes it. Rows are independent, so
+/// [`ROW_BLOCK`] rows share one pass over a weight row, each with its own
+/// accumulator: that breaks the serial add chain of a single dot product
+/// without reordering any of them.
+fn block_logits(w: &Matrix, xs: &[f64], d: usize, out: &mut [f64]) {
+    let k = w.nrows();
+    let n = out.len() / k.max(1);
+    let row = |i: usize| &xs[i * d..(i + 1) * d];
+    for i in (0..n).step_by(ROW_BLOCK) {
+        let m = ROW_BLOCK.min(n - i);
+        // A short last block repeats its last row; those logits are dropped.
+        let rows: [&[f64]; ROW_BLOCK] = std::array::from_fn(|b| row(i + b.min(m - 1)));
+        for c in 0..k {
+            let (wr, bias) = w.row(c).split_at(d);
+            let mut z = [bias[0]; ROW_BLOCK];
+            for (j, &wj) in wr.iter().enumerate() {
+                for (zb, r) in z.iter_mut().zip(rows) {
+                    *zb += wj * r[j];
+                }
+            }
+            for (b, &zb) in z[..m].iter().enumerate() {
+                out[(i + b) * k + c] = zb;
+            }
+        }
     }
 }
 
@@ -318,6 +365,113 @@ mod tests {
         let model = LogisticParams::default().fit(&x, &y, 2);
         let p = model.predict_proba_row(&[0.5, 0.5], 2);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+    }
+
+    /// The scalar epoch loop [`block_logits`] replaced: one serial dot
+    /// product per (row, class), sanitizing every operand as it is read.
+    fn train_reference(
+        params: &LogisticParams,
+        x: &Matrix,
+        y: &[usize],
+        k: usize,
+        budget: f64,
+        cancel: &CancelToken,
+    ) -> LogisticRegression {
+        let d = x.ncols();
+        let mut probs = vec![0.0; k];
+        params.adam(d, k, budget, cancel, x.nrows().max(1) as f64, |w, grad| {
+            let mut loss = 0.0;
+            for (i, row) in x.rows_iter().enumerate() {
+                for (c, p) in probs.iter_mut().enumerate() {
+                    let wr = w.row(c);
+                    let mut z = wr[d];
+                    for (j, &val) in row.iter().enumerate() {
+                        z += wr[j] * sanitize(val);
+                    }
+                    *p = z;
+                }
+                let lse = autofp_linalg::dist::logsumexp(&probs);
+                loss += lse - probs[y[i]];
+                softmax_inplace(&mut probs);
+                for c in 0..k {
+                    let delta = probs[c] - if c == y[i] { 1.0 } else { 0.0 };
+                    if delta == 0.0 {
+                        continue;
+                    }
+                    let g = grad.row_mut(c);
+                    for (j, &val) in row.iter().enumerate() {
+                        g[j] += delta * sanitize(val);
+                    }
+                    g[d] += delta;
+                }
+            }
+            loss
+        })
+    }
+
+    fn weight_bits(model: &LogisticRegression) -> Vec<u64> {
+        model.weights.as_slice().iter().map(|w| w.to_bits()).collect()
+    }
+
+    /// Fit with the blocked kernel and the scalar reference; assert the
+    /// weights agree bit for bit and return them.
+    fn assert_bit_identical(
+        params: &LogisticParams,
+        x: &Matrix,
+        y: &[usize],
+        k: usize,
+        budget: f64,
+        cancel: &CancelToken,
+    ) -> Vec<u64> {
+        let fast = weight_bits(&params.train_cancellable(x, y, k, budget, cancel));
+        let reference = weight_bits(&train_reference(params, x, y, k, budget, cancel));
+        assert_eq!(fast, reference, "n={} d={} k={k} budget={budget}", x.nrows(), x.ncols());
+        fast
+    }
+
+    #[test]
+    fn blocked_kernel_is_bit_identical_to_the_scalar_loop() {
+        let params = LogisticParams::default();
+        let live = CancelToken::new();
+        // Every remainder of n modulo the row block, for several class counts.
+        for (n, k) in [(40, 2), (41, 3), (42, 5), (43, 2), (45, 5), (3, 3)] {
+            let d = SynthConfig::new("lr-bits", n, 7, k, n as u64).generate();
+            assert_bit_identical(&params, &d.x, &d.y, d.n_classes, 1.0, &live);
+            assert_bit_identical(&params, &d.x, &d.y, d.n_classes, 0.25, &live);
+        }
+        // Non-finite and huge features go through `sanitize`.
+        let mut d = SynthConfig::new("lr-bits-wild", 37, 5, 3, 9).generate();
+        let wild = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300];
+        for (i, v) in wild.into_iter().enumerate() {
+            d.x.set(3 * i + 1, i, v);
+        }
+        assert_bit_identical(&params, &d.x, &d.y, d.n_classes, 1.0, &live);
+        // A pre-cancelled token stops both after one epoch.
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        assert_bit_identical(&params, &d.x, &d.y, d.n_classes, 1.0, &cancelled);
+    }
+
+    #[test]
+    fn early_stop_on_tol_is_bit_identical() {
+        let d = SynthConfig::new("lr-bits-tol", 50, 6, 2, 4).generate();
+        let live = CancelToken::new();
+        let loose = LogisticParams { tol: 1e-2, ..Default::default() };
+        let stopped = assert_bit_identical(&loose, &d.x, &d.y, 2, 1.0, &live);
+        let never = LogisticParams { tol: 0.0, ..Default::default() };
+        let full = assert_bit_identical(&never, &d.x, &d.y, 2, 1.0, &live);
+        assert_ne!(stopped, full, "tol 1e-2 must stop before the last epoch");
+    }
+
+    #[test]
+    fn zero_feature_fit_learns_the_class_prior() {
+        // n x 0: every row contributes its bias-only logits.
+        let x = Matrix::zeros(6, 0);
+        let y = vec![0, 1, 1, 1, 1, 0];
+        let params = LogisticParams::default();
+        assert_bit_identical(&params, &x, &y, 2, 1.0, &CancelToken::new());
+        let model = params.fit(&x, &y, 2);
+        assert_eq!(model.predict(&x), vec![1; 6]);
     }
 
     #[test]

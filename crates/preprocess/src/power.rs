@@ -44,24 +44,68 @@ pub fn yeo_johnson(x: f64, lambda: f64) -> f64 {
     }
 }
 
-/// Yeo-Johnson profile log-likelihood of a column for a given λ
-/// (the scipy `yeojohnson_llf` objective).
-fn log_likelihood(col: &[f64], lambda: f64) -> f64 {
-    let n = col.len() as f64;
-    if n < 2.0 {
-        return 0.0;
+/// The λ-free parts of one column's Yeo-Johnson profile log-likelihood
+/// (the scipy `yeojohnson_llf` objective), built once per column so each
+/// evaluation of the objective costs one `exp` per value.
+struct Likelihood<'a> {
+    col: &'a [f64],
+    /// `ln(|x| + 1)` per value: bit for bit the `ln(x + 1)` and
+    /// `ln(1 - x)` of [`yeo_johnson`], since `x + 1` (x ≥ 0) and `1 - x`
+    /// (x < 0) both equal `|x| + 1` exactly.
+    log1p_abs: Vec<f64>,
+    /// `Σ sign(x)·ln(|x| + 1)`, the Jacobian term over `λ - 1`.
+    jacobian: f64,
+    /// The transformed column, reused across evaluations.
+    scratch: Vec<f64>,
+}
+
+impl<'a> Likelihood<'a> {
+    fn new(col: &'a [f64]) -> Self {
+        let log1p_abs: Vec<f64> = col.iter().map(|&x| (x.abs() + 1.0).ln()).collect();
+        let jacobian = col.iter().zip(&log1p_abs).map(|(&x, &l)| x.signum() * l).sum::<f64>();
+        Likelihood { col, log1p_abs, jacobian, scratch: vec![0.0; col.len()] }
     }
-    let transformed: Vec<f64> = col.iter().map(|&x| yeo_johnson(x, lambda)).collect();
-    if transformed.iter().any(|v| !v.is_finite()) {
-        return f64::NEG_INFINITY;
+
+    /// The log-likelihood at `lambda`: the transform is [`yeo_johnson`]'s
+    /// branch for branch, evaluated from the cached logarithms.
+    fn at(&mut self, lambda: f64) -> f64 {
+        let n = self.col.len() as f64;
+        if n < 2.0 {
+            return 0.0;
+        }
+        let near0 = lambda.abs() < 1e-12;
+        let near2 = (lambda - 2.0).abs() < 1e-12;
+        let iter = self.scratch.iter_mut().zip(self.col).zip(&self.log1p_abs);
+        for ((t, &x), &l) in iter {
+            *t = if x >= 0.0 {
+                if near0 {
+                    l
+                } else {
+                    let e = lambda * l;
+                    if e > MAX_EXPONENT {
+                        return f64::NEG_INFINITY;
+                    }
+                    (e.exp() - 1.0) / lambda
+                }
+            } else if near2 {
+                -l
+            } else {
+                let e = (2.0 - lambda) * l;
+                if e > MAX_EXPONENT {
+                    return f64::NEG_INFINITY;
+                }
+                -(e.exp() - 1.0) / (2.0 - lambda)
+            };
+        }
+        if self.scratch.iter().any(|v| !v.is_finite()) {
+            return f64::NEG_INFINITY;
+        }
+        let var = stats::variance(&self.scratch);
+        if var <= 1e-300 {
+            return f64::NEG_INFINITY;
+        }
+        -n / 2.0 * var.ln() + self.jacobian * (lambda - 1.0)
     }
-    let var = stats::variance(&transformed);
-    if var <= 1e-300 {
-        return f64::NEG_INFINITY;
-    }
-    let jacobian: f64 =
-        col.iter().map(|&x| x.signum() * (x.abs() + 1.0).ln()).sum::<f64>() * (lambda - 1.0);
-    -n / 2.0 * var.ln() + jacobian
 }
 
 /// Maximum-likelihood λ for one column via golden-section search.
@@ -70,25 +114,32 @@ pub fn optimal_lambda(col: &[f64]) -> f64 {
     if stats::variance(col) <= 1e-300 {
         return 1.0;
     }
+    let mut llf = Likelihood::new(col);
+    golden_section(|lambda| llf.at(lambda))
+}
+
+/// The maximizer of `f` on [`LAMBDA_LO`, `LAMBDA_HI`] by golden-section
+/// search.
+fn golden_section(mut f: impl FnMut(f64) -> f64) -> f64 {
     let phi = (5f64.sqrt() - 1.0) / 2.0;
     let (mut a, mut b) = (LAMBDA_LO, LAMBDA_HI);
     let mut c = b - phi * (b - a);
     let mut d = a + phi * (b - a);
-    let mut fc = log_likelihood(col, c);
-    let mut fd = log_likelihood(col, d);
+    let mut fc = f(c);
+    let mut fd = f(d);
     for _ in 0..GOLDEN_ITERS {
         if fc > fd {
             b = d;
             d = c;
             fd = fc;
             c = b - phi * (b - a);
-            fc = log_likelihood(col, c);
+            fc = f(c);
         } else {
             a = c;
             c = d;
             fc = fd;
             d = a + phi * (b - a);
-            fd = log_likelihood(col, d);
+            fd = f(d);
         }
     }
     (a + b) / 2.0
@@ -215,8 +266,7 @@ mod tests {
 
     #[test]
     fn lognormal_becomes_more_normal() {
-        let mut rng = rng_from_seed(3);
-        let col: Vec<f64> = (0..2000).map(|_| standard_normal(&mut rng).exp()).collect();
+        let col = lognormal_column();
         let before = stats::skewness(&col).abs();
         let x = Matrix::column_vector(&col);
         let fitted = FittedPower::fit(&x, false);
@@ -228,6 +278,71 @@ mod tests {
         // (λ well below 1; the exact optimum for exp(Z) under the
         // Yeo-Johnson x+1 shift is around -0.85, not 0).
         assert!(fitted.lambdas()[0] < 0.2, "lambda {:?}", fitted.lambdas());
+    }
+
+    /// The objective [`Likelihood`] replaced: it transforms the column
+    /// with [`yeo_johnson`] on every call.
+    fn log_likelihood(col: &[f64], lambda: f64) -> f64 {
+        let n = col.len() as f64;
+        if n < 2.0 {
+            return 0.0;
+        }
+        let transformed: Vec<f64> = col.iter().map(|&x| yeo_johnson(x, lambda)).collect();
+        if transformed.iter().any(|v| !v.is_finite()) {
+            return f64::NEG_INFINITY;
+        }
+        let var = stats::variance(&transformed);
+        if var <= 1e-300 {
+            return f64::NEG_INFINITY;
+        }
+        let jacobian: f64 =
+            col.iter().map(|&x| x.signum() * (x.abs() + 1.0).ln()).sum::<f64>() * (lambda - 1.0);
+        -n / 2.0 * var.ln() + jacobian
+    }
+
+    fn lognormal_column() -> Vec<f64> {
+        let mut rng = rng_from_seed(3);
+        (0..2000).map(|_| standard_normal(&mut rng).exp()).collect()
+    }
+
+    #[test]
+    fn hoisted_likelihood_is_bit_identical() {
+        let columns: [Vec<f64>; 5] = [
+            vec![-1.5, 1.0, 1.5, 2.5, 3.0, 4.0, 5.0],
+            vec![-3.0, -0.0, 0.0, 0.5, -1e-300, 2.0, 7.5, -0.25],
+            // ln(1e200 + 1) ≈ 460: e exceeds MAX_EXPONENT on both sides.
+            vec![1e200, -1e200, 1.0, -2.0, 0.0],
+            vec![4.0],
+            lognormal_column(),
+        ];
+        let mut grid: Vec<f64> = (-50..=50).map(|i| i as f64 / 10.0).collect();
+        for centre in [0.0, 2.0] {
+            for off in [-1e-12, -5e-13, -1e-15, 0.0, 1e-15, 5e-13, 1e-12, 2e-12] {
+                grid.push(centre + off);
+            }
+        }
+        for col in &columns {
+            let mut llf = Likelihood::new(col);
+            for &lambda in &grid {
+                let (fast, reference) = (llf.at(lambda), log_likelihood(col, lambda));
+                assert_eq!(fast.to_bits(), reference.to_bits(), "col {col:?} lambda {lambda}");
+            }
+        }
+        // Overflow of `(|x| + 1)^λ` makes the likelihood -inf.
+        let mut llf = Likelihood::new(&columns[2]);
+        assert_eq!(llf.at(1.0), f64::NEG_INFINITY);
+        assert_eq!(llf.at(0.0), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn optimal_lambda_is_unchanged() {
+        // Bits of the λ the per-call `yeo_johnson` objective picked.
+        let fig1 = [-1.5, 1.0, 1.5, 2.5, 3.0, 4.0, 5.0];
+        let lognormal = lognormal_column();
+        for (col, bits) in [(&fig1[..], 0x3ff38206c2f09334), (&lognormal[..], 0xbfebe91177797d1e)] {
+            assert_eq!(optimal_lambda(col).to_bits(), bits);
+            assert_eq!(golden_section(|lambda| log_likelihood(col, lambda)).to_bits(), bits);
+        }
     }
 
     #[test]
