@@ -1158,6 +1158,47 @@ mod tests {
         assert_eq!(bytes, expect, "segment bytes drifted from the locked layout");
     }
 
+    /// Golden bytes of a full trial record: every step kind with a
+    /// non-default parameter, and a failure flag carrying a kind code.
+    /// (A Transport trial is never appended, but its record layout is
+    /// the one every other failure kind shares.)
+    #[test]
+    fn golden_every_step_trial_record_is_locked() {
+        let p = every_step_pipeline();
+        let key = key_for(&p, 0.5);
+        let trial = Trial {
+            pipeline: p,
+            accuracy: 0.8125,
+            error: 0.1875,
+            prep_time: Duration::from_nanos(123_456_789),
+            train_time: Duration::from_nanos(987_654_321),
+            train_fraction: 0.5,
+            failure: Some(FailureKind::Transport),
+        };
+        let mut expect = vec![2u8]; // trial record tag
+        expect.extend_from_slice(&(key.canonical().len() as u32).to_le_bytes());
+        expect.extend_from_slice(key.canonical().as_bytes());
+        expect.extend_from_slice(&key.fingerprint().to_le_bytes());
+        expect.extend_from_slice(&7u32.to_le_bytes()); // 7 steps
+        expect.push(0); // Binarizer
+        expect.extend_from_slice(&0.25f64.to_bits().to_le_bytes());
+        expect.push(1); // MaxAbsScaler
+        expect.push(2); // MinMaxScaler
+        expect.extend_from_slice(&[3, 2]); // Normalizer, norm = Max
+        expect.extend_from_slice(&[4, 0]); // PowerTransformer, standardize = false
+        expect.push(5); // QuantileTransformer
+        expect.extend_from_slice(&77u64.to_le_bytes());
+        expect.push(1); // output = Normal
+        expect.extend_from_slice(&[6, 0]); // StandardScaler, with_mean = false
+        expect.extend_from_slice(&0.8125f64.to_bits().to_le_bytes());
+        expect.extend_from_slice(&0.1875f64.to_bits().to_le_bytes());
+        expect.extend_from_slice(&123_456_789u64.to_le_bytes());
+        expect.extend_from_slice(&987_654_321u64.to_le_bytes());
+        expect.extend_from_slice(&0.5f64.to_bits().to_le_bytes());
+        expect.extend_from_slice(&[1, 5]); // failed, Transport = FailureKind::ALL[5]
+        assert_eq!(encode_record(&Record::Trial(key, trial)), expect);
+    }
+
     #[test]
     fn every_trial_round_trips_bit_exactly_through_reopen() {
         let dir = temp_dir("roundtrip");

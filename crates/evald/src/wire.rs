@@ -919,6 +919,34 @@ mod tests {
         assert_eq!(ack, expect);
     }
 
+    /// Golden bytes of the full trial layout: every step kind with a
+    /// non-default parameter, and a failure flag carrying a kind code.
+    #[test]
+    fn golden_trial_response_bytes_are_locked() {
+        let mut expect: Vec<u8> = vec![2]; // Trial response tag
+        expect.extend_from_slice(&7u32.to_le_bytes()); // 7 steps
+        expect.push(0); // Binarizer
+        expect.extend_from_slice(&0.25f64.to_bits().to_le_bytes());
+        expect.push(1); // MaxAbsScaler
+        expect.push(2); // MinMaxScaler
+        expect.extend_from_slice(&[3, 2]); // Normalizer, norm = Max
+        expect.extend_from_slice(&[4, 0]); // PowerTransformer, standardize = false
+        expect.push(5); // QuantileTransformer
+        expect.extend_from_slice(&77u64.to_le_bytes());
+        expect.push(1); // output = Normal
+        expect.extend_from_slice(&[6, 0]); // StandardScaler, with_mean = false
+        expect.extend_from_slice(&0.8125f64.to_bits().to_le_bytes());
+        expect.extend_from_slice(&0.1875f64.to_bits().to_le_bytes());
+        expect.extend_from_slice(&123_456_789u64.to_le_bytes());
+        expect.extend_from_slice(&987_654_321u64.to_le_bytes());
+        expect.extend_from_slice(&0.5f64.to_bits().to_le_bytes());
+        expect.extend_from_slice(&[1, 5]); // failed, Transport = FailureKind::ALL[5]
+        for v in [10u64, 2, 4, 6, 6, 1, 42_000, 9, 3, 2, 17, 5] {
+            expect.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(encode_response(&Response::Trial { trial: trial(), stats: stats() }), expect);
+    }
+
     #[test]
     fn oversized_fleet_spec_is_rejected() {
         // Hand-build a SetFleet frame claiming MAX_FLEET + 1 addresses;
