@@ -53,7 +53,8 @@
 //!    the key — a cache is scoped to one evaluator's split.)
 //! 2. **Pure**: key construction reads nothing but its arguments — no
 //!    clock, RNG, or interior mutability (enforced by the xtask
-//!    `cache-purity` lint over `impl CacheKey` and `fn fnv1a`).
+//!    `cache-purity` lint over `impl CacheKey` and the codec's
+//!    `fn fnv1a`).
 //! 3. **Collision-safe**: maps key on the full canonical string; the
 //!    fingerprint is for sharding and logs only.
 //!
@@ -83,6 +84,7 @@
 use crate::error::FailureKind;
 use crate::evaluator::EvalConfig;
 use crate::history::Trial;
+use autofp_linalg::codec::fnv1a;
 use autofp_preprocess::Pipeline;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -140,19 +142,6 @@ impl CacheKey {
     pub(crate) fn from_parts(canonical: String, fingerprint: u64) -> CacheKey {
         CacheKey { canonical, fingerprint }
     }
-}
-
-/// FNV-1a: tiny, dependency-free, and stable across platforms and
-/// compiler versions (unlike `DefaultHasher`, whose algorithm is
-/// unspecified). Public because the serve-artifact format checksums
-/// its records with the same hash the trial store uses.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
 }
 
 /// Hit / miss / eviction / saved-time counters of an [`EvalCache`].

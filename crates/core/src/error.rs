@@ -98,6 +98,14 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
+/// A payload that fails to decode arrived over a transport (a wire
+/// frame), so it is a retryable transport fault, not a pipeline fault.
+impl From<autofp_linalg::codec::DecodeError> for EvalError {
+    fn from(e: autofp_linalg::codec::DecodeError) -> EvalError {
+        EvalError::Transport { detail: e.detail }
+    }
+}
+
 /// The discriminant of an [`EvalError`]: what *kind* of failure a
 /// trial suffered, without the diagnostic payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -13,7 +13,7 @@
 //! produces bit-identical trial histories at any worker thread count,
 //! which is exactly what the resilience suite asserts.
 
-use crate::cache::fnv1a;
+use autofp_linalg::codec::fnv1a;
 use crate::error::EvalError;
 use crate::evaluator::{Evaluate, EvalConfig};
 use crate::history::Trial;

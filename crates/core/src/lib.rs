@@ -27,7 +27,8 @@
 //!   checksummed on-disk repository keyed by the same
 //!   [`cache::CacheKey`], so runs can warm-start, resume after a
 //!   crash, or replay a whole search with zero evaluations
-//!   ([`repo::ReplayEvaluator`]).
+//!   ([`repo::ReplayEvaluator`]). The store and the `autofp-evald`
+//!   wire share one pipeline/trial encoding, [`codec`].
 //! * [`remote::RemoteEvaluator`] extends [`evaluator::Evaluate`] across
 //!   process boundaries: requests shard over a worker fleet by the
 //!   stable [`cache::CacheKey`] fingerprint, transport faults retry
@@ -46,6 +47,7 @@
 pub mod batch;
 pub mod budget;
 pub mod cache;
+pub mod codec;
 pub mod error;
 pub mod evaluator;
 pub mod fault;
@@ -61,7 +63,8 @@ pub mod ranking;
 
 pub use batch::{pool_map, BatchEvaluator};
 pub use budget::{Budget, BudgetClock};
-pub use cache::{fnv1a, CacheKey, CacheStats, EvalCache, SharedEvalCache};
+pub use autofp_linalg::codec::fnv1a;
+pub use cache::{CacheKey, CacheStats, EvalCache, SharedEvalCache};
 pub use error::{EvalError, FailureKind, FailureStats};
 pub use evaluator::{evaluate_or_worst, Evaluate, EvalConfig, Evaluator};
 pub use fault::{FaultConfig, FaultInjector, InjectedPanic};

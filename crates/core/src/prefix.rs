@@ -82,7 +82,7 @@
 //! bounded, or shared across any number of threads. Only wall-clock
 //! attribution (`prep_time`) and the cache counters may differ.
 
-use crate::cache::fnv1a;
+use autofp_linalg::codec::fnv1a;
 use crate::evaluator::EvalConfig;
 use autofp_linalg::Matrix;
 use autofp_preprocess::Pipeline;

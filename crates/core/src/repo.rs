@@ -18,10 +18,10 @@
 //! ```
 //!
 //! Every payload starts with a one-byte record tag (`0` context
-//! header, `1` evaluator meta, `2` trial); integers are little-endian,
-//! floats travel as IEEE-754 bit patterns (`f64::to_bits`), strings as
-//! a `u32` byte length plus UTF-8 — the `evald` wire-format idiom,
-//! locked by the golden-bytes tests below. The per-record checksum
+//! header, `1` evaluator meta, `2` trial) and is built from the shared
+//! [`autofp_linalg::codec`] primitives; trials use the same
+//! [`crate::codec`] encoding as the `evald` wire, locked by the
+//! golden-bytes tests below. The per-record checksum
 //! makes crash recovery exact: an append is a single write of the
 //! fully assembled record, so a crash can only tear the *tail*, and
 //! [`TrialStore::open`] detects the torn record (short, or checksum
@@ -53,31 +53,23 @@
 //! enforced here independently so a mis-wired caller cannot poison the
 //! durable layer.
 
-use crate::cache::{fnv1a, CacheKey};
+use crate::cache::CacheKey;
+use crate::codec::{dec_trial, enc_trial, Dec, DecodeError, Enc};
 use crate::error::{EvalError, FailureKind};
 use crate::evaluator::{EvalConfig, Evaluate};
 use crate::history::Trial;
+use autofp_linalg::codec::{fnv1a, frame_record, next_record};
 use autofp_models::CancelToken;
-use autofp_preprocess::{Norm, OutputDist, Pipeline, Preproc, PreprocKind};
+use autofp_preprocess::Pipeline;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 /// The 8-byte segment-file magic (format version rides in the name).
 pub const MAGIC: [u8; 8] = *b"AFPREPO1";
-
-/// Hard cap on one record's payload size: a corrupt length prefix must
-/// not make open() allocate unbounded memory, and any larger length is
-/// treated as a torn tail.
-pub const MAX_RECORD: u32 = 16 * 1024 * 1024;
-
-/// Hard cap on pipeline length in a decoded record (mirrors the wire
-/// protocol's cap; the search space never comes close).
-const MAX_STEPS: u32 = 64;
 
 const REC_CONTEXT: u8 = 0;
 const REC_META: u8 = 1;
@@ -114,217 +106,14 @@ impl From<std::io::Error> for RepoError {
     }
 }
 
+impl From<DecodeError> for RepoError {
+    fn from(e: DecodeError) -> RepoError {
+        RepoError::Corrupt { detail: e.detail }
+    }
+}
+
 fn corrupt(detail: impl Into<String>) -> RepoError {
     RepoError::Corrupt { detail: detail.into() }
-}
-
-// ------------------------------------------------------------- codecs
-//
-// The store cannot reuse `autofp-evald`'s wire codecs (evald depends
-// on core, not the reverse), so the idiom is replicated here and both
-// are locked by their own golden-bytes tests.
-
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn new(tag: u8) -> Enc {
-        Enc { buf: vec![tag] }
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn string(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], RepoError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.buf.len())
-            .ok_or_else(|| corrupt(format!("truncated record reading {what}")))?;
-        // lint:allow(panic-reach): checked_add + `end <= buf.len()` above make the range provably in bounds
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-    fn u8(&mut self, what: &str) -> Result<u8, RepoError> {
-        Ok(self.take(1, what)?[0])
-    }
-    fn u32(&mut self, what: &str) -> Result<u32, RepoError> {
-        let b = self.take(4, what)?;
-        let mut a = [0u8; 4];
-        a.copy_from_slice(b);
-        Ok(u32::from_le_bytes(a))
-    }
-    fn u64(&mut self, what: &str) -> Result<u64, RepoError> {
-        let b = self.take(8, what)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-    fn f64(&mut self, what: &str) -> Result<f64, RepoError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-    fn string(&mut self, what: &str) -> Result<String, RepoError> {
-        let len = self.u32(what)? as usize;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt(format!("invalid UTF-8 in {what}")))
-    }
-    fn finish(self, what: &str) -> Result<(), RepoError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(corrupt(format!("{} trailing bytes after {what}", self.buf.len() - self.pos)))
-        }
-    }
-}
-
-fn enc_pipeline(e: &mut Enc, pipeline: &Pipeline) {
-    e.u32(pipeline.len() as u32);
-    for step in pipeline.steps() {
-        e.u8(step.kind().index() as u8);
-        match step {
-            Preproc::Binarizer { threshold } => e.f64(*threshold),
-            Preproc::MaxAbsScaler | Preproc::MinMaxScaler => {}
-            Preproc::Normalizer { norm } => e.u8(match norm {
-                Norm::L1 => 0,
-                Norm::L2 => 1,
-                Norm::Max => 2,
-            }),
-            Preproc::PowerTransformer { standardize } => e.u8(u8::from(*standardize)),
-            Preproc::QuantileTransformer { n_quantiles, output } => {
-                e.u64(*n_quantiles as u64);
-                e.u8(match output {
-                    OutputDist::Uniform => 0,
-                    OutputDist::Normal => 1,
-                });
-            }
-            Preproc::StandardScaler { with_mean } => e.u8(u8::from(*with_mean)),
-        }
-    }
-}
-
-fn dec_pipeline(d: &mut Dec) -> Result<Pipeline, RepoError> {
-    let n = d.u32("pipeline length")?;
-    if n > MAX_STEPS {
-        return Err(corrupt(format!("pipeline of {n} steps exceeds MAX_STEPS")));
-    }
-    let mut steps = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let code = d.u8("step kind")? as usize;
-        if code >= PreprocKind::ALL.len() {
-            return Err(corrupt(format!("bad preprocessor code {code}")));
-        }
-        let kind = PreprocKind::from_index(code);
-        let step = match kind {
-            PreprocKind::Binarizer => {
-                Preproc::Binarizer { threshold: d.f64("Binarizer threshold")? }
-            }
-            PreprocKind::MaxAbsScaler => Preproc::MaxAbsScaler,
-            PreprocKind::MinMaxScaler => Preproc::MinMaxScaler,
-            PreprocKind::Normalizer => Preproc::Normalizer {
-                norm: match d.u8("Normalizer norm")? {
-                    0 => Norm::L1,
-                    1 => Norm::L2,
-                    2 => Norm::Max,
-                    v => return Err(corrupt(format!("bad norm code {v}"))),
-                },
-            },
-            PreprocKind::PowerTransformer => Preproc::PowerTransformer {
-                standardize: dec_bool(d, "PowerTransformer standardize")?,
-            },
-            PreprocKind::QuantileTransformer => Preproc::QuantileTransformer {
-                n_quantiles: d.u64("QuantileTransformer n_quantiles")? as usize,
-                output: match d.u8("QuantileTransformer output")? {
-                    0 => OutputDist::Uniform,
-                    1 => OutputDist::Normal,
-                    v => return Err(corrupt(format!("bad output-dist code {v}"))),
-                },
-            },
-            PreprocKind::StandardScaler => {
-                Preproc::StandardScaler { with_mean: dec_bool(d, "StandardScaler with_mean")? }
-            }
-        };
-        steps.push(step);
-    }
-    Ok(Pipeline::new(steps))
-}
-
-fn dec_bool(d: &mut Dec, what: &str) -> Result<bool, RepoError> {
-    match d.u8(what)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        v => Err(corrupt(format!("bad bool {v} in {what}"))),
-    }
-}
-
-fn failure_code(kind: FailureKind) -> u8 {
-    FailureKind::ALL.iter().position(|&k| k == kind).map_or(0, |i| i as u8)
-}
-
-fn dec_failure(code: u8) -> Result<FailureKind, RepoError> {
-    FailureKind::ALL
-        .get(code as usize)
-        .copied()
-        .ok_or_else(|| corrupt(format!("bad failure code {code}")))
-}
-
-fn duration_nanos(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-fn enc_trial(e: &mut Enc, t: &Trial) {
-    enc_pipeline(e, &t.pipeline);
-    e.f64(t.accuracy);
-    e.f64(t.error);
-    e.u64(duration_nanos(t.prep_time));
-    e.u64(duration_nanos(t.train_time));
-    e.f64(t.train_fraction);
-    match t.failure {
-        Some(kind) => {
-            e.u8(1);
-            e.u8(failure_code(kind));
-        }
-        None => e.u8(0),
-    }
-}
-
-fn dec_trial(d: &mut Dec) -> Result<Trial, RepoError> {
-    let pipeline = dec_pipeline(d)?;
-    let accuracy = d.f64("trial accuracy")?;
-    let error = d.f64("trial error")?;
-    let prep_time = Duration::from_nanos(d.u64("trial prep_time")?);
-    let train_time = Duration::from_nanos(d.u64("trial train_time")?);
-    let train_fraction = d.f64("trial train_fraction")?;
-    let failure = match d.u8("trial failure flag")? {
-        0 => None,
-        1 => Some(dec_failure(d.u8("trial failure kind")?)?),
-        v => return Err(corrupt(format!("bad failure flag {v}"))),
-    };
-    Ok(Trial { pipeline, accuracy, error, prep_time, train_time, train_fraction, failure })
 }
 
 // ------------------------------------------------------------- records
@@ -348,37 +137,41 @@ enum Record {
 fn encode_record(rec: &Record) -> Vec<u8> {
     match rec {
         Record::Context(canonical) => {
-            let mut e = Enc::new(REC_CONTEXT);
+            let mut e = Enc::tagged(REC_CONTEXT);
             e.string(canonical);
-            e.buf
+            e.into_bytes()
         }
         Record::Meta(meta) => {
-            let mut e = Enc::new(REC_META);
+            let mut e = Enc::tagged(REC_META);
             e.f64(meta.baseline_accuracy);
             e.u64(meta.train_rows);
-            e.buf
+            e.into_bytes()
         }
         Record::Trial(key, trial) => {
-            let mut e = Enc::new(REC_TRIAL);
+            let mut e = Enc::tagged(REC_TRIAL);
             e.string(key.canonical());
             e.u64(key.fingerprint());
             enc_trial(&mut e, trial);
-            e.buf
+            e.into_bytes()
         }
     }
 }
 
+/// One framed record, ready for a single append write.
+fn framed(rec: &Record) -> Vec<u8> {
+    let mut out = Vec::new();
+    frame_record(&mut out, &encode_record(rec));
+    out
+}
+
 fn decode_record(payload: &[u8]) -> Result<Record, RepoError> {
     let mut d = Dec::new(payload);
-    let rec = match d.u8("record tag")? {
-        REC_CONTEXT => Record::Context(d.string("context canonical")?),
-        REC_META => Record::Meta(StoreMeta {
-            baseline_accuracy: d.f64("meta baseline")?,
-            train_rows: d.u64("meta train_rows")?,
-        }),
+    let rec = match d.u8()? {
+        REC_CONTEXT => Record::Context(d.string()?),
+        REC_META => Record::Meta(StoreMeta { baseline_accuracy: d.f64()?, train_rows: d.u64()? }),
         REC_TRIAL => {
-            let canonical = d.string("trial key")?;
-            let fingerprint = d.u64("trial fingerprint")?;
+            let canonical = d.string()?;
+            let fingerprint = d.u64()?;
             if fingerprint != fnv1a(canonical.as_bytes()) {
                 return Err(corrupt(format!("fingerprint mismatch for key `{canonical}`")));
             }
@@ -387,17 +180,8 @@ fn decode_record(payload: &[u8]) -> Result<Record, RepoError> {
         }
         tag => return Err(corrupt(format!("bad record tag {tag}"))),
     };
-    d.finish("record")?;
+    d.finish()?;
     Ok(rec)
-}
-
-/// Frame a record payload: `[u32 LE len][payload][u64 LE checksum]`.
-fn frame_record(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
-    out
 }
 
 // ---------------------------------------------------------------- scan
@@ -431,47 +215,25 @@ fn scan(bytes: &[u8]) -> Result<Scan, RepoError> {
         // the magic; re-initializing loses nothing.
         return Ok(Scan { records: Vec::new(), valid_len: 0, truncated_bytes: bytes.len() as u64 });
     }
-    // lint:allow(panic-reach): the length check above bounds the range
-    if bytes[..MAGIC.len()] != MAGIC {
+    if !bytes.starts_with(&MAGIC) {
         return Err(corrupt("bad magic (not a trial store segment)"));
     }
     let mut records = Vec::new();
     let mut pos = MAGIC.len();
     loop {
-        let remaining = bytes.len() - pos;
-        if remaining == 0 {
-            return Ok(Scan { records, valid_len: pos as u64, truncated_bytes: 0 });
+        match next_record(bytes, &mut pos) {
+            Ok(None) => return Ok(Scan { records, valid_len: pos as u64, truncated_bytes: 0 }),
+            // Checksum-valid payload: decode failures are format drift
+            // and must not pass silently.
+            Ok(Some(payload)) => records.push(decode_record(payload)?),
+            // A short record or a checksum mismatch is what a crash
+            // mid-append leaves; `pos` still points at its start.
+            Err(_) => {
+                let truncated_bytes = (bytes.len() - pos) as u64;
+                return Ok(Scan { records, valid_len: pos as u64, truncated_bytes });
+            }
         }
-        if remaining < 4 {
-            return Ok(torn_scan(records, pos, bytes.len()));
-        }
-        let mut len_buf = [0u8; 4];
-        // lint:allow(panic-reach): `remaining >= 4` above bounds the range
-        len_buf.copy_from_slice(&bytes[pos..pos + 4]);
-        let len = u32::from_le_bytes(len_buf);
-        if len > MAX_RECORD || (len as usize) > remaining.saturating_sub(4 + 8) {
-            return Ok(torn_scan(records, pos, bytes.len()));
-        }
-        let payload_start = pos + 4;
-        let payload_end = payload_start + len as usize;
-        // lint:allow(panic-reach): len was bounds-checked against `remaining` above
-        let payload = &bytes[payload_start..payload_end];
-        let mut sum_buf = [0u8; 8];
-        // lint:allow(panic-reach): len + 8 checksum bytes fit in `remaining` by the check above
-        sum_buf.copy_from_slice(&bytes[payload_end..payload_end + 8]);
-        if u64::from_le_bytes(sum_buf) != fnv1a(payload) {
-            return Ok(torn_scan(records, pos, bytes.len()));
-        }
-        // Checksum-valid payload: decode failures are format drift and
-        // must not pass silently.
-        records.push(decode_record(payload)?);
-        pos = payload_end + 8;
     }
-}
-
-/// A scan that stopped at a torn record starting at `pos`.
-fn torn_scan(records: Vec<Record>, pos: usize, total: usize) -> Scan {
-    Scan { records, valid_len: pos as u64, truncated_bytes: (total - pos) as u64 }
 }
 
 // --------------------------------------------------------------- store
@@ -604,9 +366,7 @@ impl TrialStore {
                 if scan.valid_len == 0 {
                     init.extend_from_slice(&MAGIC);
                 }
-                init.extend_from_slice(&frame_record(&encode_record(&Record::Context(
-                    context.to_string(),
-                ))));
+                init.extend_from_slice(&framed(&Record::Context(context.to_string())));
                 file.write_all(&init)?;
                 file.flush()?;
             }
@@ -673,7 +433,7 @@ impl TrialStore {
                 "meta conflict: stored {have:?}, asked to record {meta:?}"
             ))),
             None => {
-                let bytes = frame_record(&encode_record(&Record::Meta(meta)));
+                let bytes = framed(&Record::Meta(meta));
                 inner.file.write_all(&bytes)?;
                 inner.file.flush()?;
                 inner.meta = Some(meta);
@@ -700,7 +460,7 @@ impl TrialStore {
             self.deduped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let bytes = frame_record(&encode_record(&Record::Trial(key.clone(), trial.clone())));
+        let bytes = framed(&Record::Trial(key.clone(), trial.clone()));
         match inner.file.write_all(&bytes).and_then(|()| inner.file.flush()) {
             Ok(()) => {
                 inner.keys.insert(key.canonical().to_string());
@@ -1032,6 +792,8 @@ mod tests {
     use super::*;
     use crate::cache::EvalCache;
     use crate::evaluator::evaluate_or_worst;
+    use autofp_preprocess::{Norm, OutputDist, Preproc, PreprocKind};
+    use std::time::Duration;
 
     /// Unique per-test scratch directory without touching any clock
     /// (wall-clock is banned in this module's lint span).
@@ -1224,7 +986,7 @@ mod tests {
             let key = CacheKey::new(
                 &p,
                 1.0,
-                &EvalConfig { seed: failure_code(kind) as u64, ..EvalConfig::default() },
+                &EvalConfig { seed: kind.index() as u64, ..EvalConfig::default() },
             );
             let t = trial_for(&p, 0.0, Some(kind));
             store.append(&key, &t);

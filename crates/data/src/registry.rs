@@ -11,6 +11,7 @@
 
 use crate::dataset::Dataset;
 use crate::synth::{Personality, SynthConfig};
+use autofp_linalg::codec::fnv1a;
 use autofp_linalg::rng::derive_seed;
 
 /// Specification of one benchmark dataset.
@@ -40,7 +41,7 @@ impl DatasetSpec {
     pub fn generate(&self, scale: f64) -> Dataset {
         assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
         let rows = ((self.rows as f64 * scale).round() as usize).max(8 * self.classes);
-        let seed = derive_seed(0xA07F, fnv1a(self.name));
+        let seed = derive_seed(0xA07F, fnv1a(self.name.as_bytes()));
         SynthConfig::new(self.name, rows.min(self.rows), self.cols, self.classes, seed)
             .with_personality(self.personality)
             .generate()
@@ -62,15 +63,6 @@ impl DatasetSpec {
             "large"
         }
     }
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 fn pers(

@@ -17,8 +17,10 @@
 //! * [`service`] — [`service::WorkerService`], the transport-agnostic
 //!   request handler: one evaluator + cache per evaluation context,
 //!   built lazily from the dataset registry.
-//! * [`server`] — the TCP accept loop (`evald serve`), one thread per
-//!   connection, cooperative shutdown.
+//! * [`server`] — [`server::serve_frames`], the thread-per-connection
+//!   frame server with cooperative shutdown that both `evald serve` and
+//!   `autofp serve` run on, and [`server::Server`], the worker protocol
+//!   on top of it.
 //! * [`fleet`] — fleet membership ([`fleet::SharedFleetSpec`], the
 //!   epoch-stamped spec the supervisor publishes and every backend
 //!   routes over) and per-worker [`fleet::CircuitBreaker`]s.

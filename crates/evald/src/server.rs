@@ -1,11 +1,14 @@
-//! The worker daemon's TCP accept loop.
+//! The thread-per-connection frame server both daemons run on.
 //!
-//! One thread per connection, frames in / frames out, cooperative
-//! shutdown: a [`crate::wire::Request::Shutdown`] frame flips the stop
-//! flag and pokes the listener awake with a self-connection so the
-//! accept loop can observe it. Malformed frames are answered with a
-//! [`crate::wire::Response::Error`] and the connection is closed — a
-//! hostile or torn client never takes the worker down.
+//! [`serve_frames`] is the one accept loop: one thread per connection,
+//! frames in / frames out, cooperative shutdown. A handler turns each
+//! request payload into reply bytes plus a [`Next`] step; on
+//! [`Next::Shutdown`] the loop stops accepting (poked awake by a
+//! self-connection so it observes the stop flag). Each protocol
+//! answers a malformed frame with its error response and
+//! [`Next::Close`] — a hostile or torn client never takes the daemon
+//! down. [`Server`] runs the evald worker protocol on it; the serve
+//! daemon (`autofp_serve::ServeServer`) runs its `Predict` protocol.
 
 use crate::service::WorkerService;
 use crate::wire::{decode_request, encode_response, read_frame, write_frame, Request, Response};
@@ -15,18 +18,77 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// What the connection loop does after writing a reply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Next {
+    /// Read the next request on this connection.
+    Continue,
+    /// Drop the connection (its framing can no longer be trusted).
+    Close,
+    /// Drop the connection and stop the accept loop.
+    Shutdown,
+}
+
+/// Serve `listener` until a handler answers [`Next::Shutdown`]. Each
+/// connection gets its own detached thread that feeds every request
+/// payload to `handler` and writes back the reply it returns.
+pub fn serve_frames<H>(listener: TcpListener, handler: H) -> io::Result<()>
+where
+    H: Fn(&[u8]) -> (Vec<u8>, Next) + Send + Sync + 'static,
+{
+    let local = listener.local_addr()?;
+    let handler = Arc::new(handler);
+    let stop = Arc::new(AtomicBool::new(false));
+    for conn in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let stream = match conn {
+            Ok(s) => s,
+            // A single torn accept is not fatal to the daemon.
+            Err(_) => continue,
+        };
+        let handler = Arc::clone(&handler);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            if serve_connection(stream, &*handler) {
+                stop.store(true, Ordering::SeqCst);
+                // Poke the accept loop awake so it observes `stop`.
+                let _ = TcpStream::connect_timeout(&local, Duration::from_secs(1));
+            }
+        });
+    }
+    Ok(())
+}
+
+/// Serve one connection to completion; returns whether the handler
+/// asked for shutdown.
+fn serve_connection(mut stream: TcpStream, handler: &dyn Fn(&[u8]) -> (Vec<u8>, Next)) -> bool {
+    let _ = stream.set_nodelay(true);
+    // A clean EOF means the client is done; a torn frame leaves nothing
+    // sane to answer on this stream. Both end the connection.
+    while let Ok(Some(payload)) = read_frame(&mut stream) {
+        let (reply, next) = handler(&payload);
+        let written = write_frame(&mut stream, &reply).is_ok();
+        match next {
+            Next::Continue if written => {}
+            Next::Continue | Next::Close => return false,
+            Next::Shutdown => return true,
+        }
+    }
+    false
+}
+
 /// A bound, not-yet-running worker server.
 pub struct Server {
     listener: TcpListener,
     service: Arc<WorkerService>,
-    stop: Arc<AtomicBool>,
 }
 
 impl Server {
     /// Bind to `addr` (use port 0 to let the OS pick a free port).
     pub fn bind(addr: impl ToSocketAddrs, service: Arc<WorkerService>) -> io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        Ok(Server { listener, service, stop: Arc::new(AtomicBool::new(false)) })
+        Ok(Server { listener: TcpListener::bind(addr)?, service })
     }
 
     /// The address the server actually bound (resolves port 0).
@@ -34,74 +96,26 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// A handle that makes [`Server::run`] return after the connection
-    /// being served finishes (used by tests; the CLI path stops via a
-    /// `Shutdown` frame instead).
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
-    }
-
-    /// Serve until shut down. Each connection gets its own detached
-    /// thread; a `Shutdown` request stops the accept loop after
-    /// answering.
+    /// Serve until a `Shutdown` request, which stops the accept loop
+    /// after it is answered.
     pub fn run(self) -> io::Result<()> {
-        let local = self.listener.local_addr()?;
-        for conn in self.listener.incoming() {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match conn {
-                Ok(s) => s,
-                // A single torn accept is not fatal to the daemon.
-                Err(_) => continue,
-            };
-            let service = Arc::clone(&self.service);
-            let stop = Arc::clone(&self.stop);
-            std::thread::spawn(move || {
-                let shutdown = serve_connection(stream, &service);
-                if shutdown {
-                    stop.store(true, Ordering::SeqCst);
-                    // Poke the accept loop awake so it observes `stop`.
-                    let _ = TcpStream::connect_timeout(&local, Duration::from_secs(1));
-                }
-            });
-        }
-        Ok(())
+        let service = self.service;
+        serve_frames(self.listener, move |payload| handle_frame(&service, payload))
     }
 }
 
-/// Serve one connection to completion; returns whether a `Shutdown`
-/// request was received.
-fn serve_connection(mut stream: TcpStream, service: &WorkerService) -> bool {
-    let _ = stream.set_nodelay(true);
-    loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(Some(p)) => p,
-            // Clean EOF: the client is done with this connection.
-            Ok(None) => return false,
-            // Torn frame: nothing sane to answer on this stream.
-            Err(_) => return false,
-        };
-        let response = match decode_request(&payload) {
-            Ok(req) => {
-                let resp = service.handle(&req);
-                if matches!(req, Request::Shutdown) {
-                    let _ = write_frame(&mut stream, &encode_response(&resp));
-                    return true;
-                }
-                resp
-            }
-            // Reflect the decode failure back, then drop the
-            // connection: after a corrupt frame the stream's framing
-            // can no longer be trusted.
-            Err(err) => {
-                let _ = write_frame(&mut stream, &encode_response(&Response::Error(err)));
-                return false;
-            }
-        };
-        if write_frame(&mut stream, &encode_response(&response)).is_err() {
-            return false;
+/// Answer one worker-protocol frame. A frame that does not decode is
+/// reflected back as [`Response::Error`] and closes the connection.
+fn handle_frame(service: &WorkerService, payload: &[u8]) -> (Vec<u8>, Next) {
+    match decode_request(payload) {
+        Ok(req) => {
+            let next = match req {
+                Request::Shutdown => Next::Shutdown,
+                _ => Next::Continue,
+            };
+            (encode_response(&service.handle(&req)), next)
         }
+        Err(err) => (encode_response(&Response::Error(err)), Next::Close),
     }
 }
 

@@ -6,8 +6,10 @@
 //! a row-major [`Matrix`], descriptive statistics ([`stats`]), probability
 //! helpers ([`dist`]), principal component analysis ([`pca`]), and seeded
 //! randomness utilities ([`rng`]). Everything downstream (preprocessors,
-//! models, surrogates, meta-features) is built on these primitives.
+//! models, surrogates, meta-features) is built on these primitives, and
+//! every byte format in the workspace is built on [`codec`].
 
+pub mod codec;
 pub mod dist;
 pub mod matrix;
 pub mod pca;

@@ -9,8 +9,9 @@
 //! artifact reproduce in-search predictions exactly (no training-serving
 //! skew).
 //!
-//! The byte format follows the repo-wide wire idiom: a one-byte family
-//! tag, little-endian integers, `f64` as IEEE-754 bit patterns, and
+//! The payload is built from the shared [`autofp_linalg::codec`]
+//! primitives: a one-byte family tag ([`ModelKind::code`]),
+//! little-endian integers, `f64` as IEEE-754 bit patterns, and
 //! `u32`-length prefixes. Encoding is canonical and decoding is total;
 //! structural invariants (weight-matrix shapes, tree-node link targets)
 //! are validated here so a decoded model can never index out of bounds
@@ -21,31 +22,12 @@ use crate::classifier::{Classifier, ModelKind};
 use crate::gbdt::{Gbdt, GbdtParams, RegTree, TreeNode};
 use crate::linear::{LogisticParams, LogisticRegression};
 use crate::mlp::{MlpClassifier, MlpParams};
+use autofp_linalg::codec::{Dec, DecodeError, Enc};
 use autofp_linalg::Matrix;
-use std::fmt;
 
 /// Upper bound on classes accepted by the decoder (prediction allocates
 /// one score slot per class).
 pub const MAX_CLASSES: usize = 4096;
-
-/// A trained-model payload failed to decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeError {
-    /// Human-readable description of the first structural violation.
-    pub detail: String,
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "trained-model decode error: {}", self.detail)
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-fn corrupt(detail: impl Into<String>) -> DecodeError {
-    DecodeError { detail: detail.into() }
-}
 
 /// A concrete trained classifier from one of the three paper families.
 pub enum TrainedModel {
@@ -110,16 +92,11 @@ impl TrainedModel {
 
     /// Encode into the canonical byte payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+        let mut e = Enc::tagged(self.kind().code());
+        e.u32(self.n_classes() as u32);
         match self {
-            TrainedModel::Lr(m) => {
-                e.u8(0);
-                e.u32(m.n_classes as u32);
-                e.matrix(&m.weights);
-            }
+            TrainedModel::Lr(m) => enc_matrix(&mut e, &m.weights),
             TrainedModel::Xgb(m) => {
-                e.u8(1);
-                e.u32(m.n_classes as u32);
                 e.f64(m.learning_rate);
                 e.u32(m.trees.len() as u32);
                 for round in &m.trees {
@@ -144,13 +121,11 @@ impl TrainedModel {
                 }
             }
             TrainedModel::Mlp(m) => {
-                e.u8(2);
-                e.u32(m.n_classes as u32);
-                e.matrix(&m.w1);
-                e.matrix(&m.w2);
+                enc_matrix(&mut e, &m.w1);
+                enc_matrix(&mut e, &m.w2);
             }
         }
-        e.buf
+        e.into_bytes()
     }
 
     /// Decode from bytes; total, canonical, rejects trailing bytes.
@@ -159,51 +134,51 @@ impl TrainedModel {
         let tag = d.u8()?;
         let k = d.u32()? as usize;
         if k == 0 || k > MAX_CLASSES {
-            return Err(corrupt(format!("class count {k} out of range")));
+            return Err(DecodeError::new(format!("class count {k} out of range")));
         }
-        let model = match tag {
-            0 => {
-                let weights = d.matrix()?;
+        let model = match ModelKind::from_code(tag) {
+            Some(ModelKind::Lr) => {
+                let weights = dec_matrix(&mut d)?;
                 if weights.nrows() != k {
-                    return Err(corrupt("lr weight rows != n_classes"));
+                    return Err(DecodeError::new("lr weight rows != n_classes"));
                 }
                 if weights.ncols() < 1 {
-                    return Err(corrupt("lr weights need a bias column"));
+                    return Err(DecodeError::new("lr weights need a bias column"));
                 }
                 TrainedModel::Lr(LogisticRegression { weights, n_classes: k })
             }
-            1 => {
+            Some(ModelKind::Xgb) => {
                 let learning_rate = d.f64()?;
                 let rounds = d.u32()? as usize;
                 // Each round holds k trees of >= 1 node (>= 9 bytes each).
                 if rounds > d.remaining() / k.saturating_mul(9).max(1) + 1 {
-                    return Err(corrupt("gbdt round count exceeds payload"));
+                    return Err(DecodeError::new("gbdt round count exceeds payload"));
                 }
                 let mut trees = Vec::with_capacity(rounds);
                 for _ in 0..rounds {
                     let mut round = Vec::with_capacity(k);
                     for _ in 0..k {
-                        round.push(d.tree()?);
+                        round.push(dec_tree(&mut d)?);
                     }
                     trees.push(round);
                 }
                 TrainedModel::Xgb(Gbdt { trees, n_classes: k, learning_rate })
             }
-            2 => {
-                let w1 = d.matrix()?;
-                let w2 = d.matrix()?;
+            Some(ModelKind::Mlp) => {
+                let w1 = dec_matrix(&mut d)?;
+                let w2 = dec_matrix(&mut d)?;
                 if w1.ncols() < 1 || w1.nrows() < 1 {
-                    return Err(corrupt("mlp hidden layer is empty"));
+                    return Err(DecodeError::new("mlp hidden layer is empty"));
                 }
                 if w2.nrows() != k {
-                    return Err(corrupt("mlp output rows != n_classes"));
+                    return Err(DecodeError::new("mlp output rows != n_classes"));
                 }
                 if w2.ncols() != w1.nrows() + 1 {
-                    return Err(corrupt("mlp output width != hidden + 1"));
+                    return Err(DecodeError::new("mlp output width != hidden + 1"));
                 }
                 TrainedModel::Mlp(MlpClassifier { w1, w2, n_classes: k })
             }
-            _ => return Err(corrupt(format!("unknown model tag {tag}"))),
+            None => return Err(DecodeError::new(format!("unknown model tag {tag}"))),
         };
         d.finish()?;
         Ok(model)
@@ -228,135 +203,50 @@ impl Classifier for TrainedModel {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Encoder / decoder primitives (crate-local copy of the wire idiom;
-// `models` sits below `core`/`evald` in the dependency order).
-// ---------------------------------------------------------------------------
-
-struct Enc {
-    buf: Vec<u8>,
+/// `u32` rows, `u32` cols, then the row-major elements.
+fn enc_matrix(e: &mut Enc, m: &Matrix) {
+    e.u32(m.nrows() as u32);
+    e.u32(m.ncols() as u32);
+    e.f64s(m.as_slice());
 }
 
-impl Enc {
-    fn new() -> Enc {
-        Enc { buf: Vec::new() }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    fn matrix(&mut self, m: &Matrix) {
-        self.u32(m.nrows() as u32);
-        self.u32(m.ncols() as u32);
-        for &v in m.as_slice() {
-            self.f64(v);
-        }
-    }
+fn dec_matrix(d: &mut Dec<'_>) -> Result<Matrix, DecodeError> {
+    let rows = d.u32()? as usize;
+    let cols = d.u32()? as usize;
+    let n = rows.checked_mul(cols).ok_or_else(|| DecodeError::new("matrix size overflow"))?;
+    Ok(Matrix::from_vec(rows, cols, d.f64s(n)?))
 }
 
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
+fn dec_tree(d: &mut Dec<'_>) -> Result<RegTree, DecodeError> {
+    let n = d.u32()? as usize;
+    if n == 0 {
+        return Err(DecodeError::new("empty tree"));
     }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+    // Each node is at least 9 bytes (tag + leaf weight).
+    if n > d.remaining() / 9 + 1 {
+        return Err(DecodeError::new("tree node count exceeds payload"));
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| corrupt("length overflow"))?;
-        if end > self.buf.len() {
-            return Err(corrupt("truncated payload"));
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(f64::from_bits(u64::from_le_bytes(a)))
-    }
-
-    fn matrix(&mut self) -> Result<Matrix, DecodeError> {
-        let rows = self.u32()? as usize;
-        let cols = self.u32()? as usize;
-        let n = rows.checked_mul(cols).ok_or_else(|| corrupt("matrix size overflow"))?;
-        // Bounds-check the byte span before allocating.
-        let bytes = n.checked_mul(8).ok_or_else(|| corrupt("matrix size overflow"))?;
-        let raw = self.take(bytes)?;
-        let mut data = Vec::with_capacity(n);
-        for chunk in raw.chunks_exact(8) {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(chunk);
-            data.push(f64::from_bits(u64::from_le_bytes(a)));
-        }
-        Ok(Matrix::from_vec(rows, cols, data))
-    }
-
-    fn tree(&mut self) -> Result<RegTree, DecodeError> {
-        let n = self.u32()? as usize;
-        if n == 0 {
-            return Err(corrupt("empty tree"));
-        }
-        // Each node is at least 9 bytes (tag + leaf weight).
-        if n > self.remaining() / 9 + 1 {
-            return Err(corrupt("tree node count exceeds payload"));
-        }
-        let mut nodes = Vec::with_capacity(n);
-        for i in 0..n {
-            match self.u8()? {
-                0 => nodes.push(TreeNode::Leaf { weight: self.f64()? }),
-                1 => {
-                    let feature = self.u32()? as usize;
-                    let threshold = self.f64()?;
-                    let left = self.u32()? as usize;
-                    let right = self.u32()? as usize;
-                    // The builder always places children after their
-                    // parent; enforcing that here makes `predict_row`
-                    // provably terminating and in-bounds on any input.
-                    if left <= i || right <= i || left >= n || right >= n {
-                        return Err(corrupt("tree split links are not forward in-bounds"));
-                    }
-                    nodes.push(TreeNode::Split { feature, threshold, left, right });
+    let mut nodes = Vec::with_capacity(n);
+    for i in 0..n {
+        match d.u8()? {
+            0 => nodes.push(TreeNode::Leaf { weight: d.f64()? }),
+            1 => {
+                let feature = d.u32()? as usize;
+                let threshold = d.f64()?;
+                let left = d.u32()? as usize;
+                let right = d.u32()? as usize;
+                // The builder always places children after their
+                // parent; enforcing that here makes `predict_row`
+                // provably terminating and in-bounds on any input.
+                if left <= i || right <= i || left >= n || right >= n {
+                    return Err(DecodeError::new("tree split links are not forward in-bounds"));
                 }
-                t => return Err(corrupt(format!("unknown tree-node tag {t}"))),
+                nodes.push(TreeNode::Split { feature, threshold, left, right });
             }
+            t => return Err(DecodeError::new(format!("unknown tree-node tag {t}"))),
         }
-        Ok(RegTree { nodes })
     }
-
-    fn finish(self) -> Result<(), DecodeError> {
-        if self.pos != self.buf.len() {
-            return Err(corrupt(format!("{} trailing bytes", self.buf.len() - self.pos)));
-        }
-        Ok(())
-    }
+    Ok(RegTree { nodes })
 }
 
 #[cfg(test)]

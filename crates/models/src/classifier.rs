@@ -96,6 +96,21 @@ impl ModelKind {
         }
     }
 
+    /// Stable byte code (the position in [`ModelKind::ALL`]) used by
+    /// the wire, trial-context and artifact formats.
+    pub fn code(self) -> u8 {
+        match self {
+            ModelKind::Lr => 0,
+            ModelKind::Xgb => 1,
+            ModelKind::Mlp => 2,
+        }
+    }
+
+    /// Inverse of [`ModelKind::code`]; `None` for an unknown code.
+    pub fn from_code(code: u8) -> Option<ModelKind> {
+        ModelKind::ALL.get(code as usize).copied()
+    }
+
     /// Construct the default trainer for this family.
     ///
     /// `seed` controls any training stochasticity (minibatch order,
@@ -169,5 +184,14 @@ mod tests {
         assert_eq!(ModelKind::Lr.name(), "LR");
         assert_eq!(ModelKind::Xgb.to_string(), "XGB");
         assert_eq!(ModelKind::ALL.len(), 3);
+    }
+
+    #[test]
+    fn model_kind_codes_are_positions_in_all() {
+        for (i, kind) in ModelKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.code() as usize, i);
+            assert_eq!(ModelKind::from_code(kind.code()), Some(kind));
+        }
+        assert_eq!(ModelKind::from_code(3), None);
     }
 }

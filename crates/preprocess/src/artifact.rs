@@ -6,10 +6,10 @@
 //! pipeline fitted once during search can be exported and served
 //! without refitting (and therefore without training-serving skew).
 //!
-//! The format follows the repo-wide wire idiom (`evald::wire`,
-//! `core::repo`): little-endian integers, `f64` as IEEE-754 bit
-//! patterns, `u32`-length-prefixed vectors, one leading tag byte per
-//! step (the [`PreprocKind::index`] code). Encoding is canonical —
+//! The payload is built from the shared [`autofp_linalg::codec`]
+//! primitives (little-endian integers, `f64` as IEEE-754 bit patterns,
+//! `u32`-length-prefixed vectors) with one leading tag byte per step
+//! (the [`PreprocKind::index`] code). Encoding is canonical —
 //! re-encoding a decoded value reproduces the input bytes exactly —
 //! and decoding is **total**: arbitrary bytes produce `Ok` or
 //! [`DecodeError`], never a panic, unbounded allocation, or an
@@ -17,203 +17,38 @@
 //! invariants such as paired vector lengths are enforced here).
 
 use crate::kinds::PreprocKind;
-use crate::pipeline::FittedPipeline;
+use crate::pipeline::{FittedPipeline, MAX_STEPS};
 use crate::power::FittedPower;
 use crate::preproc::{FittedPreproc, Norm, OutputDist};
 use crate::quantile::FittedQuantile;
-use std::fmt;
-
-/// Upper bound on pipeline length accepted by the decoder (matches the
-/// wire-protocol cap; the search space never exceeds 7).
-pub const MAX_STEPS: usize = 64;
-
-/// A fitted-state payload failed to decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeError {
-    /// Human-readable description of the first structural violation.
-    pub detail: String,
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "fitted-state decode error: {}", self.detail)
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-fn corrupt(detail: impl Into<String>) -> DecodeError {
-    DecodeError { detail: detail.into() }
-}
-
-// ---------------------------------------------------------------------------
-// Encoder / decoder primitives (the crate-local copy of the wire idiom;
-// `preprocess` sits below `core`/`evald` in the dependency order, so the
-// helpers are replicated here exactly as `core::repo` replicates them).
-// ---------------------------------------------------------------------------
-
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn new() -> Enc {
-        Enc { buf: Vec::new() }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    fn vec_f64(&mut self, v: &[f64]) {
-        self.u32(v.len() as u32);
-        for &x in v {
-            self.f64(x);
-        }
-    }
-}
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| corrupt("length overflow"))?;
-        if end > self.buf.len() {
-            return Err(corrupt("truncated payload"));
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(f64::from_bits(u64::from_le_bytes(a)))
-    }
-
-    fn bool(&mut self) -> Result<bool, DecodeError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(corrupt(format!("invalid bool byte {v}"))),
-        }
-    }
-
-    fn vec_f64(&mut self) -> Result<Vec<f64>, DecodeError> {
-        let n = self.u32()? as usize;
-        // Bounds-check the byte span *before* allocating, so a corrupt
-        // length can never trigger an oversized allocation.
-        let bytes = n.checked_mul(8).ok_or_else(|| corrupt("vector length overflow"))?;
-        let raw = self.take(bytes)?;
-        let mut out = Vec::with_capacity(n);
-        for chunk in raw.chunks_exact(8) {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(chunk);
-            out.push(f64::from_bits(u64::from_le_bytes(a)));
-        }
-        Ok(out)
-    }
-
-    fn finish(self) -> Result<(), DecodeError> {
-        if self.pos != self.buf.len() {
-            return Err(corrupt(format!("{} trailing bytes", self.buf.len() - self.pos)));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Step codec
-// ---------------------------------------------------------------------------
-
-fn norm_code(n: Norm) -> u8 {
-    match n {
-        Norm::L1 => 0,
-        Norm::L2 => 1,
-        Norm::Max => 2,
-    }
-}
-
-fn norm_from_code(c: u8) -> Result<Norm, DecodeError> {
-    match c {
-        0 => Ok(Norm::L1),
-        1 => Ok(Norm::L2),
-        2 => Ok(Norm::Max),
-        _ => Err(corrupt(format!("invalid norm code {c}"))),
-    }
-}
-
-fn dist_code(d: OutputDist) -> u8 {
-    match d {
-        OutputDist::Uniform => 0,
-        OutputDist::Normal => 1,
-    }
-}
-
-fn dist_from_code(c: u8) -> Result<OutputDist, DecodeError> {
-    match c {
-        0 => Ok(OutputDist::Uniform),
-        1 => Ok(OutputDist::Normal),
-        _ => Err(corrupt(format!("invalid output-dist code {c}"))),
-    }
-}
+use autofp_linalg::codec::{Dec, DecodeError, Enc};
 
 fn enc_step(e: &mut Enc, step: &FittedPreproc) {
     e.u8(step_kind(step).index() as u8);
     match step {
         FittedPreproc::Binarizer { threshold } => e.f64(*threshold),
-        FittedPreproc::MaxAbs { scale } => e.vec_f64(scale),
+        FittedPreproc::MaxAbs { scale } => e.f64_vec(scale),
         FittedPreproc::MinMax { mins, ranges } => {
-            e.vec_f64(mins);
-            e.vec_f64(ranges);
+            e.f64_vec(mins);
+            e.f64_vec(ranges);
         }
-        FittedPreproc::Normalizer { norm } => e.u8(norm_code(*norm)),
+        FittedPreproc::Normalizer { norm } => e.u8(norm.code()),
         FittedPreproc::Power(p) => {
             e.bool(p.standardize);
-            e.vec_f64(&p.lambdas);
-            e.vec_f64(&p.means);
-            e.vec_f64(&p.stds);
+            e.f64_vec(&p.lambdas);
+            e.f64_vec(&p.means);
+            e.f64_vec(&p.stds);
         }
         FittedPreproc::Quantile(q) => {
-            e.u8(dist_code(q.output));
+            e.u8(q.output.code());
             e.u32(q.references.len() as u32);
             for refs in &q.references {
-                e.vec_f64(refs);
+                e.f64_vec(refs);
             }
         }
         FittedPreproc::Standard { means, stds } => {
-            e.vec_f64(means);
-            e.vec_f64(stds);
+            e.f64_vec(means);
+            e.f64_vec(stds);
         }
     }
 }
@@ -235,65 +70,68 @@ fn dec_step(d: &mut Dec<'_>) -> Result<FittedPreproc, DecodeError> {
     let tag = d.u8()?;
     match tag {
         0 => Ok(FittedPreproc::Binarizer { threshold: d.f64()? }),
-        1 => Ok(FittedPreproc::MaxAbs { scale: d.vec_f64()? }),
+        1 => Ok(FittedPreproc::MaxAbs { scale: d.f64_vec()? }),
         2 => {
-            let mins = d.vec_f64()?;
-            let ranges = d.vec_f64()?;
+            let mins = d.f64_vec()?;
+            let ranges = d.f64_vec()?;
             if mins.len() != ranges.len() {
-                return Err(corrupt("minmax mins/ranges length mismatch"));
+                return Err(DecodeError::new("minmax mins/ranges length mismatch"));
             }
             Ok(FittedPreproc::MinMax { mins, ranges })
         }
-        3 => Ok(FittedPreproc::Normalizer { norm: norm_from_code(d.u8()?)? }),
+        3 => {
+            let code = d.u8()?;
+            let norm = Norm::from_code(code)
+                .ok_or_else(|| DecodeError::new(format!("invalid norm code {code}")))?;
+            Ok(FittedPreproc::Normalizer { norm })
+        }
         4 => {
             let standardize = d.bool()?;
-            let lambdas = d.vec_f64()?;
-            let means = d.vec_f64()?;
-            let stds = d.vec_f64()?;
+            let lambdas = d.f64_vec()?;
+            let means = d.f64_vec()?;
+            let stds = d.f64_vec()?;
             if means.len() != lambdas.len() || stds.len() != lambdas.len() {
-                return Err(corrupt("power lambda/mean/std length mismatch"));
+                return Err(DecodeError::new("power lambda/mean/std length mismatch"));
             }
             Ok(FittedPreproc::Power(FittedPower { lambdas, means, stds, standardize }))
         }
         5 => {
-            let output = dist_from_code(d.u8()?)?;
+            let code = d.u8()?;
+            let output = OutputDist::from_code(code)
+                .ok_or_else(|| DecodeError::new(format!("invalid output-dist code {code}")))?;
             let cols = d.u32()? as usize;
             // Each column contributes at least a 4-byte length prefix;
             // reject counts the remaining bytes cannot possibly hold.
-            if cols > d.buf.len().saturating_sub(d.pos) / 4 {
-                return Err(corrupt("quantile column count exceeds payload"));
+            if cols > d.remaining() / 4 {
+                return Err(DecodeError::new("quantile column count exceeds payload"));
             }
             let mut references = Vec::with_capacity(cols);
             for _ in 0..cols {
-                let refs = d.vec_f64()?;
+                let refs = d.f64_vec()?;
                 if refs.len() < 2 {
-                    return Err(corrupt("quantile reference table shorter than 2"));
+                    return Err(DecodeError::new("quantile reference table shorter than 2"));
                 }
                 references.push(refs);
             }
             Ok(FittedPreproc::Quantile(FittedQuantile { references, output }))
         }
         6 => {
-            let means = d.vec_f64()?;
-            let stds = d.vec_f64()?;
+            let means = d.f64_vec()?;
+            let stds = d.f64_vec()?;
             if means.len() != stds.len() {
-                return Err(corrupt("standard means/stds length mismatch"));
+                return Err(DecodeError::new("standard means/stds length mismatch"));
             }
             Ok(FittedPreproc::Standard { means, stds })
         }
-        _ => Err(corrupt(format!("unknown fitted-step tag {tag}"))),
+        _ => Err(DecodeError::new(format!("unknown fitted-step tag {tag}"))),
     }
 }
-
-// ---------------------------------------------------------------------------
-// Public API
-// ---------------------------------------------------------------------------
 
 /// Encode one fitted step (tag byte + parameters).
 pub fn encode_step(step: &FittedPreproc) -> Vec<u8> {
     let mut e = Enc::new();
     enc_step(&mut e, step);
-    e.buf
+    e.into_bytes()
 }
 
 /// Decode one fitted step; rejects trailing bytes.
@@ -311,17 +149,17 @@ pub fn encode_pipeline(p: &FittedPipeline) -> Vec<u8> {
     for step in p.steps() {
         enc_step(&mut e, step);
     }
-    e.buf
+    e.into_bytes()
 }
 
 /// Decode a fitted pipeline; total, canonical, rejects trailing bytes.
 pub fn decode_pipeline(bytes: &[u8]) -> Result<FittedPipeline, DecodeError> {
     let mut d = Dec::new(bytes);
-    let n = d.u32()? as usize;
+    let n = d.u32()?;
     if n > MAX_STEPS {
-        return Err(corrupt(format!("pipeline of {n} steps exceeds cap {MAX_STEPS}")));
+        return Err(DecodeError::new(format!("pipeline of {n} steps exceeds cap {MAX_STEPS}")));
     }
-    let mut steps = Vec::with_capacity(n);
+    let mut steps = Vec::with_capacity(n as usize);
     for _ in 0..n {
         steps.push(dec_step(&mut d)?);
     }
@@ -441,7 +279,7 @@ mod tests {
                 // decode, the structural invariants must hold so that a
                 // later transform cannot index out of bounds.
                 if let Ok(p) = decode_pipeline(&m) {
-                    assert!(p.steps().len() <= MAX_STEPS);
+                    assert!(p.steps().len() <= MAX_STEPS as usize);
                 }
             }
         }
@@ -463,7 +301,7 @@ mod tests {
         assert!(decode_step(&q).is_err());
         // Oversized step count.
         let mut p = Vec::new();
-        p.extend_from_slice(&(MAX_STEPS as u32 + 1).to_le_bytes());
+        p.extend_from_slice(&(MAX_STEPS + 1).to_le_bytes());
         assert!(decode_pipeline(&p).is_err());
     }
 }

@@ -24,6 +24,6 @@ pub mod quantile;
 pub mod space;
 
 pub use kinds::PreprocKind;
-pub use pipeline::{FittedPipeline, Pipeline};
+pub use pipeline::{FittedPipeline, Pipeline, MAX_STEPS};
 pub use preproc::{FittedPreproc, Norm, OutputDist, Preproc};
 pub use space::ParamSpace;

@@ -17,6 +17,11 @@ use std::fmt;
 /// quoted in §7.3 of the paper.
 pub const DEFAULT_MAX_LEN: usize = 7;
 
+/// Hard cap on the pipeline length any decoder accepts (wire, trial
+/// store, fitted-pipeline artifact). The search space never comes close,
+/// so a longer pipeline is a corrupt payload.
+pub const MAX_STEPS: u32 = 64;
+
 /// An (unfitted) feature preprocessing pipeline.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Pipeline {

@@ -33,6 +33,39 @@ pub enum OutputDist {
     Normal,
 }
 
+impl Norm {
+    /// Stable byte code used by the wire, trial-store and artifact
+    /// formats.
+    pub fn code(self) -> u8 {
+        match self {
+            Norm::L1 => 0,
+            Norm::L2 => 1,
+            Norm::Max => 2,
+        }
+    }
+
+    /// Inverse of [`Norm::code`]; `None` for an unknown code.
+    pub fn from_code(code: u8) -> Option<Norm> {
+        [Norm::L1, Norm::L2, Norm::Max].get(code as usize).copied()
+    }
+}
+
+impl OutputDist {
+    /// Stable byte code used by the wire, trial-store and artifact
+    /// formats.
+    pub fn code(self) -> u8 {
+        match self {
+            OutputDist::Uniform => 0,
+            OutputDist::Normal => 1,
+        }
+    }
+
+    /// Inverse of [`OutputDist::code`]; `None` for an unknown code.
+    pub fn from_code(code: u8) -> Option<OutputDist> {
+        [OutputDist::Uniform, OutputDist::Normal].get(code as usize).copied()
+    }
+}
+
 /// A preprocessor specification: a kind plus concrete parameter values.
 ///
 /// Defaults (via [`Preproc::default_for`]) match the scikit-learn

@@ -3,9 +3,10 @@
 //! An artifact file freezes everything needed to reproduce the
 //! in-search evaluation of one (pipeline, model) winner on new rows:
 //! the dataset/search provenance, the fitted preprocessing parameters,
-//! and the trained model weights. The layout follows the trial-store
-//! idiom (`core::repo`): an 8-byte magic, then length-prefixed
-//! FNV-1a-checksummed records —
+//! and the trained model weights. The layout is the trial store's
+//! (`core::repo`): an 8-byte magic, then records framed by the shared
+//! [`autofp_linalg::codec::frame_record`] — length-prefixed and
+//! FNV-1a-checksummed —
 //!
 //! ```text
 //! [AFPSERV1][u32 len][meta][u64 fnv1a][u32 len][pipeline][u64 fnv1a]
@@ -19,7 +20,7 @@
 //! total (arbitrary bytes never panic) and canonical (decode → encode
 //! reproduces the input byte-for-byte).
 
-use autofp_core::fnv1a;
+use autofp_linalg::codec::{frame_record, next_record, Dec, DecodeError, Enc};
 use autofp_models::{ModelKind, TrainedModel};
 use autofp_preprocess::artifact as preproc_codec;
 use autofp_preprocess::FittedPipeline;
@@ -28,9 +29,6 @@ use std::path::Path;
 
 /// Artifact file magic (format version 1).
 pub const MAGIC: [u8; 8] = *b"AFPSERV1";
-
-/// Hard cap on a single artifact record (matches the wire frame cap).
-pub const MAX_RECORD: u32 = 16 * 1024 * 1024;
 
 const REC_META: u8 = 0;
 const REC_PIPELINE: u8 = 1;
@@ -62,6 +60,12 @@ impl std::error::Error for ArtifactError {}
 impl From<std::io::Error> for ArtifactError {
     fn from(e: std::io::Error) -> ArtifactError {
         ArtifactError::Io(e)
+    }
+}
+
+impl From<DecodeError> for ArtifactError {
+    fn from(e: DecodeError) -> ArtifactError {
+        ArtifactError::Corrupt { detail: e.detail }
     }
 }
 
@@ -104,93 +108,35 @@ pub struct ServeArtifact {
     pub model: TrainedModel,
 }
 
-fn model_code(kind: ModelKind) -> u8 {
-    match kind {
-        ModelKind::Lr => 0,
-        ModelKind::Xgb => 1,
-        ModelKind::Mlp => 2,
-    }
-}
-
-fn model_from_code(c: u8) -> Result<ModelKind, ArtifactError> {
-    match c {
-        0 => Ok(ModelKind::Lr),
-        1 => Ok(ModelKind::Xgb),
-        2 => Ok(ModelKind::Mlp),
-        _ => Err(corrupt(format!("invalid model code {c}"))),
-    }
-}
-
-fn enc_string(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
 fn encode_meta(meta: &ArtifactMeta) -> Vec<u8> {
-    let mut b = vec![REC_META];
-    enc_string(&mut b, &meta.dataset);
-    enc_string(&mut b, &meta.pipeline_key);
-    b.push(model_code(meta.model));
-    b.extend_from_slice(&meta.seed.to_le_bytes());
-    b.extend_from_slice(&meta.train_fraction.to_bits().to_le_bytes());
-    b.extend_from_slice(&meta.train_subsample.to_le_bytes());
-    b.extend_from_slice(&meta.n_features.to_le_bytes());
-    b.extend_from_slice(&meta.n_classes.to_le_bytes());
-    b.extend_from_slice(&meta.train_rows.to_le_bytes());
-    b.extend_from_slice(&meta.accuracy.to_bits().to_le_bytes());
-    b
-}
-
-struct MetaDec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> MetaDec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ArtifactError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| corrupt("meta length overflow"))?;
-        if end > self.buf.len() {
-            return Err(corrupt("truncated meta record"));
-        }
-        // lint:allow(panic-reach): checked_add + `end <= buf.len()` above make the range provably in bounds
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ArtifactError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64, ArtifactError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn f64(&mut self) -> Result<f64, ArtifactError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn string(&mut self) -> Result<String, ArtifactError> {
-        let b = self.take(4)?;
-        // lint:allow(panic-reach): take(4) returned exactly four bytes
-        let n = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize;
-        let raw = self.take(n)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| corrupt("meta string is not UTF-8"))
-    }
+    let mut e = Enc::tagged(REC_META);
+    e.string(&meta.dataset);
+    e.string(&meta.pipeline_key);
+    e.u8(meta.model.code());
+    e.u64(meta.seed);
+    e.f64(meta.train_fraction);
+    e.u64(meta.train_subsample);
+    e.u64(meta.n_features);
+    e.u64(meta.n_classes);
+    e.u64(meta.train_rows);
+    e.f64(meta.accuracy);
+    e.into_bytes()
 }
 
 fn decode_meta(payload: &[u8]) -> Result<ArtifactMeta, ArtifactError> {
-    let mut d = MetaDec { buf: payload, pos: 0 };
+    let mut d = Dec::new(payload);
     if d.u8()? != REC_META {
         return Err(corrupt("first record is not the meta record"));
     }
+    let dataset = d.string()?;
+    let pipeline_key = d.string()?;
+    let code = d.u8()?;
+    let model =
+        ModelKind::from_code(code).ok_or_else(|| corrupt(format!("invalid model code {code}")))?;
     let meta = ArtifactMeta {
-        dataset: d.string()?,
-        pipeline_key: d.string()?,
-        model: model_from_code(d.u8()?)?,
+        dataset,
+        pipeline_key,
+        model,
         seed: d.u64()?,
         train_fraction: d.f64()?,
         train_subsample: d.u64()?,
@@ -199,58 +145,31 @@ fn decode_meta(payload: &[u8]) -> Result<ArtifactMeta, ArtifactError> {
         train_rows: d.u64()?,
         accuracy: d.f64()?,
     };
-    if d.pos != d.buf.len() {
-        return Err(corrupt("trailing bytes in meta record"));
-    }
+    d.finish()?;
     Ok(meta)
 }
 
-/// Frame a record payload: `[u32 LE len][payload][u64 LE fnv1a]`.
-fn frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
-}
-
-/// Unframe the record at `pos`; advances `pos` past it.
-fn unframe<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<&'a [u8], ArtifactError> {
-    let remaining = bytes.len() - *pos;
-    if remaining < 4 {
-        return Err(corrupt("truncated record length"));
+/// The record at `*pos`; an artifact is written whole, so a torn
+/// record or a checksum mismatch is corruption, as is a missing one.
+fn record<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<&'a [u8], ArtifactError> {
+    match next_record(bytes, pos) {
+        Ok(Some(payload)) => Ok(payload),
+        Ok(None) => Err(corrupt("missing record")),
+        Err(e) => Err(corrupt(e.to_string())),
     }
-    let mut len_buf = [0u8; 4];
-    // lint:allow(panic-reach): `remaining >= 4` above bounds the range
-    len_buf.copy_from_slice(&bytes[*pos..*pos + 4]);
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_RECORD || (len as usize) > remaining.saturating_sub(4 + 8) {
-        return Err(corrupt("record length exceeds file"));
-    }
-    let start = *pos + 4;
-    let end = start + len as usize;
-    // lint:allow(panic-reach): len was bounds-checked against `remaining` above
-    let payload = &bytes[start..end];
-    let mut sum_buf = [0u8; 8];
-    // lint:allow(panic-reach): len + 8 checksum bytes fit in `remaining` by the check above
-    sum_buf.copy_from_slice(&bytes[end..end + 8]);
-    if u64::from_le_bytes(sum_buf) != fnv1a(payload) {
-        return Err(corrupt("record checksum mismatch"));
-    }
-    *pos = end + 8;
-    Ok(payload)
 }
 
 impl ServeArtifact {
     /// Serialize to the canonical artifact bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        frame(&mut out, &encode_meta(&self.meta));
+        let mut out = MAGIC.to_vec();
+        frame_record(&mut out, &encode_meta(&self.meta));
         let mut pipeline = vec![REC_PIPELINE];
         pipeline.extend_from_slice(&preproc_codec::encode_pipeline(&self.pipeline));
-        frame(&mut out, &pipeline);
+        frame_record(&mut out, &pipeline);
         let mut model = vec![REC_MODEL];
         model.extend_from_slice(&self.model.encode());
-        frame(&mut out, &model);
+        frame_record(&mut out, &model);
         out
     }
 
@@ -259,25 +178,19 @@ impl ServeArtifact {
     /// cross-record invariants (model family and class count match the
     /// meta) must hold.
     pub fn decode(bytes: &[u8]) -> Result<ServeArtifact, ArtifactError> {
-        // lint:allow(panic-reach): the `len < MAGIC.len()` guard short-circuits before the slice
-        if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
+        if !bytes.starts_with(&MAGIC) {
             return Err(corrupt("bad magic (not a serve artifact)"));
         }
         let mut pos = MAGIC.len();
-        let meta = decode_meta(unframe(bytes, &mut pos)?)?;
-        let pipeline_rec = unframe(bytes, &mut pos)?;
-        if pipeline_rec.first() != Some(&REC_PIPELINE) {
+        let meta = decode_meta(record(bytes, &mut pos)?)?;
+        let Some((&REC_PIPELINE, pipeline_rec)) = record(bytes, &mut pos)?.split_first() else {
             return Err(corrupt("second record is not the pipeline record"));
-        }
-        // lint:allow(panic-reach): `first() == Some(..)` above proves the record is non-empty
-        let pipeline = preproc_codec::decode_pipeline(&pipeline_rec[1..])
-            .map_err(|e| corrupt(e.detail))?;
-        let model_rec = unframe(bytes, &mut pos)?;
-        if model_rec.first() != Some(&REC_MODEL) {
+        };
+        let pipeline = preproc_codec::decode_pipeline(pipeline_rec)?;
+        let Some((&REC_MODEL, model_rec)) = record(bytes, &mut pos)?.split_first() else {
             return Err(corrupt("third record is not the model record"));
-        }
-        // lint:allow(panic-reach): `first() == Some(..)` above proves the record is non-empty
-        let model = TrainedModel::decode(&model_rec[1..]).map_err(|e| corrupt(e.detail))?;
+        };
+        let model = TrainedModel::decode(model_rec)?;
         if pos != bytes.len() {
             return Err(corrupt(format!("{} trailing bytes", bytes.len() - pos)));
         }
@@ -311,6 +224,7 @@ impl ServeArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autofp_core::fnv1a;
     use autofp_data::SynthConfig;
     use autofp_linalg::Matrix;
     use autofp_models::CancelToken;

@@ -13,9 +13,9 @@
 //!   path (arity mismatch → `degenerate`, NaN/±inf → `non-finite`) and
 //!   thread-count-invariant chunked parallelism.
 //! - [`wire`] / [`server`] / [`client`]: a `Predict`/`PredictAck`
-//!   protocol over the evald frame format, an accept loop with the
-//!   worker daemon's shutdown/robustness semantics, and a blocking
-//!   client for the CLI and tests.
+//!   protocol over the evald frame format, its handler on the worker
+//!   daemon's frame server (same shutdown/robustness semantics), and a
+//!   blocking client for the CLI and tests.
 
 #![warn(missing_docs)]
 

@@ -1,29 +1,22 @@
-//! The inference daemon's TCP accept loop.
-//!
-//! Mirrors the evald worker loop: one thread per connection, frames in
-//! / frames out, cooperative shutdown (a [`ServeRequest::Shutdown`]
-//! frame flips the stop flag and pokes the listener awake with a
-//! self-connection), and a malformed frame is answered with
-//! [`ServeResponse::Error`] before the connection is dropped — a
-//! hostile or torn client never takes the daemon down.
+//! The inference daemon: the serve protocol on the shared frame server
+//! ([`autofp_evald::server::serve_frames`]) — one thread per
+//! connection, cooperative shutdown on [`ServeRequest::Shutdown`], and
+//! a malformed frame answered with [`ServeResponse::Error`] before the
+//! connection is dropped, so a hostile or torn client never takes the
+//! daemon down.
 
 use crate::engine::ServeEngine;
-use crate::wire::{
-    decode_request, encode_response, read_frame, write_frame, ServeInfo, ServeRequest,
-    ServeResponse,
-};
+use crate::wire::{decode_request, encode_response, ServeInfo, ServeRequest, ServeResponse};
+use autofp_evald::server::{serve_frames, Next};
 use std::io;
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A bound, not-yet-running inference server.
 pub struct ServeServer {
     listener: TcpListener,
     engine: Arc<ServeEngine>,
     threads: usize,
-    stop: Arc<AtomicBool>,
 }
 
 impl ServeServer {
@@ -34,13 +27,7 @@ impl ServeServer {
         engine: Arc<ServeEngine>,
         threads: usize,
     ) -> io::Result<ServeServer> {
-        let listener = TcpListener::bind(addr)?;
-        Ok(ServeServer {
-            listener,
-            engine,
-            threads: threads.max(1),
-            stop: Arc::new(AtomicBool::new(false)),
-        })
+        Ok(ServeServer { listener: TcpListener::bind(addr)?, engine, threads: threads.max(1) })
     }
 
     /// The address the server actually bound (resolves port 0).
@@ -48,39 +35,11 @@ impl ServeServer {
         self.listener.local_addr()
     }
 
-    /// The engine behind this server (counters stay visible to the
-    /// caller while the server runs).
-    pub fn engine(&self) -> Arc<ServeEngine> {
-        Arc::clone(&self.engine)
-    }
-
-    /// Serve until shut down. Each connection gets its own detached
-    /// thread; a `Shutdown` request stops the accept loop after
-    /// answering.
+    /// Serve until a `Shutdown` request, which stops the accept loop
+    /// after it is answered.
     pub fn run(self) -> io::Result<()> {
-        let local = self.listener.local_addr()?;
-        for conn in self.listener.incoming() {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match conn {
-                Ok(s) => s,
-                // A single torn accept is not fatal to the daemon.
-                Err(_) => continue,
-            };
-            let engine = Arc::clone(&self.engine);
-            let stop = Arc::clone(&self.stop);
-            let threads = self.threads;
-            std::thread::spawn(move || {
-                let shutdown = serve_connection(stream, &engine, threads);
-                if shutdown {
-                    stop.store(true, Ordering::SeqCst);
-                    // Poke the accept loop awake so it observes `stop`.
-                    let _ = TcpStream::connect_timeout(&local, Duration::from_secs(1));
-                }
-            });
-        }
-        Ok(())
+        let ServeServer { listener, engine, threads } = self;
+        serve_frames(listener, move |payload| handle_frame(&engine, threads, payload))
     }
 }
 
@@ -108,37 +67,17 @@ pub fn handle_request(engine: &ServeEngine, threads: usize, req: &ServeRequest) 
     }
 }
 
-/// Serve one connection to completion; returns whether a `Shutdown`
-/// request was received.
-fn serve_connection(mut stream: TcpStream, engine: &ServeEngine, threads: usize) -> bool {
-    let _ = stream.set_nodelay(true);
-    loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(Some(p)) => p,
-            // Clean EOF: the client is done with this connection.
-            Ok(None) => return false,
-            // Torn frame: nothing sane to answer on this stream.
-            Err(_) => return false,
-        };
-        let response = match decode_request(&payload) {
-            Ok(req) => {
-                let resp = handle_request(engine, threads, &req);
-                if matches!(req, ServeRequest::Shutdown) {
-                    let _ = write_frame(&mut stream, &encode_response(&resp));
-                    return true;
-                }
-                resp
-            }
-            // Reflect the decode failure back, then drop the
-            // connection: after a corrupt frame the stream's framing
-            // can no longer be trusted.
-            Err(err) => {
-                let _ = write_frame(&mut stream, &encode_response(&ServeResponse::Error(err)));
-                return false;
-            }
-        };
-        if write_frame(&mut stream, &encode_response(&response)).is_err() {
-            return false;
+/// Answer one serve-protocol frame. A frame that does not decode is
+/// reflected back as [`ServeResponse::Error`] and closes the connection.
+fn handle_frame(engine: &ServeEngine, threads: usize, payload: &[u8]) -> (Vec<u8>, Next) {
+    match decode_request(payload) {
+        Ok(req) => {
+            let next = match req {
+                ServeRequest::Shutdown => Next::Shutdown,
+                _ => Next::Continue,
+            };
+            (encode_response(&handle_request(engine, threads, &req)), next)
         }
+        Err(err) => (encode_response(&ServeResponse::Error(err)), Next::Close),
     }
 }

@@ -2,13 +2,14 @@
 //!
 //! Messages ride the same `[u32 LE length][payload]` frames as the
 //! evaluation service (`evald::wire::read_frame`/`write_frame` are
-//! reused directly), with the same conventions: a one-byte tag,
-//! little-endian integers, `f64` as IEEE-754 bit patterns, canonical
-//! encoding, and total decoding — a malformed payload is an
+//! reused directly), with the same conventions: a one-byte tag, then
+//! fields in the shared [`autofp_linalg::codec`] encoding — canonical
+//! encoding, and total decoding: a malformed payload is an
 //! `EvalError::Transport`, never a panic.
 
 use crate::engine::{EngineStats, RowOutcome};
-use autofp_core::{EvalError, FailureKind};
+use autofp_core::codec::{dec_failure, Dec, Enc};
+use autofp_core::EvalError;
 use std::io::{Read, Write};
 
 pub use autofp_evald::wire::{read_frame, write_frame, MAX_FRAME};
@@ -92,119 +93,29 @@ fn transport(detail: impl Into<String>) -> EvalError {
 }
 
 // ---------------------------------------------------------------------------
-// Primitives
+// Fields
 // ---------------------------------------------------------------------------
 
-struct Enc {
-    buf: Vec<u8>,
+fn enc_stats(e: &mut Enc, s: &EngineStats) {
+    e.u64(s.rows);
+    e.u64(s.predicted);
+    e.u64(s.rejected_non_finite);
+    e.u64(s.rejected_arity);
 }
 
-impl Enc {
-    fn new(tag: u8) -> Enc {
-        Enc { buf: vec![tag] }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn string(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn stats(&mut self, s: &EngineStats) {
-        self.u64(s.rows);
-        self.u64(s.predicted);
-        self.u64(s.rejected_non_finite);
-        self.u64(s.rejected_arity);
-    }
-}
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], EvalError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| transport("length overflow"))?;
-        if end > self.buf.len() {
-            return Err(transport("truncated payload"));
-        }
-        // lint:allow(panic-reach): checked_add + `end <= buf.len()` above make the range provably in bounds
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, EvalError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, EvalError> {
-        let b = self.take(4)?;
-        // lint:allow(panic-reach): take(4) returned exactly four bytes
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, EvalError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn f64(&mut self) -> Result<f64, EvalError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn string(&mut self) -> Result<String, EvalError> {
-        let n = self.u32()? as usize;
-        let raw = self.take(n)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| transport("string is not UTF-8"))
-    }
-
-    fn stats(&mut self) -> Result<EngineStats, EvalError> {
-        Ok(EngineStats {
-            rows: self.u64()?,
-            predicted: self.u64()?,
-            rejected_non_finite: self.u64()?,
-            rejected_arity: self.u64()?,
-        })
-    }
-
-    fn finish(self) -> Result<(), EvalError> {
-        if self.pos != self.buf.len() {
-            return Err(transport(format!("{} trailing bytes", self.buf.len() - self.pos)));
-        }
-        Ok(())
-    }
+fn dec_stats(d: &mut Dec<'_>) -> Result<EngineStats, EvalError> {
+    Ok(EngineStats {
+        rows: d.u64()?,
+        predicted: d.u64()?,
+        rejected_non_finite: d.u64()?,
+        rejected_arity: d.u64()?,
+    })
 }
 
 fn enc_rows(e: &mut Enc, rows: &[Vec<f64>]) {
     e.u32(rows.len() as u32);
     for row in rows {
-        e.u32(row.len() as u32);
-        for &v in row {
-            e.f64(v);
-        }
+        e.f64_vec(row);
     }
 }
 
@@ -215,16 +126,7 @@ fn dec_rows(d: &mut Dec<'_>) -> Result<Vec<Vec<f64>>, EvalError> {
     }
     let mut rows = Vec::with_capacity(n as usize);
     for _ in 0..n {
-        let len = d.u32()? as usize;
-        let bytes = len.checked_mul(8).ok_or_else(|| transport("row length overflow"))?;
-        let raw = d.take(bytes)?;
-        let mut row = Vec::with_capacity(len);
-        for chunk in raw.chunks_exact(8) {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(chunk);
-            row.push(f64::from_bits(u64::from_le_bytes(a)));
-        }
-        rows.push(row);
+        rows.push(d.f64_vec()?);
     }
     Ok(rows)
 }
@@ -251,28 +153,18 @@ fn dec_outcomes(d: &mut Dec<'_>) -> Result<Vec<RowOutcome>, EvalError> {
         return Err(transport(format!("ack of {n} outcomes exceeds cap {MAX_BATCH}")));
     }
     // Each outcome is at least 2 bytes.
-    if n as usize > self_remaining(d) / 2 + 1 {
+    if n as usize > d.remaining() / 2 + 1 {
         return Err(transport("outcome count exceeds payload"));
     }
     let mut out = Vec::with_capacity(n as usize);
     for _ in 0..n {
         match d.u8()? {
             0 => out.push(RowOutcome::Predicted(d.u32()? as usize)),
-            1 => {
-                let code = d.u8()? as usize;
-                let kind = *FailureKind::ALL
-                    .get(code)
-                    .ok_or_else(|| transport(format!("bad failure code {code}")))?;
-                out.push(RowOutcome::Rejected(kind));
-            }
+            1 => out.push(RowOutcome::Rejected(dec_failure(d.u8()?)?)),
             t => return Err(transport(format!("bad outcome tag {t}"))),
         }
     }
     Ok(out)
-}
-
-fn self_remaining(d: &Dec<'_>) -> usize {
-    d.buf.len() - d.pos
 }
 
 // ---------------------------------------------------------------------------
@@ -282,15 +174,15 @@ fn self_remaining(d: &Dec<'_>) -> usize {
 /// Encode a request payload (framing is the caller's concern).
 pub fn encode_request(req: &ServeRequest) -> Vec<u8> {
     match req {
-        ServeRequest::Ping => Enc::new(REQ_PING).buf,
-        ServeRequest::Info => Enc::new(REQ_INFO).buf,
+        ServeRequest::Ping => Enc::tagged(REQ_PING).into_bytes(),
+        ServeRequest::Info => Enc::tagged(REQ_INFO).into_bytes(),
         ServeRequest::Predict { rows } => {
-            let mut e = Enc::new(REQ_PREDICT);
+            let mut e = Enc::tagged(REQ_PREDICT);
             enc_rows(&mut e, rows);
-            e.buf
+            e.into_bytes()
         }
-        ServeRequest::Stats => Enc::new(REQ_STATS).buf,
-        ServeRequest::Shutdown => Enc::new(REQ_SHUTDOWN).buf,
+        ServeRequest::Stats => Enc::tagged(REQ_STATS).into_bytes(),
+        ServeRequest::Shutdown => Enc::tagged(REQ_SHUTDOWN).into_bytes(),
     }
 }
 
@@ -316,33 +208,33 @@ pub fn decode_request(payload: &[u8]) -> Result<ServeRequest, EvalError> {
 /// Encode a response payload.
 pub fn encode_response(resp: &ServeResponse) -> Vec<u8> {
     match resp {
-        ServeResponse::Pong => Enc::new(RESP_PONG).buf,
+        ServeResponse::Pong => Enc::tagged(RESP_PONG).into_bytes(),
         ServeResponse::Info(info) => {
-            let mut e = Enc::new(RESP_INFO);
+            let mut e = Enc::tagged(RESP_INFO);
             e.string(&info.dataset);
             e.string(&info.pipeline_key);
             e.string(&info.model);
             e.u64(info.n_features);
             e.u64(info.n_classes);
             e.f64(info.accuracy);
-            e.buf
+            e.into_bytes()
         }
         ServeResponse::PredictAck { outcomes, stats } => {
-            let mut e = Enc::new(RESP_PREDICT_ACK);
+            let mut e = Enc::tagged(RESP_PREDICT_ACK);
             enc_outcomes(&mut e, outcomes);
-            e.stats(stats);
-            e.buf
+            enc_stats(&mut e, stats);
+            e.into_bytes()
         }
         ServeResponse::Stats(stats) => {
-            let mut e = Enc::new(RESP_STATS);
-            e.stats(stats);
-            e.buf
+            let mut e = Enc::tagged(RESP_STATS);
+            enc_stats(&mut e, stats);
+            e.into_bytes()
         }
-        ServeResponse::ShutdownAck => Enc::new(RESP_SHUTDOWN_ACK).buf,
+        ServeResponse::ShutdownAck => Enc::tagged(RESP_SHUTDOWN_ACK).into_bytes(),
         ServeResponse::Error(err) => {
-            let mut e = Enc::new(RESP_ERROR);
+            let mut e = Enc::tagged(RESP_ERROR);
             e.string(&format!("{err}"));
-            e.buf
+            e.into_bytes()
         }
     }
 }
@@ -362,10 +254,10 @@ pub fn decode_response(payload: &[u8]) -> Result<ServeResponse, EvalError> {
         }),
         RESP_PREDICT_ACK => {
             let outcomes = dec_outcomes(&mut d)?;
-            let stats = d.stats()?;
+            let stats = dec_stats(&mut d)?;
             ServeResponse::PredictAck { outcomes, stats }
         }
-        RESP_STATS => ServeResponse::Stats(d.stats()?),
+        RESP_STATS => ServeResponse::Stats(dec_stats(&mut d)?),
         RESP_SHUTDOWN_ACK => ServeResponse::ShutdownAck,
         RESP_ERROR => ServeResponse::Error(transport(d.string()?)),
         tag => return Err(transport(format!("bad response tag {tag}"))),
@@ -390,6 +282,7 @@ pub fn recv_response(r: &mut impl Read) -> Result<Option<ServeResponse>, EvalErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autofp_core::FailureKind;
 
     fn all_requests() -> Vec<ServeRequest> {
         vec![

@@ -16,7 +16,8 @@
 //!
 //! Soundness caveats (documented, deliberate): method calls resolve by
 //! name, so a `.helper()` can over-approximate onto every workspace
-//! `helper`; names colliding with std collection/iterator vocabulary
+//! `helper` (narrowed only by whether the call passes arguments: an
+//! empty `.helper()` never names a `helper(&self, x)`); names colliding with std collection/iterator vocabulary
 //! ([`STD_METHODS`]) are dropped for non-`self` receivers instead —
 //! trading that false-positive source for a documented false negative
 //! (`self.cache.insert(..)` produces no edge to `Cache::insert`);
@@ -38,7 +39,8 @@ enum Callee {
     /// `.ident(` — method call. `recv_self` is true only for a literal
     /// `self.ident(` receiver; field, local, and expression receivers
     /// (including chained `self.field.ident(`) are all `false`.
-    Method { name: String, recv_self: bool },
+    /// `has_args` is false for an empty argument list (`.ident()`).
+    Method { name: String, recv_self: bool, has_args: bool },
 }
 
 /// Method names that collide with std collection/iterator/Option/io
@@ -181,7 +183,8 @@ fn call_sites(cleaned: &str) -> Vec<(usize, Callee)> {
             out.push((s, Callee::Qualified(qual, name.to_string())));
         } else if s >= 1 && bytes[s - 1] == b'.' {
             let recv_self = receiver_field(bytes, s).is_some_and(|r| r == "self");
-            out.push((s, Callee::Method { name: name.to_string(), recv_self }));
+            let has_args = cleaned[i + 1..].trim_start().as_bytes().first() != Some(&b')');
+            out.push((s, Callee::Method { name: name.to_string(), recv_self, has_args }));
         } else {
             out.push((s, Callee::Free(name.to_string())));
         }
@@ -416,22 +419,24 @@ fn resolve(ix: &Index, file: usize, caller: usize, callee: &Callee) -> Vec<usize
             }
             out
         }
-        Callee::Method { name, recv_self } => {
+        Callee::Method { name, recv_self, has_args } => {
             // `x.insert(..)` on a collection must not fan out to every
             // workspace `insert`; `self.insert(..)` is never std.
             if !recv_self && STD_METHODS.contains(&name.as_str()) {
                 return Vec::new();
             }
+            // Rust has no overloading: `d.finish()` cannot name a
+            // `finish(self, algorithm)`, nor `x.f(a)` a `f(&self)`.
+            let is_method =
+                |f: &FnItem| f.name == *name && f.owner.is_some() && f.takes_args == *has_args;
             let mut out = {
-                let local = same_file(&|f: &FnItem| f.name == *name && f.owner.is_some());
+                let local = same_file(&is_method);
                 if !local.is_empty() {
                     local
                 } else {
                     ix.by_name
                         .get(name)
-                        .map(|ids| {
-                            ids.iter().copied().filter(|&id| ix.fns[id].owner.is_some()).collect()
-                        })
+                        .map(|ids| ids.iter().copied().filter(|&id| is_method(&ix.fns[id])).collect())
                         .unwrap_or_default()
                 }
             };
@@ -477,6 +482,20 @@ mod tests {
         let call_m = id(&ix, "call_m");
         assert_eq!(g.edges[call_m].len(), 1);
         assert_eq!(ix.fns[g.edges[call_m][0].callee].name, "m");
+    }
+
+    #[test]
+    fn method_calls_only_resolve_to_matching_arity() {
+        let (ix, g) = build(&[
+            ("crates/a/src/dec.rs", "struct Dec;\nimpl Dec { fn finish(self) {} }\n"),
+            ("crates/a/src/ctx.rs", "struct Ctx;\nimpl Ctx { fn finish(self, alg: &str) {} }\n"),
+            ("crates/a/src/use.rs", "fn a(d: Dec) { d.finish(); }\nfn b(c: Ctx) { c.finish(\"RS\"); }\n"),
+        ]);
+        let target = |caller: &str| -> Vec<String> {
+            g.edges[id(&ix, caller)].iter().map(|e| ix.files[ix.fns[e.callee].file].stem.clone()).collect()
+        };
+        assert_eq!(target("a"), vec!["dec"]);
+        assert_eq!(target("b"), vec!["ctx"]);
     }
 
     #[test]

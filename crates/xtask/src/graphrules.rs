@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 /// Hot-path entry points for panic-reach: (file, fn name). Everything
 /// transitively callable from these, minus `catch_unwind`-shielded
 /// edges, must be panic-free.
-const PANIC_REACH_ENTRIES: [(&str, &str); 14] = [
+const PANIC_REACH_ENTRIES: [(&str, &str); 16] = [
     // The shielded evaluation surface searchers program against.
     ("crates/core/src/evaluator.rs", "try_evaluate"),
     ("crates/core/src/evaluator.rs", "try_evaluate_budgeted"),
@@ -50,14 +50,17 @@ const PANIC_REACH_ENTRIES: [(&str, &str); 14] = [
     ("crates/core/src/repo.rs", "open"),
     ("crates/core/src/repo.rs", "append"),
     // The serving path: its wire decoders face untrusted request
-    // frames, the artifact decoder faces untrusted files, and
-    // `serve_connection` is the daemon's whole per-connection cone —
-    // a panic anywhere under it drops a client (or, via the accept
-    // loop, the daemon).
+    // frames and the artifact decoder faces untrusted files.
     ("crates/serve/src/wire.rs", "decode_request"),
     ("crates/serve/src/wire.rs", "decode_response"),
     ("crates/serve/src/artifact.rs", "decode"),
-    ("crates/serve/src/server.rs", "serve_connection"),
+    // The shared frame server's per-connection loop, plus each
+    // protocol's frame handler (the loop reaches them through a
+    // closure, which the call graph cannot follow): a panic anywhere
+    // under them drops a client or, via the accept loop, the daemon.
+    ("crates/evald/src/server.rs", "serve_connection"),
+    ("crates/evald/src/server.rs", "handle_frame"),
+    ("crates/serve/src/server.rs", "handle_frame"),
 ];
 
 /// Files where slice/array indexing counts as a panic-reach sink. The
@@ -65,10 +68,12 @@ const PANIC_REACH_ENTRIES: [(&str, &str); 14] = [
 /// the distributed layer does not — an out-of-bounds index takes out a
 /// worker, the client pool, or the supervisor — and the trial store
 /// decodes arbitrary (possibly torn) on-disk bytes, where an index
-/// panic would turn a recoverable corrupt tail into a crash loop.
-/// Matrix-shaped indexing in `preprocess`/`models`/`linalg` stays
+/// panic would turn a recoverable corrupt tail into a crash loop. The
+/// shared byte codec sits under every one of those decoders. Other
+/// matrix-shaped indexing in `preprocess`/`models`/`linalg` stays
 /// idiomatic and out of scope.
-const INDEX_SINK_FILES: [&str; 12] = [
+const INDEX_SINK_FILES: [&str; 13] = [
+    "crates/linalg/src/codec.rs",
     "crates/evald/src/wire.rs",
     "crates/evald/src/client.rs",
     "crates/evald/src/fleet.rs",
@@ -184,8 +189,39 @@ fn has_index_expr(line: &str) -> bool {
     false
 }
 
-/// Resolve entry ids for (file, name) pairs. Missing entries are fine:
-/// fixture runs hand `lint_sources` a subset of the workspace.
+/// Graph-rule configuration that does not resolve against `ix`: a
+/// listed file that is absent, or a panic-reach entry or nondet-flow
+/// root that names no non-test fn (see [`crate::stale_config`]).
+pub(crate) fn stale_config(ix: &Index) -> Vec<String> {
+    let exists = |path: &str| ix.files.iter().any(|f| f.path == path);
+    let mut out: Vec<String> = INDEX_SINK_FILES
+        .iter()
+        .chain([&BLESSED_TIME_FILE])
+        .filter(|path| !exists(path))
+        .map(|path| format!("{path}: configured file does not exist"))
+        .collect();
+    for (path, name) in PANIC_REACH_ENTRIES.iter().chain(&NONDET_FLOW_FN_ROOTS) {
+        if entry_ids(ix, &[(path, name)]).is_empty() {
+            out.push(format!("{path}: entry `fn {name}` names no fn"));
+        }
+    }
+    for (path, owner) in NONDET_FLOW_OWNER_ROOTS {
+        let owned = |f: &crate::index::FnItem| {
+            !f.is_test && ix.files[f.file].path == path && f.owner.as_deref() == Some(owner)
+        };
+        if !ix.fns.iter().any(owned) {
+            out.push(format!("{path}: root `impl {owner}` has no fn"));
+        }
+    }
+    if !ix.files.iter().any(|f| f.path.starts_with(NONDET_FLOW_SEARCH_PREFIX)) {
+        out.push(format!("{NONDET_FLOW_SEARCH_PREFIX}: no file under the configured prefix"));
+    }
+    out
+}
+
+/// Resolve entry ids for (file, name) pairs. Missing entries are
+/// skipped, because fixture runs hand `lint_sources` a subset of the
+/// workspace; [`stale_config`] is what catches a stale entry.
 fn entry_ids(ix: &Index, entries: &[(&str, &str)]) -> Vec<usize> {
     ix.fns
         .iter()

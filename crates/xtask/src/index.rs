@@ -40,6 +40,10 @@ pub struct FnItem {
     pub is_test: bool,
     /// True when the declared return type mentions a lock `Guard`.
     pub returns_guard: bool,
+    /// True when the fn declares a parameter besides its `self`
+    /// receiver, so a method call with an empty argument list (`x.f()`)
+    /// cannot name it.
+    pub takes_args: bool,
 }
 
 /// Per-file view shared by the indexer and the call-graph builder.
@@ -196,6 +200,52 @@ fn owner_name(kw: &str, header: &str) -> Option<String> {
     }
 }
 
+/// Does a signature (the text between the fn name and its body)
+/// declare a parameter besides a `self` receiver? The parameter list is
+/// the first `(` outside the generics; it splits at top-level commas.
+fn declares_args(sig: &str) -> bool {
+    let bytes = sig.as_bytes();
+    let is_arrow = |i: usize| i > 0 && bytes[i - 1] == b'-';
+    let mut angle = 0usize;
+    let Some(open) = bytes.iter().enumerate().position(|(i, &b)| match b {
+        b'<' => {
+            angle += 1;
+            false
+        }
+        b'>' if !is_arrow(i) => {
+            angle = angle.saturating_sub(1);
+            false
+        }
+        b'(' => angle == 0,
+        _ => false,
+    }) else {
+        return false;
+    };
+    let mut params = Vec::new();
+    let (mut depth, mut start) = (0usize, open + 1);
+    for (i, &b) in bytes.iter().enumerate().skip(open + 1) {
+        match b {
+            b'>' if is_arrow(i) => {}
+            b'(' | b'[' | b'<' => depth += 1,
+            b')' if depth == 0 => {
+                params.push(&sig[start..i]);
+                break;
+            }
+            b')' | b']' | b'>' => depth = depth.saturating_sub(1),
+            b',' if depth == 0 => {
+                params.push(&sig[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    let params: Vec<&str> = params.into_iter().map(str::trim).filter(|p| !p.is_empty()).collect();
+    let receiver = params.first().is_some_and(|p| {
+        p.split(':').next().unwrap_or(p).trim().rsplit([' ', '&']).next() == Some("self")
+    });
+    params.len() > usize::from(receiver)
+}
+
 impl Index {
     /// Build the index over scanned sources (path, scan result).
     pub fn build(scanned: &[(String, CleanSource)]) -> Index {
@@ -241,6 +291,7 @@ impl Index {
                 let Some(body_close) = matching_brace(bytes, j) else { continue };
                 let sig = &cleaned[name_end..j];
                 let returns_guard = sig.contains("Guard");
+                let takes_args = declares_args(sig);
                 let sig_line = {
                     let mut n = 1;
                     for &b in &bytes[..at] {
@@ -266,6 +317,7 @@ impl Index {
                     body_close,
                     is_test,
                     returns_guard,
+                    takes_args,
                 });
             }
             files.push(FileView {
@@ -378,6 +430,22 @@ mod tests {
         assert!(ix.fns[0].returns_guard);
         assert!(!ix.fns[0].is_test);
         assert!(ix.fns[1].is_test);
+    }
+
+    #[test]
+    fn declared_arguments_exclude_the_receiver() {
+        for sig in ["()", "(self)", "(&self)", "(&'a mut self)", "(self: Arc<Self>,\n)", "<T>()"] {
+            assert!(!declares_args(sig), "{sig}");
+        }
+        for sig in [
+            "(self, algorithm: &'static str)",
+            "(&mut self, x: u8)",
+            "(x: u8)",
+            "<F: Fn(u8) -> u8>(f: F) -> u8",
+            "(map: BTreeMap<u8, u8>)",
+        ] {
+            assert!(declares_args(sig), "{sig}");
+        }
     }
 
     #[test]

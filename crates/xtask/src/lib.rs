@@ -87,16 +87,34 @@ pub fn lint_sources(sources: &[(String, String)]) -> Vec<Violation> {
     out
 }
 
+/// Rule configuration that no longer resolves against `sources`: a
+/// configured file that is absent, or a panic-reach entry, nondet-flow
+/// root or cache-purity span that names nothing. The rules skip such
+/// entries silently (fixture runs lint subsets of the workspace), so
+/// moving code would quietly shrink coverage; the workspace suite
+/// asserts this list is empty.
+pub fn stale_config(sources: &[(String, String)]) -> Vec<String> {
+    let scanned: Vec<(String, CleanSource)> =
+        sources.iter().map(|(p, s)| (p.clone(), scanner::scan(s))).collect();
+    let mut out = rules::stale_config(&scanned);
+    out.extend(graphrules::stale_config(&index::Index::build(&scanned)));
+    out
+}
+
+/// Every lintable workspace source file under `root`, as
+/// (repo-relative path, file text).
+pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+    walk::lintable_files(root)?
+        .iter()
+        .map(|rel| Ok((walk::display_path(rel), std::fs::read_to_string(root.join(rel))?)))
+        .collect()
+}
+
 /// Lint every workspace source file under `root`. `baseline` is the
 /// parsed baseline to subtract; pass an empty one for `--strict`.
 pub fn lint_workspace(root: &Path, baseline: &Baseline) -> std::io::Result<LintReport> {
-    let files = walk::lintable_files(root)?;
-    let mut sources = Vec::with_capacity(files.len());
-    for rel in &files {
-        let source = std::fs::read_to_string(root.join(rel))?;
-        sources.push((walk::display_path(rel), source));
-    }
+    let sources = workspace_sources(root)?;
     let all = lint_sources(&sources);
     let (fresh, baselined) = baseline.partition(all);
-    Ok(LintReport { fresh, baselined, files: files.len() })
+    Ok(LintReport { fresh, baselined, files: sources.len() })
 }

@@ -83,8 +83,10 @@ impl Violation {
 /// corrupted) segment file must be total. The whole `serve` crate is
 /// hot path too: its decoders face untrusted artifact files and
 /// untrusted request frames, and its engine/server answer live
-/// traffic where a panic drops the daemon.
-const HOT_PATH: [&str; 10] = [
+/// traffic where a panic drops the daemon. `linalg/codec.rs` is the
+/// byte codec every one of those decoders is built on.
+const HOT_PATH: [&str; 11] = [
+    "crates/linalg/src/codec.rs",
     "crates/core/src/batch.rs",
     "crates/core/src/evaluator.rs",
     "crates/core/src/cache.rs",
@@ -107,8 +109,10 @@ const HOT_PATH_PREFIXES: [&str; 3] =
 /// The serve codecs and engine join for the same reason: artifact
 /// bytes, wire bytes, and served predictions must be pure functions
 /// of their inputs (the train/serve skew and thread-invariance
-/// guarantees depend on it).
-const DET_CRITICAL: [&str; 15] = [
+/// guarantees depend on it). `linalg/codec.rs` encodes all of those
+/// bytes and hashes every fingerprint.
+const DET_CRITICAL: [&str; 16] = [
+    "crates/linalg/src/codec.rs",
     "crates/core/src/history.rs",
     "crates/core/src/report.rs",
     "crates/core/src/cache.rs",
@@ -130,7 +134,7 @@ const DET_CRITICAL: [&str; 15] = [
 /// inside the brace block following the introducer.
 const CACHE_PURITY_SPANS: [(&str, &str); 4] = [
     ("crates/core/src/cache.rs", "impl CacheKey"),
-    ("crates/core/src/cache.rs", "fn fnv1a"),
+    ("crates/linalg/src/codec.rs", "fn fnv1a"),
     ("crates/core/src/prefix.rs", "impl PrefixKey"),
     ("crates/preprocess/src/pipeline.rs", "fn key"),
 ];
@@ -396,6 +400,35 @@ fn collect_panic_boundary(path: &str, src: &CleanSource, out: &mut Vec<Violation
             }
         }
     }
+}
+
+/// Line-rule configuration that does not resolve against `sources`:
+/// a listed file that is absent, a prefix no file starts with, or a
+/// cache-purity introducer that opens no block (see
+/// [`crate::stale_config`]).
+pub(crate) fn stale_config(sources: &[(String, CleanSource)]) -> Vec<String> {
+    let src = |path: &str| sources.iter().find(|(p, _)| p == path).map(|(_, s)| s);
+    let mut out: Vec<String> = HOT_PATH
+        .iter()
+        .chain(&DET_CRITICAL)
+        .filter(|path| src(path).is_none())
+        .map(|path| format!("{path}: configured file does not exist"))
+        .collect();
+    for prefix in HOT_PATH_PREFIXES {
+        if !sources.iter().any(|(p, _)| p.starts_with(prefix)) {
+            out.push(format!("{prefix}: no file under the configured prefix"));
+        }
+    }
+    for (path, needle) in CACHE_PURITY_SPANS {
+        match src(path) {
+            None => out.push(format!("{path}: configured file does not exist")),
+            Some(s) if named_spans(s, needle).is_empty() => {
+                out.push(format!("{path}: cache-purity span `{needle}` opens no block"));
+            }
+            Some(_) => {}
+        }
+    }
+    out
 }
 
 fn collect_cache_purity(path: &str, src: &CleanSource, out: &mut Vec<Violation>) {

@@ -216,9 +216,9 @@ pub struct Store {
 }
 ";
     assert!(lint_file("crates/core/src/cache.rs", src).is_empty());
-    // fnv1a is covered wherever it appears in cache.rs.
+    // fnv1a is covered wherever it appears in the byte codec.
     let fnv = "fn fnv1a(bytes: &[u8]) -> u64 {\n    let h = std::time::SystemTime::now();\n    0\n}\n";
-    let vs = lint_file("crates/core/src/cache.rs", fnv);
+    let vs = lint_file("crates/linalg/src/codec.rs", fnv);
     assert!(rules_fired(&vs).contains(&"cache-purity"));
 }
 
@@ -285,14 +285,18 @@ fn baseline_suppresses_known_violations_and_strict_ignores_it() {
 /// The repo's own acceptance criterion: the workspace is lint-clean
 /// with an *empty* baseline (every exception is an inline justified
 /// tag). This is the same check CI runs via `lint --strict`.
-#[test]
-fn workspace_is_lint_clean_without_baseline() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+fn workspace_root() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
         .expect("workspace root")
-        .to_path_buf();
-    let report = xtask::lint_workspace(&root, &Baseline::default()).expect("scan workspace");
+        .to_path_buf()
+}
+
+#[test]
+fn workspace_is_lint_clean_without_baseline() {
+    let report =
+        xtask::lint_workspace(&workspace_root(), &Baseline::default()).expect("scan workspace");
     assert!(report.files > 60, "expected to scan the whole workspace, saw {}", report.files);
     let rendered: Vec<String> = report.fresh.iter().map(|v| v.render()).collect();
     assert!(
@@ -300,6 +304,34 @@ fn workspace_is_lint_clean_without_baseline() {
         "workspace has lint violations:\n{}",
         rendered.join("\n")
     );
+}
+
+/// Every file, entry point, root and span the rules are configured with
+/// resolves in the workspace: moving code must re-point the config, not
+/// silently shrink a rule's coverage.
+#[test]
+fn lint_config_resolves_against_the_workspace() {
+    let sources = xtask::workspace_sources(&workspace_root()).expect("scan workspace");
+    let stale = xtask::stale_config(&sources);
+    assert!(stale.is_empty(), "stale lint config:\n{}", stale.join("\n"));
+}
+
+#[test]
+fn stale_config_names_missing_files_entries_and_spans() {
+    let stale = xtask::stale_config(&[]);
+    for want in [
+        "crates/linalg/src/codec.rs: configured file does not exist",
+        "crates/evald/src/server.rs: entry `fn serve_connection` names no fn",
+        "crates/core/src/cache.rs: root `impl CacheKey` has no fn",
+        "crates/serve/src/: no file under the configured prefix",
+    ] {
+        assert!(stale.iter().any(|s| s == want), "missing `{want}` in {stale:#?}");
+    }
+    // The file exists but the introducer no longer opens a block.
+    let moved = [("crates/linalg/src/codec.rs".to_string(), "pub fn other() {}\n".to_string())];
+    let stale = xtask::stale_config(&moved);
+    assert!(stale.contains(&"crates/linalg/src/codec.rs: cache-purity span `fn fnv1a` opens no block".to_string()), "{stale:#?}");
+    assert!(!stale.iter().any(|s| s == "crates/linalg/src/codec.rs: configured file does not exist"));
 }
 
 // ------------------------------------------------- scanner regressions
