@@ -362,6 +362,25 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
+    /// Rendezvous weights decide which worker owns every key, so they
+    /// are part of the fleet's wire-visible behaviour: a silent change
+    /// to the mixer would re-shard every pipeline. These constants were
+    /// computed once; if this test fails, the weight function changed.
+    #[test]
+    fn golden_shard_weights_are_locked() {
+        let cases: [(u64, usize, u64); 6] = [
+            (0, 0, 0xa706dd2f4d197e6f),
+            (0, 7, 0xb8b4c2977eabce45),
+            (0xca6dfeff7dbeff12, 0, 0x08de8b1eb9b02e3c),
+            (0xca6dfeff7dbeff12, 1, 0xdca30429b5b3aa2f),
+            (0xceb94a6360fd8b3e, 1, 0x3771529b0f021f74),
+            (u64::MAX, 7, 0xa9a96b699dc41760),
+        ];
+        for (fingerprint, slot, expected) in cases {
+            assert_eq!(shard_weight(fingerprint, slot), expected, "{fingerprint:#x} @ slot {slot}");
+        }
+    }
+
     /// A backend that answers from a table and records which worker
     /// each request hit.
     struct MockBackend {

@@ -453,4 +453,23 @@ mod tests {
         let zero = SupervisorConfig { backoff: Duration::ZERO, ..config };
         assert_eq!(respawn_backoff(&zero, 3, 2), Duration::ZERO);
     }
+
+    /// The respawn schedule is a pure function of the config; these
+    /// delays (default config, 50 ms base) were computed once and lock
+    /// the jitter mixer.
+    #[test]
+    fn golden_respawn_backoffs_are_locked() {
+        let config = SupervisorConfig::default();
+        let expected_ms: [[u64; 3]; 4] =
+            [[57, 121, 212], [73, 116, 217], [60, 122, 217], [69, 116, 205]];
+        for (slot, row) in expected_ms.iter().enumerate() {
+            for (restarts, &ms) in row.iter().enumerate() {
+                assert_eq!(
+                    respawn_backoff(&config, slot, restarts as u32),
+                    Duration::from_millis(ms),
+                    "slot {slot}, restart {restarts}"
+                );
+            }
+        }
+    }
 }
