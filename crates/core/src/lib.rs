@@ -75,7 +75,7 @@ pub use history::{PhaseBreakdown, Trial, TrialHistory};
 pub use order::{nan_largest, nan_smallest};
 pub use prefix::{PrefixCache, PrefixHit, PrefixKey, PrefixStats, SharedPrefixCache};
 pub use remote::{
-    shard, shard_order, shard_weight, FleetStats, RemoteBackend, RemoteEvaluator, RemoteInfo,
+    mix64, shard, shard_order, shard_weight, FleetStats, RemoteBackend, RemoteEvaluator, RemoteInfo,
     RetryPolicy,
 };
 pub use repo::{

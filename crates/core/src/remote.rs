@@ -248,8 +248,9 @@ impl RemoteEvaluator {
 }
 
 /// splitmix64-style finalizer: the bit mixer behind rendezvous
-/// weights. Stable — changing it remaps every key on every fleet.
-fn mix64(mut z: u64) -> u64 {
+/// weights and the evald supervisor's respawn jitter. Stable — changing
+/// it remaps every key on every fleet.
+pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

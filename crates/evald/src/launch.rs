@@ -19,6 +19,7 @@
 //! keyed on slots — so its keyspace follows it and results stay
 //! bit-identical across kill/respawn.
 
+use autofp_core::mix64;
 use crate::client;
 use crate::fleet::SharedFleetSpec;
 use crate::wire::FleetSpec;
@@ -197,14 +198,6 @@ impl Default for SupervisorConfig {
             ping_timeout: Duration::from_secs(2),
         }
     }
-}
-
-/// splitmix64-style finalizer for the deterministic backoff jitter.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Respawn delay for `slot` at its `restarts`-th restart: exponential
