@@ -9,7 +9,7 @@
 //! single-threaded as in the paper), and table formatting.
 //!
 //! By default every algorithm cell of the same (dataset, model) group
-//! shares one [`SharedEvalCache`], so the duplicate pipelines the 15
+//! shares one [`EvalCache`], so the duplicate pipelines the 15
 //! searchers propose (most start from the same default-parameter space)
 //! are evaluated once per group instead of once per cell. The matrix
 //! result carries aggregate [`CacheStats`] and [`FailureStats`] so the
@@ -17,12 +17,12 @@
 
 use autofp_core::{
     pool_map, run_search_with, Budget, CacheStats, EvalCache, EvalConfig, Evaluate, Evaluator,
-    FailureStats, FleetStats, PhaseBreakdown, PrefixStats, RemoteEvaluator, SharedEvalCache,
-    SharedPrefixCache, StoreMeta, StoreStats, TrialRepo,
+    FailureStats, FleetStats, PhaseBreakdown, PrefixCache, PrefixStats, RemoteEvaluator,
+    StoreMeta, StoreStats, TrialRepo,
 };
 use autofp_data::{registry, spec_by_name, Dataset, DatasetSpec};
 use autofp_evald::{
-    EvalContext, FleetSupervisor, SharedFleetSpec, SupervisorConfig, TcpPool, WorkerFleet,
+    EvalContext, FleetSupervisor, SharedFleetSpec, SupervisorConfig, TcpPool,
 };
 use autofp_models::classifier::ModelKind;
 use autofp_preprocess::ParamSpace;
@@ -115,11 +115,6 @@ pub struct HarnessConfig {
     pub trial_store: Option<std::path::PathBuf>,
 }
 
-/// Default byte budget of a per-dataset prefix cache (256 MiB):
-/// generous for the scaled benchmark datasets while bounding a long
-/// search over large matrices.
-pub const DEFAULT_PREFIX_BYTES: u64 = autofp_core::PrefixCache::DEFAULT_BYTE_BUDGET;
-
 impl Default for HarnessConfig {
     fn default() -> Self {
         HarnessConfig {
@@ -140,7 +135,7 @@ impl Default for HarnessConfig {
             supervise_max_restarts: 3,
             supervise_backoff_ms: 50,
             prefix_cache: false,
-            prefix_cache_bytes: Some(DEFAULT_PREFIX_BYTES),
+            prefix_cache_bytes: Some(PrefixCache::DEFAULT_BYTE_BUDGET),
             cells_out: None,
             trial_store: None,
         }
@@ -376,7 +371,7 @@ impl HarnessConfig {
         spec.generate(self.effective_scale(spec))
     }
 
-    /// A fresh cache honoring `cache_capacity`.
+    /// A fresh trial cache honoring `cache_capacity`.
     pub fn new_cache(&self) -> EvalCache {
         match self.cache_capacity {
             Some(cap) => EvalCache::with_capacity(cap),
@@ -384,20 +379,11 @@ impl HarnessConfig {
         }
     }
 
-    /// A fresh shareable cache honoring `cache_capacity`.
-    pub fn new_shared_cache(&self) -> SharedEvalCache {
-        match self.cache_capacity {
-            Some(cap) => SharedEvalCache::with_capacity(cap),
-            None => SharedEvalCache::new(),
-        }
-    }
-
-    /// A fresh shareable prefix-transform cache honoring
-    /// `prefix_cache_bytes`.
-    pub fn new_prefix_cache(&self) -> SharedPrefixCache {
+    /// A fresh prefix-transform cache honoring `prefix_cache_bytes`.
+    pub fn new_prefix_cache(&self) -> PrefixCache {
         match self.prefix_cache_bytes {
-            Some(budget) => SharedPrefixCache::with_byte_budget(budget),
-            None => SharedPrefixCache::new(),
+            Some(budget) => PrefixCache::with_byte_budget(budget),
+            None => PrefixCache::new(),
         }
     }
 
@@ -547,13 +533,6 @@ pub fn evald_binary() -> std::path::PathBuf {
     dir.join(format!("evald{}", std::env::consts::EXE_SUFFIX))
 }
 
-/// Spawn `n` local `evald` workers (see [`evald_binary`]) with fixed
-/// membership — no health checks, no respawn. The fleet shuts its
-/// children down on drop; keep it alive for the whole matrix run.
-pub fn spawn_local_workers(n: usize) -> std::io::Result<WorkerFleet> {
-    WorkerFleet::spawn(&evald_binary(), n)
-}
-
 /// Spawn `n` supervised local `evald` workers (see [`evald_binary`])
 /// for a `--workers N` run: the returned [`FleetSupervisor`] owns the
 /// children, and its [`FleetSupervisor::monitor`] loop respawns dead
@@ -582,7 +561,7 @@ pub fn run_matrix_with<F>(
     make_eval: F,
 ) -> MatrixOutcome
 where
-    F: Fn(&Dataset, EvalConfig, Option<&SharedPrefixCache>) -> Box<dyn Evaluate> + Sync,
+    F: Fn(&Dataset, EvalConfig, Option<&PrefixCache>) -> Box<dyn Evaluate> + Sync,
 {
     // Generate datasets once, share across threads.
     let datasets: Vec<Dataset> = specs.iter().map(|s| config.generate(s)).collect();
@@ -590,7 +569,7 @@ where
     // One prefix cache per dataset, shared across every model group:
     // prefix keys exclude the model, so LR/XGB/MLP cells over one
     // dataset reuse each other's transform states.
-    let prefix_caches: Option<Vec<SharedPrefixCache>> = config
+    let prefix_caches: Option<Vec<PrefixCache>> = config
         .prefix_cache
         .then(|| datasets.iter().map(|_| config.new_prefix_cache()).collect());
 
@@ -628,10 +607,10 @@ where
                 .collect()
         })
         .collect();
-    let group_caches: Vec<Vec<SharedEvalCache>> = if config.cache_mode == CacheMode::Shared {
+    let group_caches: Vec<Vec<EvalCache>> = if config.cache_mode == CacheMode::Shared {
         datasets
             .iter()
-            .map(|_| models.iter().map(|_| config.new_shared_cache()).collect())
+            .map(|_| models.iter().map(|_| config.new_cache()).collect())
             .collect()
     } else {
         Vec::new()
@@ -1097,7 +1076,7 @@ mod tests {
         // `--prefix-cache` is the one valueless flag the parser accepts.
         let cfg = HarnessConfig::from_arg_slice(&argv(&["--prefix-cache"]));
         assert!(cfg.prefix_cache);
-        assert_eq!(cfg.prefix_cache_bytes, Some(DEFAULT_PREFIX_BYTES));
+        assert_eq!(cfg.prefix_cache_bytes, Some(PrefixCache::DEFAULT_BYTE_BUDGET));
         // An explicit byte budget implies the cache is on.
         let cfg = HarnessConfig::from_arg_slice(&argv(&["--prefix-cache-bytes", "1048576"]));
         assert!(cfg.prefix_cache);

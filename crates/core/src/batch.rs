@@ -19,7 +19,12 @@
 //!
 //! With [`BatchEvaluator::with_cache`], duplicate proposals — both
 //! repeats across batches and duplicates *within* one batch — are
-//! satisfied by a single evaluation through an [`EvalCache`]. With
+//! satisfied by a single evaluation through an [`EvalCache`]. This is
+//! the workspace's one cached-evaluation path — key, lookup, evaluate
+//! on a miss, insert: [`crate::SearchContext::evaluate`] and evald's
+//! `Eval` handler run their single pipelines through it as one-pipeline
+//! batches, which [`pool_map`] runs inline without spawning a thread.
+//! With
 //! [`BatchEvaluator::with_cancel`], workers stop starting model fits
 //! once the token fires (in-flight fits return early at their next
 //! epoch boundary), bounding wall-clock overrun per batch.
@@ -119,12 +124,15 @@ where
 /// Evaluates batches of candidate pipelines on a worker pool, with
 /// optional pipeline-result caching and cooperative cancellation.
 ///
-/// Construct per search run (it is cheap: a few words plus
-/// references); the worker pool is scoped to each `evaluate_batch*`
-/// call, so no threads linger between batches.
+/// Construct per search run or per evaluation (it is cheap: a few
+/// words plus references, and the machine's parallelism is only read
+/// when a batch of several jobs runs without [`BatchEvaluator::with_threads`]);
+/// the worker pool is scoped to each `evaluate_batch*` call, so no
+/// threads linger between batches.
 pub struct BatchEvaluator<'a> {
     evaluator: &'a dyn Evaluate,
-    threads: usize,
+    /// `None` = the machine's available parallelism.
+    threads: Option<usize>,
     cache: Option<&'a EvalCache>,
     cancel: CancelToken,
 }
@@ -133,14 +141,13 @@ impl<'a> BatchEvaluator<'a> {
     /// A batch evaluator over `evaluator`, defaulting to the machine's
     /// available parallelism, no cache, and a token that never fires.
     pub fn new(evaluator: &'a dyn Evaluate) -> BatchEvaluator<'a> {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        BatchEvaluator { evaluator, threads, cache: None, cancel: CancelToken::new() }
+        BatchEvaluator { evaluator, threads: None, cache: None, cancel: CancelToken::new() }
     }
 
     /// Set the worker count (clamped to at least 1). One worker means
     /// plain sequential evaluation on the calling thread.
     pub fn with_threads(mut self, threads: usize) -> BatchEvaluator<'a> {
-        self.threads = threads.max(1);
+        self.threads = Some(threads.max(1));
         self
     }
 
@@ -161,6 +168,7 @@ impl<'a> BatchEvaluator<'a> {
     /// The configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
+            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
     }
 
     /// The underlying evaluator.
@@ -187,8 +195,8 @@ impl<'a> BatchEvaluator<'a> {
     }
 
     /// Cached path: resolve each slot to a memoized trial or a
-    /// deduplicated evaluation job, run the jobs in parallel, then fill
-    /// every slot in input order.
+    /// deduplicated evaluation job, run the jobs in parallel, memoize
+    /// their trials, then fill every slot in input order.
     fn run_cached(
         &self,
         pipelines: &[Pipeline],
@@ -201,9 +209,9 @@ impl<'a> BatchEvaluator<'a> {
 
         // Slot -> either a memoized trial or an index into the job list.
         // Hits satisfied from earlier batches come back immediately;
-        // within-batch duplicates share one job and are counted as hits
-        // once the shared result exists (their saved time is the shared
-        // job's cost).
+        // within-batch duplicates share one job without a lookup of
+        // their own and are counted as hits once the shared result
+        // exists (their saved time is the shared job's cost).
         enum Slot {
             Ready(Trial),
             Job { job: usize, duplicate: bool },
@@ -214,13 +222,11 @@ impl<'a> BatchEvaluator<'a> {
         let mut job_keys: Vec<&CacheKey> = Vec::new();
         let mut slots: Vec<Slot> = Vec::with_capacity(pipelines.len());
         for (p, key) in pipelines.iter().zip(&keys) {
-            if let Some(trial) = cache.peek(key) {
-                cache.note_hit(&trial);
-                slots.push(Slot::Ready(trial));
-            } else if let Some(&job) = job_of_key.get(key.canonical()) {
+            if let Some(&job) = job_of_key.get(key.canonical()) {
                 slots.push(Slot::Job { job, duplicate: true });
+            } else if let Some(trial) = cache.lookup(key) {
+                slots.push(Slot::Ready(trial));
             } else {
-                cache.note_miss();
                 let job = jobs.len();
                 job_of_key.insert(key.canonical(), job);
                 jobs.push(p);
@@ -255,10 +261,10 @@ impl<'a> BatchEvaluator<'a> {
     /// caught at that job's boundary and recorded as its worst-error
     /// trial — the other jobs, and the batch, are unaffected.
     fn run_parallel(&self, jobs: &[&Pipeline], fraction: f64) -> Vec<Trial> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        pool_map(self.threads, jobs.len(), |i| {
+        // One job runs inline whatever the thread count, so skip reading
+        // the machine's parallelism for it.
+        let threads = if jobs.len() > 1 { self.threads() } else { 1 };
+        pool_map(threads, jobs.len(), |i| {
             evaluate_or_worst(self.evaluator, jobs[i], fraction, &self.cancel)
         })
     }
@@ -330,14 +336,14 @@ mod tests {
 
     #[test]
     fn prefix_cached_batches_match_uncached_at_any_thread_count() {
-        use crate::prefix::SharedPrefixCache;
+        use crate::prefix::PrefixCache;
         let plain = evaluator();
         let batch = random_batch(24, 11);
         let sequential: Vec<Trial> = batch.iter().map(|p| plain.evaluate(p)).collect();
         for threads in [1, 2, 8] {
             // A fresh cache per thread count: workers race to insert
             // and hit prefixes, which must never surface in results.
-            let cached = evaluator().with_prefix_cache(SharedPrefixCache::new());
+            let cached = evaluator().with_prefix_cache(PrefixCache::new());
             let parallel =
                 BatchEvaluator::new(&cached).with_threads(threads).evaluate_batch(&batch);
             for (p, s) in parallel.iter().zip(&sequential) {

@@ -9,15 +9,25 @@
 //! config), so a duplicate proposal returns its recorded trial instead
 //! of paying the full Prep + Train cost again.
 //!
-//! The cache is thread-safe (`&self` everywhere) so a
-//! [`crate::batch::BatchEvaluator`] can share it across workers, and it
-//! keeps hit / miss / eviction / saved-wall-clock counters that
-//! [`crate::report::cache_stats_markdown`] renders.
+//! The cache is thread-safe (`&self` everywhere) and a cheap-clone
+//! handle: its state sits behind one `Arc`, so a
+//! [`crate::batch::BatchEvaluator`] can share it across workers and the
+//! bench harness can hand clones of one cache to every cell of a
+//! (dataset, model) group. It keeps hit / miss / eviction /
+//! saved-wall-clock counters that [`crate::report::cache_stats_markdown`]
+//! renders.
 //!
 //! By default a cache is unbounded; [`EvalCache::with_capacity`] caps
 //! the entry count with least-recently-used eviction, for long searches
 //! over large pipeline spaces where the memo would otherwise grow
-//! without limit.
+//! without limit. The LRU itself is the crate's one weighted store
+//! (`core::lru`), shared with [`crate::PrefixCache`]: here every entry
+//! weighs 1 against a budget of `capacity` entries.
+//!
+//! The one code path from a cache miss to a fresh evaluation is
+//! [`crate::BatchEvaluator`] with a cache attached; single evaluations
+//! ([`crate::SearchContext::evaluate`], evald's `Eval` handler) are
+//! one-pipeline batches.
 //!
 //! Failed evaluations are memoizable too — a pipeline that produces
 //! non-finite output does so deterministically, so its worst-error
@@ -65,31 +75,32 @@
 //! hierarchy" for how the two layers stack.
 //!
 //! ```
-//! use autofp_core::{EvalCache, EvalConfig, Evaluator};
+//! use autofp_core::{BatchEvaluator, EvalCache, EvalConfig, Evaluator};
 //! use autofp_data::SynthConfig;
 //! use autofp_preprocess::{Pipeline, PreprocKind};
 //!
 //! let dataset = SynthConfig::new("cache-doc", 120, 5, 2, 3).generate();
 //! let evaluator = Evaluator::new(&dataset, EvalConfig::default());
 //! let cache = EvalCache::new();
-//! let pipeline = Pipeline::from_kinds(&[PreprocKind::StandardScaler]);
+//! let batch = BatchEvaluator::new(&evaluator).with_cache(&cache);
+//! let pipeline = [Pipeline::from_kinds(&[PreprocKind::StandardScaler])];
 //!
-//! let fresh = evaluator.evaluate_cached(&pipeline, 1.0, &cache); // miss: evaluates
-//! let hit = evaluator.evaluate_cached(&pipeline, 1.0, &cache);   // hit: memoized
-//! assert_eq!(fresh.accuracy, hit.accuracy);
-//! let stats = cache.stats();
+//! let fresh = batch.evaluate_batch(&pipeline); // miss: evaluates
+//! let hit = batch.evaluate_batch(&pipeline);   // hit: memoized
+//! assert_eq!(fresh[0].accuracy, hit[0].accuracy);
+//! let stats = cache.clone().stats(); // clones share one memo
 //! assert_eq!((stats.hits, stats.misses), (1, 1));
 //! ```
 
 use crate::error::FailureKind;
 use crate::evaluator::EvalConfig;
 use crate::history::Trial;
+use crate::lru::Lru;
 use autofp_linalg::codec::fnv1a;
 use autofp_preprocess::Pipeline;
-use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// The identity of one evaluation: pipeline (kinds *and* parameters),
@@ -189,47 +200,29 @@ impl CacheStats {
     }
 }
 
-/// Map + recency index guarded by one mutex so the two can never skew.
-#[derive(Debug, Default)]
-struct CacheInner {
-    /// canonical key -> (trial, recency stamp of last touch).
-    // lint:allow(nondet): keyed lookup only — eviction order comes from the recency BTreeMap, never from map iteration
-    entries: HashMap<String, (Trial, u64)>,
-    /// recency stamp -> canonical key; first entry is least recent.
-    /// Stamps are unique (monotonic tick), so this is a faithful queue.
-    recency: BTreeMap<u64, String>,
-    /// Monotonic logical clock for stamps.
-    tick: u64,
-}
-
-impl CacheInner {
-    fn touch(&mut self, canonical: &str) {
-        self.tick += 1;
-        let stamp = self.tick;
-        if let Some((_, old)) = self.entries.get_mut(canonical) {
-            self.recency.remove(old);
-            *old = stamp;
-            self.recency.insert(stamp, canonical.to_string());
-        }
-    }
-}
-
 /// A thread-safe memo of finished [`Trial`]s.
 ///
-/// All methods take `&self`; internal state is a mutex-guarded map plus
+/// All methods take `&self`; internal state is a mutex-guarded LRU plus
 /// atomic counters, so one cache can serve many evaluation workers
 /// concurrently (see [`crate::batch::BatchEvaluator::with_cache`]).
+/// Cloning is cheap and shares that state: every clone sees the same
+/// memo and counts on the same counters.
 ///
 /// A hit returns a clone of the stored [`Trial`] — bit-identical to the
 /// original evaluation, *including* its recorded `prep_time` and
 /// `train_time`. Histories therefore keep the paper's attributed-time
 /// semantics (Figure 7) while [`CacheStats::saved`] tracks the
 /// wall-clock that was actually avoided.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct EvalCache {
-    inner: Mutex<CacheInner>,
-    /// `None` = unbounded (the default).
-    capacity: Option<usize>,
+    state: Arc<CacheState>,
+}
+
+#[derive(Debug, Default)]
+struct CacheState {
+    /// canonical key -> trial, each of weight 1; the budget is the
+    /// entry capacity (`None` = unbounded, the default).
+    memo: Mutex<Lru<Trial>>,
     /// Durable layer: when attached, every memoized trial is also
     /// appended to this store (see [`EvalCache::attach_store`]).
     store: Mutex<Option<crate::repo::SharedTrialStore>>,
@@ -247,52 +240,35 @@ impl EvalCache {
 
     /// An empty cache holding at most `capacity` entries, evicting the
     /// least recently used entry on overflow. `capacity` 0 disables
-    /// memoization entirely (every insert is immediately evicted).
+    /// memoization entirely (every insert is refused and counted as an
+    /// eviction).
     pub fn with_capacity(capacity: usize) -> EvalCache {
-        EvalCache { capacity: Some(capacity), ..EvalCache::default() }
+        let memo = Mutex::new(Lru::new(Some(capacity as u64)));
+        EvalCache { state: Arc::new(CacheState { memo, ..CacheState::default() }) }
     }
 
     /// The entry cap, if one was set.
     pub fn capacity(&self) -> Option<usize> {
-        self.capacity
+        self.lock().budget().map(|cap| cap as usize)
     }
 
     /// A worker thread panicking mid-batch (contained by the batch
-    /// layer) may poison this mutex; counter-and-memo state stays
-    /// coherent because every mutation holds the lock for its full
-    /// map+recency update, so recovering the guard is sound.
-    fn lock(&self) -> MutexGuard<'_, CacheInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    /// layer) may poison this mutex; the memo stays coherent because
+    /// every mutation holds the lock for its full map+recency update,
+    /// so recovering the guard is sound.
+    fn lock(&self) -> MutexGuard<'_, Lru<Trial>> {
+        self.state.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Look up a memoized trial. Records a hit (and the saved Prep +
     /// Train time) or a miss, and refreshes the entry's recency.
     pub fn lookup(&self, key: &CacheKey) -> Option<Trial> {
-        let found = {
-            let mut inner = self.lock();
-            let found = inner.entries.get(key.canonical()).map(|(t, _)| t.clone());
-            if found.is_some() {
-                inner.touch(key.canonical());
-            }
-            found
-        };
+        let found = self.lock().get(key.canonical()).cloned();
         match &found {
             Some(trial) => self.note_hit(trial),
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.state.misses.fetch_add(1, Ordering::Relaxed);
             }
-        }
-        found
-    }
-
-    /// Peek without touching the hit/miss counters (used by batch
-    /// dedup, which does its own accounting). Still refreshes recency —
-    /// a peek is a use.
-    pub(crate) fn peek(&self, key: &CacheKey) -> Option<Trial> {
-        let mut inner = self.lock();
-        let found = inner.entries.get(key.canonical()).map(|(t, _)| t.clone());
-        if found.is_some() {
-            inner.touch(key.canonical());
         }
         found
     }
@@ -300,14 +276,9 @@ impl EvalCache {
     /// Record a hit that was satisfied outside [`EvalCache::lookup`]
     /// (within-batch duplicate sharing).
     pub(crate) fn note_hit(&self, trial: &Trial) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.state.hits.fetch_add(1, Ordering::Relaxed);
         let saved = trial.prep_time + trial.train_time;
-        self.saved_nanos.fetch_add(saved.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Record a miss that was resolved outside [`EvalCache::lookup`].
-    pub(crate) fn note_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.state.saved_nanos.fetch_add(saved.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Memoize a finished trial, evicting the least recently used
@@ -326,10 +297,7 @@ impl EvalCache {
         if let Some(store) = self.store() {
             store.append(key, trial);
         }
-        if matches!(trial.failure, Some(FailureKind::Deadline) | Some(FailureKind::Transport)) {
-            return;
-        }
-        self.memoize(key, trial);
+        self.warm(key, trial);
     }
 
     /// Memoize without touching the durable store or hit/miss counters
@@ -341,39 +309,15 @@ impl EvalCache {
         if matches!(trial.failure, Some(FailureKind::Deadline) | Some(FailureKind::Transport)) {
             return;
         }
-        self.memoize(key, trial);
-    }
-
-    fn memoize(&self, key: &CacheKey, trial: &Trial) {
-        let mut evicted = 0u64;
-        {
-            let mut inner = self.lock();
-            inner.tick += 1;
-            let stamp = inner.tick;
-            if let Some((_, old_stamp)) =
-                inner.entries.insert(key.canonical().to_string(), (trial.clone(), stamp))
-            {
-                inner.recency.remove(&old_stamp);
-            }
-            inner.recency.insert(stamp, key.canonical().to_string());
-            if let Some(cap) = self.capacity {
-                while inner.entries.len() > cap {
-                    let Some((&oldest, _)) = inner.recency.iter().next() else { break };
-                    if let Some(victim) = inner.recency.remove(&oldest) {
-                        inner.entries.remove(&victim);
-                        evicted += 1;
-                    }
-                }
-            }
-        }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        let evicted = self.lock().insert(key.canonical(), trial.clone(), 1);
+        if evicted.count > 0 {
+            self.state.evictions.fetch_add(evicted.count, Ordering::Relaxed);
         }
     }
 
     /// Number of memoized trials.
     pub fn len(&self) -> usize {
-        self.lock().entries.len()
+        self.lock().len()
     }
 
     /// True when nothing is memoized yet.
@@ -387,12 +331,12 @@ impl EvalCache {
     /// store; it does not preload — call [`EvalCache::preload_from`]
     /// first when warm-starting.
     pub fn attach_store(&self, store: crate::repo::SharedTrialStore) {
-        *self.store.lock().unwrap_or_else(PoisonError::into_inner) = Some(store);
+        *self.state.store.lock().unwrap_or_else(PoisonError::into_inner) = Some(store);
     }
 
     /// The attached durable store, if any.
     pub fn store(&self) -> Option<crate::repo::SharedTrialStore> {
-        self.store.lock().unwrap_or_else(PoisonError::into_inner).clone()
+        self.state.store.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// Warm the memo with every trial persisted in `store` (in file
@@ -412,65 +356,12 @@ impl EvalCache {
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: self.state.hits.load(Ordering::Relaxed),
+            misses: self.state.misses.load(Ordering::Relaxed),
             entries: self.len(),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            saved: Duration::from_nanos(self.saved_nanos.load(Ordering::Relaxed)),
+            evictions: self.state.evictions.load(Ordering::Relaxed),
+            saved: Duration::from_nanos(self.state.saved_nanos.load(Ordering::Relaxed)),
         }
-    }
-}
-
-/// A clonable, `Arc`-backed handle to one [`EvalCache`].
-///
-/// [`EvalCache`] itself is already thread-safe behind `&self` (interior
-/// locking, atomic counters), but it is not clonable — sharing it
-/// requires threading one borrow everywhere. `SharedEvalCache` is the
-/// ownership story for long-lived sharing: the bench harness hands one
-/// handle per (dataset, model) group to every algorithm cell, each
-/// clone is a few words, and the memo plus its hit/miss/eviction
-/// counters stay exact because every handle operates on the same
-/// underlying cache.
-///
-/// Deref gives `&EvalCache`, so a handle plugs directly into
-/// [`crate::BatchEvaluator::with_cache`] and
-/// [`crate::SearchContext::attach_cache`].
-///
-/// ```
-/// use autofp_core::SharedEvalCache;
-/// let shared = SharedEvalCache::new();
-/// let clone = shared.clone();
-/// assert_eq!(clone.len(), 0);
-/// assert!(SharedEvalCache::same_cache(&shared, &clone));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SharedEvalCache {
-    inner: std::sync::Arc<EvalCache>,
-}
-
-impl SharedEvalCache {
-    /// A handle to a fresh, unbounded cache.
-    pub fn new() -> SharedEvalCache {
-        SharedEvalCache::default()
-    }
-
-    /// A handle to a fresh cache capped at `capacity` entries (LRU
-    /// eviction; see [`EvalCache::with_capacity`]).
-    pub fn with_capacity(capacity: usize) -> SharedEvalCache {
-        SharedEvalCache { inner: std::sync::Arc::new(EvalCache::with_capacity(capacity)) }
-    }
-
-    /// True when two handles share one underlying cache.
-    pub fn same_cache(a: &SharedEvalCache, b: &SharedEvalCache) -> bool {
-        std::sync::Arc::ptr_eq(&a.inner, &b.inner)
-    }
-}
-
-impl std::ops::Deref for SharedEvalCache {
-    type Target = EvalCache;
-
-    fn deref(&self) -> &EvalCache {
-        &self.inner
     }
 }
 
@@ -660,9 +551,8 @@ mod tests {
 
     #[test]
     fn shared_handles_see_one_memo_and_exact_counters() {
-        let shared = SharedEvalCache::with_capacity(8);
+        let shared = EvalCache::with_capacity(8);
         let clone = shared.clone();
-        assert!(SharedEvalCache::same_cache(&shared, &clone));
         assert_eq!(clone.capacity(), Some(8));
 
         let p = Pipeline::from_kinds(&[PreprocKind::StandardScaler]);

@@ -21,10 +21,9 @@
 //! `error_score` convention, so every searcher keeps running
 //! deterministically through faults.
 
-use crate::cache::{CacheKey, EvalCache};
 use crate::error::EvalError;
 use crate::history::Trial;
-use crate::prefix::{PrefixKey, PrefixStats, SharedPrefixCache};
+use crate::prefix::{PrefixCache, PrefixKey, PrefixStats};
 use autofp_data::{Dataset, Split};
 use autofp_linalg::Matrix;
 use autofp_models::classifier::{ModelKind, Trainer};
@@ -175,7 +174,7 @@ pub struct Evaluator {
     // Optional prefix-transform cache (see `crate::prefix`): when
     // attached, `evaluate_raw` resumes from the deepest cached prefix
     // of each pipeline and stores every newly computed prefix state.
-    prefix_cache: Option<SharedPrefixCache>,
+    prefix_cache: Option<PrefixCache>,
 }
 
 // Compile-time proof of the Sync-friendliness the batch layer relies
@@ -184,10 +183,6 @@ const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Evaluator>();
 };
-
-fn all_finite(m: &autofp_linalg::Matrix) -> bool {
-    m.as_slice().iter().all(|v| v.is_finite())
-}
 
 impl Evaluator {
     /// Build from a dataset: performs the stratified 80:20 split, then
@@ -203,8 +198,8 @@ impl Evaluator {
             split.train = split.train.subsample(cap, config.seed);
         }
         let trainer = config.model.trainer(config.seed);
-        let train_input_finite = all_finite(&split.train.x);
-        let valid_input_finite = all_finite(&split.valid.x);
+        let train_input_finite = split.train.x.is_finite();
+        let valid_input_finite = split.valid.x.is_finite();
         let mut ev = Evaluator {
             split,
             trainer,
@@ -253,13 +248,13 @@ impl Evaluator {
     /// Prefix keys exclude the model, so one cache may be shared by
     /// evaluators of *different models over the same dataset* — but
     /// never across datasets.
-    pub fn with_prefix_cache(mut self, cache: SharedPrefixCache) -> Evaluator {
+    pub fn with_prefix_cache(mut self, cache: PrefixCache) -> Evaluator {
         self.prefix_cache = Some(cache);
         self
     }
 
     /// The attached prefix cache, if any.
-    pub fn prefix_cache(&self) -> Option<&SharedPrefixCache> {
+    pub fn prefix_cache(&self) -> Option<&PrefixCache> {
         self.prefix_cache.as_ref()
     }
 
@@ -269,7 +264,7 @@ impl Evaluator {
     /// `fit_transform` calls the uncached whole-pipeline path runs, so
     /// outputs are bit-identical to [`Pipeline::fit_transform`] +
     /// `transform_new` on the raw split.
-    fn prefix_transform(&self, pipeline: &Pipeline, cache: &SharedPrefixCache) -> (Matrix, Matrix) {
+    fn prefix_transform(&self, pipeline: &Pipeline, cache: &PrefixCache) -> (Matrix, Matrix) {
         let keys = PrefixKey::all_prefixes(pipeline, &self.config);
         let (start, mut train, mut valid, mut cost) = match cache.lookup_longest(&keys) {
             Some(hit) => (hit.depth, hit.train, hit.valid, hit.cost),
@@ -302,26 +297,6 @@ impl Evaluator {
     pub fn evaluate_budgeted(&self, pipeline: &Pipeline, fraction: f64) -> Trial {
         evaluate_or_worst(self, pipeline, fraction, &CancelToken::new())
     }
-
-    /// Evaluate through a cache: a hit returns the memoized [`Trial`]
-    /// bit-identically (including its originally measured prep/train
-    /// times, preserving the paper's Figure 7 time attribution); a miss
-    /// evaluates and memoizes. Saved wall-clock is tracked in
-    /// [`crate::CacheStats::saved`].
-    pub fn evaluate_cached(
-        &self,
-        pipeline: &Pipeline,
-        fraction: f64,
-        cache: &EvalCache,
-    ) -> Trial {
-        let key = CacheKey::new(pipeline, fraction, &self.config);
-        if let Some(trial) = cache.lookup(&key) {
-            return trial;
-        }
-        let trial = self.evaluate_budgeted(pipeline, fraction);
-        cache.insert(&key, &trial);
-        trial
-    }
 }
 
 impl Evaluate for Evaluator {
@@ -353,12 +328,12 @@ impl Evaluate for Evaluator {
         // A preprocessor that maps finite input to NaN/inf has failed
         // (e.g. a power transform overflowing on heavy tails). Inputs
         // that were already non-finite are exempt: trainers sanitize.
-        if self.train_input_finite && !all_finite(&train_x) {
+        if self.train_input_finite && !train_x.is_finite() {
             return Err(EvalError::NonFiniteTransform {
                 detail: format!("train matrix after `{}`", pipeline.key()),
             });
         }
-        if self.valid_input_finite && !all_finite(&valid_x) {
+        if self.valid_input_finite && !valid_x.is_finite() {
             return Err(EvalError::NonFiniteTransform {
                 detail: format!("valid matrix after `{}`", pipeline.key()),
             });
@@ -524,11 +499,10 @@ mod tests {
 
     #[test]
     fn prefix_cache_is_bit_identical_and_skips_steps() {
-        use crate::prefix::SharedPrefixCache;
         let d = scale_spread_dataset();
         let plain = Evaluator::new(&d, EvalConfig::default());
         let cached = Evaluator::new(&d, EvalConfig::default())
-            .with_prefix_cache(SharedPrefixCache::new());
+            .with_prefix_cache(PrefixCache::new());
 
         // Pipelines sharing the [Standard, Power] prefix, evaluated in
         // an order that exercises extension, exact replay, and a

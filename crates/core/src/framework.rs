@@ -9,9 +9,9 @@
 
 use crate::batch::BatchEvaluator;
 use crate::budget::{Budget, BudgetClock};
-use crate::cache::{CacheKey, CacheStats, EvalCache};
+use crate::cache::{CacheStats, EvalCache};
 use crate::error::FailureStats;
-use crate::evaluator::{evaluate_or_worst, Evaluate};
+use crate::evaluator::Evaluate;
 use crate::history::{PhaseBreakdown, Trial, TrialHistory};
 use autofp_models::CancelToken;
 use autofp_preprocess::Pipeline;
@@ -115,36 +115,11 @@ impl<'a> SearchContext<'a> {
         self.evaluate_budgeted(pipeline, 1.0)
     }
 
-    /// Evaluate with a fractional training budget (bandit rungs).
+    /// Evaluate with a fractional training budget (bandit rungs): a
+    /// one-pipeline [`SearchContext::evaluate_batch_budgeted`], which
+    /// runs it inline on the calling thread.
     pub fn evaluate_budgeted(&mut self, pipeline: &Pipeline, fraction: f64) -> Option<Trial> {
-        if self.clock.exhausted() {
-            return None;
-        }
-        // Time since the previous evaluation ended is algorithm overhead.
-        self.pick_time += self.last_eval_end.elapsed();
-        // Every path is shielded: a failed or panicking evaluation
-        // becomes a worst-error trial and the search continues.
-        let trial = match self.cache {
-            Some(cache) => {
-                let key = CacheKey::new(pipeline, fraction, self.evaluator.config());
-                match cache.lookup(&key) {
-                    Some(trial) => trial,
-                    None => {
-                        let trial =
-                            evaluate_or_worst(self.evaluator, pipeline, fraction, &self.cancel);
-                        cache.insert(&key, &trial);
-                        trial
-                    }
-                }
-            }
-            None => evaluate_or_worst(self.evaluator, pipeline, fraction, &self.cancel),
-        };
-        self.clock.note_eval(fraction);
-        // lint:allow(nondet): Pick-phase attribution measures algorithm overhead; it never feeds a search decision
-        // lint:allow(nondet-flow): reachable from search, but last_eval_end only times the Pick phase for stats output
-        self.last_eval_end = Instant::now();
-        self.history.push(trial.clone());
-        Some(trial)
+        self.evaluate_batch_budgeted(std::slice::from_ref(pipeline), fraction)?.pop()
     }
 
     /// Evaluate a batch of independent proposals at full training
@@ -162,8 +137,9 @@ impl<'a> SearchContext<'a> {
     /// of them are appended to the history in that same order, keeping
     /// eval-budget runs identical to the sequential path trial for
     /// trial. Under a pure wall-clock budget the whole batch runs (the
-    /// clock is only consulted between batches, exactly as the
-    /// sequential path consults it between evaluations).
+    /// clock is only consulted between batches). Every evaluation is
+    /// shielded: a failed or panicking one becomes a worst-error trial
+    /// and the search continues.
     pub fn evaluate_batch_budgeted(
         &mut self,
         pipelines: &[Pipeline],
@@ -177,6 +153,7 @@ impl<'a> SearchContext<'a> {
             None => pipelines.len(),
         };
         let pipelines = &pipelines[..keep];
+        // Time since the previous evaluation ended is algorithm overhead.
         self.pick_time += self.last_eval_end.elapsed();
         let mut batch = BatchEvaluator::new(self.evaluator)
             .with_threads(self.batch_threads)
@@ -273,21 +250,11 @@ pub fn run_search(
     ctx.finish(searcher.name())
 }
 
-/// Run a searcher with an attached [`EvalCache`]: duplicate proposals
-/// (within this run or from earlier runs sharing the cache) are served
-/// from memory, and the outcome carries the cache statistics.
-pub fn run_search_cached(
-    searcher: &mut dyn Searcher,
-    evaluator: &dyn Evaluate,
-    budget: Budget,
-    cache: &EvalCache,
-) -> SearchOutcome {
-    run_search_with(searcher, evaluator, budget, None, Some(cache))
-}
-
 /// Run a searcher with full control over the context: an explicit
 /// batch-evaluation worker count (`None` = available parallelism) and
-/// an optional [`EvalCache`].
+/// an optional [`EvalCache`], which serves duplicate proposals (within
+/// this run or from earlier runs sharing the cache) from memory and
+/// whose statistics the outcome carries.
 ///
 /// This is the bench harness's entry point: matrix cells run their
 /// searches single-threaded (`batch_threads = Some(1)`, the paper's
@@ -406,7 +373,7 @@ mod tests {
         let ev = evaluator();
         let plain = run_search(&mut FixedSearcher, &ev, Budget::evals(6));
         let cache = crate::cache::EvalCache::new();
-        let cached = run_search_cached(&mut FixedSearcher, &ev, Budget::evals(6), &cache);
+        let cached = run_search_with(&mut FixedSearcher, &ev, Budget::evals(6), None, Some(&cache));
         assert_eq!(plain.history.len(), cached.history.len());
         for (a, b) in plain.history.trials().iter().zip(cached.history.trials()) {
             assert_eq!(a.pipeline.key(), b.pipeline.key());
@@ -418,7 +385,7 @@ mod tests {
     #[test]
     fn prefix_stats_snapshot_into_outcome_and_preserve_results() {
         let plain_ev = evaluator();
-        let prefix_ev = evaluator().with_prefix_cache(crate::prefix::SharedPrefixCache::new());
+        let prefix_ev = evaluator().with_prefix_cache(crate::prefix::PrefixCache::new());
         let plain = run_search(&mut FixedSearcher, &plain_ev, Budget::evals(6));
         let prefixed = run_search(&mut FixedSearcher, &prefix_ev, Budget::evals(6));
         assert!(plain.prefix.is_none());

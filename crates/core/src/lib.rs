@@ -53,6 +53,7 @@ pub mod evaluator;
 pub mod fault;
 pub mod framework;
 pub mod history;
+mod lru;
 pub mod order;
 pub mod patterns;
 pub mod prefix;
@@ -64,16 +65,14 @@ pub mod ranking;
 pub use batch::{pool_map, BatchEvaluator};
 pub use budget::{Budget, BudgetClock};
 pub use autofp_linalg::codec::fnv1a;
-pub use cache::{CacheKey, CacheStats, EvalCache, SharedEvalCache};
+pub use cache::{CacheKey, CacheStats, EvalCache};
 pub use error::{EvalError, FailureKind, FailureStats};
 pub use evaluator::{evaluate_or_worst, Evaluate, EvalConfig, Evaluator};
 pub use fault::{FaultConfig, FaultInjector, InjectedPanic};
-pub use framework::{
-    run_search, run_search_cached, run_search_with, SearchContext, SearchOutcome, Searcher,
-};
+pub use framework::{run_search, run_search_with, SearchContext, SearchOutcome, Searcher};
 pub use history::{PhaseBreakdown, Trial, TrialHistory};
 pub use order::{nan_largest, nan_smallest};
-pub use prefix::{PrefixCache, PrefixHit, PrefixKey, PrefixStats, SharedPrefixCache};
+pub use prefix::{PrefixCache, PrefixHit, PrefixKey, PrefixStats};
 pub use remote::{
     mix64, shard, shard_order, shard_weight, FleetStats, RemoteBackend, RemoteEvaluator, RemoteInfo,
     RetryPolicy,

@@ -71,7 +71,14 @@
 //! budget holds. An entry larger than the entire budget is never
 //! admitted (counted as an immediate eviction). Eviction only ever
 //! costs recomputation: results are bit-identical with any budget,
-//! including zero.
+//! including zero. The LRU is the crate's one weighted store
+//! (`core::lru`), shared with [`crate::EvalCache`], which charges
+//! every entry weight 1 instead of its byte size.
+//!
+//! Like [`crate::EvalCache`], a `PrefixCache` is a cheap-clone handle:
+//! clones share one store and one set of counters, so the bench harness
+//! hands clones of one per-dataset cache to every model group's
+//! evaluator.
 //!
 //! # Determinism
 //!
@@ -84,12 +91,12 @@
 
 use autofp_linalg::codec::fnv1a;
 use crate::evaluator::EvalConfig;
+use crate::lru::Lru;
 use autofp_linalg::Matrix;
 use autofp_preprocess::Pipeline;
-use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// The identity of one pipeline prefix's transform output: split
@@ -221,7 +228,8 @@ impl PrefixStats {
     }
 }
 
-/// A cache hit: the deepest cached prefix of the probed pipeline.
+/// A cache hit: the deepest cached prefix of the probed pipeline. The
+/// cache stores exactly this per entry.
 #[derive(Debug, Clone)]
 pub struct PrefixHit {
     /// How many leading steps the cached matrices already include.
@@ -235,50 +243,24 @@ pub struct PrefixHit {
     pub cost: Duration,
 }
 
-/// One stored prefix state.
-#[derive(Debug)]
-struct Entry {
-    train: Matrix,
-    valid: Matrix,
-    /// Number of pipeline steps baked into the matrices.
-    depth: usize,
-    /// Cumulative transform cost of computing this prefix from raw.
-    cost: Duration,
-    /// Bytes charged against the budget for this entry.
-    bytes: u64,
-    /// Recency stamp of the last touch.
-    stamp: u64,
-}
-
-/// Map + recency index + byte ledger guarded by one mutex so the three
-/// can never skew.
-#[derive(Debug, Default)]
-struct PrefixInner {
-    /// canonical key -> entry.
-    // lint:allow(nondet): keyed lookup only — eviction order comes from the recency BTreeMap, never from map iteration
-    entries: HashMap<String, Entry>,
-    /// recency stamp -> canonical key; first entry is least recent.
-    /// Stamps are unique (monotonic tick), so this is a faithful queue.
-    recency: BTreeMap<u64, String>,
-    /// Monotonic logical clock for stamps.
-    tick: u64,
-    /// Bytes currently held, always the sum of live entry sizes.
-    bytes: u64,
-}
-
 /// A thread-safe, byte-budgeted LRU store of transformed dataset
 /// prefixes. See the module docs for the key contract, admission rules
 /// (finite matrices only) and eviction semantics.
 ///
-/// All methods take `&self` (mutex-guarded map, atomic counters), so
-/// one cache can serve many evaluation workers concurrently — attach a
-/// [`SharedPrefixCache`] handle via
-/// [`crate::Evaluator::with_prefix_cache`].
-#[derive(Debug, Default)]
+/// All methods take `&self` (mutex-guarded LRU, atomic counters), so
+/// one cache can serve many evaluation workers concurrently, and clones
+/// share it — attach one via [`crate::Evaluator::with_prefix_cache`].
+#[derive(Debug, Clone, Default)]
 pub struct PrefixCache {
-    inner: Mutex<PrefixInner>,
-    /// `None` = unbounded (the default).
-    budget: Option<u64>,
+    state: Arc<PrefixState>,
+}
+
+#[derive(Debug, Default)]
+struct PrefixState {
+    /// canonical key -> prefix state, each weighing its
+    /// `entry_bytes`; the budget is the byte budget (`None` =
+    /// unbounded, the default).
+    entries: Mutex<Lru<PrefixHit>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -304,19 +286,20 @@ impl PrefixCache {
     /// matrices, evicting least-recently-used entries on overflow.
     /// Budget 0 disables caching entirely (nothing is ever admitted).
     pub fn with_byte_budget(budget: u64) -> PrefixCache {
-        PrefixCache { budget: Some(budget), ..PrefixCache::default() }
+        let entries = Mutex::new(Lru::new(Some(budget)));
+        PrefixCache { state: Arc::new(PrefixState { entries, ..PrefixState::default() }) }
     }
 
     /// The byte budget, if one was set.
     pub fn byte_budget(&self) -> Option<u64> {
-        self.budget
+        self.lock().budget()
     }
 
     /// Same poisoned-mutex policy as [`crate::EvalCache`]: every
     /// mutation holds the lock for its full map+recency+ledger update,
     /// so recovering the guard after a worker panic is sound.
-    fn lock(&self) -> MutexGuard<'_, PrefixInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, Lru<PrefixHit>> {
+        self.state.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Probe for the *deepest* cached prefix among `keys` (ordered
@@ -325,30 +308,18 @@ impl PrefixCache {
     /// miss per call, and refreshes the winning entry's recency.
     pub fn lookup_longest(&self, keys: &[PrefixKey]) -> Option<PrefixHit> {
         let found = {
-            let mut inner = self.lock();
-            let mut found = None;
-            for key in keys.iter().rev() {
-                if let Some(e) = inner.entries.get(key.canonical()) {
-                    found = Some(PrefixHit {
-                        depth: e.depth,
-                        train: e.train.clone(),
-                        valid: e.valid.clone(),
-                        cost: e.cost,
-                    });
-                    inner.touch(key.canonical());
-                    break;
-                }
-            }
-            found
+            let mut entries = self.lock();
+            keys.iter().rev().find_map(|key| entries.get(key.canonical()).cloned())
         };
+        let state = &self.state;
         match &found {
             Some(hit) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.steps_saved.fetch_add(hit.depth as u64, Ordering::Relaxed);
-                self.saved_nanos.fetch_add(hit.cost.as_nanos() as u64, Ordering::Relaxed);
+                state.hits.fetch_add(1, Ordering::Relaxed);
+                state.steps_saved.fetch_add(hit.depth as u64, Ordering::Relaxed);
+                state.saved_nanos.fetch_add(hit.cost.as_nanos() as u64, Ordering::Relaxed);
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                state.misses.fetch_add(1, Ordering::Relaxed);
             }
         }
         found
@@ -364,59 +335,21 @@ impl PrefixCache {
     /// pair alone exceeds the whole budget) are never admitted.
     pub fn insert(&self, key: &PrefixKey, train: &Matrix, valid: &Matrix, depth: usize, cost: Duration) {
         if !train.is_finite() || !valid.is_finite() {
-            self.poisoned.fetch_add(1, Ordering::Relaxed);
+            self.state.poisoned.fetch_add(1, Ordering::Relaxed);
             return;
         }
         let bytes = entry_bytes(key, train, valid);
-        if let Some(budget) = self.budget {
-            if bytes > budget {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.bytes_evicted.fetch_add(bytes, Ordering::Relaxed);
-                return;
-            }
-        }
-        let mut evicted = 0u64;
-        let mut evicted_bytes = 0u64;
-        {
-            let mut inner = self.lock();
-            inner.tick += 1;
-            let stamp = inner.tick;
-            let entry = Entry {
-                train: train.clone(),
-                valid: valid.clone(),
-                depth,
-                cost,
-                bytes,
-                stamp,
-            };
-            inner.bytes += bytes;
-            if let Some(old) = inner.entries.insert(key.canonical().to_string(), entry) {
-                inner.recency.remove(&old.stamp);
-                inner.bytes -= old.bytes;
-            }
-            inner.recency.insert(stamp, key.canonical().to_string());
-            if let Some(budget) = self.budget {
-                while inner.bytes > budget {
-                    let Some((&oldest, _)) = inner.recency.iter().next() else { break };
-                    if let Some(victim) = inner.recency.remove(&oldest) {
-                        if let Some(dropped) = inner.entries.remove(&victim) {
-                            inner.bytes -= dropped.bytes;
-                            evicted += 1;
-                            evicted_bytes += dropped.bytes;
-                        }
-                    }
-                }
-            }
-        }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            self.bytes_evicted.fetch_add(evicted_bytes, Ordering::Relaxed);
+        let hit = PrefixHit { depth, train: train.clone(), valid: valid.clone(), cost };
+        let evicted = self.lock().insert(key.canonical(), hit, bytes);
+        if evicted.count > 0 {
+            self.state.evictions.fetch_add(evicted.count, Ordering::Relaxed);
+            self.state.bytes_evicted.fetch_add(evicted.weight, Ordering::Relaxed);
         }
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.lock().entries.len()
+        self.lock().len()
     }
 
     /// True when nothing is cached yet.
@@ -426,37 +359,26 @@ impl PrefixCache {
 
     /// Bytes currently charged against the budget.
     pub fn bytes(&self) -> u64 {
-        self.lock().bytes
+        self.lock().total()
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> PrefixStats {
         let (entries, bytes) = {
-            let inner = self.lock();
-            (inner.entries.len(), inner.bytes)
+            let entries = self.lock();
+            (entries.len(), entries.total())
         };
+        let state = &self.state;
         PrefixStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: state.hits.load(Ordering::Relaxed),
+            misses: state.misses.load(Ordering::Relaxed),
             entries,
             bytes,
-            evictions: self.evictions.load(Ordering::Relaxed),
-            bytes_evicted: self.bytes_evicted.load(Ordering::Relaxed),
-            poisoned: self.poisoned.load(Ordering::Relaxed),
-            steps_saved: self.steps_saved.load(Ordering::Relaxed),
-            saved: Duration::from_nanos(self.saved_nanos.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-impl PrefixInner {
-    fn touch(&mut self, canonical: &str) {
-        self.tick += 1;
-        let stamp = self.tick;
-        if let Some(e) = self.entries.get_mut(canonical) {
-            self.recency.remove(&e.stamp);
-            e.stamp = stamp;
-            self.recency.insert(stamp, canonical.to_string());
+            evictions: state.evictions.load(Ordering::Relaxed),
+            bytes_evicted: state.bytes_evicted.load(Ordering::Relaxed),
+            poisoned: state.poisoned.load(Ordering::Relaxed),
+            steps_saved: state.steps_saved.load(Ordering::Relaxed),
+            saved: Duration::from_nanos(state.saved_nanos.load(Ordering::Relaxed)),
         }
     }
 }
@@ -467,50 +389,6 @@ fn entry_bytes(key: &PrefixKey, train: &Matrix, valid: &Matrix) -> u64 {
     let (tn, td) = train.shape();
     let (vn, vd) = valid.shape();
     8 * (tn * td + vn * vd) as u64 + key.canonical().len() as u64
-}
-
-/// A clonable, `Arc`-backed handle to one [`PrefixCache`] — the same
-/// ownership story as [`crate::SharedEvalCache`]: the bench harness
-/// creates one handle per dataset and hands clones to every model
-/// group's evaluator, and evald workers hold one per evaluation
-/// context.
-///
-/// ```
-/// use autofp_core::SharedPrefixCache;
-/// let shared = SharedPrefixCache::new();
-/// let clone = shared.clone();
-/// assert!(clone.is_empty());
-/// assert!(SharedPrefixCache::same_cache(&shared, &clone));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SharedPrefixCache {
-    inner: std::sync::Arc<PrefixCache>,
-}
-
-impl SharedPrefixCache {
-    /// A handle to a fresh, unbounded cache.
-    pub fn new() -> SharedPrefixCache {
-        SharedPrefixCache::default()
-    }
-
-    /// A handle to a fresh cache capped at `budget` bytes (LRU
-    /// eviction; see [`PrefixCache::with_byte_budget`]).
-    pub fn with_byte_budget(budget: u64) -> SharedPrefixCache {
-        SharedPrefixCache { inner: std::sync::Arc::new(PrefixCache::with_byte_budget(budget)) }
-    }
-
-    /// True when two handles share one underlying cache.
-    pub fn same_cache(a: &SharedPrefixCache, b: &SharedPrefixCache) -> bool {
-        std::sync::Arc::ptr_eq(&a.inner, &b.inner)
-    }
-}
-
-impl std::ops::Deref for SharedPrefixCache {
-    type Target = PrefixCache;
-
-    fn deref(&self) -> &PrefixCache {
-        &self.inner
-    }
 }
 
 #[cfg(test)]
@@ -742,9 +620,8 @@ mod tests {
 
     #[test]
     fn shared_handles_see_one_store() {
-        let shared = SharedPrefixCache::with_byte_budget(1 << 20);
+        let shared = PrefixCache::with_byte_budget(1 << 20);
         let clone = shared.clone();
-        assert!(SharedPrefixCache::same_cache(&shared, &clone));
         assert_eq!(clone.byte_budget(), Some(1 << 20));
         let cfg = EvalConfig::default();
         let (t, v) = small();

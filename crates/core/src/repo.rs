@@ -285,7 +285,7 @@ struct StoreInner {
 /// evaluation context.
 ///
 /// All methods take `&self` (interior mutex + atomic counters), so one
-/// store can back a [`crate::SharedEvalCache`] serving many workers.
+/// store can back an [`crate::EvalCache`] serving many workers.
 /// Appends are deduplicated by canonical key and obey the
 /// never-persist rule for deadline/transport failures; I/O failures
 /// drop the record and count in [`StoreStats::io_errors`] rather than
@@ -515,8 +515,7 @@ impl TrialStore {
     }
 }
 
-/// A clonable, `Arc`-backed handle to one [`TrialStore`] (the
-/// ownership story mirrors [`crate::SharedEvalCache`]).
+/// A clonable, `Arc`-backed handle to one [`TrialStore`].
 #[derive(Debug, Clone)]
 pub struct SharedTrialStore {
     inner: Arc<TrialStore>,

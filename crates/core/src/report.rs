@@ -331,11 +331,11 @@ mod tests {
     #[test]
     fn cache_stats_render_and_appear_in_summary() {
         use crate::cache::EvalCache;
-        use crate::framework::run_search_cached;
+        use crate::framework::run_search_with;
         let d = SynthConfig::new("report-cache", 100, 4, 2, 3).generate();
         let ev = Evaluator::new(&d, EvalConfig::default());
         let cache = EvalCache::new();
-        let out = run_search_cached(&mut Fixed, &ev, Budget::evals(6), &cache);
+        let out = run_search_with(&mut Fixed, &ev, Budget::evals(6), None, Some(&cache));
         let stats = out.cache.expect("cached run snapshots stats");
         let md = cache_stats_markdown(&stats, None);
         assert!(md.contains("| trial | lookups | 6 |"));
@@ -408,10 +408,10 @@ mod tests {
 
     #[test]
     fn prefix_summary_row_renders_when_cache_attached() {
-        use crate::prefix::SharedPrefixCache;
+        use crate::prefix::PrefixCache;
         let d = SynthConfig::new("report-prefix", 100, 4, 2, 3).generate();
         let ev = Evaluator::new(&d, EvalConfig::default())
-            .with_prefix_cache(SharedPrefixCache::new());
+            .with_prefix_cache(PrefixCache::new());
         let out = run_search(&mut Fixed, &ev, Budget::evals(6));
         let md = summary_markdown(&out, ev.baseline_accuracy());
         assert!(md.contains("| prefix cache |"), "summary must surface prefix stats:\n{md}");

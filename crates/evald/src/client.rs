@@ -320,17 +320,6 @@ impl TcpBackend {
     pub fn new(addrs: Vec<String>, ctx: EvalContext, timeout: Duration) -> TcpBackend {
         TcpPool::fixed(addrs, timeout).backend(ctx)
     }
-
-    /// The same pool bound to a different evaluation context
-    /// (connections, breakers and counters are shared).
-    pub fn with_context(&self, ctx: EvalContext) -> TcpBackend {
-        self.pool.backend(ctx)
-    }
-
-    /// The pool this backend exchanges over.
-    pub fn pool(&self) -> &TcpPool {
-        &self.pool
-    }
 }
 
 impl RemoteBackend for TcpBackend {

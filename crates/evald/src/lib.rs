@@ -4,7 +4,7 @@
 //! The bench harness's Table 4 matrix re-evaluates heavily overlapping
 //! pipeline sets across 15 algorithms; this crate turns that workload
 //! into a service: worker daemons own a process-local
-//! [`autofp_core::SharedEvalCache`] and execute evaluation requests
+//! [`autofp_core::EvalCache`] and execute evaluation requests
 //! over a dependency-free wire protocol, while
 //! [`autofp_core::RemoteEvaluator`] on the client side shards requests
 //! across the fleet by the stable `CacheKey` fingerprint.

@@ -1,6 +1,6 @@
 //! The worker's transport-agnostic request handler.
 //!
-//! A [`WorkerService`] owns one [`Evaluator`] + [`SharedEvalCache`]
+//! A [`WorkerService`] owns one [`Evaluator`] + [`EvalCache`]
 //! pair per distinct [`EvalContext`] it has been asked about, built
 //! lazily by regenerating the named dataset from the registry — dataset
 //! generation is seeded purely by the dataset name, so every worker
@@ -21,8 +21,8 @@
 
 use crate::wire::{EvalContext, FleetSpec, Request, Response, WorkerStats};
 use autofp_core::{
-    EvalError, Evaluator, PrefixCache, SharedEvalCache, SharedPrefixCache, SharedTrialStore,
-    StoreMeta, TrialRepo,
+    BatchEvaluator, CacheStats, EvalCache, EvalError, Evaluator, PrefixCache, PrefixStats,
+    SharedTrialStore, StoreMeta, TrialRepo,
 };
 use autofp_data::spec_by_name;
 use std::collections::BTreeMap;
@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// preloaded from and writes through to.
 struct ContextState {
     evaluator: Evaluator,
-    cache: SharedEvalCache,
+    cache: EvalCache,
     store: Option<SharedTrialStore>,
 }
 
@@ -68,21 +68,15 @@ impl WorkerService {
     /// A service whose per-context trial caches are unbounded and
     /// whose prefix caches run at the default byte budget.
     pub fn new() -> WorkerService {
-        WorkerService::with_cache_capacity(None)
+        WorkerService::with_caches(None, Some(PrefixCache::DEFAULT_BYTE_BUDGET))
     }
 
-    /// A service whose per-context caches are LRU-capped at `capacity`
-    /// entries (`None` = unbounded, `Some(0)` = effectively disabled:
-    /// every insert is immediately evicted). Prefix caches stay at the
-    /// default byte budget.
-    pub fn with_cache_capacity(capacity: Option<usize>) -> WorkerService {
-        WorkerService::with_caches(capacity, Some(PrefixCache::DEFAULT_BYTE_BUDGET))
-    }
-
-    /// Full cache control: trial-cache entry capacity plus the
-    /// prefix-transform cache byte budget (`None` = prefix cache off;
-    /// a `Some(0)` budget also admits nothing, so callers mapping a
-    /// `--prefix-cache-bytes 0` flag may pass either).
+    /// Full cache control: trial-cache entry capacity (`None` =
+    /// unbounded, `Some(0)` = memoization off: every insert is refused
+    /// and counted as an eviction) plus the prefix-transform cache byte
+    /// budget (`None` = prefix cache off; a `Some(0)` budget also admits
+    /// nothing, so callers mapping a `--prefix-cache-bytes 0` flag may
+    /// pass either).
     pub fn with_caches(capacity: Option<usize>, prefix_bytes: Option<u64>) -> WorkerService {
         WorkerService {
             cache_capacity: capacity,
@@ -164,11 +158,11 @@ impl WorkerService {
         let dataset = spec.generate(ctx.scale);
         let mut evaluator = Evaluator::new(&dataset, ctx.eval_config());
         if let Some(bytes) = self.prefix_bytes {
-            evaluator = evaluator.with_prefix_cache(SharedPrefixCache::with_byte_budget(bytes));
+            evaluator = evaluator.with_prefix_cache(PrefixCache::with_byte_budget(bytes));
         }
         let cache = match self.cache_capacity {
-            Some(cap) => SharedEvalCache::with_capacity(cap),
-            None => SharedEvalCache::new(),
+            Some(cap) => EvalCache::with_capacity(cap),
+            None => EvalCache::new(),
         };
         let store = match &self.repo {
             Some(repo) => Some(durable_segment(repo, &key, &evaluator, &cache)?),
@@ -182,31 +176,32 @@ impl WorkerService {
     /// context's cache counters folded together.
     pub fn stats(&self) -> WorkerStats {
         let map = self.lock();
-        let mut out = WorkerStats {
-            served: self.served.load(Ordering::Relaxed),
-            contexts: map.len() as u64,
-            ..WorkerStats::default()
-        };
+        let mut cache = CacheStats::default();
+        let mut prefix = PrefixStats::default();
+        let mut preloaded = 0;
         for state in map.values() {
-            let s = state.cache.stats();
-            out.hits += s.hits;
-            out.misses += s.misses;
-            out.entries += s.entries as u64;
-            out.evictions += s.evictions;
-            out.saved_nanos = out
-                .saved_nanos
-                .saturating_add(u64::try_from(s.saved.as_nanos()).unwrap_or(u64::MAX));
-            if let Some(p) = state.evaluator.prefix_cache().map(|c| c.stats()) {
-                out.prefix_hits += p.hits;
-                out.prefix_misses += p.misses;
-                out.prefix_evictions += p.evictions;
-                out.prefix_steps_saved += p.steps_saved;
+            cache.absorb(&state.cache.stats());
+            if let Some(p) = state.evaluator.prefix_cache() {
+                prefix.absorb(&p.stats());
             }
             if let Some(store) = &state.store {
-                out.preloaded += store.stats().preloaded;
+                preloaded += store.stats().preloaded;
             }
         }
-        out
+        WorkerStats {
+            served: self.served.load(Ordering::Relaxed),
+            contexts: map.len() as u64,
+            hits: cache.hits,
+            misses: cache.misses,
+            entries: cache.entries as u64,
+            evictions: cache.evictions,
+            saved_nanos: u64::try_from(cache.saved.as_nanos()).unwrap_or(u64::MAX),
+            prefix_hits: prefix.hits,
+            prefix_misses: prefix.misses,
+            prefix_evictions: prefix.evictions,
+            prefix_steps_saved: prefix.steps_saved,
+            preloaded,
+        }
     }
 
     /// Serve one request. Total: every failure mode becomes
@@ -237,8 +232,15 @@ impl WorkerService {
             },
             Request::Eval { ctx, pipeline, fraction } => match self.context(ctx) {
                 Ok(state) => {
-                    let trial =
-                        state.evaluator.evaluate_cached(pipeline, *fraction, &state.cache);
+                    // The workspace's one cached-evaluation path, as a
+                    // one-pipeline batch run inline on this thread.
+                    let trial = BatchEvaluator::new(&state.evaluator)
+                        .with_threads(1)
+                        .with_cache(&state.cache)
+                        .evaluate_batch_budgeted(std::slice::from_ref(pipeline), *fraction)
+                        .pop()
+                        // lint:allow(panic-reach): a batch returns one trial per pipeline, and this one has a pipeline
+                        .expect("a one-pipeline batch yields one trial");
                     self.served.fetch_add(1, Ordering::Relaxed);
                     Response::Trial { trial, stats: self.stats() }
                 }
@@ -264,7 +266,7 @@ fn durable_segment(
     repo: &TrialRepo,
     context: &str,
     evaluator: &Evaluator,
-    cache: &SharedEvalCache,
+    cache: &EvalCache,
 ) -> Result<SharedTrialStore, EvalError> {
     let transport = |err: autofp_core::RepoError| EvalError::Transport {
         detail: format!("trial store: {err}"),
@@ -524,7 +526,7 @@ mod tests {
 
     #[test]
     fn cache_capacity_zero_disables_memoization() {
-        let svc = WorkerService::with_cache_capacity(Some(0));
+        let svc = WorkerService::with_caches(Some(0), Some(PrefixCache::DEFAULT_BYTE_BUDGET));
         let req = Request::Eval {
             ctx: ctx(),
             pipeline: Pipeline::from_kinds(&[PreprocKind::MaxAbsScaler]),

@@ -202,13 +202,13 @@ mod tests {
 
     #[test]
     fn cached_random_search_hits_on_duplicate_proposals() {
-        use autofp_core::{run_search_cached, EvalCache};
+        use autofp_core::{run_search_with, EvalCache};
         let ev = evaluator();
         let cache = EvalCache::new();
         // Length-1 default-parameter pipelines: 7 possibilities, so 20
         // proposals must repeat.
         let mut rs = RandomSearch::new(ParamSpace::default_space(), 1, 5);
-        let out = run_search_cached(&mut rs, &ev, Budget::evals(20), &cache);
+        let out = run_search_with(&mut rs, &ev, Budget::evals(20), None, Some(&cache));
         assert_eq!(out.history.len(), 20);
         let stats = out.cache.expect("stats snapshotted");
         assert!(stats.hits > 0, "duplicate proposals must hit: {stats:?}");

@@ -85,12 +85,13 @@ impl Violation {
 /// untrusted request frames, and its engine/server answer live
 /// traffic where a panic drops the daemon. `linalg/codec.rs` is the
 /// byte codec every one of those decoders is built on.
-const HOT_PATH: [&str; 11] = [
+const HOT_PATH: [&str; 12] = [
     "crates/linalg/src/codec.rs",
     "crates/core/src/batch.rs",
     "crates/core/src/evaluator.rs",
     "crates/core/src/cache.rs",
     "crates/core/src/prefix.rs",
+    "crates/core/src/lru.rs",
     "crates/core/src/remote.rs",
     "crates/core/src/repo.rs",
     "crates/evald/src/wire.rs",
@@ -111,12 +112,13 @@ const HOT_PATH_PREFIXES: [&str; 3] =
 /// of their inputs (the train/serve skew and thread-invariance
 /// guarantees depend on it). `linalg/codec.rs` encodes all of those
 /// bytes and hashes every fingerprint.
-const DET_CRITICAL: [&str; 16] = [
+const DET_CRITICAL: [&str; 17] = [
     "crates/linalg/src/codec.rs",
     "crates/core/src/history.rs",
     "crates/core/src/report.rs",
     "crates/core/src/cache.rs",
     "crates/core/src/prefix.rs",
+    "crates/core/src/lru.rs",
     "crates/core/src/ranking.rs",
     "crates/core/src/patterns.rs",
     "crates/core/src/batch.rs",

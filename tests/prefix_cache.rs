@@ -16,7 +16,7 @@
 
 use autofp_bench::{run_matrix, HarnessConfig, MatrixOutcome};
 use autofp_core::{
-    Budget, EvalConfig, Evaluate, Evaluator, FailureKind, SharedPrefixCache,
+    Budget, EvalConfig, Evaluate, Evaluator, FailureKind, PrefixCache,
 };
 use autofp_data::{registry, Dataset, DatasetSpec, SynthConfig};
 use autofp_models::classifier::ModelKind;
@@ -136,7 +136,7 @@ fn nan_column_dataset() -> Dataset {
 #[test]
 fn poisoned_prefix_is_rejected_and_never_served() {
     let d = nan_column_dataset();
-    let cache = SharedPrefixCache::new();
+    let cache = PrefixCache::new();
     let cached =
         Evaluator::new(&d, EvalConfig::default()).with_prefix_cache(cache.clone());
     let plain = Evaluator::new(&d, EvalConfig::default());

@@ -23,7 +23,7 @@
 //!    pinned end to end with a [`FaultInjector`]-driven search.
 
 use autofp::core::{
-    evaluate_or_worst, run_search_cached, Budget, CacheKey, EvalCache, EvalConfig, EvalError,
+    evaluate_or_worst, run_search_with, Budget, CacheKey, EvalCache, EvalConfig, EvalError,
     Evaluate, Evaluator, FailureKind, FaultConfig, FaultInjector, Trial, TrialRepo, TrialStore,
 };
 use autofp::data::{registry, DatasetSpec, SynthConfig};
@@ -357,7 +357,8 @@ fn deadline_and_transport_trials_are_never_persisted() {
     cache.attach_store(store.clone());
 
     let mut searcher = make_searcher(AlgName::Rs, ParamSpace::default_space(), 3, 4);
-    let outcome = run_search_cached(searcher.as_mut(), &injected, Budget::evals(30), &cache);
+    let outcome =
+        run_search_with(searcher.as_mut(), &injected, Budget::evals(30), None, Some(&cache));
     assert_eq!(outcome.history.len(), 30);
     let transported = outcome.failures.count(FailureKind::Transport);
     assert!(transported > 0, "the transport-mapped third of the faults never fired");
