@@ -9,13 +9,11 @@
 //! config), so a duplicate proposal returns its recorded trial instead
 //! of paying the full Prep + Train cost again.
 //!
-//! The cache is thread-safe (`&self` everywhere) and a cheap-clone
-//! handle: its state sits behind one `Arc`, so a
-//! [`crate::batch::BatchEvaluator`] can share it across workers and the
-//! bench harness can hand clones of one cache to every cell of a
-//! (dataset, model) group. It keeps hit / miss / eviction /
-//! saved-wall-clock counters that [`crate::report::cache_stats_markdown`]
-//! renders.
+//! The cache is thread-safe (`&self` everywhere) so a
+//! [`crate::batch::BatchEvaluator`] can share it across workers, and it
+//! is a cheap-clone handle: its state sits behind one `Arc`, so clones
+//! see one memo and one set of hit / miss / eviction / saved-wall-clock
+//! counters, which [`crate::report::cache_stats_markdown`] renders.
 //!
 //! By default a cache is unbounded; [`EvalCache::with_capacity`] caps
 //! the entry count with least-recently-used eviction, for long searches
