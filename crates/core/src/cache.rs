@@ -86,7 +86,7 @@
 //! let fresh = batch.evaluate_batch(&pipeline); // miss: evaluates
 //! let hit = batch.evaluate_batch(&pipeline);   // hit: memoized
 //! assert_eq!(fresh[0].accuracy, hit[0].accuracy);
-//! let stats = cache.clone().stats(); // clones share one memo
+//! let stats = cache.stats();
 //! assert_eq!((stats.hits, stats.misses), (1, 1));
 //! ```
 
