@@ -142,20 +142,54 @@ impl GbdtParams {
         budget: f64,
         cancel: &CancelToken,
     ) -> Gbdt {
-        let rounds = ((self.n_rounds as f64 * budget.clamp(0.0, 1.0)).round() as usize).max(1);
-        let (n, _d) = x.shape();
+        let n = x.nrows();
         assert_eq!(n, y.len());
         let k = n_classes;
-
         let bins = Bins::fit(x, self.n_bins);
-        let binned = bins.apply(x);
-
-        let mut f = Matrix::zeros(n, k); // raw scores
-        let mut trees: Vec<Vec<RegTree>> = Vec::with_capacity(rounds);
+        let mut scratch = Scratch::new(&bins);
         let mut grad = vec![0.0; n];
         let mut hess = vec![0.0; n];
-        let mut probs = vec![0.0; k];
+        let mut probs = Matrix::zeros(n, k);
+        self.boost(x, k, budget, cancel, |f, rows| {
+            // The scores `f` change only after all of a round's trees are
+            // built, so each row's softmax is computed once per round.
+            for &i in rows {
+                let p = probs.row_mut(i);
+                p.copy_from_slice(f.row(i));
+                softmax_inplace(p);
+            }
+            (0..k)
+                .map(|class| {
+                    for &i in rows {
+                        let p = probs.get(i, class);
+                        let target = (y[i] == class) as u8 as f64;
+                        grad[i] = p - target;
+                        hess[i] = (p * (1.0 - p)).max(1e-6);
+                    }
+                    let mut nodes = Vec::new();
+                    let mut tree_rows = rows.to_vec();
+                    grow(&bins, &mut tree_rows, &grad, &hess, self, 0, &mut scratch, &mut nodes);
+                    RegTree { nodes }
+                })
+                .collect()
+        })
+    }
 
+    /// The boosting loop: row subsampling, cooperative cancellation and
+    /// the score update. `round` returns one round's class trees, given
+    /// the raw scores `f` (`n x k`) and the round's sorted sample rows.
+    fn boost(
+        &self,
+        x: &Matrix,
+        k: usize,
+        budget: f64,
+        cancel: &CancelToken,
+        mut round_trees: impl FnMut(&Matrix, &[usize]) -> Vec<RegTree>,
+    ) -> Gbdt {
+        let rounds = ((self.n_rounds as f64 * budget.clamp(0.0, 1.0)).round() as usize).max(1);
+        let n = x.nrows();
+        let mut f = Matrix::zeros(n, k); // raw scores
+        let mut trees: Vec<Vec<RegTree>> = Vec::with_capacity(rounds);
         for round in 0..rounds {
             // Cooperative cancellation between boosting rounds; a partial
             // ensemble (at least one round) is a valid model.
@@ -172,28 +206,7 @@ impl GbdtParams {
             } else {
                 (0..n).collect()
             };
-
-            let mut round_trees = Vec::with_capacity(k);
-            for class in 0..k {
-                // Softmax gradients for this class.
-                for &i in &rows {
-                    probs.copy_from_slice(f.row(i));
-                    softmax_inplace(&mut probs);
-                    let p = probs[class];
-                    let target = (y[i] == class) as u8 as f64;
-                    grad[i] = p - target;
-                    hess[i] = (p * (1.0 - p)).max(1e-6);
-                }
-                let tree = build_tree(
-                    &binned,
-                    &bins,
-                    &rows,
-                    &grad,
-                    &hess,
-                    self,
-                );
-                round_trees.push(tree);
-            }
+            let round_trees = round_trees(&f, &rows);
             // Update scores with all class trees of this round.
             for i in 0..n {
                 let xrow = x.row(i);
@@ -235,19 +248,28 @@ impl Trainer for GbdtParams {
     }
 }
 
-/// Quantile-sketch bin edges per feature.
+/// Quantile-sketch bin edges per feature, plus the bin code of every
+/// training value.
 struct Bins {
     /// `edges[j]` sorted; bin of `v` = count of edges `< v`.
     edges: Vec<Vec<f64>>,
+    /// Training-set bin codes, one contiguous column of `n` codes per
+    /// feature: `codes[j * n + i]` is the bin of `x[i][j]`.
+    codes: Vec<u16>,
+    n: usize,
 }
 
 impl Bins {
     fn fit(x: &Matrix, n_bins: usize) -> Bins {
         let (n, d) = x.shape();
-        let max_edges = n_bins.max(2) - 1;
+        // Every code, the non-finite bin `edges[j].len()` included, must
+        // fit in a `u16`.
+        let max_edges = (n_bins.max(2) - 1).min(u16::MAX as usize);
         let mut edges = Vec::with_capacity(d);
+        let mut codes = Vec::with_capacity(n * d);
         for j in 0..d {
-            let mut col: Vec<f64> = x.col(j).into_iter().filter(|v| v.is_finite()).collect();
+            let raw = x.col(j);
+            let mut col: Vec<f64> = raw.iter().copied().filter(|v| v.is_finite()).collect();
             col.sort_by(f64::total_cmp);
             col.dedup();
             let e: Vec<f64> = if col.len() <= max_edges {
@@ -263,17 +285,10 @@ impl Bins {
                 e.dedup();
                 e
             };
+            codes.extend(raw.iter().map(|&v| bin_index(&e, v) as u16));
             edges.push(e);
         }
-        let _ = n;
-        Bins { edges }
-    }
-
-    fn bin_of(&self, j: usize, v: f64) -> usize {
-        if !v.is_finite() {
-            return self.edges[j].len();
-        }
-        self.edges[j].partition_point(|&e| e < v)
+        Bins { edges, codes, n }
     }
 
     /// Number of bins for feature `j`.
@@ -281,40 +296,54 @@ impl Bins {
         self.edges[j].len() + 1
     }
 
-    fn apply(&self, x: &Matrix) -> Vec<Vec<u16>> {
-        let (n, d) = x.shape();
-        let mut out = vec![vec![0u16; d]; n];
-        for (i, row) in x.rows_iter().enumerate() {
-            for j in 0..d {
-                out[i][j] = self.bin_of(j, row[j]) as u16;
-            }
-        }
-        out
+    /// The training-set bin codes of feature `j`, indexed by row.
+    fn col(&self, j: usize) -> &[u16] {
+        &self.codes[j * self.n..(j + 1) * self.n]
     }
 }
 
-fn build_tree(
-    binned: &[Vec<u16>],
-    bins: &Bins,
-    rows: &[usize],
-    grad: &[f64],
-    hess: &[f64],
-    params: &GbdtParams,
-) -> RegTree {
-    let mut nodes = Vec::new();
-    grow(binned, bins, rows, grad, hess, params, 0, &mut nodes);
-    RegTree { nodes }
+/// The bin of `v` under sorted `edges`: the count of edges `< v`, or
+/// `edges.len()` for a non-finite value.
+fn bin_index(edges: &[f64], v: f64) -> usize {
+    if !v.is_finite() {
+        return edges.len();
+    }
+    edges.partition_point(|&e| e < v)
+}
+
+/// Buffers the split search reuses at every node of every tree of a fit.
+struct Scratch {
+    /// Per-bin `(G, H)` sums of one feature.
+    hist: Vec<(f64, f64)>,
+    /// Left-child prefix sums `(G_L, H_L)` through each bin.
+    prefix: Vec<(f64, f64)>,
+    /// Bit b set when bin b holds a row of the node.
+    occupied: Vec<u64>,
+    /// The right child's rows while a node's rows are partitioned.
+    right: Vec<usize>,
+}
+
+impl Scratch {
+    fn new(bins: &Bins) -> Scratch {
+        let nb = (0..bins.edges.len()).map(|j| bins.n_bins(j)).max().unwrap_or(0);
+        Scratch {
+            hist: vec![(0.0, 0.0); nb],
+            prefix: vec![(0.0, 0.0); nb],
+            occupied: vec![0; nb.div_ceil(64)],
+            right: Vec::with_capacity(bins.n),
+        }
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
 fn grow(
-    binned: &[Vec<u16>],
     bins: &Bins,
-    rows: &[usize],
+    rows: &mut [usize],
     grad: &[f64],
     hess: &[f64],
     params: &GbdtParams,
     depth: usize,
+    s: &mut Scratch,
     nodes: &mut Vec<TreeNode>,
 ) -> usize {
     let g: f64 = rows.iter().map(|&i| grad[i]).sum();
@@ -325,38 +354,61 @@ fn grow(
         return nodes.len() - 1;
     }
 
-    let d = binned.first().map_or(0, Vec::len);
-    let parent_score = g * g / (h + params.reg_lambda);
-    let mut best: Option<(f64, usize, usize)> = None; // (gain, feature, bin)
-    for j in 0..d {
+    let (lambda, mcw) = (params.reg_lambda, params.min_child_weight);
+    let parent_score = g * g / (h + lambda);
+    // A split must beat both 1e-12 and every earlier candidate strictly.
+    let mut best_gain = 1e-12;
+    let mut best: Option<(usize, usize)> = None; // (feature, bin)
+    for j in 0..bins.edges.len() {
         let nb = bins.n_bins(j);
         if nb <= 1 {
             continue;
         }
-        // Histogram of (G, H) per bin.
-        let mut hist_g = vec![0.0; nb];
-        let mut hist_h = vec![0.0; nb];
-        for &i in rows {
-            let b = binned[i][j] as usize;
-            hist_g[b] += grad[i];
-            hist_h[b] += hess[i];
+        // Histogram of (G, H) per bin, each bin summed in row order.
+        let codes = bins.col(j);
+        let hist = &mut s.hist[..nb];
+        let occupied = &mut s.occupied[..nb.div_ceil(64)];
+        hist.fill((0.0, 0.0));
+        occupied.fill(0);
+        for &i in rows.iter() {
+            let b = codes[i] as usize;
+            hist[b].0 += grad[i];
+            hist[b].1 += hess[i];
+            occupied[b / 64] |= 1 << (b % 64);
         }
+        // Left-child sums through each candidate bin, added bin by bin.
         let mut gl = 0.0;
         let mut hl = 0.0;
-        for b in 0..nb - 1 {
-            gl += hist_g[b];
-            hl += hist_h[b];
-            let gr = g - gl;
-            let hr = h - hl;
-            if hl < params.min_child_weight || hr < params.min_child_weight {
-                continue;
-            }
-            let gain = 0.5
-                * (gl * gl / (hl + params.reg_lambda) + gr * gr / (hr + params.reg_lambda)
-                    - parent_score)
-                - params.min_split_gain;
-            if gain > 1e-12 && best.is_none_or(|(bg, _, _)| gain > bg) {
-                best = Some((gain, j, b));
+        for (p, &(gb, hb)) in s.prefix.iter_mut().zip(&hist[..nb - 1]) {
+            gl += gb;
+            hl += hb;
+            *p = (gl, hl);
+        }
+        // An empty bin b >= 1 repeats the prefix sums, and so the gain, of
+        // bin b - 1, which comes first and wins any strict tie: only bin 0
+        // and the occupied bins can be chosen. Scanning them in ascending
+        // order keeps the first strict maximum.
+        occupied[0] |= 1;
+        for (w, &word) in occupied.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let b = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                if b >= nb - 1 {
+                    break;
+                }
+                let (gl, hl) = s.prefix[b];
+                let (gr, hr) = (g - gl, h - hl);
+                if hl < mcw || hr < mcw {
+                    continue;
+                }
+                let gain = 0.5
+                    * (gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score)
+                    - params.min_split_gain;
+                if gain > best_gain {
+                    best_gain = gain;
+                    best = Some((j, b));
+                }
             }
         }
     }
@@ -366,18 +418,32 @@ fn grow(
             nodes.push(TreeNode::Leaf { weight: leaf_weight });
             nodes.len() - 1
         }
-        Some((_, feature, bin)) => {
+        Some((feature, bin)) => {
             let threshold = bins.edges[feature][bin];
-            let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
-                rows.iter().partition(|&&i| (binned[i][feature] as usize) <= bin);
-            if left_rows.is_empty() || right_rows.is_empty() {
+            let codes = bins.col(feature);
+            // Stable partition in place: left rows first, each side still
+            // in row order.
+            s.right.clear();
+            let mut n_left = 0;
+            for r in 0..rows.len() {
+                let i = rows[r];
+                if (codes[i] as usize) <= bin {
+                    rows[n_left] = i;
+                    n_left += 1;
+                } else {
+                    s.right.push(i);
+                }
+            }
+            if n_left == 0 || n_left == rows.len() {
                 nodes.push(TreeNode::Leaf { weight: leaf_weight });
                 return nodes.len() - 1;
             }
+            rows[n_left..].copy_from_slice(&s.right);
+            let (left_rows, right_rows) = rows.split_at_mut(n_left);
             let id = nodes.len();
             nodes.push(TreeNode::Leaf { weight: 0.0 });
-            let left = grow(binned, bins, &left_rows, grad, hess, params, depth + 1, nodes);
-            let right = grow(binned, bins, &right_rows, grad, hess, params, depth + 1, nodes);
+            let left = grow(bins, left_rows, grad, hess, params, depth + 1, s, nodes);
+            let right = grow(bins, right_rows, grad, hess, params, depth + 1, s, nodes);
             nodes[id] = TreeNode::Split { feature, threshold, left, right };
             id
         }
@@ -387,6 +453,7 @@ fn grow(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::TrainedModel;
     use crate::metrics::accuracy;
     use autofp_data::{Personality, SynthConfig};
 
@@ -493,6 +560,244 @@ mod tests {
         assert_eq!(bins.bin_of(0, 2.0), 2);
         assert_eq!(bins.bin_of(0, -5.0), 0);
         assert_eq!(bins.bin_of(0, 5.0), 2);
+    }
+
+    impl Bins {
+        fn bin_of(&self, j: usize, v: f64) -> usize {
+            bin_index(&self.edges[j], v)
+        }
+
+        /// The row-major codes the replaced split search read, built row
+        /// by row.
+        fn apply(&self, x: &Matrix) -> Vec<Vec<u16>> {
+            let (n, d) = x.shape();
+            let mut out = vec![vec![0u16; d]; n];
+            for (i, row) in x.rows_iter().enumerate() {
+                for j in 0..d {
+                    out[i][j] = self.bin_of(j, row[j]) as u16;
+                }
+            }
+            out
+        }
+    }
+
+    /// The split search [`grow`] replaced: fresh histograms per feature
+    /// per node, and a gain for every bin.
+    #[allow(clippy::too_many_arguments)]
+    fn grow_reference(
+        binned: &[Vec<u16>],
+        bins: &Bins,
+        rows: &[usize],
+        grad: &[f64],
+        hess: &[f64],
+        params: &GbdtParams,
+        depth: usize,
+        nodes: &mut Vec<TreeNode>,
+    ) -> usize {
+        let g: f64 = rows.iter().map(|&i| grad[i]).sum();
+        let h: f64 = rows.iter().map(|&i| hess[i]).sum();
+        let leaf_weight = -g / (h + params.reg_lambda);
+        if depth >= params.max_depth || rows.len() < 2 {
+            nodes.push(TreeNode::Leaf { weight: leaf_weight });
+            return nodes.len() - 1;
+        }
+
+        let d = binned.first().map_or(0, Vec::len);
+        let parent_score = g * g / (h + params.reg_lambda);
+        let mut best: Option<(f64, usize, usize)> = None; // (gain, feature, bin)
+        for j in 0..d {
+            let nb = bins.n_bins(j);
+            if nb <= 1 {
+                continue;
+            }
+            let mut hist_g = vec![0.0; nb];
+            let mut hist_h = vec![0.0; nb];
+            for &i in rows {
+                let b = binned[i][j] as usize;
+                hist_g[b] += grad[i];
+                hist_h[b] += hess[i];
+            }
+            let mut gl = 0.0;
+            let mut hl = 0.0;
+            for b in 0..nb - 1 {
+                gl += hist_g[b];
+                hl += hist_h[b];
+                let gr = g - gl;
+                let hr = h - hl;
+                if hl < params.min_child_weight || hr < params.min_child_weight {
+                    continue;
+                }
+                let gain = 0.5
+                    * (gl * gl / (hl + params.reg_lambda) + gr * gr / (hr + params.reg_lambda)
+                        - parent_score)
+                    - params.min_split_gain;
+                if gain > 1e-12 && best.is_none_or(|(bg, _, _)| gain > bg) {
+                    best = Some((gain, j, b));
+                }
+            }
+        }
+
+        match best {
+            None => {
+                nodes.push(TreeNode::Leaf { weight: leaf_weight });
+                nodes.len() - 1
+            }
+            Some((_, feature, bin)) => {
+                let threshold = bins.edges[feature][bin];
+                let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
+                    rows.iter().partition(|&&i| (binned[i][feature] as usize) <= bin);
+                if left_rows.is_empty() || right_rows.is_empty() {
+                    nodes.push(TreeNode::Leaf { weight: leaf_weight });
+                    return nodes.len() - 1;
+                }
+                let id = nodes.len();
+                nodes.push(TreeNode::Leaf { weight: 0.0 });
+                let left =
+                    grow_reference(binned, bins, &left_rows, grad, hess, params, depth + 1, nodes);
+                let right =
+                    grow_reference(binned, bins, &right_rows, grad, hess, params, depth + 1, nodes);
+                nodes[id] = TreeNode::Split { feature, threshold, left, right };
+                id
+            }
+        }
+    }
+
+    /// The round body [`GbdtParams::train_cancellable`] replaced: one
+    /// softmax per row per class tree, and the reference split search.
+    fn train_reference(
+        params: &GbdtParams,
+        x: &Matrix,
+        y: &[usize],
+        k: usize,
+        budget: f64,
+        cancel: &CancelToken,
+    ) -> Gbdt {
+        let bins = Bins::fit(x, params.n_bins);
+        let binned = bins.apply(x);
+        let n = x.nrows();
+        let mut grad = vec![0.0; n];
+        let mut hess = vec![0.0; n];
+        let mut probs = vec![0.0; k];
+        params.boost(x, k, budget, cancel, |f, rows| {
+            (0..k)
+                .map(|class| {
+                    for &i in rows {
+                        probs.copy_from_slice(f.row(i));
+                        softmax_inplace(&mut probs);
+                        let p = probs[class];
+                        let target = (y[i] == class) as u8 as f64;
+                        grad[i] = p - target;
+                        hess[i] = (p * (1.0 - p)).max(1e-6);
+                    }
+                    let mut nodes = Vec::new();
+                    grow_reference(&binned, &bins, rows, &grad, &hess, params, 0, &mut nodes);
+                    RegTree { nodes }
+                })
+                .collect()
+        })
+    }
+
+    /// Fit with the kernel and the reference; assert their artifact bytes
+    /// agree and return the kernel's model.
+    fn assert_bit_identical(
+        params: &GbdtParams,
+        x: &Matrix,
+        y: &[usize],
+        k: usize,
+        budget: f64,
+        cancel: &CancelToken,
+    ) -> Gbdt {
+        let fast = TrainedModel::Xgb(params.train_cancellable(x, y, k, budget, cancel));
+        let reference = TrainedModel::Xgb(train_reference(params, x, y, k, budget, cancel));
+        assert!(
+            fast.encode() == reference.encode(),
+            "n={} d={} k={k} {params:?}",
+            x.nrows(),
+            x.ncols()
+        );
+        let TrainedModel::Xgb(model) = fast else { unreachable!() };
+        model
+    }
+
+    #[test]
+    fn split_kernel_is_bit_identical_to_the_reference() {
+        let live = CancelToken::new();
+        let base = GbdtParams { n_rounds: 6, ..Default::default() };
+        for k in [2, 3, 5] {
+            let d = SynthConfig::new("gbdt-bits", 90, 6, k, k as u64).generate();
+            for budget in [1.0, 0.25] {
+                assert_bit_identical(&base, &d.x, &d.y, d.n_classes, budget, &live);
+            }
+            let sub = GbdtParams { subsample: 0.7, seed: 5, ..base.clone() };
+            assert_bit_identical(&sub, &d.x, &d.y, d.n_classes, 1.0, &live);
+            for n_bins in [2, 48, 255] {
+                let p = GbdtParams { n_bins, ..base.clone() };
+                assert_bit_identical(&p, &d.x, &d.y, d.n_classes, 1.0, &live);
+            }
+        }
+        // A pre-cancelled token stops both after one round.
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let d = SynthConfig::new("gbdt-bits-cancel", 60, 4, 3, 2).generate();
+        let model = assert_bit_identical(&base, &d.x, &d.y, 3, 1.0, &cancelled);
+        assert_eq!(model.n_rounds(), 1);
+    }
+
+    #[test]
+    fn split_kernel_is_bit_identical_on_edge_shapes() {
+        let live = CancelToken::new();
+        let base = GbdtParams { n_rounds: 6, ..Default::default() };
+        // d = 0: every tree is one leaf.
+        let y: Vec<usize> = (0..12).map(|i| i % 3).collect();
+        assert_bit_identical(&base, &Matrix::zeros(12, 0), &y, 3, 1.0, &live);
+        // d = 1.
+        let d = SynthConfig::new("gbdt-bits-d1", 50, 1, 2, 8).generate();
+        assert_bit_identical(&base, &d.x, &d.y, 2, 1.0, &live);
+        // Non-finite and huge values land in the last bin or the extremes;
+        // column 2 is constant (one bin, never split on).
+        let mut d = SynthConfig::new("gbdt-bits-wild", 70, 5, 3, 9).generate();
+        let wild = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300];
+        for (i, v) in wild.into_iter().enumerate() {
+            d.x.set(3 * i + 1, if i == 2 { 0 } else { i }, v);
+        }
+        for i in 0..d.x.nrows() {
+            d.x.set(i, 2, 4.0);
+        }
+        let model = assert_bit_identical(&base, &d.x, &d.y, 3, 1.0, &live);
+        assert!(model.trees.iter().flatten().flat_map(|t| &t.nodes).any(
+            |node| matches!(node, TreeNode::Split { .. })
+        ));
+        // With no child-weight floor and a negative gain floor, an empty
+        // bin 0 is a live candidate. Column 0 has no value below its first
+        // edge among the subsampled rows of some rounds.
+        let loose = GbdtParams {
+            min_child_weight: 0.0,
+            min_split_gain: -0.5,
+            subsample: 0.7,
+            seed: 3,
+            ..base.clone()
+        };
+        assert_bit_identical(&loose, &d.x, &d.y, 3, 1.0, &live);
+        let loose_full = GbdtParams { subsample: 1.0, ..loose };
+        assert_bit_identical(&loose_full, &d.x, &d.y, 3, 1.0, &live);
+    }
+
+    #[test]
+    fn more_bins_than_u16_codes_still_split_where_they_predict() {
+        // With more distinct values than a u16 code can name, the edge
+        // count is capped, so training codes agree with the thresholds
+        // `predict_row` compares against.
+        let n = 70_000;
+        let x = Matrix::column_vector(&(0..n).map(|i| i as f64).collect::<Vec<_>>());
+        let y: Vec<usize> = (0..n).map(|i| (i >= 69_900) as usize).collect();
+        for n_bins in [65_536, 70_000] {
+            let params = GbdtParams { n_rounds: 3, max_depth: 2, n_bins, ..Default::default() };
+            let model = params.train_cancellable(&x, &y, 2, 1.0, &CancelToken::new());
+            let top: Vec<usize> = (n - 50..n).map(|i| model.predict_row(x.row(i))).collect();
+            assert_eq!(top, vec![1; 50], "n_bins {n_bins}");
+            assert_eq!(model.predict_row(x.row(0)), 0, "n_bins {n_bins}");
+            assert_eq!(model.predict_row(x.row(69_000)), 0, "n_bins {n_bins}");
+        }
     }
 
     #[test]
