@@ -88,7 +88,11 @@ impl Pipeline {
     /// A stable textual key identifying this exact pipeline (kinds and
     /// parameters), used for deduplication in search histories.
     pub fn key(&self) -> String {
-        self.to_string()
+        let mut key = self.to_string();
+        // Caches, histories and timing tallies keep keys for as long as
+        // they live; drop the formatter's growth slack.
+        key.shrink_to_fit();
+        key
     }
 }
 
