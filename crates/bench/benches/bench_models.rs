@@ -51,6 +51,25 @@ fn bench_lr_wide(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_train_table4_mini(c: &mut Criterion) {
+    // The table4-mini shape: the three models on austrilian's training
+    // split at scale 0.05 (128 x 14, 2 classes), where Train is most of
+    // the matrix's time.
+    let spec = spec_by_name("austrilian").expect("registry dataset");
+    let data = HarnessConfig { scale: 0.05, ..HarnessConfig::default() }.generate(&spec);
+    let train = data.stratified_split(0.8, 7).train;
+    let (rows, cols) = train.x.shape();
+    let mut group = c.benchmark_group("train_table4_mini");
+    group.sample_size(100);
+    for model in ModelKind::ALL {
+        let trainer = model.trainer(0);
+        group.bench_function(format!("{}/{rows}x{cols}", model.name()), |b| {
+            b.iter(|| black_box(trainer.fit(&train.x, &train.y, train.n_classes)))
+        });
+    }
+    group.finish();
+}
+
 fn bench_gbdt_bins_ablation(c: &mut Criterion) {
     // DESIGN.md ablation: histogram granularity vs training cost.
     let dataset = SynthConfig::new("bench-bins", 800, 15, 2, 7).generate();
@@ -104,6 +123,7 @@ criterion_group!(
     bench_three_downstream_models,
     bench_model_scaling_with_rows,
     bench_lr_wide,
+    bench_train_table4_mini,
     bench_gbdt_bins_ablation,
     bench_budgeted_training,
     bench_decision_tree_depths
