@@ -71,7 +71,7 @@ fn main() {
         );
         std::process::exit(2);
     };
-    if cfg.workers > 0 || !cfg.remote_addrs.is_empty() {
+    if cfg.workers > 0 || cfg.fleet.is_some() {
         eprintln!("error: exp_replay never evaluates; --workers/--remote do not apply");
         std::process::exit(2);
     }

@@ -28,7 +28,7 @@ fn main() {
     // moves onto a background monitor thread that respawns dead workers
     // and republishes the epoch-bumped fleet spec the matrix routes
     // over.
-    let monitor = if cfg.workers > 0 && cfg.remote_addrs.is_empty() {
+    let monitor = if cfg.workers > 0 && cfg.fleet.is_none() {
         let supervisor =
             spawn_supervised_fleet(cfg.workers, cfg.supervisor_config()).expect("spawn evald workers");
         println!(
@@ -36,7 +36,7 @@ fn main() {
             supervisor.len(),
             supervisor.addrs()
         );
-        cfg.fleet_spec = Some(supervisor.fleet());
+        cfg.fleet = Some(supervisor.fleet());
         Some(supervisor.monitor(std::time::Duration::from_millis(500)))
     } else {
         None
@@ -131,10 +131,7 @@ fn main() {
     // before the fleet is torn down. Under supervision the membership
     // may have changed mid-run (respawned workers come back on fresh
     // ports), so read the addresses from the live spec.
-    let worker_addrs: Vec<String> = match &cfg.fleet_spec {
-        Some(fleet) => fleet.snapshot().addrs,
-        None => cfg.remote_addrs.clone(),
-    };
+    let worker_addrs: Vec<String> = cfg.fleet.as_ref().map_or(Vec::new(), |f| f.snapshot().addrs);
     if !worker_addrs.is_empty() {
         println!("\n-- evald worker stats --");
         for addr in &worker_addrs {

@@ -74,19 +74,16 @@ pub struct HarnessConfig {
     pub cache_mode: CacheMode,
     /// Optional LRU entry cap for each matrix cache; `None` = unbounded.
     pub cache_capacity: Option<usize>,
-    /// Addresses of `evald` worker daemons; non-empty routes every
-    /// matrix evaluation through [`RemoteEvaluator`], sharded across
-    /// the fleet by the stable cache-key fingerprint.
-    pub remote_addrs: Vec<String>,
+    /// The `evald` fleet to evaluate on: when set, every matrix
+    /// evaluation goes through [`RemoteEvaluator`], sharded across the
+    /// fleet by the stable cache-key fingerprint. `--remote` sets a
+    /// fixed fleet; a supervisor's live spec lets it respawn or resize
+    /// workers mid-run while clients follow along.
+    pub fleet: Option<SharedFleetSpec>,
     /// Number of local `evald` workers to spawn for the run (0 = none).
     /// The exp binaries spawn the fleet via [`spawn_supervised_fleet`]
-    /// and hand its live membership to the matrix through `fleet_spec`.
+    /// and put its live spec into `fleet`.
     pub workers: usize,
-    /// Live fleet membership: when set, the matrix routes over this
-    /// epoch-stamped spec instead of the fixed `remote_addrs` list, so
-    /// a supervisor can respawn or resize workers mid-run and clients
-    /// follow along.
-    pub fleet_spec: Option<SharedFleetSpec>,
     /// Maximum respawns per worker slot for a supervised `--workers`
     /// fleet.
     pub supervise_max_restarts: u32,
@@ -129,9 +126,8 @@ impl Default for HarnessConfig {
             repeats: 1,
             cache_mode: CacheMode::Shared,
             cache_capacity: None,
-            remote_addrs: Vec::new(),
+            fleet: None,
             workers: 0,
-            fleet_spec: None,
             supervise_max_restarts: 3,
             supervise_backoff_ms: 50,
             prefix_cache: false,
@@ -277,7 +273,7 @@ impl HarnessConfig {
                             ));
                         }
                     }
-                    cfg.remote_addrs = addrs;
+                    cfg.fleet = Some(SharedFleetSpec::fixed(addrs));
                 }
                 "--workers" => {
                     let n: usize = num(&val, "--workers takes an integer")?;
@@ -302,7 +298,7 @@ impl HarnessConfig {
             }
             i += 2;
         }
-        if cfg.workers > 0 && !cfg.remote_addrs.is_empty() {
+        if cfg.workers > 0 && cfg.fleet.is_some() {
             return Err(
                 "--workers spawns a local fleet and --remote points at an existing one; \
                  pass only one of them"
@@ -470,7 +466,7 @@ const REMOTE_TIMEOUT: Duration = Duration::from_secs(60);
 /// through the core worker pool; each search is single-threaded (paper:
 /// `n_jobs = 1`).
 ///
-/// With `config.remote_addrs` non-empty, every evaluator is a
+/// With `config.fleet` set, every evaluator is a
 /// [`RemoteEvaluator`] sharding requests over the `evald` fleet;
 /// workers regenerate the named dataset at the same effective scale, so
 /// results are bit-identical to an in-process run (pinned by
@@ -481,44 +477,37 @@ pub fn run_matrix(
     algorithms: &[AlgName],
     config: &HarnessConfig,
 ) -> MatrixOutcome {
-    if config.remote_addrs.is_empty() && config.fleet_spec.is_none() {
-        run_matrix_with(specs, models, algorithms, config, |d, c, prefix| {
+    let Some(fleet) = &config.fleet else {
+        return run_matrix_with(specs, models, algorithms, config, |d, c, prefix| {
             let mut ev = Evaluator::new(d, c);
             if let Some(cache) = prefix {
                 ev = ev.with_prefix_cache(cache.clone());
             }
             Box::new(ev)
-        })
-    } else {
-        // One pool for the whole matrix: every (dataset, model) group's
-        // backend shares its connections, circuit breakers, and fleet
-        // membership, so a supervisor's epoch bumps reach all of them.
-        let fleet = match &config.fleet_spec {
-            Some(spec) => spec.clone(),
-            None => SharedFleetSpec::fixed(config.remote_addrs.clone()),
+        });
+    };
+    // One pool for the whole matrix: every (dataset, model) group's
+    // backend shares its connections, circuit breakers, and fleet
+    // membership, so a supervisor's epoch bumps reach all of them.
+    let pool = TcpPool::new(fleet.clone(), REMOTE_TIMEOUT);
+    let factory_pool = pool.clone();
+    // Remote evaluation ignores the harness prefix cache: the
+    // workers own per-context prefix caches on their side.
+    let mut outcome = run_matrix_with(specs, models, algorithms, config, move |d, c, _prefix| {
+        let spec = spec_by_name(&d.name)
+            .unwrap_or_else(|| panic!("remote mode needs registry dataset, got `{}`", d.name));
+        let ctx = EvalContext {
+            dataset: d.name.clone(),
+            scale: config.effective_scale(&spec),
+            model: c.model,
+            train_fraction: c.train_fraction,
+            seed: c.seed,
+            train_subsample: c.train_subsample.map(|v| v as u64),
         };
-        let pool = TcpPool::new(fleet, REMOTE_TIMEOUT);
-        let factory_pool = pool.clone();
-        // Remote evaluation ignores the harness prefix cache: the
-        // workers own per-context prefix caches on their side.
-        let mut outcome =
-            run_matrix_with(specs, models, algorithms, config, move |d, c, _prefix| {
-                let spec = spec_by_name(&d.name).unwrap_or_else(|| {
-                    panic!("remote mode needs registry dataset, got `{}`", d.name)
-                });
-                let ctx = EvalContext {
-                    dataset: d.name.clone(),
-                    scale: config.effective_scale(&spec),
-                    model: c.model,
-                    train_fraction: c.train_fraction,
-                    seed: c.seed,
-                    train_subsample: c.train_subsample.map(|v| v as u64),
-                };
-                Box::new(RemoteEvaluator::new(Box::new(factory_pool.backend(ctx)), c))
-            });
-        outcome.fleet = Some(pool.fleet_stats());
-        outcome
-    }
+        Box::new(RemoteEvaluator::new(Box::new(factory_pool.backend(ctx)), c))
+    });
+    outcome.fleet = Some(pool.fleet_stats());
+    outcome
 }
 
 /// Locate the `evald` worker binary: the `EVALD_BIN` environment
@@ -538,7 +527,7 @@ pub fn evald_binary() -> std::path::PathBuf {
 /// children, and its [`FleetSupervisor::monitor`] loop respawns dead
 /// ones and republishes membership. Route the matrix over its live
 /// spec by putting [`FleetSupervisor::fleet`] into
-/// [`HarnessConfig::fleet_spec`].
+/// [`HarnessConfig::fleet`].
 pub fn spawn_supervised_fleet(
     n: usize,
     config: SupervisorConfig,
@@ -850,12 +839,13 @@ mod tests {
             "--cache-cap",
             "64",
         ]));
-        assert_eq!(cfg.remote_addrs, vec!["127.0.0.1:4000", "127.0.0.1:4001"]);
+        let fleet = cfg.fleet.as_ref().expect("--remote sets a fixed fleet").snapshot();
+        assert_eq!(fleet.addrs, vec!["127.0.0.1:4000", "127.0.0.1:4001"]);
         assert_eq!(cfg.cache_capacity, Some(64));
         assert_eq!(cfg.cache_mode, CacheMode::Shared, "nonzero cap keeps caching on");
         let cfg = HarnessConfig::from_arg_slice(&argv(&["--workers", "2"]));
         assert_eq!(cfg.workers, 2);
-        assert!(cfg.remote_addrs.is_empty());
+        assert!(cfg.fleet.is_none());
     }
 
     #[test]

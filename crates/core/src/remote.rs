@@ -33,11 +33,12 @@
 //! (see [`crate::EvalCache::insert`]) — a worker coming back must not
 //! be masked by a memoized worst-error trial.
 //!
-//! Backends may additionally report fleet health through the defaulted
-//! trait hooks ([`RemoteBackend::is_routable`] lets a circuit breaker
-//! route around a repeatedly failing worker without paying a dial;
-//! [`RemoteBackend::fleet_stats`] surfaces robustness counters). The
-//! hooks default to no-ops so simple backends stay simple.
+//! Backends may additionally feed routing and counters through the
+//! defaulted trait hooks ([`RemoteBackend::is_routable`] lets a circuit
+//! breaker route around a repeatedly failing worker without paying a
+//! dial; `note_retry` / `note_failover` observe the evaluator's
+//! decisions for [`FleetStats`]). The hooks default to no-ops so simple
+//! backends stay simple.
 //!
 //! This module is transport-agnostic by design: `autofp-evald` provides
 //! the TCP and in-process loopback backends, keeping `autofp-core` free
@@ -76,15 +77,13 @@ pub struct FleetStats {
 
 /// What a worker reports about the evaluation context it serves:
 /// the dataset/model facts an [`Evaluate`] implementation must answer
-/// locally, plus the fleet robustness counters at observation time.
+/// locally.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RemoteInfo {
     /// Validation accuracy with no preprocessing (the no-FP baseline).
     pub baseline_accuracy: f64,
     /// Number of training rows the worker's evaluator fits on.
     pub train_rows: usize,
-    /// Fleet robustness counters (see [`FleetStats`]).
-    pub fleet: FleetStats,
 }
 
 /// Transport abstraction the [`RemoteEvaluator`] shards over.
@@ -111,12 +110,6 @@ pub trait RemoteBackend: Send + Sync {
     /// Ask `worker` for the context facts (baseline, train rows).
     fn describe(&self, worker: usize) -> Result<RemoteInfo, EvalError>;
 
-    /// Epoch of the fleet spec the backend currently routes over.
-    /// Bumped by a supervisor on membership change.
-    fn epoch(&self) -> u64 {
-        0
-    }
-
     /// Whether `worker` should be attempted right now. A circuit
     /// breaker returns `false` while a worker's circuit is open (with
     /// periodic half-open probes); the evaluator then routes the
@@ -131,11 +124,6 @@ pub trait RemoteBackend: Send + Sync {
     /// Observe a failover from `from` (the key's primary owner) to
     /// `to` (a rendezvous successor) — for counters.
     fn note_failover(&self, _from: usize, _to: usize) {}
-
-    /// Snapshot of the backend's robustness counters.
-    fn fleet_stats(&self) -> FleetStats {
-        FleetStats { workers: self.workers() as u64, ..FleetStats::default() }
-    }
 }
 
 /// Bounded retry-with-backoff policy for transport faults.
@@ -189,8 +177,7 @@ impl RemoteEvaluator {
         config: EvalConfig,
         retry: RetryPolicy,
     ) -> RemoteEvaluator {
-        let mut info =
-            RemoteInfo { baseline_accuracy: 0.0, train_rows: 0, fleet: FleetStats::default() };
+        let mut info = RemoteInfo { baseline_accuracy: 0.0, train_rows: 0 };
         for worker in 0..backend.workers() {
             if let Ok(described) = backend.describe(worker) {
                 info = described;
@@ -205,12 +192,6 @@ impl RemoteEvaluator {
     pub fn shard_of(&self, pipeline: &Pipeline, fraction: f64) -> usize {
         let key = CacheKey::new(pipeline, fraction, &self.config);
         shard(key.fingerprint(), self.backend.workers())
-    }
-
-    /// Context facts plus a live snapshot of the backend's fleet
-    /// robustness counters.
-    pub fn remote_info(&self) -> RemoteInfo {
-        RemoteInfo { fleet: self.backend.fleet_stats(), ..self.info }
     }
 
     /// Attempt one worker with the bounded per-worker retry policy.
@@ -444,11 +425,7 @@ mod tests {
             if self.dead.contains(&worker) {
                 return Err(EvalError::Transport { detail: format!("worker {worker} is down") });
             }
-            Ok(RemoteInfo {
-                baseline_accuracy: 0.61,
-                train_rows: 80 + worker,
-                fleet: FleetStats::default(),
-            })
+            Ok(RemoteInfo { baseline_accuracy: 0.61, train_rows: 80 + worker })
         }
 
         fn is_routable(&self, worker: usize) -> bool {
@@ -626,11 +603,7 @@ mod tests {
                 Err(EvalError::TrainerDiverged { detail: "nan".into() })
             }
             fn describe(&self, _: usize) -> Result<RemoteInfo, EvalError> {
-                Ok(RemoteInfo {
-                    baseline_accuracy: 0.5,
-                    train_rows: 1,
-                    fleet: FleetStats::default(),
-                })
+                Ok(RemoteInfo { baseline_accuracy: 0.5, train_rows: 1 })
             }
         }
         // Non-transport errors pass through on the first attempt.

@@ -8,9 +8,8 @@
 //!   With `--trial-store`, each context's cache preloads from the
 //!   durable trial repository at materialization and writes finished
 //!   trials through to it, so a respawned worker resumes warm.
-//! * `evald ping <addr>` / `evald health <addr>` / `evald stats
-//!   <addr>` / `evald shutdown <addr>` — operator utilities against a
-//!   running worker.
+//! * `evald ping <addr>` / `evald stats <addr>` / `evald shutdown
+//!   <addr>` — operator utilities against a running worker.
 
 use crate::client;
 use crate::launch::READY_PREFIX;
@@ -35,7 +34,6 @@ commands:
                                      context cache from the durable repository
                                      at DIR and persists finished trials to it)
   ping <addr>                        check a worker is alive
-  health <addr>                      print a worker's fleet epoch and load
   stats <addr>                       print a worker's cumulative counters
   shutdown <addr>                    ask a worker to exit
 ";
@@ -50,11 +48,6 @@ pub fn run(args: Vec<String>) -> i32 {
         Some("ping") => rpc(&args[1..], "ping", |addr| {
             client::ping(addr, RPC_TIMEOUT)?;
             println!("{addr}: alive");
-            Ok(())
-        }),
-        Some("health") => rpc(&args[1..], "health", |addr| {
-            let h = client::health(addr, RPC_TIMEOUT)?;
-            println!("{addr}: epoch={} served={} contexts={}", h.epoch, h.served, h.contexts);
             Ok(())
         }),
         Some("stats") => rpc(&args[1..], "stats", |addr| {
@@ -224,7 +217,7 @@ mod tests {
         assert_eq!(run(argv(&["frobnicate"])), 2);
         assert_eq!(run(argv(&[])), 2);
         assert_eq!(run(argv(&["ping"])), 2);
-        assert_eq!(run(argv(&["health"])), 2);
+        assert_eq!(run(argv(&["stats"])), 2);
         assert_eq!(run(argv(&["serve", "--port", "notanumber"])), 2);
         assert_eq!(run(argv(&["serve", "--cache-cap"])), 2);
         assert_eq!(run(argv(&["serve", "--prefix-cache-bytes"])), 2);
@@ -282,7 +275,7 @@ mod tests {
         };
         // Quick failure: connect to a closed port is immediate on loopback.
         assert_eq!(run(argv(&["ping", &addr])), 1);
-        assert_eq!(run(argv(&["health", &addr])), 1);
+        assert_eq!(run(argv(&["stats", &addr])), 1);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 use crate::fleet::{CircuitBreaker, SharedFleetSpec};
 use crate::service::WorkerService;
 use crate::wire::{
-    decode_response, encode_request, read_frame, write_frame, EvalContext, FleetSpec, Request,
-    Response, WorkerStats,
+    decode_response, encode_request, read_frame, write_frame, EvalContext, Request, Response,
+    WorkerStats,
 };
 use autofp_core::{EvalError, FleetStats, RemoteBackend, RemoteInfo, Trial};
 use autofp_preprocess::Pipeline;
@@ -80,7 +80,7 @@ fn call(addr: &str, timeout: Duration, req: &Request) -> Result<Response, EvalEr
 
 fn trial_from(resp: Response, addr: &str) -> Result<Trial, EvalError> {
     match resp {
-        Response::Trial { trial, .. } => Ok(trial),
+        Response::Trial(trial) => Ok(trial),
         Response::Error(err) => Err(err),
         other => Err(transport(format!("`{addr}` answered Eval with {other:?}"))),
     }
@@ -91,7 +91,6 @@ fn info_from(resp: Response, addr: &str) -> Result<RemoteInfo, EvalError> {
         Response::Described { baseline_accuracy, train_rows } => Ok(RemoteInfo {
             baseline_accuracy,
             train_rows: usize::try_from(train_rows).unwrap_or(usize::MAX),
-            fleet: FleetStats::default(),
         }),
         Response::Error(err) => Err(err),
         other => Err(transport(format!("`{addr}` answered Describe with {other:?}"))),
@@ -307,19 +306,11 @@ impl TcpPool {
 }
 
 /// [`RemoteBackend`] over TCP: one worker daemon per fleet slot,
-/// persistent pooled connections, per-slot circuit breakers.
+/// persistent pooled connections, per-slot circuit breakers. Built by
+/// [`TcpPool::backend`].
 pub struct TcpBackend {
     ctx: EvalContext,
     pool: TcpPool,
-}
-
-impl TcpBackend {
-    /// A backend over a fixed fleet of `addrs` (one worker daemon
-    /// each), evaluating under `ctx`, with `timeout` applied to
-    /// connect, read and write individually.
-    pub fn new(addrs: Vec<String>, ctx: EvalContext, timeout: Duration) -> TcpBackend {
-        TcpPool::fixed(addrs, timeout).backend(ctx)
-    }
 }
 
 impl RemoteBackend for TcpBackend {
@@ -338,10 +329,6 @@ impl RemoteBackend for TcpBackend {
         info_from(self.pool.exchange(worker, &Request::Describe(self.ctx.clone()))?, &addr)
     }
 
-    fn epoch(&self) -> u64 {
-        self.pool.inner.fleet.epoch()
-    }
-
     fn is_routable(&self, worker: usize) -> bool {
         let mut state = self.pool.sync();
         match state.slots.get_mut(worker) {
@@ -356,10 +343,6 @@ impl RemoteBackend for TcpBackend {
 
     fn note_failover(&self, _from: usize, _to: usize) {
         self.pool.inner.failovers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn fleet_stats(&self) -> FleetStats {
-        self.pool.fleet_stats()
     }
 }
 
@@ -429,36 +412,6 @@ pub fn stats(addr: &str, timeout: Duration) -> Result<WorkerStats, EvalError> {
     }
 }
 
-/// A worker's answer to a [`Request::Health`] probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthReport {
-    /// Fleet-spec epoch the worker holds (0 until told).
-    pub epoch: u64,
-    /// Evaluation requests the worker has served.
-    pub served: u64,
-    /// Distinct evaluation contexts the worker has materialized.
-    pub contexts: u64,
-}
-
-/// Probe the worker's health (fleet epoch + load counters).
-pub fn health(addr: &str, timeout: Duration) -> Result<HealthReport, EvalError> {
-    match call(addr, timeout, &Request::Health)? {
-        Response::Health { epoch, served, contexts } => {
-            Ok(HealthReport { epoch, served, contexts })
-        }
-        other => Err(transport(format!("`{addr}` answered Health with {other:?}"))),
-    }
-}
-
-/// Publish `spec` to the worker at `addr`; returns the epoch the
-/// worker holds afterwards (== `spec.epoch` when adopted).
-pub fn set_fleet(addr: &str, spec: &FleetSpec, timeout: Duration) -> Result<u64, EvalError> {
-    match call(addr, timeout, &Request::SetFleet(spec.clone()))? {
-        Response::FleetAck { epoch } => Ok(epoch),
-        other => Err(transport(format!("`{addr}` answered SetFleet with {other:?}"))),
-    }
-}
-
 /// Ask the worker at `addr` to exit.
 pub fn shutdown(addr: &str, timeout: Duration) -> Result<(), EvalError> {
     match call(addr, timeout, &Request::Shutdown)? {
@@ -470,7 +423,7 @@ pub fn shutdown(addr: &str, timeout: Duration) -> Result<(), EvalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::OPEN_AFTER;
+    use crate::fleet::{FleetSpec, OPEN_AFTER};
     use crate::server::Server;
     use autofp_core::{Evaluate, Evaluator, RemoteEvaluator};
     use autofp_data::spec_by_name;
@@ -525,8 +478,8 @@ mod tests {
         let handle = std::thread::spawn(move || server.run());
 
         ping(&addr, Duration::from_secs(5)).expect("ping");
-        let backend = TcpBackend::new(vec![addr.clone()], ctx(), Duration::from_secs(30));
-        let remote = RemoteEvaluator::new(Box::new(backend), ctx().eval_config());
+        let pool = TcpPool::fixed(vec![addr.clone()], Duration::from_secs(30));
+        let remote = RemoteEvaluator::new(Box::new(pool.backend(ctx())), ctx().eval_config());
         let local = local_evaluator();
         let p = Pipeline::from_kinds(&[PreprocKind::StandardScaler]);
         let r = remote.try_evaluate(&p).expect("remote evaluates");
@@ -535,7 +488,7 @@ mod tests {
         // reconnect being recorded.
         let p2 = Pipeline::from_kinds(&[PreprocKind::MinMaxScaler]);
         let _ = remote.try_evaluate(&p2).expect("remote evaluates again");
-        let fleet = remote.remote_info().fleet;
+        let fleet = pool.fleet_stats();
         assert_eq!(fleet.reconnects, 0);
         assert_eq!(fleet.workers, 1);
         assert_eq!(fleet.epoch, 1);
@@ -544,9 +497,6 @@ mod tests {
         // Describe (baseline probe) built the context; two evals served.
         assert_eq!(s.served, 2);
         assert_eq!(s.contexts, 1);
-
-        let h = health(&addr, Duration::from_secs(5)).expect("health");
-        assert_eq!(h, HealthReport { epoch: 0, served: 2, contexts: 1 });
 
         shutdown(&addr, Duration::from_secs(5)).expect("shutdown");
         handle.join().expect("server thread").expect("server run");
@@ -618,7 +568,7 @@ mod tests {
         let pool = TcpPool::new(fleet.clone(), Duration::from_millis(200));
         let backend = pool.backend(ctx());
         assert_eq!(backend.workers(), 1);
-        assert_eq!(backend.epoch(), 1);
+        assert_eq!(pool.fleet_stats().epoch, 1);
         // Open the dead slot's circuit.
         for _ in 0..OPEN_AFTER {
             assert!(backend.evaluate(0, &Pipeline::empty(), 1.0).is_err());
@@ -631,7 +581,6 @@ mod tests {
             addrs: vec!["127.0.0.1:2".into(), "127.0.0.1:3".into()],
         });
         assert_eq!(backend.workers(), 2);
-        assert_eq!(backend.epoch(), 2);
         assert!(backend.is_routable(0), "replaced slot starts with a closed breaker");
         assert_eq!(pool.fleet_stats().epoch, 2);
         assert_eq!(pool.fleet_stats().workers, 2);
@@ -645,7 +594,7 @@ mod tests {
         };
         let err = ping(&addr, Duration::from_millis(300)).expect_err("dead worker");
         assert!(matches!(err, EvalError::Transport { .. }), "{err:?}");
-        let backend = TcpBackend::new(vec![addr], ctx(), Duration::from_millis(300));
+        let backend = TcpPool::fixed(vec![addr], Duration::from_millis(300)).backend(ctx());
         let err = backend
             .evaluate(0, &Pipeline::empty(), 1.0)
             .expect_err("dead worker evaluate");
@@ -657,7 +606,7 @@ mod tests {
         let backend = LoopbackBackend::new(vec![Arc::new(WorkerService::new())], ctx());
         let err = backend.evaluate(5, &Pipeline::empty(), 1.0).expect_err("bad index");
         assert!(matches!(err, EvalError::Transport { .. }), "{err:?}");
-        let tcp = TcpBackend::new(vec![], ctx(), Duration::from_millis(100));
+        let tcp = TcpPool::fixed(vec![], Duration::from_millis(100)).backend(ctx());
         let err = tcp.evaluate(0, &Pipeline::empty(), 1.0).expect_err("no slots");
         assert!(matches!(err, EvalError::Transport { .. }), "{err:?}");
         assert!(!tcp.is_routable(0));

@@ -1,20 +1,20 @@
 //! Fleet membership and per-worker failure tracking.
 //!
-//! [`SharedFleetSpec`] is the one mutable cell the robustness layer
-//! shares: the supervisor publishes epoch-stamped membership changes
-//! into it, and every [`crate::client::TcpBackend`] clone reads it at
-//! request time, resynchronizing its connection pool when the epoch
-//! moves. [`CircuitBreaker`] tracks consecutive transport failures per
-//! worker slot so the router can stop paying connect timeouts to a
-//! dead worker and fail over to the key's rendezvous successor, while
-//! still probing the slot periodically to notice recovery.
+//! [`SharedFleetSpec`] is the one copy of fleet membership: the
+//! supervisor publishes epoch-stamped membership changes into it, and
+//! every [`crate::client::TcpPool`] clone reads it at request time,
+//! resynchronizing its connections when the epoch moves. Workers hold
+//! no membership of their own. [`CircuitBreaker`] tracks consecutive
+//! transport failures per worker slot so the router can stop paying
+//! connect timeouts to a dead worker and fail over to the key's
+//! rendezvous successor, while still probing the slot periodically to
+//! notice recovery.
 //!
 //! Everything here is deterministic: breaker transitions are a pure
 //! function of the observed success/failure sequence, and the fleet
 //! spec only moves when a supervisor publishes a strictly describable
 //! membership change. No clocks, no RNG.
 
-use crate::wire::FleetSpec;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -25,13 +25,29 @@ pub const OPEN_AFTER: u32 = 3;
 /// through as a half-open probe so a recovered worker is noticed.
 pub const PROBE_EVERY: u32 = 8;
 
+/// An epoch-stamped description of the worker fleet: which addresses
+/// hold which slots.
+///
+/// The slot *index* (position in `addrs`) is a worker's routing
+/// identity — rendezvous hashing maps fingerprints to slots, so a
+/// respawned worker that comes back on a new port keeps its keyspace.
+/// `epoch` increases monotonically on every membership change
+/// (respawn, resize).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct FleetSpec {
+    /// Monotonic version of the fleet membership.
+    pub epoch: u64,
+    /// Worker addresses by slot index.
+    pub addrs: Vec<String>,
+}
+
 /// A thread-shared, epoch-stamped [`FleetSpec`] plus the supervisor's
 /// cumulative respawn counter.
 ///
 /// Cloning shares the underlying cell: the supervisor and any number
 /// of backends observe the same membership. Publishes are
-/// last-writer-wins guarded by epoch monotonicity, mirroring the
-/// worker-side adoption rule.
+/// last-writer-wins guarded by epoch monotonicity, so a slow publisher
+/// cannot roll the fleet back.
 #[derive(Debug, Clone)]
 pub struct SharedFleetSpec {
     spec: Arc<Mutex<FleetSpec>>,
@@ -64,16 +80,6 @@ impl SharedFleetSpec {
     /// The current epoch.
     pub fn epoch(&self) -> u64 {
         self.lock().epoch
-    }
-
-    /// Number of worker slots in the current spec.
-    pub fn len(&self) -> usize {
-        self.lock().addrs.len()
-    }
-
-    /// Whether the current spec has no workers.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Adopt `spec` unless it is older than the one held (epochs are
@@ -202,8 +208,8 @@ mod tests {
     fn shared_spec_publish_is_epoch_monotonic() {
         let fleet = SharedFleetSpec::fixed(vec!["a:1".into(), "b:2".into()]);
         assert_eq!(fleet.epoch(), 1);
-        assert_eq!(fleet.len(), 2);
-        assert!(!fleet.is_empty());
+        let fixed = FleetSpec { epoch: 1, addrs: vec!["a:1".into(), "b:2".into()] };
+        assert_eq!(fleet.snapshot(), fixed);
 
         let newer = FleetSpec { epoch: 2, addrs: vec!["a:1".into(), "c:3".into()] };
         assert_eq!(fleet.publish(newer.clone()), 2);

@@ -4,25 +4,25 @@
 //! suite both need real `evald serve` child processes: spawn the
 //! binary, read the `evald listening on <addr>` line it prints once
 //! bound, and keep the [`std::process::Child`] so the worker dies with
-//! its supervisor instead of leaking daemons. Dropping a [`Worker`] or
-//! [`WorkerFleet`] shuts the children down (best-effort graceful
+//! its supervisor instead of leaking daemons. Dropping a
+//! [`FleetSupervisor`] shuts the children down (best-effort graceful
 //! `Shutdown` frame, then SIGKILL + reap), so aborted tests and
 //! panicking benches never leave `evald serve` daemons behind.
 //!
-//! [`FleetSupervisor`] adds self-healing on top of a spawned fleet:
-//! it health-checks every slot via `Ping`, respawns dead workers
-//! (capped restarts per slot, exponential backoff with seeded jitter
-//! so the schedule is reproducible), and republishes the epoch-bumped
-//! [`FleetSpec`] to the shared spec and to every live worker on any
-//! membership change. A respawned worker comes back on a fresh
-//! OS-assigned port but keeps its *slot*, and rendezvous routing is
-//! keyed on slots — so its keyspace follows it and results stay
-//! bit-identical across kill/respawn.
+//! The supervisor also heals the fleet: it health-checks every slot
+//! via `Ping`, respawns dead workers (capped restarts per slot,
+//! exponential backoff with seeded jitter so the schedule is
+//! reproducible), and publishes the epoch-bumped [`FleetSpec`] into
+//! the shared spec clients route over on any membership change. A
+//! respawned worker comes back on a fresh OS-assigned port but keeps
+//! its *slot*, and rendezvous routing is keyed on slots — so its
+//! keyspace follows it and results stay bit-identical across
+//! kill/respawn. A supervisor that nothing supervises is a fixed
+//! fleet: a killed worker keeps its slot and nothing respawns it.
 
 use autofp_core::mix64;
 use crate::client;
-use crate::fleet::SharedFleetSpec;
-use crate::wire::FleetSpec;
+use crate::fleet::{FleetSpec, SharedFleetSpec};
 use std::io::{self, BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -39,20 +39,20 @@ pub const READY_PREFIX: &str = "evald listening on ";
 const GRACEFUL_SHUTDOWN_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// One supervised worker process.
-pub struct Worker {
+struct Worker {
     child: Child,
     addr: String,
 }
 
 impl Worker {
     /// The address the worker is serving on.
-    pub fn addr(&self) -> &str {
+    fn addr(&self) -> &str {
         &self.addr
     }
 
     /// Kill the worker process immediately (SIGKILL) and reap it.
     /// Idempotent: killing an already-dead worker is a no-op.
-    pub fn kill(&mut self) {
+    fn kill(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
@@ -62,7 +62,7 @@ impl Worker {
     /// lets a live worker stop accepting, the kill guarantees no
     /// daemon outlives its supervisor. Idempotent; an already-reaped
     /// worker is left alone.
-    pub fn shutdown_then_kill(&mut self) {
+    fn shutdown_then_kill(&mut self) {
         if matches!(self.child.try_wait(), Ok(Some(_))) {
             return;
         }
@@ -79,7 +79,7 @@ impl Drop for Worker {
 
 /// Spawn one `evald serve` worker from the binary at `bin` and wait
 /// until it reports its address.
-pub fn spawn_worker(bin: &Path) -> io::Result<Worker> {
+fn spawn_worker(bin: &Path) -> io::Result<Worker> {
     let mut child = Command::new(bin)
         .args(["serve"])
         .stdout(Stdio::piped())
@@ -116,62 +116,6 @@ pub fn spawn_worker(bin: &Path) -> io::Result<Worker> {
     }
 }
 
-/// A fleet of supervised local workers with fixed membership (no
-/// respawn — see [`FleetSupervisor`] for the self-healing variant).
-pub struct WorkerFleet {
-    workers: Vec<Worker>,
-}
-
-impl WorkerFleet {
-    /// Spawn `n` workers from the binary at `bin`. If any spawn fails,
-    /// the already-started workers are killed (via drop) before the
-    /// error is returned.
-    pub fn spawn(bin: &Path, n: usize) -> io::Result<WorkerFleet> {
-        let mut workers = Vec::with_capacity(n);
-        for _ in 0..n {
-            workers.push(spawn_worker(bin)?);
-        }
-        Ok(WorkerFleet { workers })
-    }
-
-    /// The workers' addresses, in spawn (= shard) order. Killed workers
-    /// keep their slot: shard routing is positional.
-    pub fn addrs(&self) -> Vec<String> {
-        self.workers.iter().map(|w| w.addr.clone()).collect()
-    }
-
-    /// Number of workers in the fleet (dead ones included).
-    pub fn len(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// True when the fleet has no workers at all.
-    pub fn is_empty(&self) -> bool {
-        self.workers.is_empty()
-    }
-
-    /// Kill worker `i` (no-op for an out-of-range index or an
-    /// already-dead worker). Its address stays in [`WorkerFleet::addrs`]
-    /// so the requests sharded to it fail as transport errors — exactly
-    /// the mid-run worker-death scenario the fault tests exercise.
-    pub fn kill(&mut self, i: usize) {
-        if let Some(w) = self.workers.get_mut(i) {
-            w.kill();
-        }
-    }
-}
-
-impl Drop for WorkerFleet {
-    fn drop(&mut self) {
-        // Each Worker's own drop would do this too; doing it here
-        // keeps the whole fleet's teardown in one place and makes the
-        // contract explicit: dropping a fleet leaks no daemons.
-        for w in &mut self.workers {
-            w.shutdown_then_kill();
-        }
-    }
-}
-
 /// Knobs for [`FleetSupervisor`] health-checking and respawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorConfig {
@@ -184,8 +128,7 @@ pub struct SupervisorConfig {
     /// restart count, so concurrent respawns de-synchronize
     /// reproducibly).
     pub jitter_seed: u64,
-    /// Timeout for the per-slot `Ping` health probe (and for fleet-spec
-    /// publishes to workers).
+    /// Timeout for the per-slot `Ping` health probe.
     pub ping_timeout: Duration,
 }
 
@@ -221,12 +164,11 @@ struct SupervisedSlot {
 /// A self-healing fleet: spawned workers plus the health-check /
 /// respawn / republish loop.
 ///
-/// The supervisor owns the children (drop tears the fleet down) and a
+/// The supervisor owns the children (drop tears the fleet down) and the
 /// [`SharedFleetSpec`] that clients route over; every membership
-/// change bumps the spec's epoch and is pushed to all live workers via
-/// `SetFleet`. Call [`FleetSupervisor::supervise_once`] from your own
-/// loop, or hand the supervisor to [`FleetSupervisor::monitor`] for a
-/// background thread.
+/// change bumps the spec's epoch. Call
+/// [`FleetSupervisor::supervise_once`] from your own loop, or hand the
+/// supervisor to [`FleetSupervisor::monitor`] for a background thread.
 pub struct FleetSupervisor {
     bin: PathBuf,
     config: SupervisorConfig,
@@ -235,8 +177,9 @@ pub struct FleetSupervisor {
 }
 
 impl FleetSupervisor {
-    /// Spawn `n` workers from `bin` and publish the initial fleet spec
-    /// (epoch 1) to each of them.
+    /// Spawn `n` workers from `bin` under the initial fleet spec
+    /// (epoch 1). If any spawn fails, the already-started workers are
+    /// killed (via drop) before the error is returned.
     pub fn spawn(bin: &Path, n: usize, config: SupervisorConfig) -> io::Result<FleetSupervisor> {
         let mut slots = Vec::with_capacity(n);
         for _ in 0..n {
@@ -244,9 +187,7 @@ impl FleetSupervisor {
         }
         let addrs: Vec<String> = slots.iter().map(|s| s.worker.addr().to_string()).collect();
         let fleet = SharedFleetSpec::new(FleetSpec { epoch: 1, addrs });
-        let sup = FleetSupervisor { bin: bin.to_path_buf(), config, slots, fleet };
-        sup.push_spec_to_workers();
-        Ok(sup)
+        Ok(FleetSupervisor { bin: bin.to_path_buf(), config, slots, fleet })
     }
 
     /// The shared fleet spec clients should route over.
@@ -280,7 +221,8 @@ impl FleetSupervisor {
     }
 
     /// Kill the worker in `slot` (SIGKILL, no respawn until the next
-    /// supervision pass) — the chaos-test hook.
+    /// supervision pass) — the chaos-test hook. Its address stays in
+    /// the spec, so requests routed to it fail as transport errors.
     pub fn kill(&mut self, slot: usize) {
         if let Some(s) = self.slots.get_mut(slot) {
             s.worker.kill();
@@ -340,20 +282,11 @@ impl FleetSupervisor {
         Ok(())
     }
 
-    /// Bump the epoch, update the shared spec, and push it to every
-    /// worker (best effort — a dead worker learns the spec when it is
-    /// respawned).
+    /// Bump the epoch and publish the current addresses into the
+    /// shared spec.
     fn republish(&self) {
         let spec = FleetSpec { epoch: self.fleet.epoch() + 1, addrs: self.addrs() };
         self.fleet.publish(spec);
-        self.push_spec_to_workers();
-    }
-
-    fn push_spec_to_workers(&self) {
-        let spec = self.fleet.snapshot();
-        for slot in &self.slots {
-            let _ = client::set_fleet(slot.worker.addr(), &spec, self.config.ping_timeout);
-        }
     }
 
     /// Move the supervisor onto a background thread that runs

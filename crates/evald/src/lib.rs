@@ -21,9 +21,10 @@
 //!   frame server with cooperative shutdown that both `evald serve` and
 //!   `autofp serve` run on, and [`server::Server`], the worker protocol
 //!   on top of it.
-//! * [`fleet`] — fleet membership ([`fleet::SharedFleetSpec`], the
-//!   epoch-stamped spec the supervisor publishes and every backend
-//!   routes over) and per-worker [`fleet::CircuitBreaker`]s.
+//! * [`fleet`] — fleet membership ([`fleet::SharedFleetSpec`], the one
+//!   copy of the epoch-stamped [`fleet::FleetSpec`]: the supervisor
+//!   publishes it and every backend routes over it; workers hold no
+//!   membership) and per-worker [`fleet::CircuitBreaker`]s.
 //! * [`client`] — [`client::TcpBackend`] (persistent pooled
 //!   connections with reconnect-on-failure and per-slot circuit
 //!   breakers, shared through [`client::TcpPool`]) and
@@ -31,12 +32,12 @@
 //!   round-trips every byte through [`wire`]), both implementing
 //!   [`autofp_core::RemoteBackend`].
 //! * [`launch`] — spawning and supervising local worker processes:
-//!   [`launch::WorkerFleet`] (fixed fleet) and
 //!   [`launch::FleetSupervisor`] (health-checked respawn with capped
-//!   restarts and seeded-jitter backoff), used by the bench harness's
-//!   `--workers N` flag and the distributed test suite.
+//!   restarts and seeded-jitter backoff; left unsupervised, a fixed
+//!   fleet), used by the bench harness's `--workers N` flag and the
+//!   distributed test suite.
 //! * [`cli`] — the `evald` binary's command surface
-//!   (`serve`/`ping`/`health`/`stats`/`shutdown`).
+//!   (`serve`/`ping`/`stats`/`shutdown`).
 
 pub mod cli;
 pub mod client;
@@ -46,11 +47,9 @@ pub mod server;
 pub mod service;
 pub mod wire;
 
-pub use client::{
-    health, ping, set_fleet, shutdown, stats, HealthReport, LoopbackBackend, TcpBackend, TcpPool,
-};
-pub use fleet::{CircuitBreaker, SharedFleetSpec};
-pub use launch::{spawn_worker, FleetSupervisor, SupervisorConfig, Worker, WorkerFleet};
+pub use client::{ping, shutdown, stats, LoopbackBackend, TcpBackend, TcpPool};
+pub use fleet::{CircuitBreaker, FleetSpec, SharedFleetSpec};
+pub use launch::{FleetSupervisor, SupervisorConfig};
 pub use server::Server;
 pub use service::WorkerService;
-pub use wire::{EvalContext, FleetSpec, Request, Response, WorkerStats};
+pub use wire::{EvalContext, Request, Response, WorkerStats};

@@ -19,7 +19,7 @@
 //! it decoded frames from TCP, [`crate::client::LoopbackBackend`] feeds
 //! it the same frames in memory, and both get byte-identical responses.
 
-use crate::wire::{EvalContext, FleetSpec, Request, Response, WorkerStats};
+use crate::wire::{EvalContext, Request, Response, WorkerStats};
 use autofp_core::{
     BatchEvaluator, CacheStats, EvalCache, EvalError, Evaluator, PrefixCache, PrefixStats,
     SharedTrialStore, StoreMeta, TrialRepo,
@@ -59,9 +59,6 @@ pub struct WorkerService {
     contexts: Mutex<BTreeMap<String, Arc<ContextState>>>,
     /// Evaluation requests handled (cache hits included).
     served: AtomicU64,
-    /// The fleet spec this worker last adopted (epoch 0, empty until a
-    /// supervisor publishes one via [`Request::SetFleet`]).
-    fleet: Mutex<FleetSpec>,
 }
 
 impl WorkerService {
@@ -84,7 +81,6 @@ impl WorkerService {
             repo: None,
             contexts: Mutex::new(BTreeMap::new()),
             served: AtomicU64::new(0),
-            fleet: Mutex::new(FleetSpec::default()),
         }
     }
 
@@ -95,22 +91,6 @@ impl WorkerService {
     pub fn with_trial_repo(mut self, repo: TrialRepo) -> WorkerService {
         self.repo = Some(repo);
         self
-    }
-
-    /// The fleet spec this worker currently holds.
-    pub fn fleet(&self) -> FleetSpec {
-        self.fleet.lock().unwrap_or_else(PoisonError::into_inner).clone()
-    }
-
-    /// Adopt `spec` unless it is older than the one held (epochs are
-    /// monotonic; a slow supervisor must not roll the fleet back).
-    /// Returns the epoch held afterwards.
-    fn adopt_fleet(&self, spec: &FleetSpec) -> u64 {
-        let mut held = self.fleet.lock().unwrap_or_else(PoisonError::into_inner);
-        if spec.epoch >= held.epoch {
-            *held = spec.clone();
-        }
-        held.epoch
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Arc<ContextState>>> {
@@ -142,6 +122,11 @@ impl WorkerService {
         if !(ctx.scale > 0.0 && ctx.scale <= 1.0) {
             return Err(EvalError::Transport {
                 detail: format!("context scale {} outside (0, 1]", ctx.scale),
+            });
+        }
+        if !(0.0..=1.0).contains(&ctx.train_fraction) {
+            return Err(EvalError::Transport {
+                detail: format!("context train fraction {} outside [0, 1]", ctx.train_fraction),
             });
         }
         let key = ctx.canonical();
@@ -212,17 +197,6 @@ impl WorkerService {
         match req {
             Request::Ping | Request::Shutdown => Response::Pong,
             Request::Stats => Response::Stats(self.stats()),
-            Request::Health => {
-                let map = self.lock();
-                let contexts = map.len() as u64;
-                drop(map);
-                Response::Health {
-                    epoch: self.fleet.lock().unwrap_or_else(PoisonError::into_inner).epoch,
-                    served: self.served.load(Ordering::Relaxed),
-                    contexts,
-                }
-            }
-            Request::SetFleet(spec) => Response::FleetAck { epoch: self.adopt_fleet(spec) },
             Request::Describe(ctx) => match self.context(ctx) {
                 Ok(state) => Response::Described {
                     baseline_accuracy: state.evaluator.baseline_accuracy(),
@@ -230,6 +204,9 @@ impl WorkerService {
                 },
                 Err(err) => Response::Error(err),
             },
+            Request::Eval { fraction, .. } if fraction.is_nan() => {
+                Response::Error(EvalError::Transport { detail: "eval fraction is NaN".into() })
+            }
             Request::Eval { ctx, pipeline, fraction } => match self.context(ctx) {
                 Ok(state) => {
                     // The workspace's one cached-evaluation path, as a
@@ -242,7 +219,7 @@ impl WorkerService {
                         // lint:allow(panic-reach): a batch returns one trial per pipeline, and this one has a pipeline
                         .expect("a one-pipeline batch yields one trial");
                     self.served.fetch_add(1, Ordering::Relaxed);
-                    Response::Trial { trial, stats: self.stats() }
+                    Response::Trial(trial)
                 }
                 Err(err) => Response::Error(err),
             },
@@ -305,7 +282,8 @@ mod tests {
         let svc = WorkerService::new();
         let pipeline = Pipeline::from_kinds(&[PreprocKind::StandardScaler]);
         let resp = svc.handle(&Request::Eval { ctx: ctx(), pipeline: pipeline.clone(), fraction: 1.0 });
-        let Response::Trial { trial, stats } = resp else { panic!("expected Trial, got {resp:?}") };
+        let Response::Trial(trial) = resp else { panic!("expected Trial, got {resp:?}") };
+        let stats = svc.stats();
 
         let spec = spec_by_name("heart").expect("heart in registry");
         let local = Evaluator::new(&spec.generate(0.5), ctx().eval_config());
@@ -327,11 +305,10 @@ mod tests {
         };
         let first = svc.handle(&req);
         let second = svc.handle(&req);
-        let (Response::Trial { trial: a, .. }, Response::Trial { trial: b, stats }) =
-            (first, second)
-        else {
+        let (Response::Trial(a), Response::Trial(b)) = (first, second) else {
             panic!("expected two Trial responses");
         };
+        let stats = svc.stats();
         assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
@@ -379,6 +356,16 @@ mod tests {
         let nan_scale = EvalContext { scale: f64::NAN, ..ctx() };
         let resp = svc.handle(&Request::Describe(nan_scale));
         assert!(matches!(resp, Response::Error(EvalError::Transport { .. })), "{resp:?}");
+        for train_fraction in [f64::NAN, 1.5, -0.25] {
+            let bad = EvalContext { train_fraction, ..ctx() };
+            let resp = svc.handle(&Request::Describe(bad.clone()));
+            assert!(matches!(resp, Response::Error(EvalError::Transport { .. })), "{resp:?}");
+            let resp = svc.handle(&Request::Eval { ctx: bad, pipeline: Pipeline::empty(), fraction: 1.0 });
+            assert!(matches!(resp, Response::Error(EvalError::Transport { .. })), "{resp:?}");
+        }
+        let resp = svc.handle(&Request::Eval { ctx: ctx(), pipeline: Pipeline::empty(), fraction: f64::NAN });
+        assert!(matches!(resp, Response::Error(EvalError::Transport { .. })), "{resp:?}");
+        assert_eq!(svc.stats().served, 0, "rejected requests are not served");
     }
 
     #[test]
@@ -389,7 +376,8 @@ mod tests {
             Pipeline::from_kinds(&[PreprocKind::StandardScaler, PreprocKind::Normalizer, PreprocKind::MinMaxScaler]);
         let _ = svc.handle(&Request::Eval { ctx: ctx(), pipeline: shared, fraction: 1.0 });
         let resp = svc.handle(&Request::Eval { ctx: ctx(), pipeline: extended, fraction: 1.0 });
-        let Response::Trial { stats, .. } = resp else { panic!("expected Trial, got {resp:?}") };
+        assert!(matches!(resp, Response::Trial(_)), "expected Trial, got {resp:?}");
+        let stats = svc.stats();
         // The second pipeline extends the first, so its deepest-prefix
         // probe hits and skips both shared transform steps.
         assert_eq!(stats.prefix_hits, 1);
@@ -402,7 +390,8 @@ mod tests {
         let svc = WorkerService::with_caches(None, Some(0));
         let p = Pipeline::from_kinds(&[PreprocKind::StandardScaler]);
         let resp = svc.handle(&Request::Eval { ctx: ctx(), pipeline: p, fraction: 1.0 });
-        let Response::Trial { stats, .. } = resp else { panic!("expected Trial, got {resp:?}") };
+        assert!(matches!(resp, Response::Trial(_)), "expected Trial, got {resp:?}");
+        let stats = svc.stats();
         assert_eq!(stats.prefix_hits + stats.prefix_misses, 0, "no cache, no probes");
     }
 
@@ -417,48 +406,12 @@ mod tests {
         ] {
             let req = Request::Eval { ctx: ctx(), pipeline: Pipeline::from_kinds(&kinds), fraction: 1.0 };
             let (a, b) = (with.handle(&req), without.handle(&req));
-            let (Response::Trial { trial: a, .. }, Response::Trial { trial: b, .. }) = (a, b)
-            else {
+            let (Response::Trial(a), Response::Trial(b)) = (a, b) else {
                 panic!("expected two Trial responses");
             };
             assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits(), "{kinds:?}");
             assert_eq!(a.error.to_bits(), b.error.to_bits(), "{kinds:?}");
         }
-    }
-
-    #[test]
-    fn health_reports_epoch_served_and_contexts() {
-        let svc = WorkerService::new();
-        let resp = svc.handle(&Request::Health);
-        assert_eq!(resp, Response::Health { epoch: 0, served: 0, contexts: 0 });
-        let _ = svc.handle(&Request::Eval {
-            ctx: ctx(),
-            pipeline: Pipeline::empty(),
-            fraction: 1.0,
-        });
-        let resp = svc.handle(&Request::Health);
-        assert_eq!(resp, Response::Health { epoch: 0, served: 1, contexts: 1 });
-    }
-
-    #[test]
-    fn set_fleet_adopts_newer_specs_and_rejects_stale_ones() {
-        let svc = WorkerService::new();
-        let fresh = FleetSpec { epoch: 3, addrs: vec!["a:1".into(), "b:2".into()] };
-        assert_eq!(svc.handle(&Request::SetFleet(fresh.clone())), Response::FleetAck { epoch: 3 });
-        assert_eq!(svc.fleet(), fresh);
-
-        // A stale publish is acked with the held (higher) epoch and
-        // does not roll the spec back.
-        let stale = FleetSpec { epoch: 2, addrs: vec!["c:3".into()] };
-        assert_eq!(svc.handle(&Request::SetFleet(stale)), Response::FleetAck { epoch: 3 });
-        assert_eq!(svc.fleet(), fresh);
-
-        // Same-epoch republish is idempotent; newer wins.
-        let newer = FleetSpec { epoch: 4, addrs: vec!["d:4".into()] };
-        assert_eq!(svc.handle(&Request::SetFleet(newer.clone())), Response::FleetAck { epoch: 4 });
-        assert_eq!(svc.fleet(), newer);
-        let resp = svc.handle(&Request::Health);
-        assert_eq!(resp, Response::Health { epoch: 4, served: 0, contexts: 0 });
     }
 
     #[test]
@@ -476,7 +429,8 @@ mod tests {
         // First worker process: evaluates and persists.
         let first = WorkerService::new().with_trial_repo(TrialRepo::open(&dir).expect("open repo"));
         let resp = first.handle(&Request::Eval { ctx: ctx(), pipeline: p.clone(), fraction: 1.0 });
-        let Response::Trial { trial: a, stats } = resp else { panic!("expected Trial, got {resp:?}") };
+        let Response::Trial(a) = resp else { panic!("expected Trial, got {resp:?}") };
+        let stats = first.stats();
         assert_eq!(stats.preloaded, 0, "fresh store preloads nothing");
         assert_eq!(stats.misses, 1);
 
@@ -485,7 +439,8 @@ mod tests {
         // without evaluating.
         let second = WorkerService::new().with_trial_repo(TrialRepo::open(&dir).expect("reopen repo"));
         let resp = second.handle(&Request::Eval { ctx: ctx(), pipeline: p, fraction: 1.0 });
-        let Response::Trial { trial: b, stats } = resp else { panic!("expected Trial, got {resp:?}") };
+        let Response::Trial(b) = resp else { panic!("expected Trial, got {resp:?}") };
+        let stats = second.stats();
         assert_eq!(stats.preloaded, 1, "respawn preloads the persisted trial");
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 0);

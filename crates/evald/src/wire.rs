@@ -23,29 +23,6 @@ use std::io::{Read, Write};
 /// prefix must not make a worker allocate unbounded memory.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Hard cap on the number of worker addresses in a decoded
-/// [`FleetSpec`]; fleets are process-scale, so anything larger is a
-/// corrupt frame.
-pub const MAX_FLEET: u32 = 1024;
-
-/// An epoch-stamped description of the worker fleet: which addresses
-/// hold which slots, versioned so every party can tell stale specs
-/// from fresh ones.
-///
-/// The slot *index* (position in `addrs`) is a worker's routing
-/// identity — rendezvous hashing maps fingerprints to slots, so a
-/// respawned worker that comes back on a new port keeps its keyspace.
-/// `epoch` increases monotonically on every membership change
-/// (respawn, resize); receivers adopt a spec only if its epoch is not
-/// older than the one they hold.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FleetSpec {
-    /// Monotonic version of the fleet membership.
-    pub epoch: u64,
-    /// Worker addresses by slot index.
-    pub addrs: Vec<String>,
-}
-
 /// The evaluation context a request addresses: which dataset (by
 /// registry name) at which generation scale, evaluated under which
 /// [`EvalConfig`]. A worker keeps one evaluator + cache per distinct
@@ -145,12 +122,6 @@ pub enum Request {
     Stats,
     /// Ask the worker to stop accepting connections and exit.
     Shutdown,
-    /// Cheap health probe: answers with the worker's fleet epoch and
-    /// load counters without touching any evaluation context.
-    Health,
-    /// Publish a new fleet spec to the worker (supervisor -> worker on
-    /// membership change). The worker adopts it if not stale.
-    SetFleet(FleetSpec),
 }
 
 /// A worker-to-client message.
@@ -167,34 +138,13 @@ pub enum Response {
     },
     /// Answer to [`Request::Eval`]: the finished trial (worst-error
     /// trials included — their [`autofp_core::FailureKind`] rides on
-    /// the trial) and a stats snapshot taken after serving it.
-    Trial {
-        /// The evaluated (or worst-error) trial.
-        trial: Trial,
-        /// Worker counters after this request.
-        stats: WorkerStats,
-    },
+    /// the trial).
+    Trial(Trial),
     /// Answer to [`Request::Stats`].
     Stats(WorkerStats),
     /// The request could not be served (unknown dataset, malformed
     /// frame reflected back, ...).
     Error(EvalError),
-    /// Answer to [`Request::Health`].
-    Health {
-        /// Epoch of the fleet spec the worker holds (0 until told).
-        epoch: u64,
-        /// Evaluation requests handled so far.
-        served: u64,
-        /// Distinct evaluation contexts materialized.
-        contexts: u64,
-    },
-    /// Answer to [`Request::SetFleet`]: the epoch the worker holds
-    /// after considering the published spec (equal to the published
-    /// epoch when adopted, higher when the publish was stale).
-    FleetAck {
-        /// The worker's post-publish fleet epoch.
-        epoch: u64,
-    },
 }
 
 fn transport(detail: impl Into<String>) -> EvalError {
@@ -304,27 +254,6 @@ fn dec_stats(d: &mut Dec) -> Result<WorkerStats, EvalError> {
     })
 }
 
-fn enc_fleet_spec(e: &mut Enc, spec: &FleetSpec) {
-    e.u64(spec.epoch);
-    e.u32(spec.addrs.len() as u32);
-    for addr in &spec.addrs {
-        e.string(addr);
-    }
-}
-
-fn dec_fleet_spec(d: &mut Dec) -> Result<FleetSpec, EvalError> {
-    let epoch = d.u64()?;
-    let n = d.u32()?;
-    if n > MAX_FLEET {
-        return Err(transport(format!("fleet of {n} workers exceeds MAX_FLEET")));
-    }
-    let mut addrs = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        addrs.push(d.string()?);
-    }
-    Ok(FleetSpec { epoch, addrs })
-}
-
 fn enc_error(e: &mut Enc, err: &EvalError) {
     match err {
         EvalError::NonFiniteTransform { detail } => {
@@ -370,16 +299,12 @@ const REQ_DESCRIBE: u8 = 1;
 const REQ_EVAL: u8 = 2;
 const REQ_STATS: u8 = 3;
 const REQ_SHUTDOWN: u8 = 4;
-const REQ_HEALTH: u8 = 5;
-const REQ_SET_FLEET: u8 = 6;
 
 const RESP_PONG: u8 = 0;
 const RESP_DESCRIBED: u8 = 1;
 const RESP_TRIAL: u8 = 2;
 const RESP_STATS: u8 = 3;
 const RESP_ERROR: u8 = 4;
-const RESP_HEALTH: u8 = 5;
-const RESP_FLEET_ACK: u8 = 6;
 
 /// Canonical bytes of a [`Request`].
 pub fn encode_request(req: &Request) -> Vec<u8> {
@@ -399,12 +324,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         Request::Stats => Enc::tagged(REQ_STATS).into_bytes(),
         Request::Shutdown => Enc::tagged(REQ_SHUTDOWN).into_bytes(),
-        Request::Health => Enc::tagged(REQ_HEALTH).into_bytes(),
-        Request::SetFleet(spec) => {
-            let mut e = Enc::tagged(REQ_SET_FLEET);
-            enc_fleet_spec(&mut e, spec);
-            e.into_bytes()
-        }
     }
 }
 
@@ -422,8 +341,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, EvalError> {
         }
         REQ_STATS => Request::Stats,
         REQ_SHUTDOWN => Request::Shutdown,
-        REQ_HEALTH => Request::Health,
-        REQ_SET_FLEET => Request::SetFleet(dec_fleet_spec(&mut d)?),
         tag => return Err(transport(format!("bad request tag {tag}"))),
     };
     d.finish()?;
@@ -440,10 +357,9 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             e.u64(*train_rows);
             e.into_bytes()
         }
-        Response::Trial { trial, stats } => {
+        Response::Trial(trial) => {
             let mut e = Enc::tagged(RESP_TRIAL);
             enc_trial(&mut e, trial);
-            enc_stats(&mut e, stats);
             e.into_bytes()
         }
         Response::Stats(stats) => {
@@ -454,18 +370,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Error(err) => {
             let mut e = Enc::tagged(RESP_ERROR);
             enc_error(&mut e, err);
-            e.into_bytes()
-        }
-        Response::Health { epoch, served, contexts } => {
-            let mut e = Enc::tagged(RESP_HEALTH);
-            e.u64(*epoch);
-            e.u64(*served);
-            e.u64(*contexts);
-            e.into_bytes()
-        }
-        Response::FleetAck { epoch } => {
-            let mut e = Enc::tagged(RESP_FLEET_ACK);
-            e.u64(*epoch);
             e.into_bytes()
         }
     }
@@ -480,19 +384,9 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, EvalError> {
             baseline_accuracy: d.f64()?,
             train_rows: d.u64()?,
         },
-        RESP_TRIAL => {
-            let trial = dec_trial(&mut d)?;
-            let stats = dec_stats(&mut d)?;
-            Response::Trial { trial, stats }
-        }
+        RESP_TRIAL => Response::Trial(dec_trial(&mut d)?),
         RESP_STATS => Response::Stats(dec_stats(&mut d)?),
         RESP_ERROR => Response::Error(dec_error(&mut d)?),
-        RESP_HEALTH => Response::Health {
-            epoch: d.u64()?,
-            served: d.u64()?,
-            contexts: d.u64()?,
-        },
-        RESP_FLEET_ACK => Response::FleetAck { epoch: d.u64()? },
         tag => return Err(transport(format!("bad response tag {tag}"))),
     };
     d.finish()?;
@@ -558,13 +452,6 @@ mod tests {
         }
     }
 
-    fn fleet_spec() -> FleetSpec {
-        FleetSpec {
-            epoch: 7,
-            addrs: vec!["127.0.0.1:4101".to_string(), "127.0.0.1:4102".to_string()],
-        }
-    }
-
     fn all_requests() -> Vec<Request> {
         vec![
             Request::Ping,
@@ -572,9 +459,6 @@ mod tests {
             Request::Eval { ctx: ctx(), pipeline: every_step_pipeline(), fraction: 0.25 },
             Request::Stats,
             Request::Shutdown,
-            Request::Health,
-            Request::SetFleet(fleet_spec()),
-            Request::SetFleet(FleetSpec::default()),
         ]
     }
 
@@ -590,10 +474,8 @@ mod tests {
         let mut out = vec![
             Response::Pong,
             Response::Described { baseline_accuracy: 0.5, train_rows: 193 },
-            Response::Trial { trial: trial(), stats: stats() },
+            Response::Trial(trial()),
             Response::Stats(stats()),
-            Response::Health { epoch: 7, served: 41, contexts: 3 },
-            Response::FleetAck { epoch: 9 },
         ];
         out.extend(errors.drain(..).map(Response::Error));
         out
@@ -661,30 +543,6 @@ mod tests {
         // Error response carrying a Transport error.
         let err = encode_response(&Response::Error(EvalError::Transport { detail: "x".into() }));
         assert_eq!(err, vec![4, 5, 1, 0, 0, 0, b'x']);
-
-        // Health probe and answer.
-        assert_eq!(encode_request(&Request::Health), vec![5u8]);
-        let health = encode_response(&Response::Health { epoch: 7, served: 41, contexts: 3 });
-        let mut expect: Vec<u8> = vec![5];
-        expect.extend_from_slice(&7u64.to_le_bytes());
-        expect.extend_from_slice(&41u64.to_le_bytes());
-        expect.extend_from_slice(&3u64.to_le_bytes());
-        assert_eq!(health, expect);
-
-        // SetFleet(epoch 7, two addrs) and its ack.
-        let set = encode_request(&Request::SetFleet(fleet_spec()));
-        let mut expect: Vec<u8> = vec![6];
-        expect.extend_from_slice(&7u64.to_le_bytes());
-        expect.extend_from_slice(&2u32.to_le_bytes());
-        for addr in &fleet_spec().addrs {
-            expect.extend_from_slice(&(addr.len() as u32).to_le_bytes());
-            expect.extend_from_slice(addr.as_bytes());
-        }
-        assert_eq!(set, expect);
-        let ack = encode_response(&Response::FleetAck { epoch: 9 });
-        let mut expect: Vec<u8> = vec![6];
-        expect.extend_from_slice(&9u64.to_le_bytes());
-        assert_eq!(ack, expect);
     }
 
     /// Golden bytes of the full trial layout: every step kind with a
@@ -709,21 +567,7 @@ mod tests {
         expect.extend_from_slice(&987_654_321u64.to_le_bytes());
         expect.extend_from_slice(&0.5f64.to_bits().to_le_bytes());
         expect.extend_from_slice(&[1, 5]); // failed, Transport = FailureKind::ALL[5]
-        for v in [10u64, 2, 4, 6, 6, 1, 42_000, 9, 3, 2, 17, 5] {
-            expect.extend_from_slice(&v.to_le_bytes());
-        }
-        assert_eq!(encode_response(&Response::Trial { trial: trial(), stats: stats() }), expect);
-    }
-
-    #[test]
-    fn oversized_fleet_spec_is_rejected() {
-        // Hand-build a SetFleet frame claiming MAX_FLEET + 1 addresses;
-        // the decoder must reject it on the count, before reading them.
-        let mut bytes: Vec<u8> = vec![6];
-        bytes.extend_from_slice(&1u64.to_le_bytes());
-        bytes.extend_from_slice(&(MAX_FLEET + 1).to_le_bytes());
-        let err = decode_request(&bytes).unwrap_err();
-        assert!(format!("{err}").contains("MAX_FLEET"), "{err}");
+        assert_eq!(encode_response(&Response::Trial(trial())), expect);
     }
 
     #[test]
@@ -749,9 +593,11 @@ mod tests {
                 );
             }
         }
-        // Corrupt tags and fields.
-        assert!(decode_request(&[99]).is_err());
-        assert!(decode_response(&[99]).is_err());
+        // Corrupt tags and fields; 5 and 6 are unassigned on both sides.
+        for tag in [5, 6, 99] {
+            assert!(decode_request(&[tag]).is_err(), "request tag {tag}");
+            assert!(decode_response(&[tag]).is_err(), "response tag {tag}");
+        }
         assert!(decode_request(&[]).is_err());
         // Bad model code inside Describe.
         let mut bytes = encode_request(&Request::Describe(ctx()));
@@ -771,7 +617,7 @@ mod tests {
     fn corrupt_bytes_never_panic_exhaustively() {
         // Flip every byte of a rich message to a handful of values; the
         // decoder must return (Ok or Err), never panic.
-        let bytes = encode_response(&Response::Trial { trial: trial(), stats: stats() });
+        let bytes = encode_response(&Response::Trial(trial()));
         for i in 0..bytes.len() {
             for v in [0u8, 1, 2, 127, 255] {
                 let mut mutated = bytes.clone();

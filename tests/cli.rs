@@ -117,7 +117,7 @@ fn evald_rejects_bad_usage_with_exit_two() {
     let (_, stderr, code) = evald(&["frobnicate"]);
     assert_eq!(code, Some(2));
     assert!(stderr.contains("unknown command"), "{stderr}");
-    let (_, stderr, code) = evald(&["health"]);
+    let (_, stderr, code) = evald(&["stats"]);
     assert_eq!(code, Some(2));
     assert!(stderr.contains("needs a worker address"), "{stderr}");
     let (_, stderr, code) = evald(&["serve", "--port", "notaport"]);

@@ -11,7 +11,7 @@
 //! full stack is exercised: process spawn → TCP → wire protocol →
 //! worker-local dataset regeneration → sharded cache → response.
 
-use autofp::evald::{FleetSupervisor, SupervisorConfig, WorkerFleet};
+use autofp::evald::{FleetSupervisor, SupervisorConfig};
 use autofp_bench::{run_matrix, HarnessConfig, MatrixOutcome};
 use autofp_core::{Budget, FailureKind};
 use autofp_data::{registry, DatasetSpec};
@@ -66,8 +66,11 @@ fn evald_bin() -> &'static Path {
     Path::new(env!("CARGO_BIN_EXE_evald"))
 }
 
-fn spawn_fleet(n: usize) -> WorkerFleet {
-    WorkerFleet::spawn(evald_bin(), n).expect("spawn evald workers")
+/// A fixed fleet: a supervisor that nothing supervises, so a killed
+/// worker keeps its slot and is never respawned.
+fn spawn_fleet(n: usize) -> FleetSupervisor {
+    FleetSupervisor::spawn(evald_bin(), n, SupervisorConfig::default())
+        .expect("spawn evald workers")
 }
 
 /// A supervisor tuned for tests: instant-ish respawn (tiny backoff) and
@@ -105,7 +108,7 @@ fn sharded_two_worker_run_is_bit_identical_to_in_process() {
     let local = canonical(&run_matrix(&specs, &models, &algs, &cfg));
 
     let fleet = spawn_fleet(2);
-    cfg.remote_addrs = fleet.addrs();
+    cfg.fleet = Some(fleet.fleet());
     let remote = run_matrix(&specs, &models, &algs, &cfg);
     assert_eq!(
         local,
@@ -127,7 +130,7 @@ fn sharded_two_worker_run_is_bit_identical_to_in_process() {
 fn killed_worker_fails_over_with_bit_identical_results() {
     let (specs, models, algs, mut cfg) = mini_config();
     let mut fleet = spawn_fleet(2);
-    cfg.remote_addrs = fleet.addrs();
+    cfg.fleet = Some(fleet.fleet());
 
     // Warm run against the healthy fleet (also proves both workers are
     // actually serving before we kill one).
@@ -162,7 +165,7 @@ fn killed_worker_fails_over_with_bit_identical_results() {
 fn fully_dead_fleet_degrades_to_deterministic_transport_failures() {
     let (specs, models, algs, mut cfg) = mini_config();
     let mut fleet = spawn_fleet(2);
-    cfg.remote_addrs = fleet.addrs();
+    cfg.fleet = Some(fleet.fleet());
     fleet.kill(0);
     fleet.kill(1);
 
@@ -193,7 +196,7 @@ fn supervisor_respawns_a_worker_killed_mid_run_bit_identically() {
     let local = canonical(&run_matrix(&specs, &models, &algs, &cfg));
 
     let mut supervisor = spawn_supervised(2);
-    cfg.fleet_spec = Some(supervisor.fleet());
+    cfg.fleet = Some(supervisor.fleet());
     let addrs = supervisor.addrs();
 
     let outcome = std::thread::scope(|scope| {
@@ -235,7 +238,7 @@ fn resizing_the_fleet_mid_run_keeps_results_bit_identical() {
     let local = canonical(&run_matrix(&specs, &models, &algs, &cfg));
 
     let mut supervisor = spawn_supervised(2);
-    cfg.fleet_spec = Some(supervisor.fleet());
+    cfg.fleet = Some(supervisor.fleet());
     let addrs = supervisor.addrs();
 
     let outcome = std::thread::scope(|scope| {
