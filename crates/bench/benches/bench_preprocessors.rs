@@ -1,13 +1,21 @@
 //! Microbenchmarks of the seven preprocessors, plus the DESIGN.md
 //! ablations: Yeo-Johnson λ-search cost and QuantileTransformer
-//! resolution. These costs are the "Prep" phase of Figure 7.
+//! resolution. These costs are the "Prep" phase of Figure 7. The
+//! `serve_transform_steps` group prices each fitted step of the served
+//! artifact per value, the floor of the serving path's Prep layer.
 
 use autofp_bench::HarnessConfig;
-use autofp_data::{spec_by_name, SynthConfig};
+use autofp_core::EvalConfig;
+use autofp_data::{spec_by_name, Personality, SynthConfig};
+use autofp_linalg::Matrix;
+use autofp_models::classifier::ModelKind;
+use autofp_preprocess::artifact::step_kind;
 use autofp_preprocess::power::optimal_lambda;
-use autofp_preprocess::{OutputDist, Preproc, PreprocKind};
+use autofp_preprocess::{OutputDist, Pipeline, Preproc, PreprocKind};
+use autofp_serve::fit_artifact;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 fn bench_each_preprocessor(c: &mut Criterion) {
     let dataset = SynthConfig::new("bench-prep", 1000, 20, 2, 5).generate();
@@ -91,12 +99,67 @@ fn bench_pipeline_depth(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_serve_transform_steps(_: &mut Criterion) {
+    // The serve-tcp workload's artifact: Standard -> Power -> Quantile
+    // -> MinMax fitted on its 4,000 x 24 training set. Each fitted
+    // step's `transform` is timed alone, on 256-row chunks of the rows
+    // that reach it, and reported in ns per transformed value.
+    const CHUNK_ROWS: usize = 256;
+    const PASSES: usize = 50;
+    let personality = Personality { scale_spread: 5.0, skew: 0.3, ..Personality::default() };
+    let dataset =
+        SynthConfig::new("serve-tcp", 4_000, 24, 3, 7).with_personality(personality).generate();
+    let pipeline = Pipeline::from_kinds(&[
+        PreprocKind::StandardScaler,
+        PreprocKind::PowerTransformer,
+        PreprocKind::QuantileTransformer,
+        PreprocKind::MinMaxScaler,
+    ]);
+    let config = EvalConfig { model: ModelKind::Lr, seed: 7, ..EvalConfig::default() };
+    let artifact = fit_artifact(&dataset, &pipeline, &config).expect("artifact fits");
+    let cols = dataset.x.ncols();
+    let mut chunks: Vec<Matrix> = dataset
+        .x
+        .as_slice()
+        .chunks_exact(CHUNK_ROWS * cols)
+        .map(|c| Matrix::from_vec(CHUNK_ROWS, cols, c.to_vec()))
+        .collect();
+    let values = (chunks.len() * CHUNK_ROWS * cols) as f64;
+    let mut total = 0.0;
+    for step in artifact.pipeline.steps() {
+        // Best of `PASSES` passes over every chunk, each pass on fresh
+        // copies of the step's input.
+        let mut best = Duration::MAX;
+        for _ in 0..PASSES {
+            let mut elapsed = Duration::ZERO;
+            for chunk in &chunks {
+                let mut x = chunk.clone();
+                let start = Instant::now();
+                step.transform(&mut x);
+                elapsed += start.elapsed();
+                black_box(&x);
+            }
+            best = best.min(elapsed);
+        }
+        let ns = best.as_secs_f64() * 1e9 / values;
+        total += ns;
+        let name = format!("serve_transform_steps/{}", step_kind(step).name());
+        println!("bench: {name:<48} {ns:>12.2} ns/value ({CHUNK_ROWS}-row chunks)");
+        // The next step sees this step's output.
+        for chunk in &mut chunks {
+            step.transform(chunk);
+        }
+    }
+    println!("bench: {:<48} {total:>12.2} ns/value", "serve_transform_steps/total");
+}
+
 criterion_group!(
     benches,
     bench_each_preprocessor,
     bench_yeo_johnson_lambda,
     bench_power_wide,
     bench_quantile_resolution,
-    bench_pipeline_depth
+    bench_pipeline_depth,
+    bench_serve_transform_steps
 );
 criterion_main!(benches);

@@ -32,8 +32,7 @@ fn main() {
     );
 
     // Per model: (dataset, label) pairs, computed in parallel per dataset.
-    let datasets: Vec<autofp_data::Dataset> =
-        specs.iter().map(|s| cfg.generate(s)).collect();
+    let datasets = cfg.generate_all(&specs);
     let mut cells = Vec::new();
     for di in 0..datasets.len() {
         for m in ModelKind::ALL {

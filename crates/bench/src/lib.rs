@@ -367,6 +367,12 @@ impl HarnessConfig {
         spec.generate(self.effective_scale(spec))
     }
 
+    /// [`HarnessConfig::generate`] for every spec, fanned across
+    /// `threads` pool workers; the result is in `specs` order.
+    pub fn generate_all(&self, specs: &[DatasetSpec]) -> Vec<Dataset> {
+        pool_map(self.threads.max(1), specs.len(), |i| self.generate(&specs[i]))
+    }
+
     /// A fresh trial cache honoring `cache_capacity`.
     pub fn new_cache(&self) -> EvalCache {
         match self.cache_capacity {
@@ -552,8 +558,10 @@ pub fn run_matrix_with<F>(
 where
     F: Fn(&Dataset, EvalConfig, Option<&PrefixCache>) -> Box<dyn Evaluate> + Sync,
 {
-    // Generate datasets once, share across threads.
-    let datasets: Vec<Dataset> = specs.iter().map(|s| config.generate(s)).collect();
+    // Set-up fans out over `config.threads` like the cells do, but it
+    // ends before the first cell starts, so no cell's time hides any of
+    // it. Generate datasets once, share across threads.
+    let datasets = config.generate_all(specs);
 
     // One prefix cache per dataset, shared across every model group:
     // prefix keys exclude the model, so LR/XGB/MLP cells over one
@@ -574,28 +582,25 @@ where
 
     // Evaluators are built once per (dataset, model) to share the
     // baseline measurement across algorithms; under `CacheMode::Shared`
-    // the group also owns the cache all of its cells reuse.
-    let evaluators: Vec<Vec<Box<dyn Evaluate>>> = datasets
-        .iter()
-        .enumerate()
-        .map(|(di, d)| {
-            models
-                .iter()
-                .map(|&m| {
-                    make_eval(
-                        d,
-                        EvalConfig {
-                            model: m,
-                            train_fraction: 0.8,
-                            seed: config.seed,
-                            train_subsample: None,
-                        },
-                        prefix_caches.as_ref().map(|caches| &caches[di]),
-                    )
-                })
-                .collect()
-        })
-        .collect();
+    // the group also owns the cache all of its cells reuse. Group `g`
+    // is (dataset `g / models.len()`, model `g % models.len()`), so the
+    // in-order pool result reshapes into `evaluators[di][mi]`.
+    let mut built = pool_map(config.threads.max(1), datasets.len() * models.len(), |g| {
+        let di = g / models.len();
+        make_eval(
+            &datasets[di],
+            EvalConfig {
+                model: models[g % models.len()],
+                train_fraction: 0.8,
+                seed: config.seed,
+                train_subsample: None,
+            },
+            prefix_caches.as_ref().map(|caches| &caches[di]),
+        )
+    })
+    .into_iter();
+    let evaluators: Vec<Vec<Box<dyn Evaluate>>> =
+        datasets.iter().map(|_| built.by_ref().take(models.len()).collect()).collect();
     let group_caches: Vec<Vec<EvalCache>> = if config.cache_mode == CacheMode::Shared {
         datasets
             .iter()
@@ -1010,6 +1015,36 @@ mod tests {
     }
 
     #[test]
+    fn matrix_setup_builds_group_evaluators_concurrently() {
+        // Each factory call announces itself on its own channel, then
+        // waits for the other call's announcement: both arrive only if
+        // both calls are in flight at once. Serial construction leaves
+        // the first call waiting out its timeout.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::{mpsc, Mutex};
+        let mut cfg = HarnessConfig::default();
+        cfg.budget = Budget::evals(2);
+        cfg.threads = 2;
+        let specs: Vec<DatasetSpec> = registry().into_iter().take(1).collect();
+        let models = [ModelKind::Lr, ModelKind::Xgb];
+        let (to_xgb, from_lr) = mpsc::channel();
+        let (to_lr, from_xgb) = mpsc::channel();
+        let ends = [(to_xgb, Mutex::new(from_xgb)), (to_lr, Mutex::new(from_lr))];
+        let met = AtomicUsize::new(0);
+        let outcome = run_matrix_with(&specs, &models, &[AlgName::Rs], &cfg, |d, c, _| {
+            let (to_peer, from_peer) = &ends[usize::from(c.model == ModelKind::Xgb)];
+            to_peer.send(()).expect("peer receiver lives as long as the test");
+            let peer = from_peer.lock().expect("one caller per receiver");
+            if peer.recv_timeout(Duration::from_secs(10)).is_ok() {
+                met.fetch_add(1, Ordering::SeqCst);
+            }
+            Box::new(Evaluator::new(d, c))
+        });
+        assert_eq!(met.into_inner(), 2, "both factory calls must be in flight together");
+        assert_eq!(outcome.cells.len(), 2);
+    }
+
+    #[test]
     fn cache_modes_agree_on_results() {
         let mut cfg = HarnessConfig::default();
         cfg.scale = 0.2;
@@ -1222,8 +1257,7 @@ pub mod automl_cmp {
         );
         println!("({} datasets, budget {:?}, scale {})\n", specs.len(), cfg.budget, cfg.scale);
 
-        let datasets: Vec<autofp_data::Dataset> =
-            specs.iter().map(|s| cfg.generate(s)).collect();
+        let datasets = cfg.generate_all(&specs);
         let mut cells = Vec::new();
         for di in 0..datasets.len() {
             for m in ModelKind::ALL {

@@ -77,43 +77,56 @@ impl Drop for Worker {
     }
 }
 
+/// A started `evald serve` child that has not yet reported its
+/// address. Dropping it unreported kills and reaps the child.
+struct Starting {
+    child: Option<Child>,
+}
+
+impl Starting {
+    /// Start the binary at `bin` as a worker without waiting for it.
+    fn start(bin: &Path) -> io::Result<Starting> {
+        let child = Command::new(bin)
+            .args(["serve"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit())
+            .spawn()?;
+        Ok(Starting { child: Some(child) })
+    }
+
+    /// Wait until the worker reports its address. On any failure the
+    /// child is killed and reaped (by drop) before the error returns.
+    fn ready(mut self) -> io::Result<Worker> {
+        let stdout = self.child.as_mut().and_then(|c| c.stdout.take());
+        let stdout = stdout.ok_or_else(|| io::Error::other("worker stdout was not captured"))?;
+        let mut lines = BufReader::new(stdout).lines();
+        while let Some(line) = lines.next() {
+            let line = line?;
+            let Some(addr) = line.strip_prefix(READY_PREFIX) else { continue };
+            let addr = addr.trim().to_string();
+            // Drain any further stdout on a detached thread so the
+            // worker never blocks on a full pipe.
+            std::thread::spawn(move || for _ in lines {});
+            let child = self.child.take().ok_or_else(|| io::Error::other("worker reaped"))?;
+            return Ok(Worker { child, addr });
+        }
+        Err(io::Error::other("worker exited before reporting its address"))
+    }
+}
+
+impl Drop for Starting {
+    fn drop(&mut self) {
+        if let Some(child) = &mut self.child {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
 /// Spawn one `evald serve` worker from the binary at `bin` and wait
 /// until it reports its address.
 fn spawn_worker(bin: &Path) -> io::Result<Worker> {
-    let mut child = Command::new(bin)
-        .args(["serve"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()?;
-    let Some(stdout) = child.stdout.take() else {
-        let _ = child.kill();
-        let _ = child.wait();
-        return Err(io::Error::other("worker stdout was not captured"));
-    };
-    let mut lines = BufReader::new(stdout).lines();
-    loop {
-        match lines.next() {
-            Some(Ok(line)) => {
-                if let Some(addr) = line.strip_prefix(READY_PREFIX) {
-                    let addr = addr.trim().to_string();
-                    // Drain any further stdout on a detached thread so
-                    // the worker never blocks on a full pipe.
-                    std::thread::spawn(move || for _ in lines {});
-                    return Ok(Worker { child, addr });
-                }
-            }
-            Some(Err(e)) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(e);
-            }
-            None => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(io::Error::other("worker exited before reporting its address"));
-            }
-        }
-    }
+    Starting::start(bin)?.ready()
 }
 
 /// Knobs for [`FleetSupervisor`] health-checking and respawn.
@@ -178,13 +191,16 @@ pub struct FleetSupervisor {
 
 impl FleetSupervisor {
     /// Spawn `n` workers from `bin` under the initial fleet spec
-    /// (epoch 1). If any spawn fails, the already-started workers are
-    /// killed (via drop) before the error is returned.
+    /// (epoch 1). All `n` children start before any ready line is
+    /// read, so they boot concurrently; the lines are then read in slot
+    /// order. If any worker fails to start or report, every started
+    /// child is killed and reaped (via drop) before the error returns.
     pub fn spawn(bin: &Path, n: usize, config: SupervisorConfig) -> io::Result<FleetSupervisor> {
-        let mut slots = Vec::with_capacity(n);
-        for _ in 0..n {
-            slots.push(SupervisedSlot { worker: spawn_worker(bin)?, restarts: 0 });
-        }
+        let started = (0..n).map(|_| Starting::start(bin)).collect::<io::Result<Vec<_>>>()?;
+        let slots = started
+            .into_iter()
+            .map(|s| Ok(SupervisedSlot { worker: s.ready()?, restarts: 0 }))
+            .collect::<io::Result<Vec<_>>>()?;
         let addrs: Vec<String> = slots.iter().map(|s| s.worker.addr().to_string()).collect();
         let fleet = SharedFleetSpec::new(FleetSpec { epoch: 1, addrs });
         Ok(FleetSupervisor { bin: bin.to_path_buf(), config, slots, fleet })
@@ -378,6 +394,21 @@ mod tests {
         // zero.
         let zero = SupervisorConfig { backoff: Duration::ZERO, ..config };
         assert_eq!(respawn_backoff(&zero, 3, 2), Duration::ZERO);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_spawn_kills_and_reaps_every_started_child() {
+        // The children this test thread forked, zombies included: a
+        // child that was started but never reaped would stay listed.
+        let children =
+            || std::fs::read_to_string("/proc/thread-self/children").expect("procfs children list");
+        assert_eq!(children().trim(), "");
+        // `/bin/true` exits without a ready line, so slot 0 fails while
+        // slot 1 has already been started.
+        let fleet = FleetSupervisor::spawn(Path::new("/bin/true"), 2, SupervisorConfig::default());
+        assert!(fleet.is_err(), "a worker that never reports must fail the spawn");
+        assert_eq!(children().trim(), "", "every started child is killed and reaped");
     }
 
     /// The respawn schedule is a pure function of the config; these

@@ -14,7 +14,9 @@
 //! and decoding is **total**: arbitrary bytes produce `Ok` or
 //! [`DecodeError`], never a panic, unbounded allocation, or an
 //! out-of-bounds index in later `transform` calls (structural
-//! invariants such as paired vector lengths are enforced here).
+//! invariants such as paired vector lengths are enforced here, and so
+//! are the value invariants `transform` relies on: finite parameters
+//! and positive divisors).
 
 use crate::kinds::PreprocKind;
 use crate::pipeline::{FittedPipeline, MAX_STEPS};
@@ -66,14 +68,55 @@ pub fn step_kind(step: &FittedPreproc) -> PreprocKind {
     }
 }
 
+/// Number of columns a fitted step carries parameters for; `None` for
+/// the column-agnostic steps (Binarizer, Normalizer).
+pub fn step_width(step: &FittedPreproc) -> Option<usize> {
+    match step {
+        FittedPreproc::Binarizer { .. } | FittedPreproc::Normalizer { .. } => None,
+        FittedPreproc::MaxAbs { scale } => Some(scale.len()),
+        FittedPreproc::MinMax { mins, .. } => Some(mins.len()),
+        FittedPreproc::Power(p) => Some(p.lambdas.len()),
+        FittedPreproc::Quantile(q) => Some(q.references.len()),
+        FittedPreproc::Standard { means, .. } => Some(means.len()),
+    }
+}
+
+/// A decoded parameter vector that must be finite: a NaN or ±inf
+/// parameter would silently poison every value it transforms.
+fn finite(d: &mut Dec<'_>, what: &str) -> Result<Vec<f64>, DecodeError> {
+    let v = d.f64_vec()?;
+    if v.iter().all(|x| x.is_finite()) {
+        Ok(v)
+    } else {
+        Err(DecodeError::new(format!("non-finite {what}")))
+    }
+}
+
+/// A decoded vector of divisors: finite and strictly positive, as `fit`
+/// leaves them (a constant column gets 1, never 0).
+fn divisors(d: &mut Dec<'_>, what: &str) -> Result<Vec<f64>, DecodeError> {
+    let v = finite(d, what)?;
+    if v.iter().all(|&x| x > 0.0) {
+        Ok(v)
+    } else {
+        Err(DecodeError::new(format!("non-positive {what}")))
+    }
+}
+
 fn dec_step(d: &mut Dec<'_>) -> Result<FittedPreproc, DecodeError> {
     let tag = d.u8()?;
     match tag {
-        0 => Ok(FittedPreproc::Binarizer { threshold: d.f64()? }),
-        1 => Ok(FittedPreproc::MaxAbs { scale: d.f64_vec()? }),
+        0 => {
+            let threshold = d.f64()?;
+            if !threshold.is_finite() {
+                return Err(DecodeError::new("non-finite binarizer threshold"));
+            }
+            Ok(FittedPreproc::Binarizer { threshold })
+        }
+        1 => Ok(FittedPreproc::MaxAbs { scale: divisors(d, "maxabs scale")? }),
         2 => {
-            let mins = d.f64_vec()?;
-            let ranges = d.f64_vec()?;
+            let mins = finite(d, "minmax mins")?;
+            let ranges = divisors(d, "minmax ranges")?;
             if mins.len() != ranges.len() {
                 return Err(DecodeError::new("minmax mins/ranges length mismatch"));
             }
@@ -87,9 +130,9 @@ fn dec_step(d: &mut Dec<'_>) -> Result<FittedPreproc, DecodeError> {
         }
         4 => {
             let standardize = d.bool()?;
-            let lambdas = d.f64_vec()?;
-            let means = d.f64_vec()?;
-            let stds = d.f64_vec()?;
+            let lambdas = finite(d, "power lambdas")?;
+            let means = finite(d, "power means")?;
+            let stds = divisors(d, "power stds")?;
             if means.len() != lambdas.len() || stds.len() != lambdas.len() {
                 return Err(DecodeError::new("power lambda/mean/std length mismatch"));
             }
@@ -107,17 +150,21 @@ fn dec_step(d: &mut Dec<'_>) -> Result<FittedPreproc, DecodeError> {
             }
             let mut references = Vec::with_capacity(cols);
             for _ in 0..cols {
-                let refs = d.f64_vec()?;
+                let refs = finite(d, "quantile references")?;
                 if refs.len() < 2 {
                     return Err(DecodeError::new("quantile reference table shorter than 2"));
                 }
+                // A table need not be sorted: `fit` interpolates between
+                // tied values and can round one ulp up, so fitted tables
+                // may decrease by an ulp. `transform` stays in bounds for
+                // any finite table.
                 references.push(refs);
             }
             Ok(FittedPreproc::Quantile(FittedQuantile { references, output }))
         }
         6 => {
-            let means = d.f64_vec()?;
-            let stds = d.f64_vec()?;
+            let means = finite(d, "standard means")?;
+            let stds = divisors(d, "standard stds")?;
             if means.len() != stds.len() {
                 return Err(DecodeError::new("standard means/stds length mismatch"));
             }

@@ -77,8 +77,11 @@ fn quantile_position(refs: &[f64], v: f64) -> f64 {
     if v >= hi {
         return 1.0;
     }
-    // Binary search for the first reference >= v.
-    let idx = refs.partition_point(|&r| r < v);
+    // Binary search for the first reference >= v. A fitted table can
+    // decrease by an ulp between tied values (see `fit`), and the search
+    // result on an unsorted slice is unspecified, so clamp it to the
+    // interior; on a sorted table `lo < v < hi` already puts it there.
+    let idx = refs.partition_point(|&r| r < v).clamp(1, q - 1);
     // refs[idx-1] < v <= refs[idx]
     let (a, b) = (refs[idx - 1], refs[idx]);
     let frac = if b > a { (v - a) / (b - a) } else { 0.0 };
@@ -98,6 +101,26 @@ mod tests {
         fitted.transform(&mut m);
         for (i, v) in m.col(0).iter().enumerate() {
             assert!((v - i as f64 / 6.0).abs() < 1e-9, "{:?}", m.col(0));
+        }
+    }
+
+    #[test]
+    fn tied_values_can_fit_an_unsorted_table_that_still_transforms() {
+        // Interpolating between tied values rounds one ulp up here.
+        let x = Matrix::column_vector(&[1.7; 5]);
+        let fitted = FittedQuantile::fit(&x, 4, OutputDist::Uniform);
+        assert_eq!(fitted.references[0], vec![1.7, 1.7000000000000002, 1.7, 1.7]);
+        // Any finite table transforms without leaving its bounds.
+        let unsorted = FittedQuantile {
+            references: vec![vec![0.0, 5.0, -5.0, 10.0]],
+            output: OutputDist::Uniform,
+        };
+        for v in [-1.0, 0.5, 1.7, 4.0, 9.0, 11.0] {
+            let mut m = Matrix::column_vector(&[v]);
+            fitted.transform(&mut m);
+            let mut u = Matrix::column_vector(&[v]);
+            unsorted.transform(&mut u);
+            assert!(m.col(0)[0].is_finite() && u.col(0)[0].is_finite(), "{v}");
         }
     }
 

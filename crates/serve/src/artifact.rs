@@ -176,7 +176,8 @@ impl ServeArtifact {
     /// Decode artifact bytes. Total and strict: exactly three
     /// checksummed records in fixed order, no trailing bytes, and the
     /// cross-record invariants (model family and class count match the
-    /// meta) must hold.
+    /// meta, every per-column step is fitted on `meta.n_features`
+    /// columns) must hold.
     pub fn decode(bytes: &[u8]) -> Result<ServeArtifact, ArtifactError> {
         if !bytes.starts_with(&MAGIC) {
             return Err(corrupt("bad magic (not a serve artifact)"));
@@ -199,6 +200,16 @@ impl ServeArtifact {
         }
         if model.n_classes() as u64 != meta.n_classes {
             return Err(corrupt("model class count disagrees with meta"));
+        }
+        for step in pipeline.steps() {
+            let width = preproc_codec::step_width(step);
+            if let Some(width) = width.filter(|&w| w as u64 != meta.n_features) {
+                return Err(corrupt(format!(
+                    "{} step fitted on {width} columns, meta says {}",
+                    preproc_codec::step_kind(step),
+                    meta.n_features
+                )));
+            }
         }
         Ok(ServeArtifact { meta, pipeline, model })
     }
@@ -356,6 +367,108 @@ mod tests {
                 m[i] = v;
                 let _ = ServeArtifact::decode(&m);
             }
+        }
+    }
+
+    /// `art`'s bytes with the pipeline record replaced by the single
+    /// step `step` writes (tag byte, then its fields), framed as
+    /// [`ServeArtifact::encode`] frames it.
+    fn with_step(art: &ServeArtifact, step: impl FnOnce(&mut Enc)) -> Vec<u8> {
+        let mut pipeline = Enc::tagged(REC_PIPELINE);
+        pipeline.u32(1);
+        step(&mut pipeline);
+        let mut out = MAGIC.to_vec();
+        frame_record(&mut out, &encode_meta(&art.meta));
+        frame_record(&mut out, &pipeline.into_bytes());
+        let mut model = vec![REC_MODEL];
+        model.extend_from_slice(&art.model.encode());
+        frame_record(&mut out, &model);
+        out
+    }
+
+    #[test]
+    fn self_contradicting_steps_rejected() {
+        // Fitted-step tags (`PreprocKind::index`).
+        const BINARIZER: u8 = 0;
+        const MAXABS: u8 = 1;
+        const MINMAX: u8 = 2;
+        const POWER: u8 = 4;
+        const QUANTILE: u8 = 5;
+        const STANDARD: u8 = 6;
+        let art = sample_artifact(ModelKind::Lr);
+        assert_eq!(art.meta.n_features, 4);
+        let ones: &[f64] = &[1.0; 4];
+        let zeros: &[f64] = &[0.0; 4];
+        // MaxAbs, MinMax and Standard: the tag, then parameter vectors.
+        let vecs = |tag: u8, params: &[&[f64]]| {
+            with_step(&art, |e| {
+                e.u8(tag);
+                params.iter().for_each(|p| e.f64_vec(p));
+            })
+        };
+        let power = |lambdas: &[f64], stds: &[f64]| {
+            with_step(&art, |e| {
+                e.u8(POWER);
+                e.bool(true);
+                e.f64_vec(lambdas);
+                e.f64_vec(&vec![0.0; lambdas.len()]);
+                e.f64_vec(stds);
+            })
+        };
+        let quantile = |refs: &[&[f64]]| {
+            with_step(&art, |e| {
+                e.u8(QUANTILE);
+                e.u8(0);
+                e.u32(refs.len() as u32);
+                refs.iter().for_each(|r| e.f64_vec(r));
+            })
+        };
+        let binarizer = |threshold: f64| {
+            with_step(&art, |e| {
+                e.u8(BINARIZER);
+                e.f64(threshold);
+            })
+        };
+        let sorted: &[f64] = &[0.0, 1.0, 2.0];
+
+        // Well-formed controls decode, so each case below fails on its
+        // one broken rule.
+        assert!(ServeArtifact::decode(&vecs(MINMAX, &[zeros, ones])).is_ok());
+        assert!(ServeArtifact::decode(&power(ones, ones)).is_ok());
+        assert!(ServeArtifact::decode(&quantile(&[sorted; 4])).is_ok());
+        assert!(ServeArtifact::decode(&binarizer(0.5)).is_ok());
+        // `fit` can leave an ulp of decrease between tied references
+        // (see `FittedQuantile::fit`), so an unsorted table is not corrupt.
+        let wobble: &[f64] = &[1.7, 1.7000000000000002, 1.7, 1.7];
+        assert!(ServeArtifact::decode(&quantile(&[sorted, wobble, sorted, sorted])).is_ok());
+
+        let nan_first: &[f64] = &[f64::NAN, 0.0, 1.0];
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            // Per-column parameter vectors must span `n_features`. A
+            // 1-column MinMax under 4 features used to decode and then
+            // index out of bounds at predict time.
+            ("1-column minmax", vecs(MINMAX, &[&[0.0], &[1.0]])),
+            ("3-column maxabs", vecs(MAXABS, &[&[1.0; 3]])),
+            ("5-column standard", vecs(STANDARD, &[&[0.0; 5], &[1.0; 5]])),
+            ("2-column power", power(&[1.0; 2], &[1.0; 2])),
+            ("3-column quantile", quantile(&[sorted; 3])),
+            // A NaN first reference used to make `partition_point`
+            // return 0 for a row below the fitted minimum, and the
+            // interpolation then indexed `refs[usize::MAX]`.
+            ("NaN quantile reference", quantile(&[nan_first, sorted, sorted, sorted])),
+            ("infinite standard mean", vecs(STANDARD, &[&[0.0, f64::INFINITY, 0.0, 0.0], ones])),
+            ("NaN power lambda", power(&[1.0, f64::NAN, 1.0, 1.0], ones)),
+            ("NaN binarizer threshold", binarizer(f64::NAN)),
+            ("zero minmax range", vecs(MINMAX, &[zeros, &[1.0, 0.0, 1.0, 1.0]])),
+            ("negative standard std", vecs(STANDARD, &[zeros, &[1.0, 1.0, -1.0, 1.0]])),
+            ("zero maxabs scale", vecs(MAXABS, &[&[1.0, 1.0, 1.0, 0.0]])),
+            ("zero power std", power(ones, &[1.0, 0.0, 1.0, 1.0])),
+        ];
+        for (what, bytes) in cases {
+            assert!(
+                matches!(ServeArtifact::decode(&bytes), Err(ArtifactError::Corrupt { .. })),
+                "{what} must be rejected as corrupt"
+            );
         }
     }
 
