@@ -20,18 +20,48 @@
 //! accuracy 0, error 1 per Eq. 2, mirroring scikit-learn's
 //! `error_score` convention, so every searcher keeps running
 //! deterministically through faults.
+//!
+//! # Fit memo
+//!
+//! Different pipelines often transform the split into bit-identical
+//! matrices: a `Binarizer` after any sign-preserving prefix, or an
+//! idempotent scaler pair such as `MinMax -> MinMax`. The trial cache
+//! keys on the pipeline string and cannot see that, so every
+//! [`Evaluator`] keeps a fit memo one layer below it. After Prep and
+//! the input checks, `evaluate_raw` digests what it is about to train
+//! on — the train and valid shapes, the clamped training-budget
+//! fraction, then every `f64` bit pattern of the train and valid
+//! matrices — with [`murmur3_x64_128`]. On a hit it returns the
+//! memoized accuracy without fitting; the labels, seed and model are
+//! fixed per evaluator, so they stay out of the key. Only finished,
+//! uncancelled fits with a finite accuracy are stored, the same rule
+//! as trial-cache admission.
+//!
+//! The memo is the one digest-keyed cache layer (DESIGN.md
+//! "Content-addressed cache identity" says why): a 128-bit digest
+//! collides with probability at most n²/2¹²⁹. Debug builds keep each
+//! entry's matrices as a witness and assert bit equality on every hit.
 
 use crate::error::EvalError;
 use crate::history::Trial;
+use crate::lru::Lru;
 use crate::prefix::{PrefixCache, PrefixKey, PrefixStats};
 use autofp_data::{Dataset, Split};
+use autofp_linalg::codec::murmur3_x64_128;
 use autofp_linalg::Matrix;
 use autofp_models::classifier::{ModelKind, Trainer};
 use autofp_models::metrics::accuracy;
 use autofp_models::CancelToken;
 use autofp_preprocess::Pipeline;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Entries one evaluator's fit memo keeps before it evicts the least
+/// recently used, so a long-lived evald context cannot grow without
+/// limit.
+const FIT_MEMO_CAPACITY: u64 = 65_536;
 
 /// Configuration of an evaluator.
 #[derive(Debug, Clone)]
@@ -153,12 +183,79 @@ pub fn evaluate_or_worst(
         .unwrap_or_else(|err| Trial::failed(pipeline.clone(), err.kind(), fraction.clamp(0.0, 1.0)))
 }
 
+/// One memoized fit.
+struct FitMemoEntry {
+    accuracy: f64,
+    /// The train and valid matrices the fit saw; debug builds only.
+    witness: Option<(Matrix, Matrix)>,
+}
+
+/// Validation accuracies keyed by the content digest of the fit's
+/// inputs (see the module docs).
+struct FitMemo {
+    entries: Mutex<Lru<FitMemoEntry>>,
+    hits: AtomicU64,
+}
+
+impl FitMemo {
+    fn new() -> FitMemo {
+        FitMemo { entries: Mutex::new(Lru::new(Some(FIT_MEMO_CAPACITY))), hits: AtomicU64::new(0) }
+    }
+
+    /// The 128-bit content digest of a fit's inputs, as 32 hex digits.
+    fn key(train: &Matrix, valid: &Matrix, fraction: f64) -> String {
+        let (train_rows, train_cols) = train.shape();
+        let (valid_rows, valid_cols) = valid.shape();
+        let header = [
+            train_rows as u64,
+            train_cols as u64,
+            valid_rows as u64,
+            valid_cols as u64,
+            fraction.clamp(0.0, 1.0).to_bits(),
+        ];
+        let values = train.as_slice().iter().chain(valid.as_slice()).map(|v| v.to_bits());
+        format!("{:032x}", murmur3_x64_128(header.into_iter().chain(values)))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Lru<FitMemoEntry>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The memoized accuracy under `key`. In debug builds a hit also
+    /// asserts that `train` and `valid` are bit-identical to the
+    /// matrices the memoized fit saw.
+    fn get(&self, key: &str, train: &Matrix, valid: &Matrix) -> Option<f64> {
+        let mut entries = self.lock();
+        let entry = entries.get(key)?;
+        if let Some((seen_train, seen_valid)) = &entry.witness {
+            debug_assert!(
+                same_bits(seen_train, train) && same_bits(seen_valid, valid),
+                "fit memo digest {key} aliases two different inputs"
+            );
+        }
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(entry.accuracy)
+    }
+
+    fn insert(&self, key: &str, accuracy: f64, train: &Matrix, valid: &Matrix) {
+        let witness = cfg!(debug_assertions).then(|| (train.clone(), valid.clone()));
+        self.lock().insert(key, FitMemoEntry { accuracy, witness }, 1);
+    }
+}
+
+/// Equal shapes and equal `f64` bit patterns.
+fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+    a.shape() == b.shape()
+        && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 /// Evaluates pipelines: transform train+valid, train the downstream
 /// model, report validation accuracy — with per-phase timing.
 ///
-/// An `Evaluator` is immutable after construction and `Send + Sync`
-/// ([`Trainer`] requires both), so a [`crate::BatchEvaluator`] can
-/// share one instance across worker threads by reference.
+/// An `Evaluator` is `Send + Sync` ([`Trainer`] requires both), so a
+/// [`crate::BatchEvaluator`] can share one instance across worker
+/// threads by reference. Its only mutable state is the fit memo (see
+/// the module docs), which never changes a result.
 pub struct Evaluator {
     split: Split,
     trainer: Box<dyn Trainer>,
@@ -175,6 +272,7 @@ pub struct Evaluator {
     // attached, `evaluate_raw` resumes from the deepest cached prefix
     // of each pipeline and stores every newly computed prefix state.
     prefix_cache: Option<PrefixCache>,
+    fit_memo: FitMemo,
 }
 
 // Compile-time proof of the Sync-friendliness the batch layer relies
@@ -208,6 +306,7 @@ impl Evaluator {
             train_input_finite,
             valid_input_finite,
             prefix_cache: None,
+            fit_memo: FitMemo::new(),
         };
         ev.baseline = ev.evaluate(&Pipeline::empty()).accuracy;
         ev
@@ -256,6 +355,13 @@ impl Evaluator {
     /// The attached prefix cache, if any.
     pub fn prefix_cache(&self) -> Option<&PrefixCache> {
         self.prefix_cache.as_ref()
+    }
+
+    /// Evaluations this evaluator answered from its fit memo instead of
+    /// fitting. Above one thread, two evaluations that miss the same
+    /// digest at the same time both fit, so the count can vary.
+    pub fn fit_memo_hits(&self) -> u64 {
+        self.fit_memo.hits.load(Ordering::Relaxed)
     }
 
     /// Transform train + valid through `pipeline`, resuming from the
@@ -353,9 +459,25 @@ impl Evaluate for Evaluator {
             return Err(EvalError::DeadlineExceeded);
         }
 
-        // Train: fit the downstream model and score validation data.
+        // Train: fit the downstream model and score validation data,
+        // unless this evaluator already fitted on bit-identical inputs.
+        // On a memo hit, `train_time` records only the digest and the
+        // lookup actually done.
         // lint:allow(nondet): Train-phase attribution (Figure 7) measures time; it never feeds a search decision
         let train_start = Instant::now();
+        let trial = |accuracy: f64, train_time: Duration| Trial {
+            pipeline: pipeline.clone(),
+            accuracy,
+            error: 1.0 - accuracy,
+            prep_time,
+            train_time,
+            train_fraction: fraction.clamp(0.0, 1.0),
+            failure: None,
+        };
+        let memo_key = FitMemo::key(&train_x, &valid_x, fraction);
+        if let Some(acc) = self.fit_memo.get(&memo_key, &train_x, &valid_x) {
+            return Ok(trial(acc, train_start.elapsed()));
+        }
         let model = self.trainer.fit_cancellable(
             &train_x,
             &self.split.train.y,
@@ -379,15 +501,8 @@ impl Evaluate for Evaluator {
                 detail: format!("validation accuracy = {acc}"),
             });
         }
-        Ok(Trial {
-            pipeline: pipeline.clone(),
-            accuracy: acc,
-            error: 1.0 - acc,
-            prep_time,
-            train_time,
-            train_fraction: fraction.clamp(0.0, 1.0),
-            failure: None,
-        })
+        self.fit_memo.insert(&memo_key, acc, &train_x, &valid_x);
+        Ok(trial(acc, train_time))
     }
 
     fn config(&self) -> &EvalConfig {
@@ -546,6 +661,128 @@ mod tests {
         let t = cached.evaluate_budgeted(&family[1], 0.5);
         assert_eq!(t.accuracy.to_bits(), plain.evaluate_budgeted(&family[1], 0.5).accuracy.to_bits());
         assert_eq!(cached.prefix_stats().unwrap().hits, before + 1);
+    }
+
+    #[test]
+    fn fit_memo_answers_a_repeated_input_with_the_fresh_accuracy() {
+        let d = scale_spread_dataset();
+        let ev = Evaluator::new(&d, EvalConfig::default());
+        let once = Pipeline::from_kinds(&[PreprocKind::MinMaxScaler]);
+        let twice = Pipeline::from_kinds(&[PreprocKind::MinMaxScaler, PreprocKind::MinMaxScaler]);
+        let first = ev.evaluate(&once);
+        assert_eq!(ev.fit_memo_hits(), 0);
+        // MinMax is idempotent, so the second pipeline trains on the
+        // first one's matrices bit for bit.
+        let hit = ev.evaluate(&twice);
+        assert_eq!(ev.fit_memo_hits(), 1);
+        assert_eq!(hit.pipeline, twice);
+        assert!(hit.failure.is_none());
+        let fresh = Evaluator::new(&d, EvalConfig::default()).evaluate(&twice);
+        assert_eq!(hit.accuracy.to_bits(), fresh.accuracy.to_bits());
+        assert_eq!(hit.accuracy.to_bits(), first.accuracy.to_bits());
+    }
+
+    #[test]
+    fn fit_memo_keys_on_the_training_fraction() {
+        let d = scale_spread_dataset();
+        let ev = Evaluator::new(&d, EvalConfig { model: ModelKind::Xgb, ..Default::default() });
+        let p = Pipeline::from_kinds(&[PreprocKind::StandardScaler]);
+        ev.evaluate_budgeted(&p, 1.0);
+        ev.evaluate_budgeted(&p, 0.5);
+        assert_eq!(ev.fit_memo_hits(), 0);
+        // Fractions clamp before they are keyed, as the trainers clamp them.
+        ev.evaluate_budgeted(&p, 1.5);
+        assert_eq!(ev.fit_memo_hits(), 1);
+    }
+
+    #[test]
+    fn fit_memo_key_separates_shapes_of_the_same_values() {
+        let values: Vec<f64> = (0..6).map(f64::from).collect();
+        let valid = Matrix::zeros(1, 1);
+        let wide = Matrix::from_vec(2, 3, values.clone());
+        let tall = Matrix::from_vec(3, 2, values);
+        assert_ne!(FitMemo::key(&wide, &valid, 1.0), FitMemo::key(&tall, &valid, 1.0));
+        assert_eq!(FitMemo::key(&wide, &valid, 1.0).len(), 32);
+    }
+
+    /// Trips its token as a fit starts, so the fit it delegates to stops
+    /// after its first iteration: a deadline that passes mid-fit.
+    struct CancelsMidFit {
+        token: CancelToken,
+        inner: Box<dyn Trainer>,
+        fits: std::sync::Arc<AtomicU64>,
+    }
+
+    impl Trainer for CancelsMidFit {
+        fn fit_budgeted(
+            &self,
+            x: &Matrix,
+            y: &[usize],
+            n_classes: usize,
+            budget: f64,
+        ) -> Box<dyn autofp_models::classifier::Classifier> {
+            self.fit_cancellable(x, y, n_classes, budget, &CancelToken::new())
+        }
+
+        fn fit_cancellable(
+            &self,
+            x: &Matrix,
+            y: &[usize],
+            n_classes: usize,
+            budget: f64,
+            cancel: &CancelToken,
+        ) -> Box<dyn autofp_models::classifier::Classifier> {
+            self.token.cancel();
+            self.fits.fetch_add(1, Ordering::Relaxed);
+            self.inner.fit_cancellable(x, y, n_classes, budget, cancel)
+        }
+
+        fn name(&self) -> &'static str {
+            "cancels-mid-fit"
+        }
+    }
+
+    #[test]
+    fn fit_memo_never_stores_a_cancelled_fit() {
+        let d = scale_spread_dataset();
+        let mut ev = Evaluator::new(&d, EvalConfig::default());
+        let token = CancelToken::new();
+        let fits = std::sync::Arc::new(AtomicU64::new(0));
+        ev.trainer = Box::new(CancelsMidFit {
+            token: token.clone(),
+            inner: ModelKind::Lr.trainer(0),
+            fits: fits.clone(),
+        });
+        let p = Pipeline::from_kinds(&[PreprocKind::PowerTransformer]);
+        let err = ev.try_evaluate_cancellable(&p, 1.0, &token).unwrap_err();
+        assert_eq!(err, EvalError::DeadlineExceeded);
+        // The next evaluation fits in full rather than reading a
+        // partially trained score.
+        let t = ev.try_evaluate(&p).expect("uncancelled evaluation");
+        assert_eq!((fits.load(Ordering::Relaxed), ev.fit_memo_hits()), (2, 0));
+        let fresh = Evaluator::new(&d, EvalConfig::default()).evaluate(&p);
+        assert_eq!(t.accuracy.to_bits(), fresh.accuracy.to_bits());
+        // Now stored: a third evaluation is a hit.
+        ev.try_evaluate(&p).expect("memo hit");
+        assert_eq!((fits.load(Ordering::Relaxed), ev.fit_memo_hits()), (2, 1));
+    }
+
+    #[test]
+    fn fit_memo_never_stores_a_non_finite_transform() {
+        // Values near f64::MAX: MinMax's column range overflows to inf.
+        let mut d = SynthConfig::new("eval-huge", 400, 8, 2, 41).generate();
+        for r in 0..d.x.nrows() {
+            d.x.set(r, 0, d.x.get(r, 0) * 1e307);
+        }
+        let ev = Evaluator::new(&d, EvalConfig::default());
+        let entries = ev.fit_memo.lock().len();
+        let p = Pipeline::from_kinds(&[PreprocKind::MinMaxScaler]);
+        for _ in 0..2 {
+            let err = ev.try_evaluate(&p).unwrap_err();
+            assert!(matches!(err, EvalError::NonFiniteTransform { .. }), "{err:?}");
+        }
+        assert_eq!(ev.fit_memo.lock().len(), entries);
+        assert_eq!(ev.fit_memo_hits(), 0);
     }
 
     #[test]

@@ -42,6 +42,62 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// MurmurHash3_x64_128 (seed 0) over the little-endian bytes of
+/// `words`, returned as `h2 << 64 | h1`. Hand-written for the same
+/// reason as [`fnv1a`]: its output is a pure function of the input
+/// words. The evaluator's fit memo keys on it (shapes, fraction bits,
+/// then every `f64` bit pattern of the train and valid matrices), where
+/// 64 bits would leave too little collision margin and the full key
+/// would cost megabytes.
+#[inline]
+pub fn murmur3_x64_128(words: impl IntoIterator<Item = u64>) -> u128 {
+    const C1: u64 = 0x87c3_7b91_1142_53d5;
+    const C2: u64 = 0x4cf5_ad43_2745_937f;
+    fn fmix64(mut k: u64) -> u64 {
+        k ^= k >> 33;
+        k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        k ^= k >> 33;
+        k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        k ^ (k >> 33)
+    }
+    let mix_k1 = |k: u64| k.wrapping_mul(C1).rotate_left(31).wrapping_mul(C2);
+    let mix_k2 = |k: u64| k.wrapping_mul(C2).rotate_left(33).wrapping_mul(C1);
+    // One 16-byte block per pair of words; an odd last word is the
+    // 8-byte tail.
+    let (mut h1, mut h2, tail, count) =
+        words.into_iter().fold((0u64, 0u64, None, 0u64), |(h1, h2, pending, count), w| {
+            match pending {
+                None => (h1, h2, Some(w), count + 1),
+                Some(k1) => {
+                    let h1 = (h1 ^ mix_k1(k1))
+                        .rotate_left(27)
+                        .wrapping_add(h2)
+                        .wrapping_mul(5)
+                        .wrapping_add(0x52dc_e729);
+                    let h2 = (h2 ^ mix_k2(w))
+                        .rotate_left(31)
+                        .wrapping_add(h1)
+                        .wrapping_mul(5)
+                        .wrapping_add(0x3849_5ab5);
+                    (h1, h2, None, count + 1)
+                }
+            }
+        });
+    if let Some(k1) = tail {
+        h1 ^= mix_k1(k1);
+    }
+    let len = count.wrapping_mul(8);
+    h1 ^= len;
+    h2 ^= len;
+    h1 = h1.wrapping_add(h2);
+    h2 = h2.wrapping_add(h1);
+    h1 = fmix64(h1);
+    h2 = fmix64(h2);
+    h1 = h1.wrapping_add(h2);
+    h2 = h2.wrapping_add(h1);
+    (u128::from(h2) << 64) | u128::from(h1)
+}
+
 /// A payload failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeError {
@@ -403,6 +459,42 @@ mod tests {
         assert_eq!(mixed(), want);
         assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+    }
+
+    #[test]
+    fn murmur3_of_nothing_is_zero() {
+        // Seed 0, no blocks, length 0: every finalization step maps 0 to 0.
+        assert_eq!(murmur3_x64_128(std::iter::empty()), 0);
+    }
+
+    #[test]
+    fn murmur3_changes_with_every_flipped_bit() {
+        // Odd and even word counts, so the tail word is covered too.
+        for len in [1usize, 4, 5] {
+            let words: Vec<u64> = (0..len as u64).map(|i| 0x9e37_79b9_7f4a_7c15 ^ i).collect();
+            let base = murmur3_x64_128(words.iter().copied());
+            let mut seen = std::collections::BTreeSet::from([base]);
+            for at in 0..len {
+                for bit in 0..64 {
+                    let mut flipped = words.clone();
+                    flipped[at] ^= 1 << bit;
+                    let digest = murmur3_x64_128(flipped);
+                    assert!(seen.insert(digest), "len {len}: word {at} bit {bit} collides");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn murmur3_separates_signed_zeros_shapes_and_lengths() {
+        let bits = |header: [u64; 2], values: &[f64]| {
+            murmur3_x64_128(header.into_iter().chain(values.iter().map(|v| v.to_bits())))
+        };
+        let values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        assert_ne!(bits([1, 1], &[0.0]), bits([1, 1], &[-0.0]));
+        assert_ne!(bits([2, 3], &values), bits([3, 2], &values));
+        // A trailing zero word is not padding.
+        assert_ne!(murmur3_x64_128([7u64]), murmur3_x64_128([7u64, 0]));
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   evaluator, cache}`, `preprocess`, `models`) returns errors instead
 //!   of panicking: a panic there is contained by `catch_unwind`, but it
 //!   costs the trial and hides the real failure taxonomy.
-//! - **cache-purity** — cache-identity code (`CacheKey`, `fnv1a`,
-//!   `Pipeline::key`) is a pure function of its inputs: no interior
-//!   mutability, no clock, no RNG.
+//! - **cache-purity** — cache-identity code (`CacheKey`, `fnv1a`, the
+//!   fit memo's `murmur3_x64_128`, `Pipeline::key`) is a pure function
+//!   of its inputs: no interior mutability, no clock, no RNG.
 //!
 //! The pipeline split: [`collect_local`] gathers raw line-local
 //! findings per file; the graph rules append theirs (attributed to
@@ -134,9 +134,10 @@ const DET_CRITICAL: [&str; 17] = [
 
 /// Cache-identity regions: (file, block introducer). The rule applies
 /// inside the brace block following the introducer.
-const CACHE_PURITY_SPANS: [(&str, &str); 4] = [
+const CACHE_PURITY_SPANS: [(&str, &str); 5] = [
     ("crates/core/src/cache.rs", "impl CacheKey"),
     ("crates/linalg/src/codec.rs", "fn fnv1a"),
+    ("crates/linalg/src/codec.rs", "fn murmur3_x64_128"),
     ("crates/core/src/prefix.rs", "impl PrefixKey"),
     ("crates/preprocess/src/pipeline.rs", "fn key"),
 ];

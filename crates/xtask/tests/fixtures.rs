@@ -220,6 +220,23 @@ pub struct Store {
     let fnv = "fn fnv1a(bytes: &[u8]) -> u64 {\n    let h = std::time::SystemTime::now();\n    0\n}\n";
     let vs = lint_file("crates/linalg/src/codec.rs", fnv);
     assert!(rules_fired(&vs).contains(&"cache-purity"));
+    // So is the fit memo's content digest: a std hasher or a cell
+    // inside it fires, the same tokens beside it do not.
+    let digest = "\
+fn murmur3_x64_128(words: &[u64]) -> u128 {
+    let h = std::collections::hash_map::DefaultHasher::new();
+    let seen = std::cell::Cell::new(0u64);
+    0
+}
+fn beside() -> std::cell::Cell<u64> {
+    std::cell::Cell::new(0)
+}
+";
+    let vs = lint_file("crates/linalg/src/codec.rs", digest);
+    assert_eq!(rules_fired(&vs), vec!["cache-purity"]);
+    let mut lines: Vec<usize> = vs.iter().map(|v| v.line).collect();
+    lines.dedup();
+    assert_eq!(lines, vec![2, 3]);
 }
 
 #[test]
@@ -331,6 +348,7 @@ fn stale_config_names_missing_files_entries_and_spans() {
     let moved = [("crates/linalg/src/codec.rs".to_string(), "pub fn other() {}\n".to_string())];
     let stale = xtask::stale_config(&moved);
     assert!(stale.contains(&"crates/linalg/src/codec.rs: cache-purity span `fn fnv1a` opens no block".to_string()), "{stale:#?}");
+    assert!(stale.contains(&"crates/linalg/src/codec.rs: cache-purity span `fn murmur3_x64_128` opens no block".to_string()), "{stale:#?}");
     assert!(!stale.iter().any(|s| s == "crates/linalg/src/codec.rs: configured file does not exist"));
 }
 

@@ -4,7 +4,8 @@
 //! harness mirrors the `criterion` API surface the workspace's benches
 //! use — [`Criterion::benchmark_group`], [`BenchmarkGroup::sample_size`],
 //! [`BenchmarkGroup::bench_function`], [`BenchmarkGroup::bench_with_input`],
-//! [`BenchmarkId::from_parameter`], [`Bencher::iter`], and the
+//! [`BenchmarkId::from_parameter`], [`Bencher::iter`],
+//! [`Bencher::iter_batched`] with [`BatchSize`], and the
 //! [`criterion_group!`]/[`criterion_main!`] macros — timing each
 //! benchmark with `std::time::Instant` and printing a mean-per-iteration
 //! line instead of criterion's statistical report.
@@ -126,6 +127,39 @@ impl Bencher {
         }
         self.elapsed = start.elapsed();
     }
+
+    /// Time `routine` on a fresh input from `setup` per iteration;
+    /// only `routine` is timed. The shim runs `setup` before every
+    /// call whatever the [`BatchSize`], which criterion allows for
+    /// every variant.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        let _ = size;
+        for _ in 0..2 {
+            std::hint::black_box(routine(setup()));
+        }
+        self.elapsed = Duration::ZERO;
+        for _ in 0..self.iters {
+            let input = setup();
+            let start = Instant::now();
+            let output = routine(input);
+            self.elapsed += start.elapsed();
+            drop(std::hint::black_box(output));
+        }
+    }
+}
+
+/// How many inputs [`Bencher::iter_batched`] builds per batch in
+/// criterion. The shim builds one per iteration for every variant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    /// Inputs are small; criterion batches many per setup pass.
+    SmallInput,
+    /// Inputs are large; criterion batches fewer.
+    LargeInput,
 }
 
 fn run_benchmark<F: FnMut(&mut Bencher)>(
@@ -186,6 +220,30 @@ mod tests {
         group.finish();
         // 2 warm-up + 5 timed.
         assert_eq!(runs, 7);
+    }
+
+    #[test]
+    fn iter_batched_builds_an_input_per_call() {
+        let mut c = Criterion::default();
+        let mut group = c.benchmark_group("shim-test-3");
+        group.sample_size(4);
+        let (mut setups, mut runs) = (0u64, 0u64);
+        group.bench_function("batched", |b| {
+            b.iter_batched(
+                || {
+                    setups += 1;
+                    setups
+                },
+                |input| {
+                    runs += 1;
+                    assert_eq!(input, runs, "each call gets its own fresh input");
+                },
+                BatchSize::SmallInput,
+            )
+        });
+        group.finish();
+        // 2 warm-up + 4 timed.
+        assert_eq!((setups, runs), (6, 6));
     }
 
     #[test]

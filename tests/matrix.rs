@@ -7,13 +7,21 @@
 //! the bench layer: a mini Table 4 matrix (2 datasets × 2 models × 3
 //! algorithms) is canonicalized to a byte string (f64 bit patterns, no
 //! wall-clock fields) and compared across runs.
+//!
+//! It also pins the evaluator's fit memo against a memo-free
+//! reference: an evaluator factory that builds a fresh `Evaluator` for
+//! every evaluation, so no fit result is shared between evaluations.
 
-use autofp_bench::{run_matrix, CacheMode, HarnessConfig, MatrixOutcome};
-use autofp_core::{Budget, FailureKind};
-use autofp_data::{registry, DatasetSpec};
+use autofp_bench::{run_matrix, run_matrix_with, CacheMode, HarnessConfig, MatrixOutcome};
+use autofp_core::{Budget, EvalConfig, EvalError, Evaluate, Evaluator, FailureKind, Trial};
+use autofp_data::{registry, Dataset, DatasetSpec};
 use autofp_models::classifier::ModelKind;
+use autofp_models::CancelToken;
+use autofp_preprocess::Pipeline;
 use autofp_search::AlgName;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The mini Table 4 matrix: small datasets, eval-count budget (so cache
 /// hits cannot change how many proposals fit in the budget), and two
@@ -132,4 +140,92 @@ fn lru_cap_evicts_without_changing_results() {
         "with_capacity(3) violated: {} live entries across 4 group caches",
         capped.cache.entries
     );
+}
+
+/// Evaluates every pipeline on a fresh `Evaluator`: nothing one
+/// evaluation computes can answer another.
+struct MemoFree {
+    dataset: Dataset,
+    template: Evaluator,
+}
+
+impl Evaluate for MemoFree {
+    fn evaluate_raw(
+        &self,
+        pipeline: &Pipeline,
+        fraction: f64,
+        cancel: &CancelToken,
+    ) -> Result<Trial, EvalError> {
+        Evaluator::new(&self.dataset, self.template.config().clone())
+            .evaluate_raw(pipeline, fraction, cancel)
+    }
+
+    fn config(&self) -> &EvalConfig {
+        self.template.config()
+    }
+
+    fn baseline_accuracy(&self) -> f64 {
+        self.template.baseline_accuracy()
+    }
+
+    fn train_rows(&self) -> usize {
+        Evaluate::train_rows(&self.template)
+    }
+}
+
+/// The harness's own evaluator, adding its fit-memo hits to a shared
+/// tally when the matrix drops it.
+struct TallyHits {
+    evaluator: Evaluator,
+    hits: Arc<AtomicU64>,
+}
+
+impl Drop for TallyHits {
+    fn drop(&mut self) {
+        self.hits.fetch_add(self.evaluator.fit_memo_hits(), Ordering::Relaxed);
+    }
+}
+
+impl Evaluate for TallyHits {
+    fn evaluate_raw(
+        &self,
+        pipeline: &Pipeline,
+        fraction: f64,
+        cancel: &CancelToken,
+    ) -> Result<Trial, EvalError> {
+        self.evaluator.evaluate_raw(pipeline, fraction, cancel)
+    }
+
+    fn config(&self) -> &EvalConfig {
+        self.evaluator.config()
+    }
+
+    fn baseline_accuracy(&self) -> f64 {
+        self.evaluator.baseline_accuracy()
+    }
+
+    fn train_rows(&self) -> usize {
+        Evaluate::train_rows(&self.evaluator)
+    }
+}
+
+#[test]
+fn fit_memo_matches_a_memo_free_reference() {
+    let (specs, models, algs, mut cfg) = mini_config();
+    for threads in [1, 8] {
+        cfg.threads = threads;
+        let memo = canonical(&run_matrix(&specs, &models, &algs, &cfg));
+        let hits = Arc::new(AtomicU64::new(0));
+        let tallied = canonical(&run_matrix_with(&specs, &models, &algs, &cfg, |d, c, _| {
+            Box::new(TallyHits { evaluator: Evaluator::new(d, c), hits: hits.clone() })
+        }));
+        let reference = canonical(&run_matrix_with(&specs, &models, &algs, &cfg, |d, c, _| {
+            Box::new(MemoFree { dataset: d.clone(), template: Evaluator::new(d, c) })
+        }));
+        assert_eq!(memo, reference, "{threads} threads: the fit memo changed a result");
+        assert_eq!(tallied, reference, "{threads} threads");
+        // Not vacuous: pipelines with bit-identical transforms (and,
+        // above one thread, trial-cache misses that race) reach the memo.
+        assert!(hits.load(Ordering::Relaxed) > 0, "{threads} threads: no fit memo hit");
+    }
 }
