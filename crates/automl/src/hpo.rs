@@ -5,7 +5,7 @@
 //! Hyperparameter candidates are sampled uniformly from per-model grids
 //! patterned on TPOT's configuration for the corresponding estimator.
 
-use autofp_core::{Budget, Trial};
+use autofp_core::Budget;
 use autofp_data::Split;
 use autofp_models::classifier::{ModelKind, Trainer};
 use autofp_models::gbdt::GbdtParams;
@@ -145,12 +145,6 @@ impl ContextComparison {
     pub fn auto_fp_wins(&self) -> bool {
         self.auto_fp >= self.tpot_fp && self.auto_fp >= self.hpo
     }
-}
-
-/// Helper to turn the best trial of a search into its accuracy (0 if
-/// the search evaluated nothing).
-pub fn best_of(trials: &[Trial]) -> f64 {
-    trials.iter().map(|t| t.accuracy).fold(0.0, f64::max)
 }
 
 #[cfg(test)]

@@ -137,14 +137,13 @@ fn main() {
         for addr in &worker_addrs {
             match autofp_evald::stats(addr, std::time::Duration::from_secs(5)) {
                 Ok(s) => println!(
-                    "  {addr}: served={} contexts={} hits={} misses={} entries={} evictions={} \
+                    "  {addr}: served={} contexts={} hits={} misses={} entries={} \
                      prefix_hits={} prefix_steps_saved={}",
                     s.served,
                     s.contexts,
                     s.hits,
                     s.misses,
                     s.entries,
-                    s.evictions,
                     s.prefix_hits,
                     s.prefix_steps_saved
                 ),

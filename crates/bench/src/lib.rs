@@ -36,9 +36,6 @@ pub enum CacheMode {
     /// cell and repeat of that group (the default): cross-algorithm
     /// duplicate pipelines are evaluated once per group.
     Shared,
-    /// A private cache per cell (dataset × model × algorithm); repeats
-    /// within the cell still share it.
-    PerCell,
     /// No caching: every proposal is evaluated from scratch.
     Off,
 }
@@ -72,8 +69,6 @@ pub struct HarnessConfig {
     pub repeats: usize,
     /// Evaluation-cache sharing across matrix cells.
     pub cache_mode: CacheMode,
-    /// Optional LRU entry cap for each matrix cache; `None` = unbounded.
-    pub cache_capacity: Option<usize>,
     /// The `evald` fleet to evaluate on: when set, every matrix
     /// evaluation goes through [`RemoteEvaluator`], sharded across the
     /// fleet by the stable cache-key fingerprint. `--remote` sets a
@@ -91,14 +86,12 @@ pub struct HarnessConfig {
     /// (doubles per restart of the same slot, plus seeded jitter).
     pub supervise_backoff_ms: u64,
     /// Enable the prefix-transform cache ([`autofp_core::PrefixCache`]):
-    /// one cache per *dataset*, shared across every model group and
-    /// algorithm cell of that dataset (prefix keys exclude the model).
-    /// Off by default — unlike the trial cache it holds whole dataset
-    /// copies, so it is opt-in per run.
+    /// one cache per *dataset* at [`PrefixCache::DEFAULT_BYTE_BUDGET`],
+    /// shared across every model group and algorithm cell of that
+    /// dataset (prefix keys exclude the model). Off by default — unlike
+    /// the trial cache it holds whole dataset copies, so it is opt-in
+    /// per run.
     pub prefix_cache: bool,
-    /// Byte budget for each per-dataset prefix cache; `None` =
-    /// unbounded. Ignored unless `prefix_cache` is on.
-    pub prefix_cache_bytes: Option<u64>,
     /// Write a deterministic per-cell TSV (see [`cells_tsv`]) to this
     /// path after the matrix run — CI diffs it across cache modes to
     /// assert cell-level byte-identity.
@@ -125,13 +118,11 @@ impl Default for HarnessConfig {
             min_rows: 160,
             repeats: 1,
             cache_mode: CacheMode::Shared,
-            cache_capacity: None,
             fleet: None,
             workers: 0,
             supervise_max_restarts: 3,
             supervise_backoff_ms: 50,
             prefix_cache: false,
-            prefix_cache_bytes: Some(PrefixCache::DEFAULT_BYTE_BUDGET),
             cells_out: None,
             trial_store: None,
         }
@@ -166,14 +157,12 @@ impl HarnessConfig {
     ///
     /// Recognized keys: `--scale`, `--budget-ms`, `--evals`, `--seed`,
     /// `--datasets` (count or `all`), `--threads`, `--max-len`,
-    /// `--cache` (`shared`/`per-cell`/`off`), `--cache-cap`,
-    /// `--prefix-cache` (valueless: enables the prefix-transform
-    /// cache), `--prefix-cache-bytes` (per-dataset byte budget;
-    /// implies `--prefix-cache`), `--cells-out` (deterministic
-    /// per-cell TSV path), `--trial-store` (durable trial repository
-    /// directory; see [`HarnessConfig::trial_store`]), `--remote`
-    /// (comma-separated worker addresses), `--workers` (local worker
-    /// processes to spawn), `--supervise-max-restarts` /
+    /// `--cache` (`shared`/`off`), `--prefix-cache` (valueless:
+    /// enables the prefix-transform cache), `--cells-out`
+    /// (deterministic per-cell TSV path), `--trial-store` (durable
+    /// trial repository directory; see [`HarnessConfig::trial_store`]),
+    /// `--remote` (comma-separated worker addresses), `--workers`
+    /// (local worker processes to spawn), `--supervise-max-restarts` /
     /// `--supervise-backoff-ms` (supervisor knobs for a `--workers`
     /// fleet).
     ///
@@ -181,15 +170,11 @@ impl HarnessConfig {
     /// fleet can serve nothing — omit the flag for an in-process run),
     /// `--remote` addresses that are not unique `host:port` pairs with
     /// a nonzero port, `--workers` combined with `--remote` (spawn
-    /// a local fleet *or* point at an existing one, not both), and
-    /// `--trial-store` without [`CacheMode::Shared`] (the durable
-    /// layer preloads and writes through the per-group shared caches,
-    /// so there is nothing to attach it to under `per-cell` or `off`).
-    ///
-    /// `--cache-cap 0` with a caching mode is contradictory (every
-    /// insert would be evicted immediately, paying lock traffic for
-    /// zero reuse), so it downgrades to `--cache off` with a warning;
-    /// `--prefix-cache-bytes 0` likewise disables the prefix cache.
+    /// a local fleet *or* point at an existing one, not both), an
+    /// empty `--cells-out` or `--trial-store` path, and `--trial-store`
+    /// without [`CacheMode::Shared`] (the durable layer preloads and
+    /// writes through the per-group shared caches, so there is nothing
+    /// to attach it to under `off`).
     pub fn try_from_arg_slice(args: &[String]) -> Result<HarnessConfig, String> {
         fn num<T: std::str::FromStr>(val: &str, what: &str) -> Result<T, String> {
             val.parse().map_err(|_| format!("{what}, got `{val}`"))
@@ -231,20 +216,16 @@ impl HarnessConfig {
                 "--cache" => {
                     cfg.cache_mode = match val.as_str() {
                         "shared" => CacheMode::Shared,
-                        "per-cell" => CacheMode::PerCell,
                         "off" => CacheMode::Off,
-                        other => return Err(format!("--cache takes shared|per-cell|off, got {other}")),
+                        other => return Err(format!("--cache takes shared|off, got {other}")),
                     };
                 }
-                "--cache-cap" => {
-                    cfg.cache_capacity = Some(num(&val, "--cache-cap takes an integer")?);
+                "--cells-out" => {
+                    if val.is_empty() {
+                        return Err("--cells-out needs a file path".into());
+                    }
+                    cfg.cells_out = Some(val.clone().into());
                 }
-                "--prefix-cache-bytes" => {
-                    let bytes: u64 = num(&val, "--prefix-cache-bytes takes an integer")?;
-                    cfg.prefix_cache_bytes = Some(bytes);
-                    cfg.prefix_cache = true;
-                }
-                "--cells-out" => cfg.cells_out = Some(val.clone().into()),
                 "--trial-store" => {
                     if val.is_empty() {
                         return Err("--trial-store needs a directory path".into());
@@ -305,19 +286,6 @@ impl HarnessConfig {
                     .into(),
             );
         }
-        if cfg.cache_capacity == Some(0) && cfg.cache_mode != CacheMode::Off {
-            eprintln!(
-                "warning: --cache-cap 0 makes every cache insert evict immediately; \
-                 downgrading to --cache off"
-            );
-            cfg.cache_mode = CacheMode::Off;
-        }
-        if cfg.prefix_cache_bytes == Some(0) && cfg.prefix_cache {
-            eprintln!(
-                "warning: --prefix-cache-bytes 0 admits nothing; disabling the prefix cache"
-            );
-            cfg.prefix_cache = false;
-        }
         if cfg.trial_store.is_some() && cfg.cache_mode != CacheMode::Shared {
             return Err(
                 "--trial-store preloads and writes through the per-group shared caches; \
@@ -373,20 +341,10 @@ impl HarnessConfig {
         pool_map(self.threads.max(1), specs.len(), |i| self.generate(&specs[i]))
     }
 
-    /// A fresh trial cache honoring `cache_capacity`.
-    pub fn new_cache(&self) -> EvalCache {
-        match self.cache_capacity {
-            Some(cap) => EvalCache::with_capacity(cap),
-            None => EvalCache::new(),
-        }
-    }
-
-    /// A fresh prefix-transform cache honoring `prefix_cache_bytes`.
+    /// A fresh prefix-transform cache, as the matrix builds one per
+    /// dataset under `prefix_cache`.
     pub fn new_prefix_cache(&self) -> PrefixCache {
-        match self.prefix_cache_bytes {
-            Some(budget) => PrefixCache::with_byte_budget(budget),
-            None => PrefixCache::new(),
-        }
+        PrefixCache::new()
     }
 
     /// The evaluation-context identity of a (dataset, model) matrix
@@ -441,7 +399,8 @@ impl CellResult {
 pub struct MatrixOutcome {
     /// One entry per (dataset, model, algorithm) cell, sorted.
     pub cells: Vec<CellResult>,
-    /// Cache counters folded over every cache the matrix created.
+    /// Trial-cache counters folded over the per-group shared caches
+    /// (all zero under [`CacheMode::Off`]).
     pub cache: CacheStats,
     /// Prefix-transform cache counters folded over the per-dataset
     /// prefix caches (all zero when `prefix_cache` was off).
@@ -604,7 +563,7 @@ where
     let group_caches: Vec<Vec<EvalCache>> = if config.cache_mode == CacheMode::Shared {
         datasets
             .iter()
-            .map(|_| models.iter().map(|_| config.new_cache()).collect())
+            .map(|_| models.iter().map(|_| EvalCache::new()).collect())
             .collect()
     } else {
         Vec::new()
@@ -628,37 +587,26 @@ where
         for (di, spec) in specs.iter().enumerate() {
             for (mi, &m) in models.iter().enumerate() {
                 let context = config.eval_context(spec, m).canonical();
-                let store = repo.open_context(&context).unwrap_or_else(|err| {
-                    panic!("--trial-store segment for `{context}`: {err}")
-                });
                 let evaluator = evaluators[di][mi].as_ref();
-                store
-                    .set_meta(StoreMeta {
-                        baseline_accuracy: evaluator.baseline_accuracy(),
-                        train_rows: evaluator.train_rows() as u64,
-                    })
-                    .unwrap_or_else(|err| {
-                        panic!("--trial-store segment for `{context}`: {err}")
-                    });
-                group_caches[di][mi].preload_from(&store);
-                group_caches[di][mi].attach_store(store);
+                let meta = StoreMeta {
+                    baseline_accuracy: evaluator.baseline_accuracy(),
+                    train_rows: evaluator.train_rows() as u64,
+                };
+                group_caches[di][mi].attach_segment(repo, &context, meta).unwrap_or_else(
+                    |err| panic!("--trial-store segment for `{context}`: {err}"),
+                );
             }
         }
     }
     let model_index = |m: ModelKind| models.iter().position(|&x| x == m).expect("model listed");
 
-    let outputs: Vec<(CellResult, Option<CacheStats>)> =
+    let mut out: Vec<CellResult> =
         pool_map(config.threads.max(1), cells.len(), |i| {
             let (di, model, alg) = cells[i];
             let mi = model_index(model);
             let evaluator = evaluators[di][mi].as_ref();
-            let cell_cache = match config.cache_mode {
-                CacheMode::PerCell => Some(config.new_cache()),
-                _ => None,
-            };
             let cache: Option<&EvalCache> = match config.cache_mode {
                 CacheMode::Shared => Some(&group_caches[di][mi]),
-                CacheMode::PerCell => cell_cache.as_ref(),
                 CacheMode::Off => None,
             };
             // Repeat with derived seeds and average the best accuracy
@@ -685,7 +633,7 @@ where
             }
             let reps = config.repeats.max(1);
             let outcome = first.expect("at least one repeat ran");
-            let cell = CellResult {
+            CellResult {
                 dataset: datasets[di].name.clone(),
                 model,
                 algorithm: alg.as_str(),
@@ -698,22 +646,16 @@ where
                     .map(|t| t.pipeline.to_string())
                     .unwrap_or_else(|| "(none)".into()),
                 failures,
-            };
-            (cell, cell_cache.map(|c| c.stats()))
+            }
         });
 
-    let mut cache = CacheStats::default();
     let mut failures = FailureStats::new();
-    let mut out = Vec::with_capacity(outputs.len());
-    for (cell, per_cell_stats) in outputs {
+    for cell in &out {
         failures.absorb(&cell.failures);
-        if let Some(stats) = per_cell_stats {
-            cache.absorb(&stats);
-        }
-        out.push(cell);
     }
     // Each shared group cache is absorbed exactly once, after every cell
     // that touched it has finished.
+    let mut cache = CacheStats::default();
     for group in &group_caches {
         for shared in group {
             cache.absorb(&shared.stats());
@@ -838,16 +780,10 @@ mod tests {
 
     #[test]
     fn arg_slice_parses_remote_and_worker_flags() {
-        let cfg = HarnessConfig::from_arg_slice(&argv(&[
-            "--remote",
-            "127.0.0.1:4000,127.0.0.1:4001",
-            "--cache-cap",
-            "64",
-        ]));
+        let cfg =
+            HarnessConfig::from_arg_slice(&argv(&["--remote", "127.0.0.1:4000,127.0.0.1:4001"]));
         let fleet = cfg.fleet.as_ref().expect("--remote sets a fixed fleet").snapshot();
         assert_eq!(fleet.addrs, vec!["127.0.0.1:4000", "127.0.0.1:4001"]);
-        assert_eq!(cfg.cache_capacity, Some(64));
-        assert_eq!(cfg.cache_mode, CacheMode::Shared, "nonzero cap keeps caching on");
         let cfg = HarnessConfig::from_arg_slice(&argv(&["--workers", "2"]));
         assert_eq!(cfg.workers, 2);
         assert!(cfg.fleet.is_none());
@@ -911,25 +847,13 @@ mod tests {
         let cfg = HarnessConfig::from_arg_slice(&argv(&["--trial-store", "/tmp/afp-repo"]));
         assert_eq!(cfg.trial_store.as_deref(), Some(std::path::Path::new("/tmp/afp-repo")));
         assert_eq!(cfg.cache_mode, CacheMode::Shared);
-        // The durable layer rides the per-group shared caches; other
-        // cache modes have nothing to attach it to.
-        for mode in ["per-cell", "off"] {
-            let err = HarnessConfig::try_from_arg_slice(&argv(&[
-                "--trial-store",
-                "/tmp/afp-repo",
-                "--cache",
-                mode,
-            ]))
-            .unwrap_err();
-            assert!(err.contains("--cache shared"), "{err}");
-        }
-        // `--cache-cap 0` downgrades to `--cache off`, which conflicts
-        // the same way.
+        // The durable layer rides the per-group shared caches; without
+        // them it has nothing to attach to.
         let err = HarnessConfig::try_from_arg_slice(&argv(&[
             "--trial-store",
             "/tmp/afp-repo",
-            "--cache-cap",
-            "0",
+            "--cache",
+            "off",
         ]))
         .unwrap_err();
         assert!(err.contains("--cache shared"), "{err}");
@@ -956,16 +880,31 @@ mod tests {
     }
 
     #[test]
-    fn cache_cap_zero_downgrades_shared_cache_to_off() {
-        let cfg = HarnessConfig::from_arg_slice(&argv(&["--cache-cap", "0", "--cache", "shared"]));
-        assert_eq!(cfg.cache_capacity, Some(0));
+    fn cache_flag_takes_shared_or_off_only() {
+        let cfg = HarnessConfig::from_arg_slice(&argv(&["--cache", "off"]));
         assert_eq!(cfg.cache_mode, CacheMode::Off);
-        // Per-cell caching is downgraded the same way...
-        let cfg = HarnessConfig::from_arg_slice(&argv(&["--cache", "per-cell", "--cache-cap", "0"]));
-        assert_eq!(cfg.cache_mode, CacheMode::Off);
-        // ...and an explicit `--cache off` with cap 0 is already consistent.
-        let cfg = HarnessConfig::from_arg_slice(&argv(&["--cache", "off", "--cache-cap", "0"]));
-        assert_eq!(cfg.cache_mode, CacheMode::Off);
+        let cfg = HarnessConfig::from_arg_slice(&argv(&["--cache", "shared"]));
+        assert_eq!(cfg.cache_mode, CacheMode::Shared);
+        // Trial caches are always unbounded and prefix caches always
+        // run at their default budget: no flag sizes or splits them.
+        for args in [
+            &["--cache", "per-cell"][..],
+            &["--cache-cap", "3"],
+            &["--prefix-cache-bytes", "65536"],
+        ] {
+            assert!(HarnessConfig::try_from_arg_slice(&argv(args)).is_err(), "accepted {args:?}");
+        }
+    }
+
+    #[test]
+    fn cells_out_needs_a_path() {
+        // As the last argument, `--cells-out` has no value: refusing it
+        // up front beats running the whole matrix and then failing to
+        // write to an empty path.
+        let err = HarnessConfig::try_from_arg_slice(&argv(&["--evals", "2", "--cells-out"]))
+            .unwrap_err();
+        assert!(err.contains("--cells-out"), "{err}");
+        assert!(HarnessConfig::try_from_arg_slice(&argv(&["--cells-out", ""])).is_err());
     }
 
     #[test]
@@ -1101,14 +1040,6 @@ mod tests {
         // `--prefix-cache` is the one valueless flag the parser accepts.
         let cfg = HarnessConfig::from_arg_slice(&argv(&["--prefix-cache"]));
         assert!(cfg.prefix_cache);
-        assert_eq!(cfg.prefix_cache_bytes, Some(PrefixCache::DEFAULT_BYTE_BUDGET));
-        // An explicit byte budget implies the cache is on.
-        let cfg = HarnessConfig::from_arg_slice(&argv(&["--prefix-cache-bytes", "1048576"]));
-        assert!(cfg.prefix_cache);
-        assert_eq!(cfg.prefix_cache_bytes, Some(1 << 20));
-        // A zero budget downgrades to off, mirroring `--cache-cap 0`.
-        let cfg = HarnessConfig::from_arg_slice(&argv(&["--prefix-cache", "--prefix-cache-bytes", "0"]));
-        assert!(!cfg.prefix_cache);
         // The flag composes with ordinary `--key value` pairs on either side.
         let cfg = HarnessConfig::from_arg_slice(&argv(&[
             "--workers",

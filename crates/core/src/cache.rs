@@ -12,15 +12,13 @@
 //! The cache is thread-safe (`&self` everywhere) so a
 //! [`crate::batch::BatchEvaluator`] can share it across workers, and it
 //! is a cheap-clone handle: its state sits behind one `Arc`, so clones
-//! see one memo and one set of hit / miss / eviction / saved-wall-clock
-//! counters, which [`crate::report::cache_stats_markdown`] renders.
+//! see one memo and one set of hit / miss / saved-wall-clock counters,
+//! which [`crate::report::cache_stats_markdown`] renders.
 //!
-//! By default a cache is unbounded; [`EvalCache::with_capacity`] caps
-//! the entry count with least-recently-used eviction, for long searches
-//! over large pipeline spaces where the memo would otherwise grow
-//! without limit. The LRU itself is the crate's one weighted store
-//! (`core::lru`), shared with [`crate::PrefixCache`]: here every entry
-//! weighs 1 against a budget of `capacity` entries.
+//! A trial cache is unbounded and never evicts, so under one cache a
+//! pipeline is evaluated at most once per key. Its map is the crate's
+//! one weighted store (`core::lru`), shared with [`crate::PrefixCache`],
+//! run here without a budget.
 //!
 //! The one code path from a cache miss to a fresh evaluation is
 //! [`crate::BatchEvaluator`] with a cache attached; single evaluations
@@ -153,7 +151,7 @@ impl CacheKey {
     }
 }
 
-/// Hit / miss / eviction / saved-time counters of an [`EvalCache`].
+/// Hit / miss / saved-time counters of an [`EvalCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups satisfied from the cache (including within-batch
@@ -163,8 +161,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Distinct memoized trials.
     pub entries: usize,
-    /// Entries dropped by the LRU capacity cap (0 when unbounded).
-    pub evictions: u64,
     /// Prep + Train wall-clock the hits would have re-spent.
     pub saved: Duration,
 }
@@ -193,14 +189,13 @@ impl CacheStats {
         self.hits += other.hits;
         self.misses += other.misses;
         self.entries += other.entries;
-        self.evictions += other.evictions;
         self.saved += other.saved;
     }
 }
 
 /// A thread-safe memo of finished [`Trial`]s.
 ///
-/// All methods take `&self`; internal state is a mutex-guarded LRU plus
+/// All methods take `&self`; internal state is a mutex-guarded map plus
 /// atomic counters, so one cache can serve many evaluation workers
 /// concurrently (see [`crate::batch::BatchEvaluator::with_cache`]).
 /// Cloning is cheap and shares that state: every clone sees the same
@@ -218,15 +213,13 @@ pub struct EvalCache {
 
 #[derive(Debug, Default)]
 struct CacheState {
-    /// canonical key -> trial, each of weight 1; the budget is the
-    /// entry capacity (`None` = unbounded, the default).
+    /// canonical key -> trial, without a budget: nothing is evicted.
     memo: Mutex<Lru<Trial>>,
     /// Durable layer: when attached, every memoized trial is also
     /// appended to this store (see [`EvalCache::attach_store`]).
     store: Mutex<Option<crate::repo::SharedTrialStore>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
     saved_nanos: AtomicU64,
 }
 
@@ -234,20 +227,6 @@ impl EvalCache {
     /// An empty, unbounded cache.
     pub fn new() -> EvalCache {
         EvalCache::default()
-    }
-
-    /// An empty cache holding at most `capacity` entries, evicting the
-    /// least recently used entry on overflow. `capacity` 0 disables
-    /// memoization entirely (every insert is refused and counted as an
-    /// eviction).
-    pub fn with_capacity(capacity: usize) -> EvalCache {
-        let memo = Mutex::new(Lru::new(Some(capacity as u64)));
-        EvalCache { state: Arc::new(CacheState { memo, ..CacheState::default() }) }
-    }
-
-    /// The entry cap, if one was set.
-    pub fn capacity(&self) -> Option<usize> {
-        self.lock().budget().map(|cap| cap as usize)
     }
 
     /// A worker thread panicking mid-batch (contained by the batch
@@ -259,7 +238,7 @@ impl EvalCache {
     }
 
     /// Look up a memoized trial. Records a hit (and the saved Prep +
-    /// Train time) or a miss, and refreshes the entry's recency.
+    /// Train time) or a miss.
     pub fn lookup(&self, key: &CacheKey) -> Option<Trial> {
         let found = self.lock().get(key.canonical()).cloned();
         match &found {
@@ -279,8 +258,7 @@ impl EvalCache {
         self.state.saved_nanos.fetch_add(saved.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Memoize a finished trial, evicting the least recently used
-    /// entry when a capacity cap is exceeded.
+    /// Memoize a finished trial.
     ///
     /// Deterministic failures (non-finite, degenerate, diverged,
     /// panic) are cached like successes — re-proposing the pipeline
@@ -307,10 +285,7 @@ impl EvalCache {
         if matches!(trial.failure, Some(FailureKind::Deadline) | Some(FailureKind::Transport)) {
             return;
         }
-        let evicted = self.lock().insert(key.canonical(), trial.clone(), 1);
-        if evicted.count > 0 {
-            self.state.evictions.fetch_add(evicted.count, Ordering::Relaxed);
-        }
+        self.lock().insert(key.canonical(), trial.clone(), 1);
     }
 
     /// Number of memoized trials.
@@ -337,10 +312,9 @@ impl EvalCache {
         self.state.store.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
-    /// Warm the memo with every trial persisted in `store` (in file
-    /// order, so LRU recency is deterministic across runs). Returns the
-    /// number of trials warmed; hit/miss counters are untouched and
-    /// nothing is written back to the store.
+    /// Warm the memo with every trial persisted in `store`, in file
+    /// order. Returns the number of trials warmed; hit/miss counters
+    /// are untouched and nothing is written back to the store.
     pub fn preload_from(&self, store: &crate::repo::TrialStore) -> u64 {
         let mut warmed = 0u64;
         for (key, trial) in store.snapshot() {
@@ -351,13 +325,30 @@ impl EvalCache {
         warmed
     }
 
+    /// Attach `context`'s durable segment of `repo` to this cache:
+    /// open the segment, record the evaluator identity `meta` (a
+    /// segment persisted under a different identity is refused), warm
+    /// the memo from it and attach it for write-through. Returns the
+    /// attached segment.
+    pub fn attach_segment(
+        &self,
+        repo: &crate::repo::TrialRepo,
+        context: &str,
+        meta: crate::repo::StoreMeta,
+    ) -> Result<crate::repo::SharedTrialStore, crate::repo::RepoError> {
+        let store = repo.open_context(context)?;
+        store.set_meta(meta)?;
+        self.preload_from(&store);
+        self.attach_store(store.clone());
+        Ok(store)
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.state.hits.load(Ordering::Relaxed),
             misses: self.state.misses.load(Ordering::Relaxed),
             entries: self.len(),
-            evictions: self.state.evictions.load(Ordering::Relaxed),
             saved: Duration::from_nanos(self.state.saved_nanos.load(Ordering::Relaxed)),
         }
     }
@@ -457,7 +448,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert_eq!(stats.saved, Duration::from_millis(8));
-        assert_eq!(stats.evictions, 0);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
@@ -486,54 +476,8 @@ mod tests {
     }
 
     #[test]
-    fn capacity_evicts_least_recently_used() {
-        let cache = EvalCache::with_capacity(2);
-        assert_eq!(cache.capacity(), Some(2));
-        let p = |k| Pipeline::from_kinds(&[k]);
-        cache.insert(&key_for(PreprocKind::Binarizer), &trial_for(&p(PreprocKind::Binarizer), 0.1));
-        cache.insert(
-            &key_for(PreprocKind::Normalizer),
-            &trial_for(&p(PreprocKind::Normalizer), 0.2),
-        );
-        // Touch Binarizer so Normalizer becomes the LRU victim.
-        assert!(cache.lookup(&key_for(PreprocKind::Binarizer)).is_some());
-        cache.insert(
-            &key_for(PreprocKind::MinMaxScaler),
-            &trial_for(&p(PreprocKind::MinMaxScaler), 0.3),
-        );
-        assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(&key_for(PreprocKind::Normalizer)).is_none());
-        assert!(cache.lookup(&key_for(PreprocKind::Binarizer)).is_some());
-        assert!(cache.lookup(&key_for(PreprocKind::MinMaxScaler)).is_some());
-        assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn reinserting_same_key_does_not_grow_or_evict() {
-        let cache = EvalCache::with_capacity(1);
-        let p = Pipeline::from_kinds(&[PreprocKind::Binarizer]);
-        let key = key_for(PreprocKind::Binarizer);
-        cache.insert(&key, &trial_for(&p, 0.1));
-        cache.insert(&key, &trial_for(&p, 0.6));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().evictions, 0);
-        assert_eq!(cache.lookup(&key).unwrap().accuracy, 0.6);
-    }
-
-    #[test]
-    fn zero_capacity_disables_memoization() {
-        let cache = EvalCache::with_capacity(0);
-        let p = Pipeline::from_kinds(&[PreprocKind::Binarizer]);
-        let key = key_for(PreprocKind::Binarizer);
-        cache.insert(&key, &trial_for(&p, 0.4));
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn default_cache_is_unbounded() {
+    fn cache_is_unbounded() {
         let cache = EvalCache::new();
-        assert_eq!(cache.capacity(), None);
         for (i, a) in PreprocKind::ALL.into_iter().enumerate() {
             for b in PreprocKind::ALL {
                 let p = Pipeline::from_kinds(&[a, b]);
@@ -544,14 +488,12 @@ mod tests {
             }
         }
         assert_eq!(cache.len(), PreprocKind::ALL.len() * PreprocKind::ALL.len());
-        assert_eq!(cache.stats().evictions, 0);
     }
 
     #[test]
     fn shared_handles_see_one_memo_and_exact_counters() {
-        let shared = EvalCache::with_capacity(8);
+        let shared = EvalCache::new();
         let clone = shared.clone();
-        assert_eq!(clone.capacity(), Some(8));
 
         let p = Pipeline::from_kinds(&[PreprocKind::StandardScaler]);
         let key = key_for(PreprocKind::StandardScaler);
@@ -569,7 +511,6 @@ mod tests {
             hits: 3,
             misses: 2,
             entries: 2,
-            evictions: 1,
             saved: Duration::from_millis(10),
         };
         let mut total = CacheStats::default();
@@ -578,7 +519,6 @@ mod tests {
         assert_eq!(total.hits, 6);
         assert_eq!(total.misses, 4);
         assert_eq!(total.entries, 4);
-        assert_eq!(total.evictions, 2);
         assert_eq!(total.saved, Duration::from_millis(20));
         assert!((total.hit_rate() - 0.6).abs() < 1e-12);
     }

@@ -96,11 +96,6 @@ impl<'a> FaultInjector<'a> {
         FaultInjector { inner, config }
     }
 
-    /// The fault configuration.
-    pub fn fault_config(&self) -> &FaultConfig {
-        &self.config
-    }
-
     /// The fault decision for one evaluation: a pure hash of
     /// (seed, pipeline key, fraction bits). Returns `None` for a clean
     /// evaluation.

@@ -1,13 +1,15 @@
-//! The one least-recently-used store behind both in-memory caches.
+//! The one least-recently-used store behind the in-memory caches.
 //!
-//! [`crate::EvalCache`] (the trial memo) and [`crate::PrefixCache`]
-//! (transformed prefix matrices) differ only in what an entry costs:
-//! the trial memo charges every entry weight 1 against an entry
-//! capacity, the prefix cache charges an entry its size in bytes
-//! against a byte budget. Everything else — canonical-string keys, the
-//! recency queue, the running total and the eviction loop — lives here
-//! once. Admission rules (never-persist failure kinds, poisoned
-//! matrices), hit/miss accounting and locking stay with each cache.
+//! [`crate::EvalCache`] (the trial memo), the evaluator's fit memo and
+//! [`crate::PrefixCache`] (transformed prefix matrices) differ only in
+//! what an entry costs and what budget it counts against: the trial
+//! memo runs without a budget, the fit memo charges every entry weight
+//! 1 against an entry capacity, and the prefix cache charges an entry
+//! its size in bytes against a byte budget. Everything else —
+//! canonical-string keys, the recency queue, the running total and the
+//! eviction loop — lives here once. Admission rules (never-persist
+//! failure kinds, poisoned matrices), hit/miss accounting and locking
+//! stay with each cache.
 //!
 //! Eviction order is a pure function of the call sequence: recency
 //! comes from a monotonic logical tick, never from the wall clock or
@@ -57,11 +59,6 @@ impl<V> Lru<V> {
     /// unbounded).
     pub(crate) fn new(budget: Option<u64>) -> Lru<V> {
         Lru { entries: Default::default(), recency: BTreeMap::new(), tick: 0, total: 0, budget }
-    }
-
-    /// The weight budget, if one was set.
-    pub(crate) fn budget(&self) -> Option<u64> {
-        self.budget
     }
 
     /// Number of residents.

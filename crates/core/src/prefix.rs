@@ -66,14 +66,16 @@
 //!
 //! The cache is byte-budgeted rather than entry-capped — entries are
 //! whole dataset copies, so their sizes vary wildly with dataset shape.
+//! [`PrefixCache::new`] budgets [`PrefixCache::DEFAULT_BYTE_BUDGET`]
+//! bytes; [`PrefixCache::with_byte_budget`] takes any other budget.
 //! Every insert charges `8 * (train cells + valid cells) + canonical
 //! length` bytes and evicts least-recently-used entries until the
 //! budget holds. An entry larger than the entire budget is never
 //! admitted (counted as an immediate eviction). Eviction only ever
 //! costs recomputation: results are bit-identical with any budget,
 //! including zero. The LRU is the crate's one weighted store
-//! (`core::lru`), shared with [`crate::EvalCache`], which charges
-//! every entry weight 1 instead of its byte size.
+//! (`core::lru`), shared with [`crate::EvalCache`], which runs it
+//! without a budget.
 //!
 //! Like [`crate::EvalCache`], a `PrefixCache` is a cheap-clone handle:
 //! clones share one store and one set of counters, so the bench harness
@@ -250,7 +252,7 @@ pub struct PrefixHit {
 /// All methods take `&self` (mutex-guarded LRU, atomic counters), so
 /// one cache can serve many evaluation workers concurrently, and clones
 /// share it — attach one via [`crate::Evaluator::with_prefix_cache`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PrefixCache {
     state: Arc<PrefixState>,
 }
@@ -258,8 +260,7 @@ pub struct PrefixCache {
 #[derive(Debug, Default)]
 struct PrefixState {
     /// canonical key -> prefix state, each weighing its
-    /// `entry_bytes`; the budget is the byte budget (`None` =
-    /// unbounded, the default).
+    /// `entry_bytes` against the byte budget.
     entries: Mutex<Lru<PrefixHit>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -271,15 +272,15 @@ struct PrefixState {
 }
 
 impl PrefixCache {
-    /// The byte budget callers use when they want "bounded, but big
-    /// enough to never matter at benchmark scale": 256 MiB. Both the
-    /// bench harness (`--prefix-cache`) and evald workers default to
-    /// this when the cache is enabled without an explicit budget.
+    /// The byte budget of [`PrefixCache::new`]: bounded, but big
+    /// enough to never matter at benchmark scale (256 MiB). The bench
+    /// harness (`--prefix-cache`) and every evald worker context run
+    /// their prefix caches at this budget.
     pub const DEFAULT_BYTE_BUDGET: u64 = 256 << 20;
 
-    /// An empty, unbounded cache.
+    /// An empty cache at [`PrefixCache::DEFAULT_BYTE_BUDGET`].
     pub fn new() -> PrefixCache {
-        PrefixCache::default()
+        PrefixCache::with_byte_budget(PrefixCache::DEFAULT_BYTE_BUDGET)
     }
 
     /// An empty cache holding at most `budget` bytes of transformed
@@ -288,11 +289,6 @@ impl PrefixCache {
     pub fn with_byte_budget(budget: u64) -> PrefixCache {
         let entries = Mutex::new(Lru::new(Some(budget)));
         PrefixCache { state: Arc::new(PrefixState { entries, ..PrefixState::default() }) }
-    }
-
-    /// The byte budget, if one was set.
-    pub fn byte_budget(&self) -> Option<u64> {
-        self.lock().budget()
     }
 
     /// Same poisoned-mutex policy as [`crate::EvalCache`]: every
@@ -380,6 +376,12 @@ impl PrefixCache {
             steps_saved: state.steps_saved.load(Ordering::Relaxed),
             saved: Duration::from_nanos(state.saved_nanos.load(Ordering::Relaxed)),
         }
+    }
+}
+
+impl Default for PrefixCache {
+    fn default() -> Self {
+        PrefixCache::new()
     }
 }
 
@@ -560,7 +562,6 @@ mod tests {
         // Budget fits exactly two of the three (keys have similar sizes).
         let budget = per_entry(&keys[0]) + per_entry(&keys[1]) + per_entry(&keys[2]) / 2;
         let cache = PrefixCache::with_byte_budget(budget);
-        assert_eq!(cache.byte_budget(), Some(budget));
 
         cache.insert(&keys[0], &t, &v, 1, Duration::ZERO);
         cache.insert(&keys[1], &t, &v, 1, Duration::ZERO);
@@ -620,9 +621,8 @@ mod tests {
 
     #[test]
     fn shared_handles_see_one_store() {
-        let shared = PrefixCache::with_byte_budget(1 << 20);
+        let shared = PrefixCache::new();
         let clone = shared.clone();
-        assert_eq!(clone.byte_budget(), Some(1 << 20));
         let cfg = EvalConfig::default();
         let (t, v) = small();
         let key = PrefixKey::new(&Pipeline::from_kinds(&[PreprocKind::StandardScaler]), 1, &cfg);

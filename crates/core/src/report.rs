@@ -122,7 +122,6 @@ pub fn cache_stats_markdown(stats: &CacheStats, prefix: Option<&PrefixStats>) ->
     let _ = writeln!(out, "| trial | misses | {} |", stats.misses);
     let _ = writeln!(out, "| trial | hit rate | {:.1}% |", stats.hit_rate() * 100.0);
     let _ = writeln!(out, "| trial | entries | {} |", stats.entries);
-    let _ = writeln!(out, "| trial | evictions | {} |", stats.evictions);
     let _ = writeln!(out, "| trial | eval time saved | {:.3} s |", stats.saved.as_secs_f64());
     if let Some(p) = prefix {
         out.push_str(&prefix_stats_rows(p));
@@ -191,7 +190,6 @@ pub fn matrix_stats_markdown(
     );
     let _ = writeln!(out, "| trial | misses | {} |", cache.misses);
     let _ = writeln!(out, "| trial | entries | {} |", cache.entries);
-    let _ = writeln!(out, "| trial | evictions | {} |", cache.evictions);
     let _ = writeln!(out, "| trial | eval time saved | {:.3} s |", cache.saved.as_secs_f64());
     if let Some(p) = prefix {
         out.push_str(&prefix_stats_rows(p));
@@ -340,7 +338,6 @@ mod tests {
         let md = cache_stats_markdown(&stats, None);
         assert!(md.contains("| trial | lookups | 6 |"));
         assert!(md.contains("hit rate"));
-        assert!(md.contains("| trial | evictions | 0 |"), "eviction count must be observable");
         assert!(!md.contains("| prefix |"), "no prefix rows without a prefix cache");
         let summary = summary_markdown(&out, ev.baseline_accuracy());
         assert!(summary.contains("| cache |"));
@@ -354,7 +351,6 @@ mod tests {
             hits: 4,
             misses: 6,
             entries: 6,
-            evictions: 0,
             saved: std::time::Duration::from_millis(20),
         };
         let prefix = PrefixStats {
@@ -425,12 +421,10 @@ mod tests {
         cache.hits = 3;
         cache.misses = 7;
         cache.entries = 7;
-        cache.evictions = 2;
         let mut failures = FailureStats::new();
         let md = matrix_stats_markdown(&cache, None, None, &failures);
         assert!(md.contains("| trial | lookups | 10 |"));
         assert!(md.contains("| trial | hits | 3 (30.0%) |"));
-        assert!(md.contains("| trial | evictions | 2 |"));
         assert!(md.contains("| - | failed trials | 0 |"));
         assert!(!md.contains("| prefix |"));
         failures.record(FailureKind::Panic);

@@ -1,13 +1,13 @@
 //! The `evald` binary's command surface.
 //!
-//! * `evald serve [--bind ADDR] [--port P] [--cache-cap N]
-//!   [--prefix-cache-bytes B] [--trial-store DIR]` — run a worker
-//!   daemon (default `127.0.0.1`, port 0 = OS-assigned) and print
-//!   `evald listening on <addr>` once bound, which supervisors parse. The prefix-transform cache defaults to
-//!   on at 256 MiB per context; `--prefix-cache-bytes 0` turns it off.
-//!   With `--trial-store`, each context's cache preloads from the
-//!   durable trial repository at materialization and writes finished
-//!   trials through to it, so a respawned worker resumes warm.
+//! * `evald serve [--bind ADDR] [--port P] [--trial-store DIR]` — run
+//!   a worker daemon (default `127.0.0.1`, port 0 = OS-assigned) and
+//!   print `evald listening on <addr>` once bound, which supervisors
+//!   parse. Each context gets an unbounded trial cache and a 256 MiB
+//!   prefix-transform cache. With `--trial-store`, each context's
+//!   cache preloads from the durable trial repository at
+//!   materialization and writes finished trials through to it, so a
+//!   respawned worker resumes warm.
 //! * `evald ping <addr>` / `evald stats <addr>` / `evald shutdown
 //!   <addr>` — operator utilities against a running worker.
 
@@ -23,16 +23,12 @@ const USAGE: &str = "\
 usage: evald <command>
 
 commands:
-  serve [--bind ADDR] [--port P] [--cache-cap N] [--prefix-cache-bytes B]
-        [--trial-store DIR]
+  serve [--bind ADDR] [--port P] [--trial-store DIR]
                                      run a worker daemon (bind defaults to
                                      127.0.0.1; port 0 = OS-assigned;
-                                     cache-cap bounds each context's trial LRU;
-                                     prefix-cache-bytes bounds each context's
-                                     prefix-transform cache, 0 = off,
-                                     default 256 MiB; trial-store preloads each
-                                     context cache from the durable repository
-                                     at DIR and persists finished trials to it)
+                                     trial-store preloads each context cache
+                                     from the durable repository at DIR and
+                                     persists finished trials to it)
   ping <addr>                        check a worker is alive
   stats <addr>                       print a worker's cumulative counters
   shutdown <addr>                    ask a worker to exit
@@ -53,7 +49,7 @@ pub fn run(args: Vec<String>) -> i32 {
         Some("stats") => rpc(&args[1..], "stats", |addr| {
             let s = client::stats(addr, RPC_TIMEOUT)?;
             println!(
-                "{addr}: served={} contexts={} hits={} misses={} entries={} evictions={} saved={:?} \
+                "{addr}: served={} contexts={} hits={} misses={} entries={} saved={:?} \
                  prefix_hits={} prefix_misses={} prefix_evictions={} prefix_steps_saved={} \
                  preloaded={}",
                 s.served,
@@ -61,7 +57,6 @@ pub fn run(args: Vec<String>) -> i32 {
                 s.hits,
                 s.misses,
                 s.entries,
-                s.evictions,
                 Duration::from_nanos(s.saved_nanos),
                 s.prefix_hits,
                 s.prefix_misses,
@@ -94,8 +89,6 @@ pub fn run(args: Vec<String>) -> i32 {
 fn serve(args: &[String]) -> i32 {
     let mut bind: std::net::IpAddr = std::net::Ipv4Addr::LOCALHOST.into();
     let mut port: u16 = 0;
-    let mut cache_cap: Option<usize> = None;
-    let mut prefix_bytes: Option<u64> = Some(autofp_core::PrefixCache::DEFAULT_BYTE_BUDGET);
     let mut trial_store: Option<std::path::PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -114,20 +107,6 @@ fn serve(args: &[String]) -> i32 {
                     return 2;
                 }
             },
-            "--cache-cap" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) => cache_cap = Some(n),
-                _ => {
-                    eprintln!("evald: --cache-cap needs a non-negative integer");
-                    return 2;
-                }
-            },
-            "--prefix-cache-bytes" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(b)) => prefix_bytes = Some(b), // 0 = off (filtered by the service)
-                _ => {
-                    eprintln!("evald: --prefix-cache-bytes needs a non-negative integer");
-                    return 2;
-                }
-            },
             "--trial-store" => match it.next() {
                 Some(dir) if !dir.is_empty() => trial_store = Some(dir.into()),
                 _ => {
@@ -141,7 +120,7 @@ fn serve(args: &[String]) -> i32 {
             }
         }
     }
-    let mut service = WorkerService::with_caches(cache_cap, prefix_bytes);
+    let mut service = WorkerService::new();
     if let Some(dir) = trial_store {
         match autofp_core::TrialRepo::open(&dir) {
             Ok(repo) => service = service.with_trial_repo(repo),
@@ -219,9 +198,6 @@ mod tests {
         assert_eq!(run(argv(&["ping"])), 2);
         assert_eq!(run(argv(&["stats"])), 2);
         assert_eq!(run(argv(&["serve", "--port", "notanumber"])), 2);
-        assert_eq!(run(argv(&["serve", "--cache-cap"])), 2);
-        assert_eq!(run(argv(&["serve", "--prefix-cache-bytes"])), 2);
-        assert_eq!(run(argv(&["serve", "--prefix-cache-bytes", "lots"])), 2);
         assert_eq!(run(argv(&["serve", "--trial-store"])), 2);
         assert_eq!(run(argv(&["serve", "--trial-store", ""])), 2);
         assert_eq!(run(argv(&["serve", "--bogus"])), 2);

@@ -8,7 +8,7 @@
 //! in-process evaluation exactly.
 //!
 //! Each context's evaluator also carries its own prefix-transform
-//! cache ([`autofp_core::PrefixCache`], on by default at
+//! cache ([`autofp_core::PrefixCache`] at
 //! [`PrefixCache::DEFAULT_BYTE_BUDGET`]): a remote worker sees the
 //! same long shared pipeline prefixes the searchers generate, and
 //! serving the transform suffix instead of the whole pipeline is
@@ -44,11 +44,6 @@ struct ContextState {
 /// Thread-safe behind `&self` — the TCP server handles each connection
 /// on its own thread against one shared `Arc<WorkerService>`.
 pub struct WorkerService {
-    /// LRU capacity for each context's cache (`None` = unbounded).
-    cache_capacity: Option<usize>,
-    /// Byte budget for each context's prefix-transform cache
-    /// (`None` = disabled, `Some(b)` = on, LRU-bounded at `b` bytes).
-    prefix_bytes: Option<u64>,
     /// Durable trial repository: when set, every context's cache is
     /// preloaded from its on-disk segment at materialization and
     /// writes finished trials through to it, so a respawned worker
@@ -65,19 +60,7 @@ impl WorkerService {
     /// A service whose per-context trial caches are unbounded and
     /// whose prefix caches run at the default byte budget.
     pub fn new() -> WorkerService {
-        WorkerService::with_caches(None, Some(PrefixCache::DEFAULT_BYTE_BUDGET))
-    }
-
-    /// Full cache control: trial-cache entry capacity (`None` =
-    /// unbounded, `Some(0)` = memoization off: every insert is refused
-    /// and counted as an eviction) plus the prefix-transform cache byte
-    /// budget (`None` = prefix cache off; a `Some(0)` budget also admits
-    /// nothing, so callers mapping a `--prefix-cache-bytes 0` flag may
-    /// pass either).
-    pub fn with_caches(capacity: Option<usize>, prefix_bytes: Option<u64>) -> WorkerService {
         WorkerService {
-            cache_capacity: capacity,
-            prefix_bytes: prefix_bytes.filter(|&b| b > 0),
             repo: None,
             contexts: Mutex::new(BTreeMap::new()),
             served: AtomicU64::new(0),
@@ -141,16 +124,23 @@ impl WorkerService {
         // build produces an identical evaluator and the first insert
         // wins below.
         let dataset = spec.generate(ctx.scale);
-        let mut evaluator = Evaluator::new(&dataset, ctx.eval_config());
-        if let Some(bytes) = self.prefix_bytes {
-            evaluator = evaluator.with_prefix_cache(PrefixCache::with_byte_budget(bytes));
-        }
-        let cache = match self.cache_capacity {
-            Some(cap) => EvalCache::with_capacity(cap),
-            None => EvalCache::new(),
-        };
+        let evaluator =
+            Evaluator::new(&dataset, ctx.eval_config()).with_prefix_cache(PrefixCache::new());
+        let cache = EvalCache::new();
+        // A store failure is a transport error (retryable, never
+        // cached): the worker refuses to serve a context whose persisted
+        // identity conflicts with the evaluator it just built rather
+        // than mixing trials from two different worlds.
         let store = match &self.repo {
-            Some(repo) => Some(durable_segment(repo, &key, &evaluator, &cache)?),
+            Some(repo) => {
+                let meta = StoreMeta {
+                    baseline_accuracy: evaluator.baseline_accuracy(),
+                    train_rows: evaluator.split().train.n_rows() as u64,
+                };
+                Some(cache.attach_segment(repo, &key, meta).map_err(|err| {
+                    EvalError::Transport { detail: format!("trial store: {err}") }
+                })?)
+            }
             None => None,
         };
         let state = Arc::new(ContextState { evaluator, cache, store });
@@ -179,7 +169,6 @@ impl WorkerService {
             hits: cache.hits,
             misses: cache.misses,
             entries: cache.entries as u64,
-            evictions: cache.evictions,
             saved_nanos: u64::try_from(cache.saved.as_nanos()).unwrap_or(u64::MAX),
             prefix_hits: prefix.hits,
             prefix_misses: prefix.misses,
@@ -231,33 +220,6 @@ impl Default for WorkerService {
     fn default() -> Self {
         WorkerService::new()
     }
-}
-
-/// Open `context`'s durable segment, record the evaluator's identity
-/// meta, and preload + attach the context cache. Store failures
-/// surface as transport errors (retryable, never cached): the worker
-/// refuses to serve a context whose persisted identity conflicts with
-/// the evaluator it just built rather than mixing trials from two
-/// different worlds.
-fn durable_segment(
-    repo: &TrialRepo,
-    context: &str,
-    evaluator: &Evaluator,
-    cache: &EvalCache,
-) -> Result<SharedTrialStore, EvalError> {
-    let transport = |err: autofp_core::RepoError| EvalError::Transport {
-        detail: format!("trial store: {err}"),
-    };
-    let store = repo.open_context(context).map_err(transport)?;
-    store
-        .set_meta(StoreMeta {
-            baseline_accuracy: evaluator.baseline_accuracy(),
-            train_rows: evaluator.split().train.n_rows() as u64,
-        })
-        .map_err(transport)?;
-    cache.preload_from(&store);
-    cache.attach_store(store.clone());
-    Ok(store)
 }
 
 #[cfg(test)]
@@ -386,32 +348,26 @@ mod tests {
     }
 
     #[test]
-    fn prefix_cache_bytes_zero_disables_the_layer() {
-        let svc = WorkerService::with_caches(None, Some(0));
-        let p = Pipeline::from_kinds(&[PreprocKind::StandardScaler]);
-        let resp = svc.handle(&Request::Eval { ctx: ctx(), pipeline: p, fraction: 1.0 });
-        assert!(matches!(resp, Response::Trial(_)), "expected Trial, got {resp:?}");
-        let stats = svc.stats();
-        assert_eq!(stats.prefix_hits + stats.prefix_misses, 0, "no cache, no probes");
-    }
-
-    #[test]
     fn prefix_cached_worker_matches_plain_evaluator_bit_exactly() {
         let with = WorkerService::new();
-        let without = WorkerService::with_caches(None, None);
+        // A local evaluator without a prefix cache is the reference.
+        let spec = spec_by_name("heart").expect("heart in registry");
+        let without = Evaluator::new(&spec.generate(0.5), ctx().eval_config());
         for kinds in [
             vec![PreprocKind::StandardScaler],
             vec![PreprocKind::StandardScaler, PreprocKind::PowerTransformer],
             vec![PreprocKind::StandardScaler, PreprocKind::PowerTransformer, PreprocKind::Normalizer],
         ] {
-            let req = Request::Eval { ctx: ctx(), pipeline: Pipeline::from_kinds(&kinds), fraction: 1.0 };
-            let (a, b) = (with.handle(&req), without.handle(&req));
-            let (Response::Trial(a), Response::Trial(b)) = (a, b) else {
-                panic!("expected two Trial responses");
+            let pipeline = Pipeline::from_kinds(&kinds);
+            let req = Request::Eval { ctx: ctx(), pipeline: pipeline.clone(), fraction: 1.0 };
+            let Response::Trial(a) = with.handle(&req) else {
+                panic!("expected a Trial response");
             };
+            let b = without.evaluate(&pipeline);
             assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits(), "{kinds:?}");
             assert_eq!(a.error.to_bits(), b.error.to_bits(), "{kinds:?}");
         }
+        assert!(with.stats().prefix_hits > 0, "the worker's prefix cache must serve the extensions");
     }
 
     #[test]
@@ -477,22 +433,5 @@ mod tests {
             "{resp:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cache_capacity_zero_disables_memoization() {
-        let svc = WorkerService::with_caches(Some(0), Some(PrefixCache::DEFAULT_BYTE_BUDGET));
-        let req = Request::Eval {
-            ctx: ctx(),
-            pipeline: Pipeline::from_kinds(&[PreprocKind::MaxAbsScaler]),
-            fraction: 1.0,
-        };
-        let _ = svc.handle(&req);
-        let _ = svc.handle(&req);
-        let stats = svc.stats();
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.entries, 0);
-        assert!(stats.evictions >= 2);
     }
 }

@@ -83,8 +83,6 @@ pub struct WorkerStats {
     pub misses: u64,
     /// Live memoized trials over all contexts.
     pub entries: u64,
-    /// LRU evictions over all contexts.
-    pub evictions: u64,
     /// Prep + Train wall-clock the hits avoided, in nanoseconds.
     pub saved_nanos: u64,
     /// Prefix-transform cache hits over all contexts.
@@ -228,7 +226,6 @@ fn enc_stats(e: &mut Enc, s: &WorkerStats) {
     e.u64(s.hits);
     e.u64(s.misses);
     e.u64(s.entries);
-    e.u64(s.evictions);
     e.u64(s.saved_nanos);
     e.u64(s.prefix_hits);
     e.u64(s.prefix_misses);
@@ -244,7 +241,6 @@ fn dec_stats(d: &mut Dec) -> Result<WorkerStats, EvalError> {
         hits: d.u64()?,
         misses: d.u64()?,
         entries: d.u64()?,
-        evictions: d.u64()?,
         saved_nanos: d.u64()?,
         prefix_hits: d.u64()?,
         prefix_misses: d.u64()?,
@@ -442,7 +438,6 @@ mod tests {
             hits: 4,
             misses: 6,
             entries: 6,
-            evictions: 1,
             saved_nanos: 42_000,
             prefix_hits: 9,
             prefix_misses: 3,
@@ -543,6 +538,18 @@ mod tests {
         // Error response carrying a Transport error.
         let err = encode_response(&Response::Error(EvalError::Transport { detail: "x".into() }));
         assert_eq!(err, vec![4, 5, 1, 0, 0, 0, b'x']);
+    }
+
+    /// Golden bytes of the `Stats` response: a tag, then eleven
+    /// little-endian `u64` counters in declaration order.
+    #[test]
+    fn golden_stats_response_bytes_are_locked() {
+        let mut expect: Vec<u8> = vec![3]; // Stats response tag
+        for v in [10u64, 2, 4, 6, 6, 42_000, 9, 3, 2, 17, 5] {
+            expect.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(expect.len(), 1 + 11 * 8);
+        assert_eq!(encode_response(&Response::Stats(stats())), expect);
     }
 
     /// Golden bytes of the full trial layout: every step kind with a

@@ -272,15 +272,6 @@ pub fn norm_max(a: &[f64]) -> f64 {
     a.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
 }
 
-/// `a += alpha * b` elementwise.
-#[inline]
-pub fn axpy(alpha: f64, b: &[f64], a: &mut [f64]) {
-    debug_assert_eq!(a.len(), b.len());
-    for (x, &y) in a.iter_mut().zip(b) {
-        *x += alpha * y;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

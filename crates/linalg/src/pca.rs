@@ -8,7 +8,6 @@
 //! full eigendecomposition.
 
 use crate::matrix::{dot, norm_l2, Matrix};
-use crate::stats;
 
 /// Result of a (possibly truncated) PCA.
 #[derive(Debug, Clone)]
@@ -164,13 +163,6 @@ fn power_iteration(a: &Matrix, seed: u64) -> (f64, Vec<f64>) {
         }
     }
     (eigval.max(0.0), v)
-}
-
-/// Convenience: skewness and kurtosis of the first-PC projection.
-pub fn first_pc_moments(x: &Matrix) -> (f64, f64) {
-    let pca = Pca::fit(x, 1);
-    let proj = pca.project_first(x);
-    (stats::skewness(&proj), stats::kurtosis(&proj))
 }
 
 #[cfg(test)]

@@ -48,11 +48,6 @@ pub struct DecisionTree {
 }
 
 impl DecisionTree {
-    /// Number of nodes (diagnostics).
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Depth of the tree (root = 0).
     pub fn depth(&self) -> usize {
         fn rec(nodes: &[Node], i: usize) -> usize {

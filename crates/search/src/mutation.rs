@@ -51,11 +51,6 @@ impl Alphabet {
     pub fn encode(&self, p: &Pipeline) -> Option<Vec<usize>> {
         p.steps().iter().map(|s| self.token_of(s)).collect()
     }
-
-    /// A uniformly random token.
-    pub fn random_token(&self, rng: &mut StdRng) -> usize {
-        rng.gen_range(0..self.variants.len())
-    }
 }
 
 /// Mutate a pipeline: replace a random step, insert a step, or drop a

@@ -123,6 +123,15 @@ fn evald_rejects_bad_usage_with_exit_two() {
     let (_, stderr, code) = evald(&["serve", "--port", "notaport"]);
     assert_eq!(code, Some(2));
     assert!(stderr.contains("--port"), "{stderr}");
+    // Cache sizes are fixed, not flags. The held port turns a flag that
+    // parsed into a failed bind (exit 1) rather than a running daemon.
+    let holder = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let port = holder.local_addr().expect("addr").port().to_string();
+    for flag in ["--cache-cap", "--prefix-cache-bytes"] {
+        let (_, stderr, code) = evald(&["serve", flag, "3", "--port", &port]);
+        assert_eq!(code, Some(2), "{flag}: {stderr}");
+        assert!(stderr.contains("unknown serve flag"), "{stderr}");
+    }
 }
 
 #[test]

@@ -8,15 +8,16 @@
 //!    across 1 and 8 worker threads and across reruns.
 //! 2. Byte-budget eviction: a cache squeezed far below its working set
 //!    evicts (deterministically, given one thread) and still returns
-//!    results bit-identical to an unbounded cache.
+//!    results bit-identical to a cache at the default budget, which
+//!    this matrix never fills.
 //! 3. Poisoning: a prefix whose transform output contains NaN is never
 //!    admitted, so later pipelines can never be served a poisoned
 //!    matrix — the non-finite worst-error taxonomy is identical with
 //!    and without the cache.
 
-use autofp_bench::{run_matrix, HarnessConfig, MatrixOutcome};
+use autofp_bench::{run_matrix, run_matrix_with, HarnessConfig, MatrixOutcome};
 use autofp_core::{
-    Budget, EvalConfig, Evaluate, Evaluator, FailureKind, PrefixCache,
+    Budget, EvalConfig, Evaluate, Evaluator, FailureKind, PrefixCache, PrefixStats,
 };
 use autofp_data::{registry, Dataset, DatasetSpec, SynthConfig};
 use autofp_models::classifier::ModelKind;
@@ -89,38 +90,61 @@ fn prefix_cache_matrix_bit_identical_across_threads_and_reruns() {
     assert_eq!(plain, canonical(&eight), "thread count leaked through the prefix cache");
 }
 
+/// Run the matrix with one `PrefixCache::with_byte_budget(budget)`
+/// per dataset, shared across its model groups as the harness shares
+/// its own, and fold those caches' counters.
+fn run_with_prefix_budget(
+    specs: &[DatasetSpec],
+    models: &[ModelKind],
+    algs: &[AlgName],
+    cfg: &HarnessConfig,
+    budget: u64,
+) -> (MatrixOutcome, PrefixStats) {
+    let caches: Vec<(&str, PrefixCache)> =
+        specs.iter().map(|s| (s.name, PrefixCache::with_byte_budget(budget))).collect();
+    let outcome = run_matrix_with(specs, models, algs, cfg, |d, c, _| {
+        let (_, cache) = caches.iter().find(|(name, _)| *name == d.name).expect("dataset listed");
+        Box::new(Evaluator::new(d, c).with_prefix_cache(cache.clone()))
+    });
+    let mut stats = PrefixStats::default();
+    for (_, cache) in &caches {
+        stats.absorb(&cache.stats());
+    }
+    (outcome, stats)
+}
+
 #[test]
 fn tight_byte_budget_evicts_deterministically_without_changing_results() {
     let (specs, models, algs, mut cfg) = mini_config();
     cfg.threads = 1;
     cfg.prefix_cache = true;
-    cfg.prefix_cache_bytes = None; // unbounded
-    let unbounded = run_matrix(&specs, &models, &algs, &cfg);
-    assert_eq!(unbounded.prefix.evictions, 0, "unbounded caches never evict");
-    assert!(unbounded.prefix.bytes > 0);
+    let roomy = run_matrix(&specs, &models, &algs, &cfg);
+    assert_eq!(roomy.prefix.evictions, 0, "default-budget caches never evict here");
+    assert!(roomy.prefix.bytes > 0);
 
     // Room for roughly one 160x~20 f64 train/valid pair: every deeper
-    // insert must push earlier prefixes out.
-    cfg.prefix_cache_bytes = Some(64 << 10);
-    let tight = run_matrix(&specs, &models, &algs, &cfg);
+    // insert must push earlier prefixes out. The factory attaches
+    // these caches itself, so the harness builds none.
+    cfg.prefix_cache = false;
+    let (tight_outcome, tight) = run_with_prefix_budget(&specs, &models, &algs, &cfg, 64 << 10);
     assert_eq!(
-        canonical(&unbounded),
-        canonical(&tight),
+        canonical(&roomy),
+        canonical(&tight_outcome),
         "byte-budget eviction must only cost recomputation, never change results"
     );
-    assert!(tight.prefix.evictions > 0, "a 64 KiB budget over this matrix must evict");
-    assert!(tight.prefix.bytes_evicted > 0);
+    assert!(tight.evictions > 0, "a 64 KiB budget over this matrix must evict");
+    assert!(tight.bytes_evicted > 0);
     assert!(
-        tight.prefix.bytes <= 2 * (64 << 10),
+        tight.bytes <= 2 * (64 << 10),
         "2 per-dataset caches x 64 KiB budget violated: {} live bytes",
-        tight.prefix.bytes
+        tight.bytes
     );
 
     // One worker thread = one deterministic insert/evict stream.
-    let rerun = run_matrix(&specs, &models, &algs, &cfg);
-    assert_eq!(tight.prefix.evictions, rerun.prefix.evictions);
-    assert_eq!(tight.prefix.bytes_evicted, rerun.prefix.bytes_evicted);
-    assert_eq!(tight.prefix.hits, rerun.prefix.hits);
+    let (_, rerun) = run_with_prefix_budget(&specs, &models, &algs, &cfg, 64 << 10);
+    assert_eq!(tight.evictions, rerun.evictions);
+    assert_eq!(tight.bytes_evicted, rerun.bytes_evicted);
+    assert_eq!(tight.hits, rerun.hits);
 }
 
 /// One column entirely NaN: every prefix transform output stays
