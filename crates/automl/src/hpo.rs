@@ -140,13 +140,6 @@ pub struct ContextComparison {
     pub no_fp: f64,
 }
 
-impl ContextComparison {
-    /// Did Auto-FP win or tie against both comparators?
-    pub fn auto_fp_wins(&self) -> bool {
-        self.auto_fp >= self.tpot_fp && self.auto_fp >= self.hpo
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,18 +174,5 @@ mod tests {
         let a = HpoSearch::new(ModelKind::Xgb, 3).run(&split, Budget::evals(4)).best_accuracy;
         let b = HpoSearch::new(ModelKind::Xgb, 3).run(&split, Budget::evals(4)).best_accuracy;
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn comparison_helpers() {
-        let c = ContextComparison {
-            dataset: "x".into(),
-            model: ModelKind::Lr,
-            auto_fp: 0.9,
-            tpot_fp: 0.85,
-            hpo: 0.88,
-            no_fp: 0.8,
-        };
-        assert!(c.auto_fp_wins());
     }
 }

@@ -2,10 +2,13 @@
 //!
 //! Usage: `cargo run --release -p autofp-bench --bin run_all [-- args...]`
 //! Extra args are forwarded to every experiment (e.g. `--scale 0.05`).
+//!
+//! `exp_replay` is not in the list: it replays a trial store that an
+//! earlier `--trial-store` run must have populated.
 
 use std::process::Command;
 
-const EXPERIMENTS: [&str; 15] = [
+const EXPERIMENTS: [&str; 18] = [
     "exp_trend",
     "exp_patterns",
     "exp_fig5",
@@ -21,6 +24,9 @@ const EXPERIMENTS: [&str; 15] = [
     "exp_fig9",
     "exp_fig10",
     "exp_fig11",
+    "exp_deep_probe",
+    "exp_warmstart",
+    "exp_reduction",
 ];
 
 fn main() {
@@ -37,14 +43,6 @@ fn main() {
         if !status.success() {
             failed.push(exp);
         }
-    }
-    println!("\n################ exp_deep_probe ################\n");
-    let status = Command::new(bin_dir.join("exp_deep_probe"))
-        .args(&forwarded)
-        .status()
-        .expect("failed to launch exp_deep_probe");
-    if !status.success() {
-        failed.push("exp_deep_probe");
     }
     if failed.is_empty() {
         println!("\nAll experiments completed.");

@@ -72,8 +72,8 @@ pub struct HarnessConfig {
     /// The `evald` fleet to evaluate on: when set, every matrix
     /// evaluation goes through [`RemoteEvaluator`], sharded across the
     /// fleet by the stable cache-key fingerprint. `--remote` sets a
-    /// fixed fleet; a supervisor's live spec lets it respawn or resize
-    /// workers mid-run while clients follow along.
+    /// fixed fleet; a supervisor's live spec lets it respawn workers
+    /// mid-run while clients follow along.
     pub fleet: Option<SharedFleetSpec>,
     /// Number of local `evald` workers to spawn for the run (0 = none).
     /// The exp binaries spawn the fleet via [`spawn_supervised_fleet`]
@@ -377,14 +377,6 @@ pub struct CellResult {
     pub best_pipeline: String,
     /// Worst-error trials this cell hit, tallied across all repeats.
     pub failures: FailureStats,
-}
-
-impl CellResult {
-    /// Improvement over the no-FP baseline, in percentage points (the
-    /// unit of the paper's Tables 12-15).
-    pub fn improvement_pp(&self) -> f64 {
-        ((self.best_accuracy - self.baseline) * 100.0).max(0.0)
-    }
 }
 
 /// A full scenario-matrix run: per-cell results plus matrix-level
@@ -1078,26 +1070,6 @@ mod tests {
         assert!(cached.prefix.steps_saved > 0, "hits skip at least their prefix depth in steps");
         // The deterministic cell serialization cannot tell the two runs apart.
         assert_eq!(cells_tsv(&plain), cells_tsv(&cached));
-    }
-
-    #[test]
-    fn improvement_is_nonnegative() {
-        let r = CellResult {
-            dataset: "x".into(),
-            model: ModelKind::Lr,
-            algorithm: "RS",
-            baseline: 0.9,
-            best_accuracy: 0.85,
-            n_evals: 1,
-            breakdown: PhaseBreakdown {
-                pick: Duration::ZERO,
-                prep: Duration::ZERO,
-                train: Duration::ZERO,
-            },
-            best_pipeline: String::new(),
-            failures: FailureStats::new(),
-        };
-        assert_eq!(r.improvement_pp(), 0.0);
     }
 }
 

@@ -13,7 +13,7 @@
 //! [`crate::batch::BatchEvaluator`] can share it across workers, and it
 //! is a cheap-clone handle: its state sits behind one `Arc`, so clones
 //! see one memo and one set of hit / miss / saved-wall-clock counters,
-//! which [`crate::report::cache_stats_markdown`] renders.
+//! which [`crate::report::matrix_stats_markdown`] renders.
 //!
 //! A trial cache is unbounded and never evicts, so under one cache a
 //! pipeline is evaluated at most once per key. Its map is the crate's

@@ -9,7 +9,7 @@
 
 use crate::batch::BatchEvaluator;
 use crate::budget::{Budget, BudgetClock};
-use crate::cache::{CacheStats, EvalCache};
+use crate::cache::EvalCache;
 use crate::error::FailureStats;
 use crate::evaluator::Evaluate;
 use crate::history::{PhaseBreakdown, Trial, TrialHistory};
@@ -75,10 +75,8 @@ impl<'a> SearchContext<'a> {
         }
     }
 
-    /// Memoize every evaluation (single and batched) in `cache`; its
-    /// hit/miss/saved statistics are snapshotted into
-    /// [`SearchOutcome::cache`] at [`SearchContext::finish`]. Cache hits
-    /// still count toward eval-count budgets, so a searcher's proposal
+    /// Memoize every evaluation (single and batched) in `cache`. Cache
+    /// hits still count toward eval-count budgets, so a searcher's proposal
     /// sequence — and therefore its result — is identical with and
     /// without a cache; only wall-clock changes.
     ///
@@ -195,10 +193,8 @@ impl<'a> SearchContext<'a> {
             algorithm,
             breakdown: PhaseBreakdown { pick: self.pick_time, prep, train },
             failures: FailureStats::from_history(&self.history),
-            prefix: self.evaluator.prefix_stats(),
             history: self.history,
             elapsed: self.clock.elapsed(),
-            cache: self.cache.map(|c| c.stats()),
         }
     }
 }
@@ -216,15 +212,6 @@ pub struct SearchOutcome {
     pub failures: FailureStats,
     /// Total wall-clock time of the run.
     pub elapsed: Duration,
-    /// Snapshot of the attached [`EvalCache`]'s statistics at finish
-    /// time; `None` when the run was uncached.
-    pub cache: Option<CacheStats>,
-    /// Snapshot of the evaluator's prefix-transform cache statistics
-    /// ([`crate::PrefixCache`]) at finish time; `None` when the
-    /// evaluator holds no prefix cache. When one prefix cache is
-    /// shared by several runs, the snapshot covers all of them up to
-    /// this finish.
-    pub prefix: Option<crate::prefix::PrefixStats>,
 }
 
 impl SearchOutcome {
@@ -253,8 +240,7 @@ pub fn run_search(
 /// Run a searcher with full control over the context: an explicit
 /// batch-evaluation worker count (`None` = available parallelism) and
 /// an optional [`EvalCache`], which serves duplicate proposals (within
-/// this run or from earlier runs sharing the cache) from memory and
-/// whose statistics the outcome carries.
+/// this run or from earlier runs sharing the cache) from memory.
 ///
 /// This is the bench harness's entry point: matrix cells run their
 /// searches single-threaded (`batch_threads = Some(1)`, the paper's
@@ -348,7 +334,6 @@ mod tests {
         assert!(ctx.evaluate_batch(&batch).is_none());
         let outcome = ctx.finish("BATCH");
         assert_eq!(outcome.history.len(), 3);
-        assert!(outcome.cache.is_none());
     }
 
     #[test]
@@ -363,7 +348,7 @@ mod tests {
         assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
         let outcome = ctx.finish("CACHED");
         assert_eq!(outcome.history.len(), 2, "hits still enter history");
-        let stats = outcome.cache.expect("stats snapshotted");
+        let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
     }
@@ -379,17 +364,17 @@ mod tests {
             assert_eq!(a.pipeline.key(), b.pipeline.key());
             assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
         }
-        assert!(cached.cache.is_some());
+        assert!(cache.stats().lookups() > 0);
     }
 
     #[test]
-    fn prefix_stats_snapshot_into_outcome_and_preserve_results() {
+    fn prefix_cache_counts_lookups_and_preserves_results() {
         let plain_ev = evaluator();
         let prefix_ev = evaluator().with_prefix_cache(crate::prefix::PrefixCache::new());
         let plain = run_search(&mut FixedSearcher, &plain_ev, Budget::evals(6));
         let prefixed = run_search(&mut FixedSearcher, &prefix_ev, Budget::evals(6));
-        assert!(plain.prefix.is_none());
-        let stats = prefixed.prefix.expect("prefix stats snapshotted");
+        assert!(plain_ev.prefix_stats().is_none());
+        let stats = prefix_ev.prefix_stats().expect("prefix cache attached");
         assert!(stats.lookups() > 0);
         for (a, b) in plain.history.trials().iter().zip(prefixed.history.trials()) {
             assert_eq!(a.pipeline.key(), b.pipeline.key());

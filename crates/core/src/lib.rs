@@ -75,7 +75,6 @@ pub use order::{nan_largest, nan_smallest};
 pub use prefix::{PrefixCache, PrefixHit, PrefixKey, PrefixStats};
 pub use remote::{
     mix64, shard, shard_order, shard_weight, FleetStats, RemoteBackend, RemoteEvaluator, RemoteInfo,
-    RetryPolicy,
 };
 pub use repo::{
     GcReport, GcSegment, OpenReport, RepoError, ReplayEvaluator, SharedTrialStore, StoreMeta,

@@ -9,10 +9,9 @@
 //! a mixed 64-bit weight and the request goes to the live slot with the
 //! highest weight, so one pipeline always lands on one worker and that
 //! worker's process-local cache converges to the shard of the
-//! evaluation space it owns. Unlike `fingerprint % N`, resizing the
-//! fleet from `N` to `N+1` workers remaps only ~`1/(N+1)` of the keys
-//! (each key moves only if the new slot out-weighs its current owner),
-//! so warm worker caches survive a resize.
+//! evaluation space it owns. Unlike `fingerprint % N`, taking a slot
+//! out of the order moves only that slot's keys (each to its next
+//! weight), so the other workers' warm caches survive a failover.
 //!
 //! # Failover and failure conversion
 //!
@@ -21,11 +20,12 @@
 //! worker. Workers regenerate their datasets deterministically from the
 //! evaluation context, so *any* worker returns bit-identical trials —
 //! failover changes which process answers, never the answer. Per-worker
-//! transport faults are retried with bounded exponential backoff before
-//! moving on; only when every worker in the fleet has been exhausted
-//! does the error surface as [`EvalError::Transport`], which the search
-//! framework converts into the established worst-error-trial convention
-//! (accuracy 0, error 1, tagged [`crate::FailureKind::Transport`]).
+//! transport faults are retried with bounded exponential backoff (3
+//! tries per worker, 10 ms that doubles) before moving on; only when
+//! every worker in the fleet has been exhausted does the error surface
+//! as [`EvalError::Transport`], which the search framework converts
+//! into the established worst-error-trial convention (accuracy 0,
+//! error 1, tagged [`crate::FailureKind::Transport`]).
 //! Searches therefore run their budgets to completion deterministically
 //! even with workers down: routing is a pure function of
 //! `(fingerprint, live-worker-set)`, so the same requests are served
@@ -126,26 +126,16 @@ pub trait RemoteBackend: Send + Sync {
     fn note_failover(&self, _from: usize, _to: usize) {}
 }
 
-/// Bounded retry-with-backoff policy for transport faults.
-///
-/// Only [`EvalError::Transport`] is retried — every other failure kind
-/// is a deterministic property of the pipeline and retrying it would
-/// just repeat the failure. The policy bounds attempts *per worker*;
-/// after exhausting one worker the evaluator fails over to the key's
-/// rendezvous successor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Attempts per worker per request (first try included); min 1.
-    pub attempts: u32,
-    /// Sleep before the first retry; doubles after each further retry.
-    pub backoff: Duration,
-}
+/// Attempts per worker per request, first try included. Only
+/// [`EvalError::Transport`] is retried — every other failure kind is a
+/// deterministic property of the pipeline and retrying it would just
+/// repeat the failure. After exhausting one worker the evaluator fails
+/// over to the key's rendezvous successor.
+const ATTEMPTS: u32 = 3;
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy { attempts: 3, backoff: Duration::from_millis(10) }
-    }
-}
+/// Sleep before the first same-worker retry; doubles after each
+/// further retry.
+const BACKOFF: Duration = Duration::from_millis(10);
 
 /// An [`Evaluate`] implementation that forwards every request to a
 /// sharded fleet of remote workers.
@@ -157,26 +147,16 @@ impl Default for RetryPolicy {
 pub struct RemoteEvaluator {
     backend: Box<dyn RemoteBackend>,
     config: EvalConfig,
-    retry: RetryPolicy,
     info: RemoteInfo,
 }
 
 impl RemoteEvaluator {
-    /// Build over `backend` with the default [`RetryPolicy`].
-    pub fn new(backend: Box<dyn RemoteBackend>, config: EvalConfig) -> RemoteEvaluator {
-        Self::with_retry(backend, config, RetryPolicy::default())
-    }
-
-    /// Build over `backend` with an explicit retry policy.
+    /// Build over `backend`.
     ///
     /// `describe` is asked of each worker in index order until one
     /// answers; a fully dead fleet degrades to a zero baseline rather
     /// than failing construction.
-    pub fn with_retry(
-        backend: Box<dyn RemoteBackend>,
-        config: EvalConfig,
-        retry: RetryPolicy,
-    ) -> RemoteEvaluator {
+    pub fn new(backend: Box<dyn RemoteBackend>, config: EvalConfig) -> RemoteEvaluator {
         let mut info = RemoteInfo { baseline_accuracy: 0.0, train_rows: 0 };
         for worker in 0..backend.workers() {
             if let Ok(described) = backend.describe(worker) {
@@ -184,14 +164,7 @@ impl RemoteEvaluator {
                 break;
             }
         }
-        RemoteEvaluator { backend, config, retry, info }
-    }
-
-    /// The worker index `pipeline` @ `fraction` prefers: the head of
-    /// the key's rendezvous order (see [`shard`]).
-    pub fn shard_of(&self, pipeline: &Pipeline, fraction: f64) -> usize {
-        let key = CacheKey::new(pipeline, fraction, &self.config);
-        shard(key.fingerprint(), self.backend.workers())
+        RemoteEvaluator { backend, config, info }
     }
 
     /// Attempt one worker with the bounded per-worker retry policy.
@@ -202,10 +175,9 @@ impl RemoteEvaluator {
         fraction: f64,
         cancel: &CancelToken,
     ) -> Result<Trial, EvalError> {
-        let attempts = self.retry.attempts.max(1);
-        let mut delay = self.retry.backoff;
+        let mut delay = BACKOFF;
         let mut last = EvalError::Transport { detail: "no attempt made".to_string() };
-        for attempt in 0..attempts {
+        for attempt in 0..ATTEMPTS {
             if cancel.is_cancelled() {
                 return Err(EvalError::DeadlineExceeded);
             }
@@ -213,7 +185,7 @@ impl RemoteEvaluator {
                 Ok(trial) => return Ok(trial),
                 Err(err @ EvalError::Transport { .. }) => {
                     last = err;
-                    if attempt + 1 < attempts {
+                    if attempt + 1 < ATTEMPTS {
                         self.backend.note_retry(worker);
                         std::thread::sleep(delay);
                         delay = delay.saturating_mul(2);
@@ -241,7 +213,7 @@ pub fn mix64(mut z: u64) -> u64 {
 /// Rendezvous weight of worker slot `slot` for `fingerprint`. The
 /// request prefers slots in descending weight order. Pure and stable:
 /// the weight of a `(fingerprint, slot)` pair never changes, which is
-/// what bounds a resize to ~`1/N` remapped keys.
+/// what keeps a key's owner fixed while other slots come and go.
 pub fn shard_weight(fingerprint: u64, slot: usize) -> u64 {
     mix64(fingerprint ^ mix64(slot as u64))
 }
@@ -342,7 +314,7 @@ mod tests {
     use crate::evaluator::evaluate_or_worst;
     use autofp_preprocess::PreprocKind;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
 
     /// Rendezvous weights decide which worker owns every key, so they
     /// are part of the fleet's wire-visible behaviour: a silent change
@@ -441,22 +413,13 @@ mod tests {
         }
     }
 
-    fn fast_retry() -> RetryPolicy {
-        RetryPolicy { attempts: 3, backoff: Duration::from_millis(0) }
-    }
-
     #[test]
     fn routing_is_rendezvous_over_fingerprint() {
-        let ev = RemoteEvaluator::with_retry(
-            Box::new(MockBackend::new(4, vec![])),
-            EvalConfig::default(),
-            fast_retry(),
-        );
+        let ev = RemoteEvaluator::new(Box::new(MockBackend::new(4, vec![])), EvalConfig::default());
         for kind in PreprocKind::ALL {
             let p = Pipeline::from_kinds(&[kind]);
             let key = CacheKey::new(&p, 1.0, &EvalConfig::default());
             let expect_shard = shard(key.fingerprint(), 4);
-            assert_eq!(ev.shard_of(&p, 1.0), expect_shard);
             assert_eq!(shard_order(key.fingerprint(), 4)[0], expect_shard);
             // And the trial actually comes from that worker.
             let t = ev.try_evaluate(&p).expect("live worker");
@@ -510,20 +473,14 @@ mod tests {
 
     #[test]
     fn describe_falls_back_across_workers_and_dead_fleet_degrades() {
-        let ev = RemoteEvaluator::with_retry(
-            Box::new(MockBackend::new(3, vec![0, 1])),
-            EvalConfig::default(),
-            fast_retry(),
-        );
+        let backend = Box::new(MockBackend::new(3, vec![0, 1]));
+        let ev = RemoteEvaluator::new(backend, EvalConfig::default());
         // Worker 2 answered describe.
         assert_eq!(ev.baseline_accuracy(), 0.61);
         assert_eq!(ev.train_rows(), 82);
 
-        let dead = RemoteEvaluator::with_retry(
-            Box::new(MockBackend::new(2, vec![0, 1])),
-            EvalConfig::default(),
-            fast_retry(),
-        );
+        let backend = Box::new(MockBackend::new(2, vec![0, 1]));
+        let dead = RemoteEvaluator::new(backend, EvalConfig::default());
         assert_eq!(dead.baseline_accuracy(), 0.0);
         assert_eq!(dead.train_rows(), 0);
     }
@@ -534,7 +491,7 @@ mod tests {
         let key = CacheKey::new(&p, 1.0, &EvalConfig::default());
         let order = shard_order(key.fingerprint(), 3);
         let backend = Box::new(MockBackend::new(3, vec![order[0]]));
-        let ev = RemoteEvaluator::with_retry(backend, EvalConfig::default(), fast_retry());
+        let ev = RemoteEvaluator::new(backend, EvalConfig::default());
         let t = ev.try_evaluate(&p).expect("successor serves the request");
         let expect = 0.5 + order[1] as f64 / 100.0;
         assert_eq!(t.accuracy.to_bits(), expect.to_bits());
@@ -547,11 +504,7 @@ mod tests {
         let key = CacheKey::new(&p, 1.0, &EvalConfig::default());
         let order = shard_order(key.fingerprint(), 3);
         let backend = MockBackend::new(3, vec![]).unroutable(vec![order[0]]);
-        let ev = RemoteEvaluator::with_retry(
-            Box::new(backend),
-            EvalConfig::default(),
-            fast_retry(),
-        );
+        let ev = RemoteEvaluator::new(Box::new(backend), EvalConfig::default());
         let t = ev.try_evaluate(&p).expect("successor serves the request");
         let expect = 0.5 + order[1] as f64 / 100.0;
         assert_eq!(t.accuracy.to_bits(), expect.to_bits());
@@ -563,11 +516,7 @@ mod tests {
         let key = CacheKey::new(&p, 1.0, &EvalConfig::default());
         let primary = shard(key.fingerprint(), 2);
         let backend = MockBackend::new(2, vec![]).unroutable(vec![0, 1]);
-        let ev = RemoteEvaluator::with_retry(
-            Box::new(backend),
-            EvalConfig::default(),
-            fast_retry(),
-        );
+        let ev = RemoteEvaluator::new(Box::new(backend), EvalConfig::default());
         let t = ev.try_evaluate(&p).expect("forced primary probe succeeds");
         let expect = 0.5 + primary as f64 / 100.0;
         assert_eq!(t.accuracy.to_bits(), expect.to_bits());
@@ -576,7 +525,7 @@ mod tests {
     #[test]
     fn transport_faults_exhaust_the_fleet_then_surface_as_worst_error() {
         let backend = Box::new(MockBackend::new(1, vec![0]));
-        let ev = RemoteEvaluator::with_retry(backend, EvalConfig::default(), fast_retry());
+        let ev = RemoteEvaluator::new(backend, EvalConfig::default());
         let p = Pipeline::from_kinds(&[PreprocKind::StandardScaler]);
         let err = ev.try_evaluate(&p).unwrap_err();
         assert!(matches!(err, EvalError::Transport { .. }));
@@ -587,54 +536,57 @@ mod tests {
         // With the whole fleet dead every worker is tried (attempts x
         // workers calls), then the transport error surfaces.
         let dead = MockBackend::new(2, vec![0, 1]);
-        let ev = RemoteEvaluator::with_retry(Box::new(dead), EvalConfig::default(), fast_retry());
+        let ev = RemoteEvaluator::new(Box::new(dead), EvalConfig::default());
         assert!(matches!(ev.try_evaluate(&p).unwrap_err(), EvalError::Transport { .. }));
     }
 
     #[test]
     fn retries_are_bounded_and_only_for_transport() {
-        struct CountThenDiverge(std::sync::Arc<AtomicU64>);
-        impl RemoteBackend for CountThenDiverge {
+        /// One worker that fails every request with `err`, counting
+        /// attempts and noted retries.
+        struct Failing {
+            err: EvalError,
+            calls: Arc<AtomicU64>,
+            retries: Arc<AtomicU64>,
+        }
+        impl RemoteBackend for Failing {
             fn workers(&self) -> usize {
                 1
             }
             fn evaluate(&self, _: usize, _: &Pipeline, _: f64) -> Result<Trial, EvalError> {
-                self.0.fetch_add(1, Ordering::Relaxed);
-                Err(EvalError::TrainerDiverged { detail: "nan".into() })
+                self.calls.fetch_add(1, Ordering::Relaxed);
+                Err(self.err.clone())
             }
             fn describe(&self, _: usize) -> Result<RemoteInfo, EvalError> {
                 Ok(RemoteInfo { baseline_accuracy: 0.5, train_rows: 1 })
             }
+            fn note_retry(&self, _: usize) {
+                self.retries.fetch_add(1, Ordering::Relaxed);
+            }
         }
+        let run = |err: EvalError| {
+            let (calls, retries) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+            let backend = Failing { err, calls: Arc::clone(&calls), retries: Arc::clone(&retries) };
+            let ev = RemoteEvaluator::new(Box::new(backend), EvalConfig::default());
+            let err = ev.try_evaluate(&Pipeline::empty()).unwrap_err();
+            (err, calls.load(Ordering::Relaxed), retries.load(Ordering::Relaxed))
+        };
         // Non-transport errors pass through on the first attempt.
-        let calls = std::sync::Arc::new(AtomicU64::new(0));
-        let ev = RemoteEvaluator::with_retry(
-            Box::new(CountThenDiverge(calls.clone())),
-            EvalConfig::default(),
-            fast_retry(),
-        );
-        let err = ev.try_evaluate(&Pipeline::empty()).unwrap_err();
+        let (err, calls, retries) = run(EvalError::TrainerDiverged { detail: "nan".into() });
         assert!(matches!(err, EvalError::TrainerDiverged { .. }));
-        assert_eq!(calls.load(Ordering::Relaxed), 1, "non-transport errors must not retry");
+        assert_eq!((calls, retries), (1, 0), "non-transport errors must not retry");
 
-        // Transport errors retry exactly `attempts` times per worker
+        // Transport errors are tried exactly `ATTEMPTS` times per worker
         // and note each retry through the backend hook.
-        let dead = MockBackend::new(1, vec![0]);
-        let ev = RemoteEvaluator::with_retry(
-            Box::new(dead),
-            EvalConfig::default(),
-            RetryPolicy { attempts: 4, backoff: Duration::from_millis(0) },
-        );
-        assert!(ev.try_evaluate(&Pipeline::empty()).is_err());
+        let (err, calls, retries) = run(EvalError::Transport { detail: "down".into() });
+        assert!(matches!(err, EvalError::Transport { .. }));
+        assert_eq!(calls, u64::from(ATTEMPTS));
+        assert_eq!(retries, u64::from(ATTEMPTS - 1));
     }
 
     #[test]
     fn cancelled_token_short_circuits_to_deadline() {
-        let ev = RemoteEvaluator::with_retry(
-            Box::new(MockBackend::new(1, vec![])),
-            EvalConfig::default(),
-            fast_retry(),
-        );
+        let ev = RemoteEvaluator::new(Box::new(MockBackend::new(1, vec![])), EvalConfig::default());
         let cancel = CancelToken::new();
         cancel.cancel();
         let err = ev.try_evaluate_cancellable(&Pipeline::empty(), 1.0, &cancel).unwrap_err();
@@ -646,11 +598,7 @@ mod tests {
         assert_eq!(shard(12345, 0), 0);
         assert_eq!(shard(12345, 1), 0);
         assert!(shard_order(12345, 0).is_empty());
-        let ev = RemoteEvaluator::with_retry(
-            Box::new(MockBackend::new(0, vec![])),
-            EvalConfig::default(),
-            fast_retry(),
-        );
+        let ev = RemoteEvaluator::new(Box::new(MockBackend::new(0, vec![])), EvalConfig::default());
         let err = ev.try_evaluate(&Pipeline::empty()).unwrap_err();
         assert!(matches!(err, EvalError::Transport { .. }));
     }

@@ -526,11 +526,6 @@ impl SharedTrialStore {
     pub fn new(store: TrialStore) -> SharedTrialStore {
         SharedTrialStore { inner: Arc::new(store) }
     }
-
-    /// True when two handles share one underlying store.
-    pub fn same_store(a: &SharedTrialStore, b: &SharedTrialStore) -> bool {
-        Arc::ptr_eq(&a.inner, &b.inner)
-    }
 }
 
 impl std::ops::Deref for SharedTrialStore {
@@ -1187,8 +1182,8 @@ mod tests {
         let a1 = repo.open_context("ctx-a").expect("a1");
         let a2 = repo.open_context("ctx-a").expect("a2");
         let b = repo.open_context("ctx-b").expect("b");
-        assert!(SharedTrialStore::same_store(&a1, &a2));
-        assert!(!SharedTrialStore::same_store(&a1, &b));
+        assert!(std::ptr::eq(&*a1, &*a2), "one context, one shared store");
+        assert!(!std::ptr::eq(&*a1, &*b));
         assert_ne!(a1.path(), b.path());
         assert_eq!(a1.path(), repo.segment_path("ctx-a"));
         assert_eq!(repo.open_contexts(), vec!["ctx-a".to_string(), "ctx-b".to_string()]);

@@ -1,13 +1,11 @@
 //! The `evald` binary's command surface.
 //!
-//! * `evald serve [--bind ADDR] [--port P] [--trial-store DIR]` — run
-//!   a worker daemon (default `127.0.0.1`, port 0 = OS-assigned) and
-//!   print `evald listening on <addr>` once bound, which supervisors
-//!   parse. Each context gets an unbounded trial cache and a 256 MiB
-//!   prefix-transform cache. With `--trial-store`, each context's
-//!   cache preloads from the durable trial repository at
-//!   materialization and writes finished trials through to it, so a
-//!   respawned worker resumes warm.
+//! * `evald serve [--bind ADDR] [--port P]` — run a worker daemon
+//!   (default `127.0.0.1`, port 0 = OS-assigned) and print `evald
+//!   listening on <addr>` once bound, which supervisors parse. Each
+//!   context gets an unbounded in-memory trial cache and a 256 MiB
+//!   prefix-transform cache. Durability lives on the harness side
+//!   (`--trial-store`), which persists remote trials too.
 //! * `evald ping <addr>` / `evald stats <addr>` / `evald shutdown
 //!   <addr>` — operator utilities against a running worker.
 
@@ -23,12 +21,8 @@ const USAGE: &str = "\
 usage: evald <command>
 
 commands:
-  serve [--bind ADDR] [--port P] [--trial-store DIR]
-                                     run a worker daemon (bind defaults to
-                                     127.0.0.1; port 0 = OS-assigned;
-                                     trial-store preloads each context cache
-                                     from the durable repository at DIR and
-                                     persists finished trials to it)
+  serve [--bind ADDR] [--port P]     run a worker daemon (bind defaults to
+                                     127.0.0.1; port 0 = OS-assigned)
   ping <addr>                        check a worker is alive
   stats <addr>                       print a worker's cumulative counters
   shutdown <addr>                    ask a worker to exit
@@ -50,8 +44,7 @@ pub fn run(args: Vec<String>) -> i32 {
             let s = client::stats(addr, RPC_TIMEOUT)?;
             println!(
                 "{addr}: served={} contexts={} hits={} misses={} entries={} saved={:?} \
-                 prefix_hits={} prefix_misses={} prefix_evictions={} prefix_steps_saved={} \
-                 preloaded={}",
+                 prefix_hits={} prefix_misses={} prefix_evictions={} prefix_steps_saved={}",
                 s.served,
                 s.contexts,
                 s.hits,
@@ -62,7 +55,6 @@ pub fn run(args: Vec<String>) -> i32 {
                 s.prefix_misses,
                 s.prefix_evictions,
                 s.prefix_steps_saved,
-                s.preloaded,
             );
             Ok(())
         }),
@@ -89,7 +81,6 @@ pub fn run(args: Vec<String>) -> i32 {
 fn serve(args: &[String]) -> i32 {
     let mut bind: std::net::IpAddr = std::net::Ipv4Addr::LOCALHOST.into();
     let mut port: u16 = 0;
-    let mut trial_store: Option<std::path::PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -107,31 +98,13 @@ fn serve(args: &[String]) -> i32 {
                     return 2;
                 }
             },
-            "--trial-store" => match it.next() {
-                Some(dir) if !dir.is_empty() => trial_store = Some(dir.into()),
-                _ => {
-                    eprintln!("evald: --trial-store needs a directory path");
-                    return 2;
-                }
-            },
             other => {
                 eprintln!("evald: unknown serve flag `{other}`\n{USAGE}");
                 return 2;
             }
         }
     }
-    let mut service = WorkerService::new();
-    if let Some(dir) = trial_store {
-        match autofp_core::TrialRepo::open(&dir) {
-            Ok(repo) => service = service.with_trial_repo(repo),
-            Err(e) => {
-                eprintln!("evald: --trial-store {}: {e}", dir.display());
-                return 1;
-            }
-        }
-    }
-    let service = Arc::new(service);
-    let server = match Server::bind((bind, port), service) {
+    let server = match Server::bind((bind, port), Arc::new(WorkerService::new())) {
         Ok(s) => s,
         Err(e) if e.kind() == std::io::ErrorKind::AddrInUse => {
             eprintln!(
@@ -198,8 +171,8 @@ mod tests {
         assert_eq!(run(argv(&["ping"])), 2);
         assert_eq!(run(argv(&["stats"])), 2);
         assert_eq!(run(argv(&["serve", "--port", "notanumber"])), 2);
-        assert_eq!(run(argv(&["serve", "--trial-store"])), 2);
-        assert_eq!(run(argv(&["serve", "--trial-store", ""])), 2);
+        // The worker keeps no durable store: `--trial-store` is unknown.
+        assert_eq!(run(argv(&["serve", "--trial-store", "x"])), 2);
         assert_eq!(run(argv(&["serve", "--bogus"])), 2);
     }
 

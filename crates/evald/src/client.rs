@@ -11,7 +11,7 @@
 //! to their rendezvous successors instead of paying connect timeouts.
 //!
 //! The backend routes over a [`SharedFleetSpec`]: when a supervisor
-//! bumps the epoch (respawn on a new port, resize), every clone of the
+//! bumps the epoch (a respawn on a new port), every clone of the
 //! backend notices at its next request, drops connections to replaced
 //! addresses, and resets the affected breakers.
 //!

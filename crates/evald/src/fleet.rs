@@ -32,7 +32,7 @@ pub const PROBE_EVERY: u32 = 8;
 /// identity — rendezvous hashing maps fingerprints to slots, so a
 /// respawned worker that comes back on a new port keeps its keyspace.
 /// `epoch` increases monotonically on every membership change
-/// (respawn, resize).
+/// (a respawn).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FleetSpec {
     /// Monotonic version of the fleet membership.

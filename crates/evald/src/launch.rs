@@ -56,24 +56,20 @@ impl Worker {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
+}
 
+impl Drop for Worker {
     /// Ask the worker to exit cleanly (short-timeout `Shutdown`
     /// frame), then kill and reap it regardless — the graceful frame
     /// lets a live worker stop accepting, the kill guarantees no
-    /// daemon outlives its supervisor. Idempotent; an already-reaped
-    /// worker is left alone.
-    fn shutdown_then_kill(&mut self) {
+    /// daemon outlives its supervisor. An already-reaped worker is
+    /// left alone.
+    fn drop(&mut self) {
         if matches!(self.child.try_wait(), Ok(Some(_))) {
             return;
         }
         let _ = client::shutdown(&self.addr, GRACEFUL_SHUTDOWN_TIMEOUT);
         self.kill();
-    }
-}
-
-impl Drop for Worker {
-    fn drop(&mut self) {
-        self.shutdown_then_kill();
     }
 }
 
@@ -282,22 +278,6 @@ impl FleetSupervisor {
         respawned
     }
 
-    /// Grow or shrink the fleet to `n` slots, then republish. Removed
-    /// slots are shut down; new slots spawn with a fresh restart
-    /// budget.
-    pub fn resize(&mut self, n: usize) -> io::Result<()> {
-        while self.slots.len() > n {
-            if let Some(mut slot) = self.slots.pop() {
-                slot.worker.shutdown_then_kill();
-            }
-        }
-        while self.slots.len() < n {
-            self.slots.push(SupervisedSlot { worker: spawn_worker(&self.bin)?, restarts: 0 });
-        }
-        self.republish();
-        Ok(())
-    }
-
     /// Bump the epoch and publish the current addresses into the
     /// shared spec.
     fn republish(&self) {
@@ -307,7 +287,7 @@ impl FleetSupervisor {
 
     /// Move the supervisor onto a background thread that runs
     /// [`FleetSupervisor::supervise_once`] every `interval` until the
-    /// returned [`FleetMonitor`] is stopped or dropped.
+    /// returned [`FleetMonitor`] is dropped.
     pub fn monitor(self, interval: Duration) -> FleetMonitor {
         let stop = Arc::new(AtomicBool::new(false));
         let fleet = self.fleet();
@@ -346,13 +326,6 @@ impl FleetMonitor {
     /// The shared fleet spec clients should route over.
     pub fn fleet(&self) -> SharedFleetSpec {
         self.fleet.clone()
-    }
-
-    /// Stop the supervision thread and take the supervisor back (e.g.
-    /// to read final counters before dropping it).
-    pub fn stop(mut self) -> Option<FleetSupervisor> {
-        self.stop.store(true, Ordering::SeqCst);
-        self.handle.take().and_then(|h| h.join().ok())
     }
 }
 

@@ -5,7 +5,9 @@
 //! lazily by regenerating the named dataset from the registry — dataset
 //! generation is seeded purely by the dataset name, so every worker
 //! process materializes bit-identical data and its trials match an
-//! in-process evaluation exactly.
+//! in-process evaluation exactly. The cache lives in memory only: a
+//! respawned worker starts cold, and durability belongs to the
+//! harness's trial store, which sits in front of the whole fleet.
 //!
 //! Each context's evaluator also carries its own prefix-transform
 //! cache ([`autofp_core::PrefixCache`] at
@@ -22,7 +24,6 @@
 use crate::wire::{EvalContext, Request, Response, WorkerStats};
 use autofp_core::{
     BatchEvaluator, CacheStats, EvalCache, EvalError, Evaluator, PrefixCache, PrefixStats,
-    SharedTrialStore, StoreMeta, TrialRepo,
 };
 use autofp_data::spec_by_name;
 use std::collections::BTreeMap;
@@ -30,13 +31,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// One materialized evaluation context: the evaluator (dataset split,
-/// trainer, baseline) plus its process-local trial cache and, when the
-/// worker runs with a trial repository, the durable segment the cache
-/// preloaded from and writes through to.
+/// trainer, baseline) plus its process-local trial cache.
 struct ContextState {
     evaluator: Evaluator,
     cache: EvalCache,
-    store: Option<SharedTrialStore>,
 }
 
 /// The worker daemon's brain: maps requests to responses.
@@ -44,11 +42,6 @@ struct ContextState {
 /// Thread-safe behind `&self` — the TCP server handles each connection
 /// on its own thread against one shared `Arc<WorkerService>`.
 pub struct WorkerService {
-    /// Durable trial repository: when set, every context's cache is
-    /// preloaded from its on-disk segment at materialization and
-    /// writes finished trials through to it, so a respawned worker
-    /// resumes with everything its predecessors evaluated.
-    repo: Option<TrialRepo>,
     /// Context canonical string -> materialized state. A `BTreeMap`
     /// keeps stats aggregation in deterministic order.
     contexts: Mutex<BTreeMap<String, Arc<ContextState>>>,
@@ -61,19 +54,9 @@ impl WorkerService {
     /// whose prefix caches run at the default byte budget.
     pub fn new() -> WorkerService {
         WorkerService {
-            repo: None,
             contexts: Mutex::new(BTreeMap::new()),
             served: AtomicU64::new(0),
         }
-    }
-
-    /// Attach a durable trial repository (`--trial-store`): every
-    /// context materialized from now on preloads its segment and
-    /// writes finished trials through to it. Builder-style, applied
-    /// before the service starts handling requests.
-    pub fn with_trial_repo(mut self, repo: TrialRepo) -> WorkerService {
-        self.repo = Some(repo);
-        self
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Arc<ContextState>>> {
@@ -126,24 +109,7 @@ impl WorkerService {
         let dataset = spec.generate(ctx.scale);
         let evaluator =
             Evaluator::new(&dataset, ctx.eval_config()).with_prefix_cache(PrefixCache::new());
-        let cache = EvalCache::new();
-        // A store failure is a transport error (retryable, never
-        // cached): the worker refuses to serve a context whose persisted
-        // identity conflicts with the evaluator it just built rather
-        // than mixing trials from two different worlds.
-        let store = match &self.repo {
-            Some(repo) => {
-                let meta = StoreMeta {
-                    baseline_accuracy: evaluator.baseline_accuracy(),
-                    train_rows: evaluator.split().train.n_rows() as u64,
-                };
-                Some(cache.attach_segment(repo, &key, meta).map_err(|err| {
-                    EvalError::Transport { detail: format!("trial store: {err}") }
-                })?)
-            }
-            None => None,
-        };
-        let state = Arc::new(ContextState { evaluator, cache, store });
+        let state = Arc::new(ContextState { evaluator, cache: EvalCache::new() });
         Ok(self.intern(key, state))
     }
 
@@ -153,14 +119,10 @@ impl WorkerService {
         let map = self.lock();
         let mut cache = CacheStats::default();
         let mut prefix = PrefixStats::default();
-        let mut preloaded = 0;
         for state in map.values() {
             cache.absorb(&state.cache.stats());
             if let Some(p) = state.evaluator.prefix_cache() {
                 prefix.absorb(&p.stats());
-            }
-            if let Some(store) = &state.store {
-                preloaded += store.stats().preloaded;
             }
         }
         WorkerStats {
@@ -174,7 +136,6 @@ impl WorkerService {
             prefix_misses: prefix.misses,
             prefix_evictions: prefix.evictions,
             prefix_steps_saved: prefix.steps_saved,
-            preloaded,
         }
     }
 
@@ -368,70 +329,5 @@ mod tests {
             assert_eq!(a.error.to_bits(), b.error.to_bits(), "{kinds:?}");
         }
         assert!(with.stats().prefix_hits > 0, "the worker's prefix cache must serve the extensions");
-    }
-
-    #[test]
-    fn trial_store_persists_and_preloads_across_worker_restarts() {
-        // Deterministic temp dir without wall-clock identity.
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "evald-svc-store-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let p = Pipeline::from_kinds(&[PreprocKind::MinMaxScaler]);
-        // First worker process: evaluates and persists.
-        let first = WorkerService::new().with_trial_repo(TrialRepo::open(&dir).expect("open repo"));
-        let resp = first.handle(&Request::Eval { ctx: ctx(), pipeline: p.clone(), fraction: 1.0 });
-        let Response::Trial(a) = resp else { panic!("expected Trial, got {resp:?}") };
-        let stats = first.stats();
-        assert_eq!(stats.preloaded, 0, "fresh store preloads nothing");
-        assert_eq!(stats.misses, 1);
-
-        // Second worker process (a respawn): preloads the segment and
-        // serves the same pipeline as a cache hit, bit-identically,
-        // without evaluating.
-        let second = WorkerService::new().with_trial_repo(TrialRepo::open(&dir).expect("reopen repo"));
-        let resp = second.handle(&Request::Eval { ctx: ctx(), pipeline: p, fraction: 1.0 });
-        let Response::Trial(b) = resp else { panic!("expected Trial, got {resp:?}") };
-        let stats = second.stats();
-        assert_eq!(stats.preloaded, 1, "respawn preloads the persisted trial");
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 0);
-        assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
-        assert_eq!(a.prep_time, b.prep_time, "preloaded trials round-trip bit-exactly");
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn conflicting_store_identity_is_refused_not_mixed() {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "evald-svc-conflict-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Forge a segment for this context holding a different
-        // evaluator identity (wrong baseline).
-        let repo = TrialRepo::open(&dir).expect("open repo");
-        let segment = repo.open_context(&ctx().canonical()).expect("segment");
-        segment
-            .set_meta(autofp_core::StoreMeta { baseline_accuracy: 0.123, train_rows: 1 })
-            .expect("forge meta");
-        drop(repo);
-
-        let svc = WorkerService::new().with_trial_repo(TrialRepo::open(&dir).expect("reopen"));
-        let resp = svc.handle(&Request::Eval { ctx: ctx(), pipeline: Pipeline::empty(), fraction: 1.0 });
-        assert!(
-            matches!(resp, Response::Error(EvalError::Transport { ref detail })
-                if detail.contains("trial store")),
-            "{resp:?}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -93,10 +93,6 @@ pub struct WorkerStats {
     pub prefix_evictions: u64,
     /// Transform invocations the prefix hits skipped.
     pub prefix_steps_saved: u64,
-    /// Trials preloaded from the durable trial store
-    /// ([`autofp_core::TrialStore`]) into context caches at
-    /// materialization; 0 when the worker runs without `--trial-store`.
-    pub preloaded: u64,
 }
 
 /// A client-to-worker message.
@@ -231,7 +227,6 @@ fn enc_stats(e: &mut Enc, s: &WorkerStats) {
     e.u64(s.prefix_misses);
     e.u64(s.prefix_evictions);
     e.u64(s.prefix_steps_saved);
-    e.u64(s.preloaded);
 }
 
 fn dec_stats(d: &mut Dec) -> Result<WorkerStats, EvalError> {
@@ -246,7 +241,6 @@ fn dec_stats(d: &mut Dec) -> Result<WorkerStats, EvalError> {
         prefix_misses: d.u64()?,
         prefix_evictions: d.u64()?,
         prefix_steps_saved: d.u64()?,
-        preloaded: d.u64()?,
     })
 }
 
@@ -443,7 +437,6 @@ mod tests {
             prefix_misses: 3,
             prefix_evictions: 2,
             prefix_steps_saved: 17,
-            preloaded: 5,
         }
     }
 
@@ -540,15 +533,15 @@ mod tests {
         assert_eq!(err, vec![4, 5, 1, 0, 0, 0, b'x']);
     }
 
-    /// Golden bytes of the `Stats` response: a tag, then eleven
+    /// Golden bytes of the `Stats` response: a tag, then ten
     /// little-endian `u64` counters in declaration order.
     #[test]
     fn golden_stats_response_bytes_are_locked() {
         let mut expect: Vec<u8> = vec![3]; // Stats response tag
-        for v in [10u64, 2, 4, 6, 6, 42_000, 9, 3, 2, 17, 5] {
+        for v in [10u64, 2, 4, 6, 6, 42_000, 9, 3, 2, 17] {
             expect.extend_from_slice(&v.to_le_bytes());
         }
-        assert_eq!(expect.len(), 1 + 11 * 8);
+        assert_eq!(expect.len(), 1 + 10 * 8);
         assert_eq!(encode_response(&Response::Stats(stats())), expect);
     }
 

@@ -121,17 +121,6 @@ pub fn softmax(xs: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Logistic sigmoid.
-#[inline]
-pub fn sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,12 +174,5 @@ mod tests {
         let v = logsumexp(&[1000.0, 1000.0]);
         assert!((v - (1000.0 + (2.0_f64).ln())).abs() < 1e-9);
         assert_eq!(logsumexp(&[f64::NEG_INFINITY]), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn sigmoid_symmetry() {
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-12);
-        assert!((sigmoid(3.0) + sigmoid(-3.0) - 1.0).abs() < 1e-12);
-        assert!(sigmoid(-1000.0) >= 0.0 && sigmoid(1000.0) <= 1.0);
     }
 }

@@ -122,14 +122,6 @@ impl Matrix {
         (0..self.rows).map(|r| self.get(r, c)).collect()
     }
 
-    /// Overwrite column `c` from a slice.
-    pub fn set_col(&mut self, c: usize, values: &[f64]) {
-        assert_eq!(values.len(), self.rows);
-        for (r, &v) in values.iter().enumerate() {
-            self.set(r, c, v);
-        }
-    }
-
     /// Iterate over rows as slices (`rows` empty slices when there are no
     /// columns).
     pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
@@ -286,12 +278,11 @@ mod tests {
     }
 
     #[test]
-    fn set_and_set_col() {
+    fn set_writes_one_cell() {
         let mut m = Matrix::zeros(2, 2);
         m.set(0, 1, 7.0);
-        m.set_col(0, &[1.0, 2.0]);
-        assert_eq!(m.row(0), &[1.0, 7.0]);
-        assert_eq!(m.row(1), &[2.0, 0.0]);
+        assert_eq!(m.row(0), &[0.0, 7.0]);
+        assert_eq!(m.row(1), &[0.0, 0.0]);
     }
 
     #[test]

@@ -28,15 +28,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 
-/// Sample variance (divide by `n - 1`); `0.0` when fewer than two values.
-pub fn sample_variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
-}
-
 /// Fisher-Pearson coefficient of skewness (biased, SciPy `skew` default).
 ///
 /// Returns `0.0` for constant or empty input.
@@ -133,26 +124,6 @@ pub fn entropy_from_counts(counts: &[usize]) -> f64 {
         .sum()
 }
 
-/// Pearson correlation between two equal-length slices; `0.0` when either
-/// side is constant.
-pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    let (ma, mb) = (mean(a), mean(b));
-    let mut num = 0.0;
-    let mut da = 0.0;
-    let mut db = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        num += (x - ma) * (y - mb);
-        da += (x - ma) * (x - ma);
-        db += (y - mb) * (y - mb);
-    }
-    if da <= 1e-300 || db <= 1e-300 {
-        0.0
-    } else {
-        num / (da * db).sqrt()
-    }
-}
-
 /// Rank positions (1-based average ranks, ties share the mean rank).
 ///
 /// Smaller values receive smaller ranks. This is the tie rule the paper
@@ -193,7 +164,6 @@ mod tests {
         assert_eq!(mean(&xs), 5.0);
         assert_eq!(variance(&xs), 4.0);
         assert_eq!(std_dev(&xs), 2.0);
-        assert!(close(sample_variance(&xs), 32.0 / 7.0, 1e-12));
     }
 
     #[test]
@@ -245,16 +215,6 @@ mod tests {
         assert!(close(entropy_from_counts(&[5, 5]), (2.0_f64).ln(), 1e-12));
         assert_eq!(entropy_from_counts(&[10, 0]), 0.0);
         assert_eq!(entropy_from_counts(&[]), 0.0);
-    }
-
-    #[test]
-    fn pearson_perfect_and_constant() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [2.0, 4.0, 6.0];
-        assert!(close(pearson(&a, &b), 1.0, 1e-12));
-        let c = [-1.0, -2.0, -3.0];
-        assert!(close(pearson(&a, &c), -1.0, 1e-12));
-        assert_eq!(pearson(&a, &[7.0, 7.0, 7.0]), 0.0);
     }
 
     #[test]

@@ -48,15 +48,6 @@ pub fn auc_binary(y_true: &[usize], scores: &[f64]) -> f64 {
     (rank_sum - n_pos as f64 * (n_pos as f64 + 1.0) / 2.0) / (n_pos as f64 * n_neg as f64)
 }
 
-/// Confusion matrix `m[true][pred]`.
-pub fn confusion_matrix(y_true: &[usize], y_pred: &[usize], n_classes: usize) -> Vec<Vec<usize>> {
-    let mut m = vec![vec![0usize; n_classes]; n_classes];
-    for (&t, &p) in y_true.iter().zip(y_pred) {
-        m[t][p] += 1;
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,14 +85,5 @@ mod tests {
         let y = [0, 1, 0, 1];
         let s = [0.4, 0.3, 0.1, 0.8];
         assert!((auc_binary(&y, &s) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn confusion_counts() {
-        let m = confusion_matrix(&[0, 0, 1, 2], &[0, 1, 1, 2], 3);
-        assert_eq!(m[0][0], 1);
-        assert_eq!(m[0][1], 1);
-        assert_eq!(m[1][1], 1);
-        assert_eq!(m[2][2], 1);
     }
 }

@@ -1,9 +1,8 @@
 //! Pipeline encodings for surrogate models and policies.
 //!
 //! Surrogate-model-based search algorithms (SMAC, TPE, Progressive NAS)
-//! need a fixed-width numeric representation of a pipeline; the LSTM
-//! surrogates and the ENAS controller need a token sequence. Both views
-//! live here so every algorithm encodes pipelines identically.
+//! need a fixed-width numeric representation of a pipeline. It lives
+//! here so every algorithm encodes pipelines identically.
 
 use crate::kinds::PreprocKind;
 use crate::pipeline::Pipeline;
@@ -67,24 +66,6 @@ fn param_features(p: &Preproc) -> [f64; 3] {
     }
 }
 
-/// Token id of a kind for sequence models: `0` is reserved for padding /
-/// start-of-sequence, kinds map to `1..=7`.
-pub fn kind_token(kind: PreprocKind) -> usize {
-    kind.index() + 1
-}
-
-/// Vocabulary size for sequence models (padding + 7 kinds).
-pub const VOCAB: usize = PreprocKind::ALL.len() + 1;
-
-/// Encode a pipeline as a padded token sequence of length `max_len`.
-pub fn encode_tokens(p: &Pipeline, max_len: usize) -> Vec<usize> {
-    let mut out = vec![0usize; max_len];
-    for (i, step) in p.steps().iter().enumerate().take(max_len) {
-        out[i] = kind_token(step.kind());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,13 +113,5 @@ mod tests {
         let e = encode_pipeline(&p, 4);
         assert_eq!(e.len(), encoding_width(4));
         assert_eq!(*e.last().unwrap(), 1.0);
-    }
-
-    #[test]
-    fn tokens_pad_with_zero() {
-        let p = Pipeline::from_kinds(&[PreprocKind::StandardScaler, PreprocKind::Binarizer]);
-        let t = encode_tokens(&p, 5);
-        assert_eq!(t, vec![7, 1, 0, 0, 0]);
-        assert!(t.iter().all(|&id| id < VOCAB));
     }
 }

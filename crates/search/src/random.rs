@@ -210,7 +210,7 @@ mod tests {
         let mut rs = RandomSearch::new(ParamSpace::default_space(), 1, 5);
         let out = run_search_with(&mut rs, &ev, Budget::evals(20), None, Some(&cache));
         assert_eq!(out.history.len(), 20);
-        let stats = out.cache.expect("stats snapshotted");
+        let stats = cache.stats();
         assert!(stats.hits > 0, "duplicate proposals must hit: {stats:?}");
         assert!(stats.entries <= 7);
         assert_eq!(stats.lookups(), 20);

@@ -23,10 +23,11 @@
 //! 4. [`graph`] — call-graph via name-resolution-lite, plus lock
 //!    acquisition events;
 //! 5. [`graphrules`] — cross-file families (panic-reach, nondet-flow,
-//!    lock-order) whose findings carry full call-chain traces;
-//! 6. [`baseline`] — checked-in suppression for incremental adoption.
+//!    lock-order) whose findings carry full call-chain traces.
+//!
+//! There is no suppression file: every finding fails the gate, and each
+//! accepted exception is an inline justified `lint:allow` tag.
 
-pub mod baseline;
 pub mod graph;
 pub mod graphrules;
 pub mod index;
@@ -34,7 +35,6 @@ pub mod rules;
 pub mod scanner;
 pub mod walk;
 
-use baseline::Baseline;
 use rules::Violation;
 use scanner::CleanSource;
 use std::path::Path;
@@ -42,10 +42,8 @@ use std::path::Path;
 /// Outcome of linting a whole workspace.
 #[derive(Debug)]
 pub struct LintReport {
-    /// Findings not covered by the baseline (failures).
-    pub fresh: Vec<Violation>,
-    /// Findings suppressed by the baseline.
-    pub baselined: Vec<Violation>,
+    /// Every finding; any one fails the gate.
+    pub violations: Vec<Violation>,
     /// Number of files scanned.
     pub files: usize,
 }
@@ -110,11 +108,8 @@ pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> 
         .collect()
 }
 
-/// Lint every workspace source file under `root`. `baseline` is the
-/// parsed baseline to subtract; pass an empty one for `--strict`.
-pub fn lint_workspace(root: &Path, baseline: &Baseline) -> std::io::Result<LintReport> {
+/// Lint every workspace source file under `root`.
+pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
     let sources = workspace_sources(root)?;
-    let all = lint_sources(&sources);
-    let (fresh, baselined) = baseline.partition(all);
-    Ok(LintReport { fresh, baselined, files: sources.len() })
+    Ok(LintReport { violations: lint_sources(&sources), files: sources.len() })
 }

@@ -1,31 +1,21 @@
 //! CLI for the in-repo static analysis tool.
 //!
 //! ```text
-//! cargo run -p xtask -- lint                  # baseline-aware gate
-//! cargo run -p xtask -- lint --strict         # ignore the baseline (CI)
-//! cargo run -p xtask -- lint --write-baseline # regenerate the baseline
-//! cargo run -p xtask -- lint --json           # machine-readable findings
+//! cargo run -p xtask -- lint         # the gate: fails on any finding
+//! cargo run -p xtask -- lint --json  # machine-readable findings
 //! ```
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use xtask::baseline::Baseline;
 use xtask::lint_workspace;
-
-/// The baseline lives next to the tool, inside the crate it belongs to.
-const BASELINE_REL: &str = "crates/xtask/lint.baseline";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut strict = false;
-    let mut write_baseline = false;
     let mut json = false;
     let mut command = None;
     for arg in &args {
         match arg.as_str() {
             "lint" if command.is_none() => command = Some("lint"),
-            "--strict" => strict = true,
-            "--write-baseline" => write_baseline = true,
             "--json" => json = true,
             "--help" | "-h" | "help" => {
                 print!("{}", usage());
@@ -51,17 +41,7 @@ fn main() -> ExitCode {
         .expect("crates/xtask sits two levels below the workspace root")
         .to_path_buf();
 
-    let baseline_path = root.join(BASELINE_REL);
-    let baseline = if strict {
-        Baseline::default()
-    } else {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => Baseline::parse(&text),
-            Err(_) => Baseline::default(),
-        }
-    };
-
-    let report = match lint_workspace(&root, &baseline) {
+    let report = match lint_workspace(&root) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("xtask lint: failed to scan workspace: {err}");
@@ -69,39 +49,15 @@ fn main() -> ExitCode {
         }
     };
 
-    if write_baseline {
-        let mut all = report.fresh.clone();
-        all.extend(report.baselined.iter().cloned());
-        let text = Baseline::render(&all);
-        if let Err(err) = std::fs::write(&baseline_path, text) {
-            eprintln!("xtask lint: cannot write {}: {err}", baseline_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "wrote {} with {} entr{}",
-            BASELINE_REL,
-            all.len(),
-            if all.len() == 1 { "y" } else { "ies" }
-        );
-        return ExitCode::SUCCESS;
-    }
-
     if json {
-        println!("{}", render_json(&report.fresh));
-        return if report.fresh.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+        println!("{}", render_json(&report.violations));
+    } else {
+        for v in &report.violations {
+            println!("{}", v.render());
+        }
+        println!("xtask lint: {} file(s), {} violation(s)", report.files, report.violations.len());
     }
-    for v in &report.fresh {
-        println!("{}", v.render());
-    }
-    let mode = if strict { " (strict: baseline ignored)" } else { "" };
-    println!(
-        "xtask lint: {} file(s), {} violation(s), {} baselined{}",
-        report.files,
-        report.fresh.len(),
-        report.baselined.len(),
-        mode
-    );
-    if report.fresh.is_empty() {
+    if report.violations.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -151,7 +107,7 @@ fn usage() -> String {
 xtask — in-repo static analysis for the Auto-FP workspace
 
 USAGE:
-    cargo run -p xtask -- lint [--strict] [--write-baseline] [--json]
+    cargo run -p xtask -- lint [--json]
 
 RULES (justify exceptions with `// lint:allow(<rule>): <reason>`):
     nan-ord         no raw `partial_cmp` outside core::order
@@ -167,9 +123,9 @@ RULES (justify exceptions with `// lint:allow(<rule>): <reason>`):
     lock-order      no same-class Mutex re-acquisition, no pairwise
                     lock-order inversions (transitive, via the call graph)
 
+Any finding fails the run.
+
 FLAGS:
-    --strict           ignore crates/xtask/lint.baseline (the CI gate)
-    --write-baseline   regenerate the baseline from current findings
     --json             emit findings as JSON (rule, path, line, chain, excerpt)
 "
     .to_string()

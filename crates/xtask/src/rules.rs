@@ -45,7 +45,7 @@ pub struct Violation {
     pub line: usize,
     /// What is wrong.
     pub message: String,
-    /// Trimmed cleaned source of the line (baseline matching key).
+    /// Trimmed cleaned source of the line.
     pub excerpt: String,
     /// For graph rules: the call chain from entry/root to this line,
     /// as `name (path:line)` labels. Empty for line-local rules.
@@ -53,12 +53,6 @@ pub struct Violation {
 }
 
 impl Violation {
-    /// The identity used for baseline matching: stable under line-number
-    /// drift, invalidated when the flagged code itself changes.
-    pub fn baseline_key(&self) -> String {
-        format!("{}|{}|{}", self.rule, self.path, self.excerpt)
-    }
-
     /// Human-readable report line; graph rules append the call chain.
     pub fn render(&self) -> String {
         let mut out = format!(

@@ -1,7 +1,7 @@
 //! Workspace file discovery: `crates/*/src/**/*.rs`, the root crate's
 //! `src/**/*.rs`, and the integration suites in `tests/*.rs`. Paths are
-//! returned repo-relative with forward slashes, sorted, so reports and
-//! baselines are stable across machines.
+//! returned repo-relative with forward slashes, sorted, so reports are
+//! stable across machines.
 
 use std::fs;
 use std::path::{Path, PathBuf};

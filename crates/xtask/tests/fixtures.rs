@@ -7,7 +7,6 @@
 //! [`xtask::rules::lint_file`] under paths chosen to land in (or out
 //! of) each rule's scope.
 
-use xtask::baseline::Baseline;
 use xtask::rules::{lint_file, Violation};
 
 fn rules_fired(violations: &[Violation]) -> Vec<&'static str> {
@@ -278,30 +277,11 @@ fn stale_allows_are_violations() {
     assert_eq!(rules_fired(&vs), vec!["unused-allow"]);
 }
 
-// --------------------------------------------------------------- baseline
-
-#[test]
-fn baseline_suppresses_known_violations_and_strict_ignores_it() {
-    let src = "pub fn f() { let t = std::time::Instant::now(); }\n";
-    let vs = lint_file("crates/search/src/seeded.rs", src);
-    assert_eq!(vs.len(), 1);
-
-    let baseline = Baseline::parse(&Baseline::render(&vs));
-    let (fresh, known) = baseline.partition(vs.clone());
-    assert!(fresh.is_empty(), "baselined violation does not fail the gate");
-    assert_eq!(known.len(), 1);
-
-    // Strict mode is modeled as an empty baseline.
-    let (fresh, known) = Baseline::default().partition(vs);
-    assert_eq!(fresh.len(), 1, "strict mode re-surfaces baselined violations");
-    assert!(known.is_empty());
-}
-
 // ------------------------------------------------- the workspace itself
 
 /// The repo's own acceptance criterion: the workspace is lint-clean
-/// with an *empty* baseline (every exception is an inline justified
-/// tag). This is the same check CI runs via `lint --strict`.
+/// (every exception is an inline justified tag). This is the same
+/// check CI runs via `lint`.
 fn workspace_root() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
@@ -312,12 +292,11 @@ fn workspace_root() -> std::path::PathBuf {
 
 #[test]
 fn workspace_is_lint_clean_without_baseline() {
-    let report =
-        xtask::lint_workspace(&workspace_root(), &Baseline::default()).expect("scan workspace");
+    let report = xtask::lint_workspace(&workspace_root()).expect("scan workspace");
     assert!(report.files > 60, "expected to scan the whole workspace, saw {}", report.files);
-    let rendered: Vec<String> = report.fresh.iter().map(|v| v.render()).collect();
+    let rendered: Vec<String> = report.violations.iter().map(|v| v.render()).collect();
     assert!(
-        report.fresh.is_empty(),
+        report.violations.is_empty(),
         "workspace has lint violations:\n{}",
         rendered.join("\n")
     );

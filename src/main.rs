@@ -17,7 +17,6 @@
 //! the last column (integers or strings). `predict` CSVs carry feature
 //! columns only (no label).
 
-use autofp::automl::MetaStore;
 use autofp::core::{run_search, Budget, EvalConfig, Evaluator};
 use autofp::data::csv::read_csv_file;
 use autofp::data::Dataset;
@@ -234,7 +233,6 @@ fn cmd_search(args: &[String]) {
             println!("  {name:<45} {value:.4}");
         }
         println!();
-        let _ = MetaStore::new(); // reserved for a future --warm-store flag
     }
 
     let space = match a.space {
