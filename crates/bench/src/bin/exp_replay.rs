@@ -23,9 +23,8 @@
 //! store has never seen, which replay reports as missing.
 
 use autofp_bench::{f4, print_matrix_stats, print_table, run_matrix_with, HarnessConfig};
-use autofp_core::{
-    EvalConfig, EvalError, Evaluate, ReplayEvaluator, Trial, TrialRepo,
-};
+use autofp_core::repo::segment_path;
+use autofp_core::{EvalConfig, EvalError, Evaluate, ReplayEvaluator, Trial};
 use autofp_data::spec_by_name;
 use autofp_models::classifier::ModelKind;
 use autofp_models::CancelToken;
@@ -75,10 +74,6 @@ fn main() {
         eprintln!("error: exp_replay never evaluates; --workers/--remote do not apply");
         std::process::exit(2);
     }
-    let repo = TrialRepo::open(&dir).unwrap_or_else(|err| {
-        eprintln!("error: --trial-store {}: {err}", dir.display());
-        std::process::exit(2);
-    });
 
     let specs = cfg.specs();
     let algorithms = AlgName::ALL;
@@ -102,7 +97,7 @@ fn main() {
     for spec in &specs {
         for &model in &ModelKind::ALL {
             let context = cfg.eval_context(spec, model).canonical();
-            let segment = repo.segment_path(&context);
+            let segment = segment_path(&dir, &context);
             if !segment.exists() {
                 eprintln!(
                     "error: no segment for dataset `{}` model {} (expected {}); \
@@ -113,17 +108,13 @@ fn main() {
                 );
                 std::process::exit(2);
             }
-            let store = repo.open_context(&context).unwrap_or_else(|err| {
-                eprintln!("error: segment for `{context}`: {err}");
-                std::process::exit(2);
-            });
             let config = EvalConfig {
                 model,
                 train_fraction: 0.8,
                 seed: cfg.seed,
                 train_subsample: None,
             };
-            let replay = ReplayEvaluator::from_store(&store, config).unwrap_or_else(|err| {
+            let replay = ReplayEvaluator::open(&segment, &context, config).unwrap_or_else(|err| {
                 eprintln!("error: segment for `{context}`: {err}");
                 std::process::exit(2);
             });

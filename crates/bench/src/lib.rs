@@ -18,7 +18,7 @@
 use autofp_core::{
     pool_map, run_search_with, Budget, CacheStats, EvalCache, EvalConfig, Evaluate, Evaluator,
     FailureStats, FleetStats, PhaseBreakdown, PrefixCache, PrefixStats, RemoteEvaluator,
-    StoreMeta, StoreStats, TrialRepo,
+    StoreMeta, StoreStats,
 };
 use autofp_data::{registry, spec_by_name, Dataset, DatasetSpec};
 use autofp_evald::{
@@ -33,10 +33,13 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheMode {
     /// One cache per (dataset, model) group, shared by every algorithm
-    /// cell and repeat of that group (the default): cross-algorithm
-    /// duplicate pipelines are evaluated once per group.
+    /// cell of that group (the default): cross-algorithm duplicate
+    /// pipelines are evaluated once per group.
     Shared,
-    /// No caching: every proposal is evaluated from scratch.
+    /// No trial cache: every proposal, duplicates included, goes to the
+    /// evaluator. Each evaluator's fit memo still answers a repeated
+    /// transformed input without refitting; the prefix cache has its
+    /// own switch, `prefix_cache`.
     Off,
 }
 
@@ -64,9 +67,6 @@ pub struct HarnessConfig {
     /// size): prevents tiny Table 9 datasets from shrinking to a handful
     /// of rows where validation accuracy is pure noise.
     pub min_rows: usize,
-    /// Independent repetitions per scenario cell; accuracies are
-    /// averaged (the paper repeats every experiment five times).
-    pub repeats: usize,
     /// Evaluation-cache sharing across matrix cells.
     pub cache_mode: CacheMode,
     /// The `evald` fleet to evaluate on: when set, every matrix
@@ -96,7 +96,7 @@ pub struct HarnessConfig {
     /// path after the matrix run — CI diffs it across cache modes to
     /// assert cell-level byte-identity.
     pub cells_out: Option<std::path::PathBuf>,
-    /// Durable trial repository directory ([`TrialRepo`]): every
+    /// Durable trial repository directory (`autofp_core::repo`): every
     /// (dataset, model) group's shared cache preloads its context
     /// segment before the run and writes finished trials through to it,
     /// so an interrupted matrix resumes from disk — the rerun evaluates
@@ -116,7 +116,6 @@ impl Default for HarnessConfig {
             max_len: 7,
             max_rows: 1200,
             min_rows: 160,
-            repeats: 1,
             cache_mode: CacheMode::Shared,
             fleet: None,
             workers: 0,
@@ -212,7 +211,6 @@ impl HarnessConfig {
                 "--max-len" => cfg.max_len = num(&val, "--max-len takes an integer")?,
                 "--max-rows" => cfg.max_rows = num(&val, "--max-rows takes an integer")?,
                 "--min-rows" => cfg.min_rows = num(&val, "--min-rows takes an integer")?,
-                "--repeats" => cfg.repeats = num(&val, "--repeats takes an integer")?,
                 "--cache" => {
                     cfg.cache_mode = match val.as_str() {
                         "shared" => CacheMode::Shared,
@@ -350,7 +348,7 @@ impl HarnessConfig {
     /// The evaluation-context identity of a (dataset, model) matrix
     /// group: exactly what a remote `evald` worker materializes for it.
     /// Its [`EvalContext::canonical`] string doubles as the
-    /// [`TrialRepo`] segment key, so local, remote, and replay runs
+    /// trial-store segment key, so local, remote, and replay runs
     /// over the same config share one on-disk trial identity.
     pub fn eval_context(&self, spec: &DatasetSpec, model: ModelKind) -> EvalContext {
         EvalContext {
@@ -375,7 +373,7 @@ pub struct CellResult {
     pub n_evals: usize,
     pub breakdown: PhaseBreakdown,
     pub best_pipeline: String,
-    /// Worst-error trials this cell hit, tallied across all repeats.
+    /// Worst-error trials this cell hit.
     pub failures: FailureStats,
 }
 
@@ -397,7 +395,7 @@ pub struct MatrixOutcome {
     /// Prefix-transform cache counters folded over the per-dataset
     /// prefix caches (all zero when `prefix_cache` was off).
     pub prefix: PrefixStats,
-    /// Failure tallies folded over every cell and repeat.
+    /// Failure tallies folded over every cell.
     pub failures: FailureStats,
     /// Fleet robustness counters (reconnects, retries, failovers,
     /// circuit-opens, respawns) from the shared remote pool; `None`
@@ -566,16 +564,12 @@ where
     // attached so finished trials write through. A store open failure
     // is fatal — silently running without persistence would break the
     // resume guarantee the caller asked for.
-    let trial_repo: Option<TrialRepo> = config.trial_store.as_ref().map(|dir| {
+    if let Some(dir) = &config.trial_store {
         assert_eq!(
             config.cache_mode,
             CacheMode::Shared,
             "trial_store requires CacheMode::Shared (it rides the group caches)"
         );
-        TrialRepo::open(dir)
-            .unwrap_or_else(|err| panic!("--trial-store {}: {err}", dir.display()))
-    });
-    if let Some(repo) = &trial_repo {
         for (di, spec) in specs.iter().enumerate() {
             for (mi, &m) in models.iter().enumerate() {
                 let context = config.eval_context(spec, m).canonical();
@@ -584,7 +578,7 @@ where
                     baseline_accuracy: evaluator.baseline_accuracy(),
                     train_rows: evaluator.train_rows() as u64,
                 };
-                group_caches[di][mi].attach_segment(repo, &context, meta).unwrap_or_else(
+                group_caches[di][mi].attach_segment(dir, &context, meta).unwrap_or_else(
                     |err| panic!("--trial-store segment for `{context}`: {err}"),
                 );
             }
@@ -601,43 +595,24 @@ where
                 CacheMode::Shared => Some(&group_caches[di][mi]),
                 CacheMode::Off => None,
             };
-            // Repeat with derived seeds and average the best accuracy
-            // (the paper repeats five times and reports the average).
-            let mut acc_sum = 0.0;
-            let mut evals_sum = 0;
-            let mut failures = FailureStats::new();
-            let mut first: Option<autofp_core::SearchOutcome> = None;
-            for rep in 0..config.repeats.max(1) {
-                let seed = autofp_linalg::rng::derive_seed(
-                    config.seed,
-                    (i as u64) * 31 + rep as u64,
-                );
-                let mut searcher =
-                    make_searcher(alg, ParamSpace::default_space(), config.max_len, seed);
-                let outcome =
-                    run_search_with(searcher.as_mut(), evaluator, config.budget, Some(1), cache);
-                acc_sum += outcome.best_accuracy();
-                evals_sum += outcome.history.len();
-                failures.absorb(&outcome.failures);
-                if first.is_none() {
-                    first = Some(outcome);
-                }
-            }
-            let reps = config.repeats.max(1);
-            let outcome = first.expect("at least one repeat ran");
+            let seed = autofp_linalg::rng::derive_seed(config.seed, (i as u64) * 31);
+            let mut searcher =
+                make_searcher(alg, ParamSpace::default_space(), config.max_len, seed);
+            let outcome =
+                run_search_with(searcher.as_mut(), evaluator, config.budget, Some(1), cache);
             CellResult {
                 dataset: datasets[di].name.clone(),
                 model,
                 algorithm: alg.as_str(),
                 baseline: evaluator.baseline_accuracy(),
-                best_accuracy: acc_sum / reps as f64,
-                n_evals: evals_sum / reps,
+                best_accuracy: outcome.best_accuracy(),
+                n_evals: outcome.history.len(),
                 breakdown: outcome.breakdown,
                 best_pipeline: outcome
                     .best()
                     .map(|t| t.pipeline.to_string())
                     .unwrap_or_else(|| "(none)".into()),
-                failures,
+                failures: outcome.failures,
             }
         });
 
@@ -645,12 +620,15 @@ where
     for cell in &out {
         failures.absorb(&cell.failures);
     }
-    // Each shared group cache is absorbed exactly once, after every cell
-    // that touched it has finished.
+    // Each shared group cache, and the segment attached to it, is
+    // absorbed exactly once, after every cell that touched it has
+    // finished (so every write-through has landed).
     let mut cache = CacheStats::default();
-    for group in &group_caches {
-        for shared in group {
-            cache.absorb(&shared.stats());
+    let mut store = config.trial_store.as_ref().map(|_| StoreStats::default());
+    for shared in group_caches.iter().flatten() {
+        cache.absorb(&shared.stats());
+        if let (Some(total), Some(segment)) = (&mut store, shared.store()) {
+            total.absorb(&segment.stats());
         }
     }
     // Likewise each per-dataset prefix cache, exactly once.
@@ -663,9 +641,6 @@ where
         (a.dataset.clone(), a.model.name(), a.algorithm)
             .cmp(&(b.dataset.clone(), b.model.name(), b.algorithm))
     });
-    // Store counters are read once, after every cell's write-throughs
-    // have landed.
-    let store = trial_repo.as_ref().map(TrialRepo::stats);
     let outcome = MatrixOutcome { cells: out, cache, prefix, failures, fleet: None, store };
     if let Some(path) = &config.cells_out {
         if let Err(err) = std::fs::write(path, cells_tsv(&outcome)) {
@@ -1011,20 +986,6 @@ mod tests {
         // Floor can never exceed the dataset's true size.
         cfg.min_rows = 10_000;
         assert_eq!(cfg.generate(tiny).n_rows(), 242);
-    }
-
-    #[test]
-    fn repeats_average_accuracies() {
-        let mut cfg = HarnessConfig::default();
-        cfg.scale = 0.5;
-        cfg.budget = Budget::evals(3);
-        cfg.repeats = 2;
-        cfg.threads = 1;
-        let specs: Vec<DatasetSpec> = registry().into_iter().take(1).collect();
-        let outcome = run_matrix(&specs, &[ModelKind::Lr], &[AlgName::Rs], &cfg);
-        assert_eq!(outcome.cells.len(), 1);
-        // n_evals reports the per-repeat average.
-        assert_eq!(outcome.cells[0].n_evals, 3);
     }
 
     #[test]

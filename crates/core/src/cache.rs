@@ -25,6 +25,11 @@
 //! ([`crate::SearchContext::evaluate`], evald's `Eval` handler) are
 //! one-pipeline batches.
 //!
+//! A cache can also carry one durable segment of the trial repository
+//! ([`EvalCache::attach_segment`], `core::repo`): attaching moves the
+//! segment's persisted trials into the memo, and every later insert is
+//! appended to the segment as well, so the next run starts warm.
+//!
 //! Failed evaluations are memoizable too — a pipeline that produces
 //! non-finite output does so deterministically, so its worst-error
 //! trial is as reusable as a real score. The exceptions are
@@ -92,12 +97,21 @@ use crate::error::FailureKind;
 use crate::evaluator::EvalConfig;
 use crate::history::Trial;
 use crate::lru::Lru;
+use crate::repo::{corrupt, segment_path, RepoError, StoreMeta, TrialStore};
 use autofp_linalg::codec::fnv1a;
 use autofp_preprocess::Pipeline;
 use std::fmt::Write as _;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
+
+/// The never-persist rule: deadline and transport failures are a
+/// property of the run, not the pipeline, so neither the memo nor the
+/// durable store ever keeps them.
+pub(crate) fn never_cached(trial: &Trial) -> bool {
+    matches!(trial.failure, Some(FailureKind::Deadline) | Some(FailureKind::Transport))
+}
 
 /// The identity of one evaluation: pipeline (kinds *and* parameters),
 /// training-budget fraction, and the evaluator configuration.
@@ -215,9 +229,9 @@ pub struct EvalCache {
 struct CacheState {
     /// canonical key -> trial, without a budget: nothing is evicted.
     memo: Mutex<Lru<Trial>>,
-    /// Durable layer: when attached, every memoized trial is also
-    /// appended to this store (see [`EvalCache::attach_store`]).
-    store: Mutex<Option<crate::repo::SharedTrialStore>>,
+    /// Durable layer, set at most once by [`EvalCache::attach_segment`]:
+    /// every later insert is also appended to this store.
+    store: OnceLock<TrialStore>,
     hits: AtomicU64,
     misses: AtomicU64,
     saved_nanos: AtomicU64,
@@ -265,27 +279,17 @@ impl EvalCache {
     /// would fail identically. Deadline and transport failures are
     /// circumstantial and are *not* stored (a worker coming back up
     /// must not be masked by a memoized worst-error trial).
-    /// With a durable store attached ([`EvalCache::attach_store`]),
-    /// the trial is also appended there (write-through); the store
+    /// With a segment attached ([`EvalCache::attach_segment`]), the
+    /// trial is also appended there (write-through); the store
     /// independently enforces the same never-persist rule and
     /// deduplicates, so the append is unconditional here.
     pub fn insert(&self, key: &CacheKey, trial: &Trial) {
-        if let Some(store) = self.store() {
+        if let Some(store) = self.state.store.get() {
             store.append(key, trial);
         }
-        self.warm(key, trial);
-    }
-
-    /// Memoize without touching the durable store or hit/miss counters
-    /// — the preload path ([`EvalCache::preload_from`]): trials coming
-    /// *from* the store must not be written back to it, and warming is
-    /// not a lookup. The never-persist kinds are refused here too so a
-    /// corrupted store cannot plant a deadline/transport memo.
-    pub fn warm(&self, key: &CacheKey, trial: &Trial) {
-        if matches!(trial.failure, Some(FailureKind::Deadline) | Some(FailureKind::Transport)) {
-            return;
+        if !never_cached(trial) {
+            self.lock().insert(key.canonical(), trial.clone(), 1);
         }
-        self.lock().insert(key.canonical(), trial.clone(), 1);
     }
 
     /// Number of memoized trials.
@@ -298,49 +302,37 @@ impl EvalCache {
         self.len() == 0
     }
 
-    /// Attach the durable trial-store layer: every subsequent
-    /// [`EvalCache::insert`] writes through to `store` (ARCHITECTURE.md
-    /// "Cache hierarchy", layer 4). Attaching replaces any previous
-    /// store; it does not preload — call [`EvalCache::preload_from`]
-    /// first when warm-starting.
-    pub fn attach_store(&self, store: crate::repo::SharedTrialStore) {
-        *self.state.store.lock().unwrap_or_else(PoisonError::into_inner) = Some(store);
-    }
-
-    /// The attached durable store, if any.
-    pub fn store(&self) -> Option<crate::repo::SharedTrialStore> {
-        self.state.store.lock().unwrap_or_else(PoisonError::into_inner).clone()
-    }
-
-    /// Warm the memo with every trial persisted in `store`, in file
-    /// order. Returns the number of trials warmed; hit/miss counters
-    /// are untouched and nothing is written back to the store.
-    pub fn preload_from(&self, store: &crate::repo::TrialStore) -> u64 {
-        let mut warmed = 0u64;
-        for (key, trial) in store.snapshot() {
-            self.warm(&key, &trial);
-            warmed += 1;
-        }
-        store.note_preloaded(warmed);
-        warmed
-    }
-
-    /// Attach `context`'s durable segment of `repo` to this cache:
-    /// open the segment, record the evaluator identity `meta` (a
-    /// segment persisted under a different identity is refused), warm
-    /// the memo from it and attach it for write-through. Returns the
-    /// attached segment.
-    pub fn attach_segment(
-        &self,
-        repo: &crate::repo::TrialRepo,
-        context: &str,
-        meta: crate::repo::StoreMeta,
-    ) -> Result<crate::repo::SharedTrialStore, crate::repo::RepoError> {
-        let store = repo.open_context(context)?;
+    /// Attach `context`'s durable segment in the repository directory
+    /// `dir` (ARCHITECTURE.md "Cache hierarchy", layer 3): create the
+    /// directory, open the segment, record the evaluator identity
+    /// `meta` (a segment persisted under a different identity is
+    /// refused), move its trials into the memo and write every later
+    /// [`EvalCache::insert`] through to it.
+    ///
+    /// Warming counts in [`crate::StoreStats::preloaded`], not as hits
+    /// or misses, and writes nothing back. A cache attaches at most one
+    /// segment; a second attach is refused.
+    pub fn attach_segment(&self, dir: &Path, context: &str, meta: StoreMeta) -> Result<(), RepoError> {
+        std::fs::create_dir_all(dir)?;
+        let (store, trials) = TrialStore::load(segment_path(dir, context), context)?;
         store.set_meta(meta)?;
-        self.preload_from(&store);
-        self.attach_store(store.clone());
-        Ok(store)
+        store.note_preloaded(trials.len() as u64);
+        if self.state.store.set(store).is_err() {
+            return Err(corrupt(format!("cache already has a segment; `{context}` not attached")));
+        }
+        let mut memo = self.lock();
+        for (key, trial) in trials {
+            // A corrupted store must not plant a never-persist memo.
+            if !never_cached(&trial) {
+                memo.insert(key.canonical(), trial, 1);
+            }
+        }
+        Ok(())
+    }
+
+    /// The attached durable segment, if any.
+    pub fn store(&self) -> Option<&TrialStore> {
+        self.state.store.get()
     }
 
     /// Counter snapshot.

@@ -183,6 +183,51 @@ pub fn evaluate_or_worst(
         .unwrap_or_else(|err| Trial::failed(pipeline.clone(), err.kind(), fraction.clamp(0.0, 1.0)))
 }
 
+/// The checks an evaluation runs on its transformed matrices, before
+/// any training: a preprocessor that maps finite input to NaN/inf has
+/// failed (e.g. a power transform overflowing on heavy tails), and a
+/// train matrix with no rows or no columns is degenerate. Inputs that
+/// were already non-finite are exempt (trainers sanitize them), so the
+/// caller says whether each raw input was finite.
+///
+/// [`Evaluator`] and the serve export fit both run these and
+/// [`check_accuracy`], so an export fails exactly where search does.
+pub fn check_transformed(
+    pipeline: &Pipeline,
+    train_x: &Matrix,
+    valid_x: &Matrix,
+    train_input_finite: bool,
+    valid_input_finite: bool,
+) -> Result<(), EvalError> {
+    if train_input_finite && !train_x.is_finite() {
+        return Err(EvalError::NonFiniteTransform {
+            detail: format!("train matrix after `{}`", pipeline.key()),
+        });
+    }
+    if valid_input_finite && !valid_x.is_finite() {
+        return Err(EvalError::NonFiniteTransform {
+            detail: format!("valid matrix after `{}`", pipeline.key()),
+        });
+    }
+    // Kept deliberately narrow: constant or low-information features
+    // still train (the model falls back toward majority-class behavior).
+    let (n, d) = train_x.shape();
+    if n == 0 || d == 0 {
+        return Err(EvalError::DegenerateMatrix { detail: format!("train matrix is {n}x{d}") });
+    }
+    Ok(())
+}
+
+/// A validation accuracy that is not finite means the trainer
+/// diverged; see [`check_transformed`].
+pub fn check_accuracy(acc: f64) -> Result<f64, EvalError> {
+    if acc.is_finite() {
+        Ok(acc)
+    } else {
+        Err(EvalError::TrainerDiverged { detail: format!("validation accuracy = {acc}") })
+    }
+}
+
 /// One memoized fit.
 struct FitMemoEntry {
     accuracy: f64,
@@ -431,29 +476,13 @@ impl Evaluate for Evaluator {
         };
         let prep_time = prep_start.elapsed();
 
-        // A preprocessor that maps finite input to NaN/inf has failed
-        // (e.g. a power transform overflowing on heavy tails). Inputs
-        // that were already non-finite are exempt: trainers sanitize.
-        if self.train_input_finite && !train_x.is_finite() {
-            return Err(EvalError::NonFiniteTransform {
-                detail: format!("train matrix after `{}`", pipeline.key()),
-            });
-        }
-        if self.valid_input_finite && !valid_x.is_finite() {
-            return Err(EvalError::NonFiniteTransform {
-                detail: format!("valid matrix after `{}`", pipeline.key()),
-            });
-        }
-
-        // Degenerate shapes no trainer can fit. Kept deliberately
-        // narrow: constant or low-information features still train
-        // (the model falls back toward majority-class behavior).
-        let (n, d) = train_x.shape();
-        if n == 0 || d == 0 {
-            return Err(EvalError::DegenerateMatrix {
-                detail: format!("train matrix is {n}x{d}"),
-            });
-        }
+        check_transformed(
+            pipeline,
+            &train_x,
+            &valid_x,
+            self.train_input_finite,
+            self.valid_input_finite,
+        )?;
 
         if cancel.is_cancelled() {
             return Err(EvalError::DeadlineExceeded);
@@ -495,12 +524,7 @@ impl Evaluate for Evaluator {
             return Err(EvalError::DeadlineExceeded);
         }
 
-        let acc = accuracy(&self.split.valid.y, &preds);
-        if !acc.is_finite() {
-            return Err(EvalError::TrainerDiverged {
-                detail: format!("validation accuracy = {acc}"),
-            });
-        }
+        let acc = check_accuracy(accuracy(&self.split.valid.y, &preds))?;
         self.fit_memo.insert(&memo_key, acc, &train_x, &valid_x);
         Ok(trial(acc, train_time))
     }

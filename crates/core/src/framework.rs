@@ -81,12 +81,10 @@ impl<'a> SearchContext<'a> {
     /// without a cache; only wall-clock changes.
     ///
     /// The same invariant makes durable warm-starts exact: a cache
-    /// preloaded from a [`crate::repo::TrialStore`]
-    /// ([`EvalCache::preload_from`]) turns previously persisted
-    /// proposals into hits, so a resumed search replays the identical
-    /// trajectory while evaluating only what the store is missing, and
-    /// a cache with an attached store ([`EvalCache::attach_store`])
-    /// persists each insert as it happens.
+    /// with an attached segment ([`EvalCache::attach_segment`]) turns
+    /// previously persisted proposals into hits, so a resumed search
+    /// replays the identical trajectory while evaluating only what the
+    /// store is missing, and persists each new insert as it happens.
     pub fn attach_cache(&mut self, cache: &'a EvalCache) {
         self.cache = Some(cache);
     }

@@ -24,11 +24,13 @@
 //!   only for their suffix — together they attack the paper's §5
 //!   finding that evaluation dominates search time.
 //! * [`repo::TrialStore`] persists finished trials to an append-only,
-//!   checksummed on-disk repository keyed by the same
-//!   [`cache::CacheKey`], so runs can warm-start, resume after a
-//!   crash, or replay a whole search with zero evaluations
-//!   ([`repo::ReplayEvaluator`]). The store and the `autofp-evald`
-//!   wire share one pipeline/trial encoding, [`codec`].
+//!   checksummed on-disk segment per evaluation context, keyed by the
+//!   same [`cache::CacheKey`]. A cache attaches one segment
+//!   ([`cache::EvalCache::attach_segment`]): its trials warm the memo
+//!   and every new trial writes through, so runs can warm-start or
+//!   resume after a crash; [`repo::ReplayEvaluator`] replays a whole
+//!   search from a segment with zero evaluations. The store and the
+//!   `autofp-evald` wire share one pipeline/trial encoding, [`codec`].
 //! * [`remote::RemoteEvaluator`] extends [`evaluator::Evaluate`] across
 //!   process boundaries: requests shard over a worker fleet by the
 //!   stable [`cache::CacheKey`] fingerprint, transport faults retry
@@ -77,6 +79,5 @@ pub use remote::{
     mix64, shard, shard_order, shard_weight, FleetStats, RemoteBackend, RemoteEvaluator, RemoteInfo,
 };
 pub use repo::{
-    GcReport, GcSegment, OpenReport, RepoError, ReplayEvaluator, SharedTrialStore, StoreMeta,
-    StoreStats, TrialRepo, TrialStore,
+    GcReport, GcSegment, OpenReport, RepoError, ReplayEvaluator, StoreMeta, StoreStats, TrialStore,
 };

@@ -15,16 +15,17 @@
 //!
 //! # Key contract
 //!
-//! A [`PrefixKey`] is content-addressed off the same canonical-string +
-//! FNV-1a machinery as [`crate::CacheKey`] (see the module docs of
-//! [`crate::cache`] for the full fingerprint contract). Its canonical
-//! form is
+//! A [`PrefixKey`] is content-addressed by a canonical string, like
+//! [`crate::CacheKey`] (see the module docs of [`crate::cache`] for the
+//! contract), but carries no fingerprint: nothing shards or indexes
+//! prefix entries, and the map keys on the string. Its canonical form
+//! is
 //!
 //! ```text
 //! layer=prefix;seed=<u64>;tf=<f64 bits>;sub=<i64>;p=<step 1> -> ... -> <step k>
 //! ```
 //!
-//! Hashed (cache-relevant) dimensions:
+//! Keyed (cache-relevant) dimensions:
 //!
 //! - `seed` and `tf` (train-fraction bits) — they determine the
 //!   stratified split, and therefore the exact input matrices.
@@ -48,11 +49,7 @@
 //!
 //! The `layer=prefix;` namespace tag keeps prefix canonicals disjoint
 //! from trial canonicals (which start with `m=`), so the two layers can
-//! never alias even if their fingerprints were ever mixed in one index.
-//!
-//! Like the trial cache, the map keys on the full canonical string, so
-//! a 64-bit fingerprint collision between distinct prefixes cannot
-//! alias their matrices.
+//! never alias even if their keys were ever mixed in one index.
 //!
 //! # Admission and eviction
 //!
@@ -91,7 +88,6 @@
 //! bounded, or shared across any number of threads. Only wall-clock
 //! attribution (`prep_time`) and the cache counters may differ.
 
-use autofp_linalg::codec::fnv1a;
 use crate::evaluator::EvalConfig;
 use crate::lru::Lru;
 use autofp_linalg::Matrix;
@@ -110,25 +106,9 @@ use std::time::Duration;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PrefixKey {
     canonical: String,
-    fingerprint: u64,
 }
 
 impl PrefixKey {
-    /// Build the key for the first `len` steps of `pipeline` under
-    /// `config`. `len` is clamped to the pipeline length; `len == 0`
-    /// identifies the raw (untransformed) split and is never cached.
-    pub fn new(pipeline: &Pipeline, len: usize, config: &EvalConfig) -> PrefixKey {
-        let len = len.min(pipeline.len());
-        let mut steps = String::new();
-        for (i, s) in pipeline.steps().iter().take(len).enumerate() {
-            if i > 0 {
-                steps.push_str(" -> ");
-            }
-            let _ = write!(steps, "{s}");
-        }
-        Self::from_steps(&steps, config)
-    }
-
     /// Keys for every non-empty prefix of `pipeline`, shortest first:
     /// index `i` holds the key of the first `i + 1` steps (the last is
     /// the full pipeline). Built incrementally — pipeline keys are
@@ -136,37 +116,25 @@ impl PrefixKey {
     /// string prefix extension of the previous one.
     pub fn all_prefixes(pipeline: &Pipeline, config: &EvalConfig) -> Vec<PrefixKey> {
         let mut keys = Vec::with_capacity(pipeline.len());
-        let mut steps = String::new();
+        let mut canonical = String::new();
+        let _ = write!(
+            canonical,
+            "layer=prefix;seed={};tf={};sub={};p=",
+            config.seed,
+            config.train_fraction.to_bits(),
+            config.train_subsample.map_or(-1_i64, |v| v as i64),
+        );
         for (i, s) in pipeline.steps().iter().enumerate() {
             if i > 0 {
-                steps.push_str(" -> ");
+                canonical.push_str(" -> ");
             }
-            let _ = write!(steps, "{s}");
-            keys.push(Self::from_steps(&steps, config));
+            let _ = write!(canonical, "{s}");
+            keys.push(PrefixKey { canonical: canonical.clone() });
         }
         keys
     }
 
-    fn from_steps(steps: &str, config: &EvalConfig) -> PrefixKey {
-        let mut canonical = String::new();
-        let _ = write!(
-            canonical,
-            "layer=prefix;seed={};tf={};sub={};p={}",
-            config.seed,
-            config.train_fraction.to_bits(),
-            config.train_subsample.map_or(-1_i64, |v| v as i64),
-            steps,
-        );
-        let fingerprint = fnv1a(canonical.as_bytes());
-        PrefixKey { canonical, fingerprint }
-    }
-
-    /// The stable 64-bit fingerprint of this key.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// The canonical string the fingerprint hashes.
+    /// The canonical string.
     pub fn canonical(&self) -> &str {
         &self.canonical
     }
@@ -407,6 +375,11 @@ mod tests {
         (m(&[vec![1.0, 2.0], vec![3.0, 4.0]]), m(&[vec![5.0, 6.0]]))
     }
 
+    /// The key of the first `len` steps of `p`.
+    fn key(p: &Pipeline, len: usize, cfg: &EvalConfig) -> PrefixKey {
+        PrefixKey::all_prefixes(p, cfg).swap_remove(len - 1)
+    }
+
     #[test]
     fn all_prefixes_are_ordered_and_distinct() {
         let p = Pipeline::from_kinds(&[
@@ -419,8 +392,10 @@ mod tests {
         assert_eq!(keys.len(), 3);
         let mut seen = HashSet::new();
         for (i, k) in keys.iter().enumerate() {
-            assert_eq!(*k, PrefixKey::new(&p, i + 1, &cfg), "incremental != direct at len {}", i + 1);
-            assert!(seen.insert(k.fingerprint()), "fingerprint collision at len {}", i + 1);
+            assert!(seen.insert(k.canonical()), "canonical collision at len {}", i + 1);
+            if i > 0 {
+                assert!(k.canonical().starts_with(keys[i - 1].canonical()), "len {}", i + 1);
+            }
         }
         assert!(keys[2].canonical().ends_with(&format!("p={}", p.key())));
         assert!(PrefixKey::all_prefixes(&Pipeline::empty(), &cfg).is_empty());
@@ -433,8 +408,8 @@ mod tests {
         let base = EvalConfig::default();
         let other_model = EvalConfig { model: ModelKind::Xgb, ..base.clone() };
         assert_eq!(
-            PrefixKey::new(&p, 1, &base),
-            PrefixKey::new(&p, 1, &other_model),
+            key(&p, 1, &base),
+            key(&p, 1, &other_model),
             "prefix keys must be model-independent (transforms run before any trainer)"
         );
         for cfg in [
@@ -443,8 +418,8 @@ mod tests {
             EvalConfig { train_subsample: Some(64), ..base.clone() },
         ] {
             assert_ne!(
-                PrefixKey::new(&p, 1, &base),
-                PrefixKey::new(&p, 1, &cfg),
+                key(&p, 1, &base),
+                key(&p, 1, &cfg),
                 "split-shaping config must move the key"
             );
         }
@@ -455,27 +430,23 @@ mod tests {
         let cfg = EvalConfig::default();
         let a = Pipeline::new(vec![Preproc::Binarizer { threshold: 0.0 }]);
         let b = Pipeline::new(vec![Preproc::Binarizer { threshold: 0.5 }]);
-        assert_ne!(
-            PrefixKey::new(&a, 1, &cfg).fingerprint(),
-            PrefixKey::new(&b, 1, &cfg).fingerprint()
-        );
+        assert_ne!(key(&a, 1, &cfg).canonical(), key(&b, 1, &cfg).canonical());
     }
 
     #[test]
     fn prefix_namespace_is_disjoint_from_trial_keys() {
         let cfg = EvalConfig::default();
         let p = Pipeline::from_kinds(&[PreprocKind::StandardScaler]);
-        let prefix = PrefixKey::new(&p, 1, &cfg);
+        let prefix = key(&p, 1, &cfg);
         let trial = crate::CacheKey::new(&p, 1.0, &cfg);
         assert!(prefix.canonical().starts_with("layer=prefix;"));
         assert!(trial.canonical().starts_with("m="));
-        assert_ne!(prefix.fingerprint(), trial.fingerprint());
     }
 
-    /// Prefix fingerprints shard evald requests and would name entries
-    /// in a persisted transform store; like the trial-key golden test,
-    /// these constants lock the canonical form. If this fails, the
-    /// canonical layout (or FNV-1a) changed and consumers must migrate.
+    /// Like the trial-key golden test, these constants lock the
+    /// canonical form: each is the FNV-1a hash of one prefix canonical.
+    /// If this fails, the canonical layout changed, and every prefix
+    /// entry a cache holds would stop matching.
     #[test]
     fn golden_prefix_fingerprints_are_locked() {
         let cfg = EvalConfig::default();
@@ -486,9 +457,9 @@ mod tests {
             (&two, 2, 0x3ace5f18616e849a),
         ];
         for (pipeline, len, expected) in cases {
-            let key = PrefixKey::new(pipeline, len, &cfg);
+            let key = key(pipeline, len, &cfg);
             assert_eq!(
-                key.fingerprint(),
+                crate::fnv1a(key.canonical().as_bytes()),
                 expected,
                 "prefix fingerprint drifted for `{}`[..{len}] (canonical `{}`)",
                 pipeline.key(),
@@ -557,7 +528,7 @@ mod tests {
         let per_entry = |k: &PrefixKey| entry_bytes(k, &t, &v);
         let keys: Vec<PrefixKey> = [PreprocKind::StandardScaler, PreprocKind::MinMaxScaler, PreprocKind::Normalizer]
             .into_iter()
-            .map(|k| PrefixKey::new(&Pipeline::from_kinds(&[k]), 1, &cfg))
+            .map(|k| key(&Pipeline::from_kinds(&[k]), 1, &cfg))
             .collect();
         // Budget fits exactly two of the three (keys have similar sizes).
         let budget = per_entry(&keys[0]) + per_entry(&keys[1]) + per_entry(&keys[2]) / 2;
@@ -585,7 +556,7 @@ mod tests {
     fn oversized_entries_are_never_admitted() {
         let cfg = EvalConfig::default();
         let (t, v) = small();
-        let key = PrefixKey::new(&Pipeline::from_kinds(&[PreprocKind::StandardScaler]), 1, &cfg);
+        let key = key(&Pipeline::from_kinds(&[PreprocKind::StandardScaler]), 1, &cfg);
         let cache = PrefixCache::with_byte_budget(entry_bytes(&key, &t, &v) - 1);
         cache.insert(&key, &t, &v, 1, Duration::ZERO);
         assert!(cache.is_empty());
@@ -598,7 +569,7 @@ mod tests {
     fn zero_budget_disables_caching() {
         let cfg = EvalConfig::default();
         let (t, v) = small();
-        let key = PrefixKey::new(&Pipeline::from_kinds(&[PreprocKind::StandardScaler]), 1, &cfg);
+        let key = key(&Pipeline::from_kinds(&[PreprocKind::StandardScaler]), 1, &cfg);
         let cache = PrefixCache::with_byte_budget(0);
         cache.insert(&key, &t, &v, 1, Duration::ZERO);
         assert!(cache.is_empty());
@@ -609,7 +580,7 @@ mod tests {
     fn reinserting_same_key_does_not_leak_bytes() {
         let cfg = EvalConfig::default();
         let (t, v) = small();
-        let key = PrefixKey::new(&Pipeline::from_kinds(&[PreprocKind::StandardScaler]), 1, &cfg);
+        let key = key(&Pipeline::from_kinds(&[PreprocKind::StandardScaler]), 1, &cfg);
         let cache = PrefixCache::new();
         cache.insert(&key, &t, &v, 1, Duration::from_millis(1));
         let before = cache.bytes();
@@ -625,7 +596,7 @@ mod tests {
         let clone = shared.clone();
         let cfg = EvalConfig::default();
         let (t, v) = small();
-        let key = PrefixKey::new(&Pipeline::from_kinds(&[PreprocKind::StandardScaler]), 1, &cfg);
+        let key = key(&Pipeline::from_kinds(&[PreprocKind::StandardScaler]), 1, &cfg);
         shared.insert(&key, &t, &v, 1, Duration::ZERO);
         assert_eq!(clone.len(), 1);
         assert!(clone.lookup_longest(std::slice::from_ref(&key)).is_some());

@@ -8,6 +8,15 @@
 //! replay a whole search with zero evaluations ("simulated search",
 //! via [`ReplayEvaluator`]).
 //!
+//! A repository is a directory of segments, one per evaluation
+//! context, each at [`segment_path`]. A [`TrialStore`] is one open
+//! segment: its file, the set of keys it holds (for deduplication)
+//! and its [`StoreMeta`]. It keeps no trials in memory —
+//! [`TrialStore::load`] hands the trials it read to its caller once,
+//! and [`crate::EvalCache::attach_segment`] moves them into the cache
+//! it then writes through from. [`gc`] sweeps segments of abandoned
+//! contexts.
+//!
 //! # On-disk format
 //!
 //! A store segment is one append-only file:
@@ -47,15 +56,16 @@
 //!
 //! # The never-persist rule
 //!
-//! [`FailureKind::Deadline`] and [`FailureKind::Transport`] trials are
-//! circumstantial — a property of the run, not the pipeline — and are
-//! never persisted, the same rule as [`crate::EvalCache::insert`],
-//! enforced here independently so a mis-wired caller cannot poison the
+//! [`crate::FailureKind::Deadline`] and [`crate::FailureKind::Transport`]
+//! trials are circumstantial — a property of the run, not the
+//! pipeline — and are never persisted, the same rule (one predicate)
+//! as [`crate::EvalCache::insert`], checked again by
+//! [`TrialStore::append`] so a mis-wired caller cannot poison the
 //! durable layer.
 
-use crate::cache::CacheKey;
+use crate::cache::{never_cached, CacheKey};
 use crate::codec::{dec_trial, enc_trial, Dec, DecodeError, Enc};
-use crate::error::{EvalError, FailureKind};
+use crate::error::EvalError;
 use crate::evaluator::{EvalConfig, Evaluate};
 use crate::history::Trial;
 use autofp_linalg::codec::{fnv1a, frame_record, next_record};
@@ -66,7 +76,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The 8-byte segment-file magic (format version rides in the name).
 pub const MAGIC: [u8; 8] = *b"AFPREPO1";
@@ -112,7 +122,7 @@ impl From<DecodeError> for RepoError {
     }
 }
 
-fn corrupt(detail: impl Into<String>) -> RepoError {
+pub(crate) fn corrupt(detail: impl Into<String>) -> RepoError {
     RepoError::Corrupt { detail: detail.into() }
 }
 
@@ -252,7 +262,8 @@ pub struct StoreStats {
     pub io_errors: u64,
     /// Trials warmed into an [`crate::EvalCache`] from this store.
     pub preloaded: u64,
-    /// Live trial records (loaded from disk plus appended).
+    /// Distinct trial keys in the segment (loaded from disk plus
+    /// appended).
     pub trials: u64,
     /// Torn-tail bytes dropped when the segment was opened.
     pub truncated_bytes: u64,
@@ -272,12 +283,11 @@ impl StoreStats {
     }
 }
 
+#[derive(Debug)]
 struct StoreInner {
     file: File,
     /// Canonical keys already persisted (dedup guard).
     keys: BTreeSet<String>,
-    /// Every live trial, in file order (loaded then appended).
-    trials: Vec<(CacheKey, Trial)>,
     meta: Option<StoreMeta>,
 }
 
@@ -293,7 +303,6 @@ struct StoreInner {
 #[derive(Debug)]
 pub struct TrialStore {
     path: PathBuf,
-    context: String,
     report: OpenReport,
     inner: Mutex<StoreInner>,
     appended: AtomicU64,
@@ -303,25 +312,26 @@ pub struct TrialStore {
     preloaded: AtomicU64,
 }
 
-impl std::fmt::Debug for StoreInner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StoreInner")
-            .field("keys", &self.keys.len())
-            .field("trials", &self.trials.len())
-            .field("meta", &self.meta)
-            .finish()
-    }
-}
-
 impl TrialStore {
-    /// Open (or create) the segment at `path` for `context`.
+    /// [`TrialStore::load`] without the loaded trials.
+    pub fn open(path: impl Into<PathBuf>, context: &str) -> Result<TrialStore, RepoError> {
+        Ok(TrialStore::load(path, context)?.0)
+    }
+
+    /// Open (or create) the segment at `path` for `context`, returning
+    /// the store and the trials the file held: in file order, the
+    /// first record of each key. The store itself keeps only their
+    /// keys, so the caller owns the one in-memory copy.
     ///
     /// A torn tail — the signature a crash mid-append leaves — is
     /// truncated back to the last good record and reported with a
     /// warning on stderr; it is *not* an error. A segment recorded
     /// under a different context, or a checksum-valid record that no
     /// longer decodes, is [`RepoError::Corrupt`].
-    pub fn open(path: impl Into<PathBuf>, context: &str) -> Result<TrialStore, RepoError> {
+    pub fn load(
+        path: impl Into<PathBuf>,
+        context: &str,
+    ) -> Result<(TrialStore, Vec<(CacheKey, Trial)>), RepoError> {
         let path = path.into();
         let mut file = OpenOptions::new().read(true).append(true).create(true).open(&path)?;
         let mut bytes = Vec::new();
@@ -376,17 +386,17 @@ impl TrialStore {
             trials: trials.len() as u64,
             truncated_bytes: scan.truncated_bytes,
         };
-        Ok(TrialStore {
+        let store = TrialStore {
             path,
-            context: context.to_string(),
             report,
-            inner: Mutex::new(StoreInner { file, keys, trials, meta }),
+            inner: Mutex::new(StoreInner { file, keys, meta }),
             appended: AtomicU64::new(0),
             deduped: AtomicU64::new(0),
             skipped: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
             preloaded: AtomicU64::new(0),
-        })
+        };
+        Ok((store, trials))
     }
 
     /// See [`EvalCache::lock`]: recovering a poisoned guard is sound
@@ -400,11 +410,6 @@ impl TrialStore {
     /// The segment file path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// The evaluation-context string this segment is bound to.
-    pub fn context(&self) -> &str {
-        &self.context
     }
 
     /// What [`TrialStore::open`] found on disk.
@@ -450,7 +455,7 @@ impl TrialStore {
     /// of propagating — persistence is best-effort from the evaluation
     /// path's point of view; durability is observable in the stats.
     pub fn append(&self, key: &CacheKey, trial: &Trial) {
-        if matches!(trial.failure, Some(FailureKind::Deadline) | Some(FailureKind::Transport)) {
+        if never_cached(trial) {
             self.skipped.fetch_add(1, Ordering::Relaxed);
             return;
         }
@@ -464,7 +469,6 @@ impl TrialStore {
         match inner.file.write_all(&bytes).and_then(|()| inner.file.flush()) {
             Ok(()) => {
                 inner.keys.insert(key.canonical().to_string());
-                inner.trials.push((key.clone(), trial.clone()));
                 drop(inner);
                 self.appended.fetch_add(1, Ordering::Relaxed);
             }
@@ -480,9 +484,9 @@ impl TrialStore {
         self.lock().keys.contains(key.canonical())
     }
 
-    /// Number of live trial records.
+    /// Number of distinct trial keys in the segment.
     pub fn len(&self) -> usize {
-        self.lock().trials.len()
+        self.lock().keys.len()
     }
 
     /// True when no trial is stored yet.
@@ -490,13 +494,8 @@ impl TrialStore {
         self.len() == 0
     }
 
-    /// Every live trial, in file order (loaded, then appended).
-    pub fn snapshot(&self) -> Vec<(CacheKey, Trial)> {
-        self.lock().trials.clone()
-    }
-
     /// Count trials warmed into a cache from this store (called by
-    /// [`crate::EvalCache::preload_from`]).
+    /// [`crate::EvalCache::attach_segment`]).
     pub(crate) fn note_preloaded(&self, n: u64) {
         self.preloaded.fetch_add(n, Ordering::Relaxed);
     }
@@ -515,132 +514,58 @@ impl TrialStore {
     }
 }
 
-/// A clonable, `Arc`-backed handle to one [`TrialStore`].
-#[derive(Debug, Clone)]
-pub struct SharedTrialStore {
-    inner: Arc<TrialStore>,
-}
-
-impl SharedTrialStore {
-    /// Wrap a store in a shared handle.
-    pub fn new(store: TrialStore) -> SharedTrialStore {
-        SharedTrialStore { inner: Arc::new(store) }
-    }
-}
-
-impl std::ops::Deref for SharedTrialStore {
-    type Target = TrialStore;
-
-    fn deref(&self) -> &TrialStore {
-        &self.inner
-    }
-}
-
 // ---------------------------------------------------------------- repo
 
-/// A directory of [`TrialStore`] segments, one per evaluation context,
-/// with segment handles interned so two opens of the same context
-/// share one file handle and one dedup set.
-#[derive(Debug)]
-pub struct TrialRepo {
-    dir: PathBuf,
-    segments: Mutex<BTreeMap<String, SharedTrialStore>>,
+/// The segment file of `context` in the repository directory `dir`:
+/// `ctx-<FNV-1a fingerprint of the context, hex>.log`.
+pub fn segment_path(dir: &Path, context: &str) -> PathBuf {
+    dir.join(format!("ctx-{:016x}.log", fnv1a(context.as_bytes())))
 }
 
-impl TrialRepo {
-    /// Open (or create) the repository directory.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<TrialRepo, RepoError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(TrialRepo { dir, segments: Mutex::new(BTreeMap::new()) })
+/// Dead-segment sweep: remove every `ctx-*.log` segment in `dir` whose
+/// pinned context string is **not** in `keep` (abandoned configs
+/// accumulate dead segments over the life of a repository). A missing
+/// `dir` is created and reports nothing.
+///
+/// Conservative by construction: files that do not look like segment
+/// files are ignored entirely; segments that cannot be read or whose
+/// context cannot be decoded are reported in [`GcReport::skipped`] and
+/// never deleted. With `dry_run` nothing is deleted and the report
+/// describes what a real sweep would remove. Sweep only a repository
+/// no process is writing to.
+pub fn gc(dir: &Path, keep: &[String], dry_run: bool) -> Result<GcReport, RepoError> {
+    std::fs::create_dir_all(dir)?;
+    let mut names: Vec<std::ffi::OsString> = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        names.push(entry?.file_name());
     }
-
-    /// The repository directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The segment file a context maps to (`ctx-<fingerprint hex>.log`
-    /// under the repository directory).
-    pub fn segment_path(&self, context: &str) -> PathBuf {
-        self.dir.join(format!("ctx-{:016x}.log", fnv1a(context.as_bytes())))
-    }
-
-    /// Open (or create) the segment for `context`, interning the
-    /// handle: a second open of the same context returns the same
-    /// underlying store.
-    pub fn open_context(&self, context: &str) -> Result<SharedTrialStore, RepoError> {
-        let mut segments = self.segments.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(store) = segments.get(context) {
-            return Ok(store.clone());
+    names.sort();
+    let mut report = GcReport { dry_run, ..GcReport::default() };
+    for name in names {
+        let Some(text) = name.to_str() else { continue };
+        if !text.starts_with("ctx-") || !text.ends_with(".log") {
+            continue;
         }
-        let store =
-            SharedTrialStore::new(TrialStore::open(self.segment_path(context), context)?);
-        segments.insert(context.to_string(), store.clone());
-        Ok(store)
-    }
-
-    /// Contexts with an interned (opened this process) segment.
-    pub fn open_contexts(&self) -> Vec<String> {
-        let segments = self.segments.lock().unwrap_or_else(PoisonError::into_inner);
-        segments.keys().cloned().collect()
-    }
-
-    /// Fold the stats of every interned segment.
-    pub fn stats(&self) -> StoreStats {
-        let segments = self.segments.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut total = StoreStats::default();
-        for store in segments.values() {
-            total.absorb(&store.stats());
-        }
-        total
-    }
-
-    /// Dead-segment sweep: remove every `ctx-*.log` segment whose
-    /// pinned context string is **not** in `keep` (abandoned configs
-    /// accumulate dead segments over the life of a repository).
-    ///
-    /// Conservative by construction: files that do not look like
-    /// segment files are ignored entirely; segments that cannot be
-    /// read or whose context cannot be decoded are reported in
-    /// [`GcReport::skipped`] and never deleted; segments interned by
-    /// this process (live file handles) are treated as kept regardless
-    /// of the keep-list. With `dry_run` nothing is deleted and the
-    /// report describes what a real sweep would remove.
-    pub fn gc(&self, keep: &[String], dry_run: bool) -> Result<GcReport, RepoError> {
-        let live: Vec<String> = self.open_contexts();
-        let mut names: Vec<std::ffi::OsString> = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            names.push(entry?.file_name());
-        }
-        names.sort();
-        let mut report = GcReport { dry_run, ..GcReport::default() };
-        for name in names {
-            let Some(text) = name.to_str() else { continue };
-            if !text.starts_with("ctx-") || !text.ends_with(".log") {
+        let path = dir.join(&name);
+        let context = match segment_context(&path) {
+            Some(c) => c,
+            None => {
+                report.skipped.push(path);
                 continue;
             }
-            let path = self.dir.join(&name);
-            let context = match segment_context(&path) {
-                Some(c) => c,
-                None => {
-                    report.skipped.push(path);
-                    continue;
-                }
-            };
-            if keep.contains(&context) || live.contains(&context) {
-                report.kept.push(context);
-                continue;
-            }
-            let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            if !dry_run {
-                std::fs::remove_file(&path)?;
-            }
-            report.reclaimed_bytes += bytes;
-            report.removed.push(GcSegment { context, path, bytes });
+        };
+        if keep.contains(&context) {
+            report.kept.push(context);
+            continue;
         }
-        Ok(report)
+        let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+        if !dry_run {
+            std::fs::remove_file(&path)?;
+        }
+        report.reclaimed_bytes += bytes;
+        report.removed.push(GcSegment { context, path, bytes });
     }
+    Ok(report)
 }
 
 /// Read the pinned context string of a segment file, if any. `None`
@@ -655,8 +580,7 @@ fn segment_context(path: &Path) -> Option<String> {
     })
 }
 
-/// One dead segment found (and, outside dry runs, removed) by
-/// [`TrialRepo::gc`].
+/// One dead segment found (and, outside dry runs, removed) by [`gc`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GcSegment {
     /// The abandoned context the segment was pinned to.
@@ -667,11 +591,10 @@ pub struct GcSegment {
     pub bytes: u64,
 }
 
-/// Outcome of a [`TrialRepo::gc`] sweep.
+/// Outcome of a [`gc`] sweep.
 #[derive(Debug, Clone, Default)]
 pub struct GcReport {
-    /// Contexts whose segments survive (keep-list members plus any
-    /// segment interned by this process).
+    /// Contexts whose segments survive (the keep-list members found).
     pub kept: Vec<String>,
     /// Dead segments removed — or, under `dry_run`, that would be.
     pub removed: Vec<GcSegment>,
@@ -686,8 +609,8 @@ pub struct GcReport {
 
 // -------------------------------------------------------------- replay
 
-/// An [`Evaluate`] that answers entirely from a [`TrialStore`]
-/// snapshot — TabRepo's "simulated search" with zero evaluations.
+/// An [`Evaluate`] that answers entirely from the trials of one
+/// segment — TabRepo's "simulated search" with zero evaluations.
 ///
 /// A looked-up pipeline that the store holds returns its persisted
 /// trial bit-identically; a miss is an [`EvalError::Transport`] (the
@@ -704,19 +627,23 @@ pub struct ReplayEvaluator {
 }
 
 impl ReplayEvaluator {
-    /// Build a replay evaluator over `store`'s current snapshot.
+    /// Load the segment at `path` (see [`TrialStore::load`]) and
+    /// answer from its trials and meta.
     ///
     /// `config` must be the [`EvalConfig`] the trials were evaluated
     /// under (it is part of every [`CacheKey`]); a mismatched config
     /// simply misses on every lookup.
-    pub fn from_store(store: &TrialStore, config: EvalConfig) -> Result<ReplayEvaluator, RepoError> {
+    pub fn open(
+        path: impl Into<PathBuf>,
+        context: &str,
+        config: EvalConfig,
+    ) -> Result<ReplayEvaluator, RepoError> {
+        let (store, loaded) = TrialStore::load(path, context)?;
         let meta = store
             .meta()
             .ok_or_else(|| corrupt(format!("segment {} has no meta record", store.path().display())))?;
-        let mut trials = BTreeMap::new();
-        for (key, trial) in store.snapshot() {
-            trials.insert(key.canonical().to_string(), trial);
-        }
+        let trials =
+            loaded.into_iter().map(|(key, trial)| (key.canonical().to_string(), trial)).collect();
         Ok(ReplayEvaluator {
             trials,
             config,
@@ -785,6 +712,7 @@ impl Evaluate for ReplayEvaluator {
 mod tests {
     use super::*;
     use crate::cache::EvalCache;
+    use crate::error::FailureKind;
     use crate::evaluator::evaluate_or_worst;
     use autofp_preprocess::{Norm, OutputDist, Preproc, PreprocKind};
     use std::time::Duration;
@@ -987,9 +915,10 @@ mod tests {
             written.push((key, t));
         }
         drop(store);
-        let store = TrialStore::open(&path, "ctx-test").expect("reopen");
+        let (store, loaded) = TrialStore::load(&path, "ctx-test").expect("reopen");
         assert_eq!(store.open_report().truncated_bytes, 0);
-        assert_eq!(store.snapshot(), written, "reload must be bit-identical in file order");
+        assert_eq!(loaded, written, "reload must be bit-identical in file order");
+        assert_eq!(store.len(), written.len());
     }
 
     #[test]
@@ -1153,9 +1082,12 @@ mod tests {
         let stats = store.stats();
         assert_eq!((stats.appended, stats.deduped), (1, 1));
         assert!(store.contains(&key));
+        drop(store);
         // First write wins (deterministic evaluation makes re-runs
         // bit-identical, so there is nothing to overwrite).
-        assert_eq!(store.snapshot()[0].1.accuracy, 0.6);
+        let (_, loaded) = TrialStore::load(&path, "ctx-test").expect("reopen");
+        assert_eq!(loaded.len(), 1);
+        assert_eq!(loaded[0].1.accuracy, 0.6);
     }
 
     #[test]
@@ -1176,34 +1108,20 @@ mod tests {
     }
 
     #[test]
-    fn repo_interns_segments_per_context() {
+    fn segment_names_are_a_pure_function_of_the_context() {
         let dir = temp_dir("repo");
-        let repo = TrialRepo::open(&dir).expect("open");
-        let a1 = repo.open_context("ctx-a").expect("a1");
-        let a2 = repo.open_context("ctx-a").expect("a2");
-        let b = repo.open_context("ctx-b").expect("b");
-        assert!(std::ptr::eq(&*a1, &*a2), "one context, one shared store");
-        assert!(!std::ptr::eq(&*a1, &*b));
-        assert_ne!(a1.path(), b.path());
-        assert_eq!(a1.path(), repo.segment_path("ctx-a"));
-        assert_eq!(repo.open_contexts(), vec!["ctx-a".to_string(), "ctx-b".to_string()]);
-        // A second repo over the same directory maps contexts to the
-        // same files (the name is a pure function of the context).
-        let repo2 = TrialRepo::open(&dir).expect("open2");
-        assert_eq!(repo2.segment_path("ctx-a"), repo.segment_path("ctx-a"));
-        let p = Pipeline::from_kinds(&[PreprocKind::Binarizer]);
-        a1.append(&key_for(&p, 1.0), &trial_for(&p, 0.7, None));
-        assert_eq!(repo.stats().appended, 1);
-        assert_eq!(repo.stats().trials, 1);
+        let a = segment_path(&dir, "ctx-a");
+        assert_eq!(a, segment_path(&dir, "ctx-a"));
+        assert_ne!(a, segment_path(&dir, "ctx-b"));
+        assert_eq!(a, dir.join(format!("ctx-{:016x}.log", fnv1a(b"ctx-a"))));
     }
 
     #[test]
     fn replay_serves_stored_trials_and_errors_on_misses() {
         let dir = temp_dir("replay");
         let (path, _) = populated(&dir);
-        let store = TrialStore::open(&path, "ctx-test").expect("open");
         let replay =
-            ReplayEvaluator::from_store(&store, EvalConfig::default()).expect("replay");
+            ReplayEvaluator::open(&path, "ctx-test", EvalConfig::default()).expect("replay");
         assert_eq!(replay.baseline_accuracy(), 0.5);
         assert_eq!(replay.train_rows(), 193);
         let p = Pipeline::from_kinds(&[PreprocKind::Binarizer]);
@@ -1223,17 +1141,17 @@ mod tests {
     #[test]
     fn replay_requires_a_meta_record() {
         let dir = temp_dir("replay-meta");
-        let store = TrialStore::open(dir.join("seg.log"), "ctx-test").expect("open");
-        assert!(ReplayEvaluator::from_store(&store, EvalConfig::default()).is_err());
+        assert!(ReplayEvaluator::open(dir.join("seg.log"), "ctx-test", EvalConfig::default())
+            .is_err());
     }
 
     #[test]
     fn cache_write_through_and_preload_close_the_loop() {
-        let dir = temp_dir("cache");
-        let path = dir.join("seg.log");
-        let store = SharedTrialStore::new(TrialStore::open(&path, "ctx-test").expect("open"));
+        let dir = temp_dir("cache").join("store");
+        let meta = StoreMeta { baseline_accuracy: 0.5, train_rows: 193 };
         let cache = EvalCache::new();
-        cache.attach_store(store.clone());
+        cache.attach_segment(&dir, "ctx-test", meta).expect("attach creates the directory");
+        let store = cache.store().expect("attached");
         let p = Pipeline::from_kinds(&[PreprocKind::StandardScaler]);
         let key = key_for(&p, 1.0);
         cache.insert(&key, &trial_for(&p, 0.9, None));
@@ -1243,22 +1161,25 @@ mod tests {
         let q = Pipeline::from_kinds(&[PreprocKind::Binarizer]);
         cache.insert(&key_for(&q, 1.0), &Trial::failed(q, FailureKind::Deadline, 1.0));
         assert_eq!(store.len(), 1);
+        // One cache, one segment.
+        assert!(cache.attach_segment(&dir, "ctx-other", meta).is_err());
         drop(cache);
-        drop(store);
 
-        // Preload a fresh cache from the reopened store: the trial is
-        // a hit without any evaluator, counters untouched by warming,
-        // and nothing is written back.
-        let store = TrialStore::open(&path, "ctx-test").expect("reopen");
+        // Attach a fresh cache to the same segment: the trial is a hit
+        // without any evaluator, counters untouched by warming, and
+        // nothing is written back.
         let warm = EvalCache::new();
-        assert_eq!(warm.preload_from(&store), 1);
-        assert_eq!(store.stats().preloaded, 1);
-        assert_eq!(store.stats().appended, 0);
+        warm.attach_segment(&dir, "ctx-test", meta).expect("reattach");
+        let stats = warm.store().expect("attached").stats();
+        assert_eq!((stats.preloaded, stats.appended, stats.trials), (1, 0, 1));
         assert_eq!(warm.len(), 1);
         let hit = warm.lookup(&key).expect("preloaded hit");
         assert_eq!(hit.accuracy.to_bits(), 0.9f64.to_bits());
         let s = warm.stats();
         assert_eq!((s.hits, s.misses), (1, 0));
+        // A different evaluator identity is refused.
+        let other = StoreMeta { baseline_accuracy: 0.25, ..meta };
+        assert!(EvalCache::new().attach_segment(&dir, "ctx-test", other).is_err());
     }
 
     #[test]
@@ -1292,10 +1213,9 @@ mod tests {
     #[test]
     fn gc_sweeps_dead_segments_and_keeps_live_ones() {
         let dir = temp_dir("gc");
-        let repo = TrialRepo::open(&dir).expect("open repo");
         // Three segments: one live (keep-list), two abandoned.
         for ctx in ["ctx=live", "ctx=dead-a", "ctx=dead-b"] {
-            let store = repo.open_context(ctx).expect("open context");
+            let store = TrialStore::open(segment_path(&dir, ctx), ctx).expect("open context");
             let p = Pipeline::from_kinds(&[PreprocKind::MinMaxScaler]);
             store.append(&key_for(&p, 1.0), &trial_for(&p, 0.6, None));
         }
@@ -1303,14 +1223,9 @@ mod tests {
         // both survive any sweep.
         std::fs::write(dir.join("notes.txt"), b"not a segment").expect("write");
         std::fs::write(dir.join("ctx-ffffffffffffffff.log"), b"garbage").expect("write");
-
-        // Re-open fresh so no segment is interned (live handles are
-        // protected even off the keep-list; that guard is tested below).
-        drop(repo);
-        let repo = TrialRepo::open(&dir).expect("reopen repo");
         let keep = vec!["ctx=live".to_string()];
 
-        let dry = repo.gc(&keep, true).expect("dry run");
+        let dry = gc(&dir, &keep, true).expect("dry run");
         assert!(dry.dry_run);
         assert_eq!(dry.kept, vec!["ctx=live"]);
         assert_eq!(dry.removed.len(), 2);
@@ -1321,7 +1236,7 @@ mod tests {
             assert!(seg.path.exists(), "{:?} deleted by dry run", seg.path);
         }
 
-        let swept = repo.gc(&keep, false).expect("sweep");
+        let swept = gc(&dir, &keep, false).expect("sweep");
         assert_eq!(swept.kept, dry.kept);
         assert_eq!(swept.removed, dry.removed);
         assert_eq!(swept.reclaimed_bytes, dry.reclaimed_bytes);
@@ -1332,26 +1247,11 @@ mod tests {
         contexts.sort();
         assert_eq!(contexts, vec!["ctx=dead-a", "ctx=dead-b"]);
         // The kept segment still opens and holds its trial.
-        let store = repo.open_context("ctx=live").expect("reopen live");
+        let store = TrialStore::open(segment_path(&dir, "ctx=live"), "ctx=live").expect("live");
         assert_eq!(store.len(), 1);
         // The unreadable file is untouched.
         assert!(dir.join("ctx-ffffffffffffffff.log").exists());
         assert!(dir.join("notes.txt").exists());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn gc_protects_interned_segments() {
-        let dir = temp_dir("gc-live");
-        let repo = TrialRepo::open(&dir).expect("open repo");
-        let store = repo.open_context("ctx=open-now").expect("open context");
-        let p = Pipeline::from_kinds(&[PreprocKind::MaxAbsScaler]);
-        store.append(&key_for(&p, 1.0), &trial_for(&p, 0.6, None));
-        // Off the keep-list but interned: must be treated as kept.
-        let report = repo.gc(&[], false).expect("sweep");
-        assert_eq!(report.kept, vec!["ctx=open-now"]);
-        assert!(report.removed.is_empty());
-        assert!(repo.segment_path("ctx=open-now").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -55,9 +55,7 @@ impl TrainedModel {
     ) -> TrainedModel {
         match kind {
             ModelKind::Lr => TrainedModel::Lr(
-                LogisticParams::default().with_seed(seed).train_cancellable(
-                    x, y, n_classes, budget, cancel,
-                ),
+                LogisticParams::default().train_cancellable(x, y, n_classes, budget, cancel),
             ),
             ModelKind::Xgb => TrainedModel::Xgb(
                 GbdtParams::default().with_seed(seed).train_cancellable(

@@ -115,9 +115,10 @@ impl ModelKind {
     ///
     /// `seed` controls any training stochasticity (minibatch order,
     /// initialization); the paper fixes library defaults, we fix seeds.
+    /// LR's full-batch optimizer has none, so it takes no seed.
     pub fn trainer(self, seed: u64) -> Box<dyn Trainer> {
         match self {
-            ModelKind::Lr => Box::new(LogisticParams::default().with_seed(seed)),
+            ModelKind::Lr => Box::new(LogisticParams::default()),
             ModelKind::Xgb => Box::new(GbdtParams::default().with_seed(seed)),
             ModelKind::Mlp => Box::new(MlpParams::default().with_seed(seed)),
         }

@@ -23,22 +23,11 @@ pub struct LogisticParams {
     pub l2: f64,
     /// Relative loss-improvement tolerance for early stopping.
     pub tol: f64,
-    /// Seed (unused by the deterministic full-batch optimizer, kept for
-    /// interface uniformity).
-    pub seed: u64,
 }
 
 impl Default for LogisticParams {
     fn default() -> Self {
-        LogisticParams { max_epochs: 80, learning_rate: 0.1, l2: 1e-4, tol: 1e-5, seed: 0 }
-    }
-}
-
-impl LogisticParams {
-    /// Set the seed (builder style; kept for interface uniformity).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+        LogisticParams { max_epochs: 80, learning_rate: 0.1, l2: 1e-4, tol: 1e-5 }
     }
 }
 

@@ -12,6 +12,7 @@
 //! skew — the integration suite pins the equivalence bit-for-bit.
 
 use crate::artifact::{ArtifactMeta, ServeArtifact};
+use autofp_core::evaluator::{check_accuracy, check_transformed};
 use autofp_core::{EvalConfig, EvalError};
 use autofp_data::Dataset;
 use autofp_models::metrics::accuracy;
@@ -22,8 +23,9 @@ use autofp_preprocess::Pipeline;
 /// evaluator would, and package the result as a serve artifact.
 ///
 /// Returns the evaluator's failure taxonomy on the same conditions it
-/// would fail: a degenerate (empty) train matrix, or a transform that
-/// maps finite input to NaN/inf.
+/// would fail (it runs the same checks): a transform that maps finite
+/// train or validation input to NaN/inf, a degenerate (empty) train
+/// matrix, or a non-finite validation accuracy.
 pub fn fit_artifact(
     dataset: &Dataset,
     pipeline: &Pipeline,
@@ -34,20 +36,18 @@ pub fn fit_artifact(
     if let Some(cap) = config.train_subsample {
         split.train = split.train.subsample(cap, config.seed);
     }
-    let train_input_finite = split.train.x.as_slice().iter().all(|v| v.is_finite());
 
     // Mirror of Evaluator::evaluate_raw at full budget.
     let (fitted, train_x) = pipeline.fit_transform(&split.train.x);
     let valid_x = fitted.transform_new(&split.valid.x);
-    if train_input_finite && !train_x.as_slice().iter().all(|v| v.is_finite()) {
-        return Err(EvalError::NonFiniteTransform {
-            detail: format!("train matrix after `{}`", pipeline.key()),
-        });
-    }
+    check_transformed(
+        pipeline,
+        &train_x,
+        &valid_x,
+        split.train.x.is_finite(),
+        split.valid.x.is_finite(),
+    )?;
     let (n, d) = train_x.shape();
-    if n == 0 || d == 0 {
-        return Err(EvalError::DegenerateMatrix { detail: format!("train matrix is {n}x{d}") });
-    }
 
     let model = TrainedModel::train(
         config.model,
@@ -58,7 +58,7 @@ pub fn fit_artifact(
         1.0,
         &CancelToken::new(),
     );
-    let acc = accuracy(&split.valid.y, &model.predict(&valid_x));
+    let acc = check_accuracy(accuracy(&split.valid.y, &model.predict(&valid_x)))?;
 
     Ok(ServeArtifact {
         meta: ArtifactMeta {
@@ -101,6 +101,42 @@ mod tests {
                 "{model}: export accuracy skewed from in-search accuracy"
             );
             assert_eq!(art.meta.train_rows as usize, ev.train_rows());
+        }
+    }
+
+    /// Search refuses a pipeline whose validation matrix turns
+    /// non-finite; the export must refuse it too rather than package a
+    /// model scored on overflowed features.
+    #[test]
+    fn non_finite_valid_transform_is_refused_like_search() {
+        let y: Vec<usize> = (0..100).map(|i| i % 2).collect();
+        let x = |big_row: Option<usize>| {
+            let rows: Vec<Vec<f64>> = (0..100)
+                .map(|i| {
+                    let tiny = if big_row == Some(i) { 1e308 } else { i as f64 * 1e-12 };
+                    vec![(i % 2) as f64, tiny]
+                })
+                .collect();
+            autofp_linalg::Matrix::from_rows(&rows)
+        };
+        let config = EvalConfig { seed: 0, ..EvalConfig::default() };
+        // The split depends on labels and seed only: find a row it sends
+        // to validation from its feature-1 value, then make it huge.
+        let probe = Dataset::new("export-overflow", x(None), y.clone(), 2);
+        let split = probe.stratified_split(config.train_fraction, config.seed);
+        let valid_row = (split.valid.x.get(0, 1) / 1e-12).round() as usize;
+        let d = Dataset::new("export-overflow", x(Some(valid_row)), y, 2);
+        let p = Pipeline::from_kinds(&[PreprocKind::StandardScaler]);
+
+        let searched = autofp_core::Evaluator::new(&d, config.clone()).try_evaluate(&p);
+        let Err(EvalError::NonFiniteTransform { detail }) = searched else {
+            panic!("search must refuse the overflowed valid matrix, got {searched:?}");
+        };
+        assert!(detail.starts_with("valid matrix"), "{detail}");
+        match fit_artifact(&d, &p, &config) {
+            Err(EvalError::NonFiniteTransform { detail: exported }) => assert_eq!(exported, detail),
+            Err(other) => panic!("wrong failure: {other:?}"),
+            Ok(art) => panic!("export accepted it (accuracy {})", art.meta.accuracy),
         }
     }
 

@@ -18,7 +18,7 @@
 //! name, so a `.helper()` can over-approximate onto every workspace
 //! `helper` (narrowed only by whether the call passes arguments: an
 //! empty `.helper()` never names a `helper(&self, x)`); names colliding with std collection/iterator vocabulary
-//! ([`STD_METHODS`]) are dropped for non-`self` receivers instead —
+//! (`STD_METHODS`) are dropped for non-`self` receivers instead —
 //! trading that false-positive source for a documented false negative
 //! (`self.cache.insert(..)` produces no edge to `Cache::insert`);
 //! turbofish calls (`f::<T>(`) and calls through function

@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 /// Hot-path entry points for panic-reach: (file, fn name). Everything
 /// transitively callable from these, minus `catch_unwind`-shielded
 /// edges, must be panic-free.
-const PANIC_REACH_ENTRIES: [(&str, &str); 16] = [
+const PANIC_REACH_ENTRIES: [(&str, &str); 17] = [
     // The shielded evaluation surface searchers program against.
     ("crates/core/src/evaluator.rs", "try_evaluate"),
     ("crates/core/src/evaluator.rs", "try_evaluate_budgeted"),
@@ -44,10 +44,11 @@ const PANIC_REACH_ENTRIES: [(&str, &str); 16] = [
     ("crates/core/src/remote.rs", "evaluate_raw"),
     ("crates/evald/src/launch.rs", "supervise_once"),
     // The durable trial store decodes untrusted on-disk bytes (a torn
-    // or corrupted segment) on open, and append runs inside worker and
-    // bench write-through paths; both must fail with RepoError, never
+    // or corrupted segment) on open and load, and append runs inside
+    // the bench write-through path; all must fail with RepoError, never
     // panic.
     ("crates/core/src/repo.rs", "open"),
+    ("crates/core/src/repo.rs", "load"),
     ("crates/core/src/repo.rs", "append"),
     // The serving path: its wire decoders face untrusted request
     // frames and the artifact decoder faces untrusted files.

@@ -20,9 +20,9 @@
 //!   fit memo's `murmur3_x64_128`, `Pipeline::key`) is a pure function
 //!   of its inputs: no interior mutability, no clock, no RNG.
 //!
-//! The pipeline split: [`collect_local`] gathers raw line-local
+//! The pipeline split: `collect_local` gathers raw line-local
 //! findings per file; the graph rules append theirs (attributed to
-//! sink/source/acquisition lines); [`apply_allows`] then applies the
+//! sink/source/acquisition lines); `apply_allows` then applies the
 //! file's `lint:allow` tags to the combined set, so one suppression
 //! mechanism serves all seven families.
 //!

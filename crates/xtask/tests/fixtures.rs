@@ -501,8 +501,8 @@ mod graph_rules {
 
     #[test]
     fn panic_reach_covers_the_trial_store_persistence_entry_points() {
-        // `TrialRepo::open` decodes untrusted on-disk bytes and `append`
-        // runs inside bench/worker write-through paths — both are entry
+        // `TrialStore::open` decodes untrusted on-disk bytes and `append`
+        // runs inside the bench write-through path — both are entry
         // points, so a panic reachable from either must be flagged.
         let vs = lint(&[
             (

@@ -596,14 +596,7 @@ fn cmd_repo(args: &[String]) {
     if dir.is_empty() {
         bail("--dir is required");
     }
-    let repo = match autofp::core::TrialRepo::open(&dir) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: cannot open trial store {dir}: {e}");
-            exit(1);
-        }
-    };
-    let report = match repo.gc(&keep, dry_run) {
+    let report = match autofp::core::repo::gc(std::path::Path::new(&dir), &keep, dry_run) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: gc failed: {e}");

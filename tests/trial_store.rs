@@ -24,8 +24,9 @@
 
 use autofp::core::{
     evaluate_or_worst, run_search_with, Budget, CacheKey, EvalCache, EvalConfig, EvalError,
-    Evaluate, Evaluator, FailureKind, FaultConfig, FaultInjector, Trial, TrialRepo, TrialStore,
+    Evaluate, Evaluator, FailureKind, FaultConfig, FaultInjector, StoreMeta, Trial, TrialStore,
 };
+use autofp::core::repo::segment_path;
 use autofp::data::{registry, DatasetSpec, SynthConfig};
 use autofp::models::classifier::ModelKind;
 use autofp::models::CancelToken;
@@ -241,8 +242,7 @@ fn a_torn_tail_reopens_with_exactly_the_surviving_records() {
     run_matrix(&specs, &models[..1], &algs[..1], &cfg);
 
     let context = cfg.eval_context(&specs[0], models[0]).canonical();
-    let repo = TrialRepo::open(&dir).expect("open repo");
-    let seg = repo.segment_path(&context);
+    let seg = segment_path(&dir, &context);
     let intact = TrialStore::open(&seg, &context).expect("open intact segment");
     let before = intact.open_report();
     assert!(before.trials > 1, "need at least two trials to drop one");
@@ -350,11 +350,13 @@ fn deadline_and_transport_trials_are_never_persisted() {
     let injected = TransportFaults { inner: FaultInjector::new(&ev, faults) };
 
     let dir = fresh_dir("never-persist");
-    let repo = TrialRepo::open(&dir).expect("open repo");
     let context = "never-persist-test";
-    let store = repo.open_context(context).expect("open segment");
     let cache = EvalCache::new();
-    cache.attach_store(store.clone());
+    let meta = StoreMeta {
+        baseline_accuracy: injected.baseline_accuracy(),
+        train_rows: injected.train_rows() as u64,
+    };
+    cache.attach_segment(&dir, context, meta).expect("attach segment");
 
     let mut searcher = make_searcher(AlgName::Rs, ParamSpace::default_space(), 3, 4);
     let outcome =
@@ -377,16 +379,17 @@ fn deadline_and_transport_trials_are_never_persisted() {
     assert_eq!(deadline_trial.failure, Some(FailureKind::Deadline));
     cache.insert(&CacheKey::new(&pipeline, 1.0, injected.config()), &deadline_trial);
 
-    let stats = store.stats();
+    let stats = cache.store().expect("segment attached").stats();
     assert!(stats.skipped > 0, "never-persist refusals must be counted");
     assert!(stats.appended > 0, "deterministic failures are still persisted");
 
     // What actually reached the disk: deterministic failure trials only.
-    let reopened =
-        TrialStore::open(repo.segment_path(context), context).expect("reopen segment");
+    let (reopened, persisted) =
+        TrialStore::load(segment_path(&dir, context), context).expect("reopen segment");
     assert_eq!(reopened.len() as u64, stats.appended, "disk holds exactly the appended trials");
+    assert_eq!(persisted.len(), reopened.len());
     let mut persisted_kinds = std::collections::BTreeSet::new();
-    for (_, trial) in reopened.snapshot() {
+    for (_, trial) in persisted {
         let kind = trial.failure.expect("every injected trial failed");
         assert!(
             !matches!(kind, FailureKind::Deadline | FailureKind::Transport),
