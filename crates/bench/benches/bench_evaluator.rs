@@ -4,14 +4,19 @@
 //!
 //! An `Evaluator` answers a repeated fit from its fit memo, so the
 //! scaling groups build a fresh evaluator per iteration, outside the
-//! timed section, and every timed call fits. The `fit_memo` group
+//! timed section, and every timed call fits. The pipeline starts with
+//! the row-wise `Normalizer`: after per-column increasing steps alone,
+//! XGB reads the baseline's bin codes, and a fresh evaluator answers
+//! from the fit it made for its baseline. The `fit_memo` group
 //! prices the memo itself: a hit against a fresh fit of the same
-//! pipeline, and the content digest per matrix value.
+//! pipeline, and the memo key per matrix value, over raw bits (LR, MLP)
+//! and over XGB's bin codes.
 
 use autofp_bench::HarnessConfig;
 use autofp_core::{EvalConfig, Evaluator};
 use autofp_data::{spec_by_name, Dataset, SynthConfig};
-use autofp_linalg::codec::murmur3_x64_128;
+use autofp_linalg::codec::Murmur3x64_128;
+use autofp_linalg::Matrix;
 use autofp_models::classifier::ModelKind;
 use autofp_preprocess::{Pipeline, PreprocKind};
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
@@ -20,6 +25,7 @@ use std::time::Instant;
 
 fn heavy_pipeline() -> Pipeline {
     Pipeline::from_kinds(&[
+        PreprocKind::Normalizer,
         PreprocKind::PowerTransformer,
         PreprocKind::QuantileTransformer,
         PreprocKind::StandardScaler,
@@ -94,22 +100,37 @@ fn bench_fit_memo(c: &mut Criterion) {
     }
     group.finish();
 
-    // The digest alone, over the train + valid values of table4-mini
-    // and prep-heavy, in the memo key's word order.
+    // The key alone, over the train + valid values of table4-mini and
+    // prep-heavy split 80:20, as the memo computes it: the header, then
+    // the trainer's input words. LR's are the raw bits, XGB's the bin
+    // codes of 48 bins, which also cost the binning.
     for (rows, cols) in [(160usize, 14usize), (502, 259)] {
-        let values: Vec<f64> = (0..rows * cols).map(|i| i as f64 * 0.37).collect();
-        let digest = || {
-            let header = [rows as u64, cols as u64, 0, 0, 1.0f64.to_bits()];
-            murmur3_x64_128(header.into_iter().chain(values.iter().map(|v| v.to_bits())))
-        };
-        let iters = 200u32;
-        black_box(digest());
-        let start = Instant::now();
-        for _ in 0..iters {
+        let train_rows = rows * 4 / 5;
+        let value = |i: usize| ((i * 7919) % 1000) as f64 * 0.37;
+        let train = Matrix::from_vec(train_rows, cols, (0..train_rows * cols).map(value).collect());
+        let valid_values = (train_rows * cols..rows * cols).map(value).collect();
+        let valid = Matrix::from_vec(rows - train_rows, cols, valid_values);
+        for (label, model) in [("", ModelKind::Lr), ("xgb-codes/", ModelKind::Xgb)] {
+            let trainer = model.trainer(0);
+            let digest = || {
+                let mut hash = Murmur3x64_128::new();
+                for w in [train_rows as u64, cols as u64, (rows - train_rows) as u64, cols as u64] {
+                    hash.write_u64(w);
+                }
+                hash.write_u64(1.0f64.to_bits());
+                trainer.input_words(&train, &valid, &mut |w| hash.write_u64(w));
+                hash.finish()
+            };
+            let iters = 200u32;
             black_box(digest());
+            let start = Instant::now();
+            for _ in 0..iters {
+                black_box(digest());
+            }
+            let ns = start.elapsed().as_secs_f64() * 1e9 / f64::from(iters) / (rows * cols) as f64;
+            let name = format!("fit_memo/digest/{label}{rows}x{cols}");
+            println!("bench: {name:<44}{ns:>10.3} ns/value");
         }
-        let ns = start.elapsed().as_secs_f64() * 1e9 / f64::from(iters) / (rows * cols) as f64;
-        println!("bench: fit_memo/digest/{rows}x{cols}{:>29.3} ns/value", ns);
     }
 }
 

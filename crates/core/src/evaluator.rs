@@ -30,8 +30,12 @@
 //! [`Evaluator`] keeps a fit memo one layer below it. After Prep and
 //! the input checks, `evaluate_raw` digests what it is about to train
 //! on — the train and valid shapes, the clamped training-budget
-//! fraction, then every `f64` bit pattern of the train and valid
-//! matrices — with [`murmur3_x64_128`]. On a hit it returns the
+//! fraction, then the trainer's input words ([`Trainer::input_words`])
+//! — with [`Murmur3x64_128`]. The input words are what the trainer
+//! actually reads: every `f64` bit pattern of the train and valid
+//! matrices for LR and MLP, and each column's bin codes for XGB, whose
+//! splits only see the order of the values. So `[]`, `[StandardScaler]`
+//! and `[MinMaxScaler]` share one XGB fit. On a hit it returns the
 //! memoized accuracy without fitting; the labels, seed and model are
 //! fixed per evaluator, so they stay out of the key. Only finished,
 //! uncancelled fits with a finite accuracy are stored, the same rule
@@ -40,14 +44,16 @@
 //! The memo is the one digest-keyed cache layer (DESIGN.md
 //! "Content-addressed cache identity" says why): a 128-bit digest
 //! collides with probability at most n²/2¹²⁹. Debug builds keep each
-//! entry's matrices as a witness and assert bit equality on every hit.
+//! entry's input words as a witness and assert word equality on every
+//! hit. Two different matrices may share an XGB key on purpose, so the
+//! witness is the words, not the matrices.
 
 use crate::error::EvalError;
 use crate::history::Trial;
 use crate::lru::Lru;
 use crate::prefix::{PrefixCache, PrefixKey, PrefixStats};
 use autofp_data::{Dataset, Split};
-use autofp_linalg::codec::murmur3_x64_128;
+use autofp_linalg::codec::Murmur3x64_128;
 use autofp_linalg::Matrix;
 use autofp_models::classifier::{ModelKind, Trainer};
 use autofp_models::metrics::accuracy;
@@ -231,8 +237,16 @@ pub fn check_accuracy(acc: f64) -> Result<f64, EvalError> {
 /// One memoized fit.
 struct FitMemoEntry {
     accuracy: f64,
-    /// The train and valid matrices the fit saw; debug builds only.
-    witness: Option<(Matrix, Matrix)>,
+    /// The input words the fit's key digested; debug builds only.
+    witness: Option<Vec<u64>>,
+}
+
+/// The memo key of one fit.
+struct FitKey {
+    /// The 128-bit digest of the words, as 32 hex digits.
+    digest: String,
+    /// The words themselves; debug builds only.
+    words: Option<Vec<u64>>,
 }
 
 /// Validation accuracies keyed by the content digest of the fit's
@@ -247,8 +261,9 @@ impl FitMemo {
         FitMemo { entries: Mutex::new(Lru::new(Some(FIT_MEMO_CAPACITY))), hits: AtomicU64::new(0) }
     }
 
-    /// The 128-bit content digest of a fit's inputs, as 32 hex digits.
-    fn key(train: &Matrix, valid: &Matrix, fraction: f64) -> String {
+    /// The key of a fit of `trainer` on `train` scored on `valid`: the
+    /// shapes and the clamped fraction, then the trainer's input words.
+    fn key(trainer: &dyn Trainer, train: &Matrix, valid: &Matrix, fraction: f64) -> FitKey {
         let (train_rows, train_cols) = train.shape();
         let (valid_rows, valid_cols) = valid.shape();
         let header = [
@@ -258,8 +273,17 @@ impl FitMemo {
             valid_cols as u64,
             fraction.clamp(0.0, 1.0).to_bits(),
         ];
-        let values = train.as_slice().iter().chain(valid.as_slice()).map(|v| v.to_bits());
-        format!("{:032x}", murmur3_x64_128(header.into_iter().chain(values)))
+        let mut hash = Murmur3x64_128::new();
+        let mut words = cfg!(debug_assertions).then(Vec::new);
+        let mut write = |w: u64| {
+            hash.write_u64(w);
+            if let Some(words) = &mut words {
+                words.push(w);
+            }
+        };
+        header.into_iter().for_each(&mut write);
+        trainer.input_words(train, valid, &mut write);
+        FitKey { digest: format!("{:032x}", hash.finish()), words }
     }
 
     fn lock(&self) -> MutexGuard<'_, Lru<FitMemoEntry>> {
@@ -267,31 +291,26 @@ impl FitMemo {
     }
 
     /// The memoized accuracy under `key`. In debug builds a hit also
-    /// asserts that `train` and `valid` are bit-identical to the
-    /// matrices the memoized fit saw.
-    fn get(&self, key: &str, train: &Matrix, valid: &Matrix) -> Option<f64> {
+    /// asserts that `key`'s words equal the words the memoized fit's
+    /// key digested.
+    fn get(&self, key: &FitKey) -> Option<f64> {
         let mut entries = self.lock();
-        let entry = entries.get(key)?;
-        if let Some((seen_train, seen_valid)) = &entry.witness {
+        let entry = entries.get(&key.digest)?;
+        if let (Some(seen), Some(words)) = (&entry.witness, &key.words) {
             debug_assert!(
-                same_bits(seen_train, train) && same_bits(seen_valid, valid),
-                "fit memo digest {key} aliases two different inputs"
+                seen == words,
+                "fit memo digest {} aliases two different inputs",
+                key.digest
             );
         }
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(entry.accuracy)
     }
 
-    fn insert(&self, key: &str, accuracy: f64, train: &Matrix, valid: &Matrix) {
-        let witness = cfg!(debug_assertions).then(|| (train.clone(), valid.clone()));
-        self.lock().insert(key, FitMemoEntry { accuracy, witness }, 1);
+    fn insert(&self, key: FitKey, accuracy: f64) {
+        let entry = FitMemoEntry { accuracy, witness: key.words };
+        self.lock().insert(&key.digest, entry, 1);
     }
-}
-
-/// Equal shapes and equal `f64` bit patterns.
-fn same_bits(a: &Matrix, b: &Matrix) -> bool {
-    a.shape() == b.shape()
-        && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Evaluates pipelines: transform train+valid, train the downstream
@@ -489,9 +508,9 @@ impl Evaluate for Evaluator {
         }
 
         // Train: fit the downstream model and score validation data,
-        // unless this evaluator already fitted on bit-identical inputs.
-        // On a memo hit, `train_time` records only the digest and the
-        // lookup actually done.
+        // unless this evaluator already fitted on inputs its trainer
+        // reads alike. On a memo hit, `train_time` records only the
+        // digest and the lookup actually done.
         // lint:allow(nondet): Train-phase attribution (Figure 7) measures time; it never feeds a search decision
         let train_start = Instant::now();
         let trial = |accuracy: f64, train_time: Duration| Trial {
@@ -503,8 +522,8 @@ impl Evaluate for Evaluator {
             train_fraction: fraction.clamp(0.0, 1.0),
             failure: None,
         };
-        let memo_key = FitMemo::key(&train_x, &valid_x, fraction);
-        if let Some(acc) = self.fit_memo.get(&memo_key, &train_x, &valid_x) {
+        let memo_key = FitMemo::key(self.trainer.as_ref(), &train_x, &valid_x, fraction);
+        if let Some(acc) = self.fit_memo.get(&memo_key) {
             return Ok(trial(acc, train_start.elapsed()));
         }
         let model = self.trainer.fit_cancellable(
@@ -525,7 +544,7 @@ impl Evaluate for Evaluator {
         }
 
         let acc = check_accuracy(accuracy(&self.split.valid.y, &preds))?;
-        self.fit_memo.insert(&memo_key, acc, &train_x, &valid_x);
+        self.fit_memo.insert(memo_key, acc);
         Ok(trial(acc, train_time))
     }
 
@@ -711,12 +730,60 @@ mod tests {
         let d = scale_spread_dataset();
         let ev = Evaluator::new(&d, EvalConfig { model: ModelKind::Xgb, ..Default::default() });
         let p = Pipeline::from_kinds(&[PreprocKind::StandardScaler]);
+        // XGB reads the scaled matrices as the baseline's bin codes.
         ev.evaluate_budgeted(&p, 1.0);
+        assert_eq!(ev.fit_memo_hits(), 1);
         ev.evaluate_budgeted(&p, 0.5);
-        assert_eq!(ev.fit_memo_hits(), 0);
+        assert_eq!(ev.fit_memo_hits(), 1);
         // Fractions clamp before they are keyed, as the trainers clamp them.
         ev.evaluate_budgeted(&p, 1.5);
-        assert_eq!(ev.fit_memo_hits(), 1);
+        assert_eq!(ev.fit_memo_hits(), 2);
+    }
+
+    /// `pipeline`'s accuracy from a direct fit of `ev`'s model, with no
+    /// evaluator and so no memo.
+    fn memo_free_accuracy(ev: &Evaluator, pipeline: &Pipeline) -> f64 {
+        let split = ev.split();
+        let (fitted, train_x) = pipeline.fit_transform(&split.train.x);
+        let valid_x = fitted.transform_new(&split.valid.x);
+        let model = ev.model().trainer(ev.config().seed).fit(
+            &train_x,
+            &split.train.y,
+            split.train.n_classes,
+        );
+        accuracy(&split.valid.y, &model.predict(&valid_x))
+    }
+
+    #[test]
+    fn xgb_fit_memo_answers_per_column_monotone_scalers_from_the_baseline_fit() {
+        // Every feature takes at most 13 levels, as ordinal columns do, so
+        // each validation value is also a training value and keeps its bin
+        // code under any increasing map, the power transform included.
+        let mut d = scale_spread_dataset();
+        d.x.map_inplace(|v| (v.atan() * 4.0).round());
+        let monotone = [
+            PreprocKind::StandardScaler,
+            PreprocKind::MinMaxScaler,
+            PreprocKind::MaxAbsScaler,
+            PreprocKind::PowerTransformer,
+        ];
+        let xgb = Evaluator::new(&d, EvalConfig { model: ModelKind::Xgb, ..Default::default() });
+        assert_eq!(xgb.fit_memo_hits(), 0);
+        for (i, kind) in monotone.into_iter().enumerate() {
+            let p = Pipeline::from_kinds(&[kind]);
+            let t = xgb.try_evaluate(&p).expect("healthy pipeline evaluates");
+            assert_eq!(xgb.fit_memo_hits(), i as u64 + 1, "`{p}` fitted again");
+            assert_eq!(t.accuracy.to_bits(), memo_free_accuracy(&xgb, &p).to_bits(), "`{p}`");
+            assert_eq!(t.accuracy.to_bits(), xgb.baseline_accuracy().to_bits());
+        }
+        // LR reads every bit, so the same pipelines all fit.
+        let lr = Evaluator::new(&d, EvalConfig::default());
+        for kind in monotone {
+            let p = Pipeline::from_kinds(&[kind]);
+            let t = lr.try_evaluate(&p).expect("healthy pipeline evaluates");
+            assert_eq!(t.accuracy.to_bits(), memo_free_accuracy(&lr, &p).to_bits(), "`{p}`");
+        }
+        assert_eq!(lr.fit_memo_hits(), 0);
     }
 
     #[test]
@@ -725,8 +792,12 @@ mod tests {
         let valid = Matrix::zeros(1, 1);
         let wide = Matrix::from_vec(2, 3, values.clone());
         let tall = Matrix::from_vec(3, 2, values);
-        assert_ne!(FitMemo::key(&wide, &valid, 1.0), FitMemo::key(&tall, &valid, 1.0));
-        assert_eq!(FitMemo::key(&wide, &valid, 1.0).len(), 32);
+        for model in ModelKind::ALL {
+            let trainer = model.trainer(0);
+            let key = |x: &Matrix| FitMemo::key(trainer.as_ref(), x, &valid, 1.0).digest;
+            assert_ne!(key(&wide), key(&tall), "{model}");
+            assert_eq!(key(&wide).len(), 32);
+        }
     }
 
     /// Trips its token as a fit starts, so the fit it delegates to stops

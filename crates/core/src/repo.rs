@@ -246,6 +246,59 @@ fn scan(bytes: &[u8]) -> Result<Scan, RepoError> {
     }
 }
 
+/// One segment image, read and folded without touching its file.
+struct Segment {
+    /// True when the image pins a context (it matches the requested one).
+    pinned: bool,
+    meta: Option<StoreMeta>,
+    /// The canonical key of every trial record.
+    keys: BTreeSet<String>,
+    /// In file order, the first record of each key.
+    trials: Vec<(CacheKey, Trial)>,
+    /// Records decoded (context header and meta included).
+    records: u64,
+    /// Byte offset of the first torn record (the image is valid up to here).
+    valid_len: u64,
+    /// Bytes past `valid_len`.
+    truncated_bytes: u64,
+}
+
+impl Segment {
+    /// Scan and fold `bytes` for `context`. A torn tail is reported in
+    /// the fields, not an error; an image pinned to another context, or
+    /// a checksum-valid record that no longer decodes, is
+    /// [`RepoError::Corrupt`].
+    fn read(bytes: &[u8], context: &str) -> Result<Segment, RepoError> {
+        let scan = scan(bytes)?;
+        let mut segment = Segment {
+            pinned: false,
+            meta: None,
+            keys: BTreeSet::new(),
+            trials: Vec::new(),
+            records: scan.records.len() as u64,
+            valid_len: scan.valid_len,
+            truncated_bytes: scan.truncated_bytes,
+        };
+        for rec in scan.records {
+            match rec {
+                Record::Context(c) if c != context => {
+                    return Err(corrupt(format!(
+                        "segment context `{c}` does not match requested `{context}`"
+                    )));
+                }
+                Record::Context(_) => segment.pinned = true,
+                Record::Meta(m) => segment.meta = Some(m),
+                Record::Trial(key, trial) => {
+                    if segment.keys.insert(key.canonical().to_string()) {
+                        segment.trials.push((key, trial));
+                    }
+                }
+            }
+        }
+        Ok(segment)
+    }
+}
+
 // --------------------------------------------------------------- store
 
 /// Cumulative counters of one [`TrialStore`] (or, after
@@ -336,56 +389,29 @@ impl TrialStore {
         let mut file = OpenOptions::new().read(true).append(true).create(true).open(&path)?;
         let mut bytes = Vec::new();
         let _ = file.read_to_end(&mut bytes)?;
-        let scan = scan(&bytes)?;
-        if scan.truncated_bytes > 0 {
-            file.set_len(scan.valid_len)?;
+        let segment = Segment::read(&bytes, context)?;
+        if segment.truncated_bytes > 0 {
+            file.set_len(segment.valid_len)?;
             eprintln!(
                 "trial store {}: dropped {} torn tail byte(s) past offset {}",
                 path.display(),
-                scan.truncated_bytes,
-                scan.valid_len,
+                segment.truncated_bytes,
+                segment.valid_len,
             );
         }
-        let mut keys = BTreeSet::new();
-        let mut trials = Vec::new();
-        let mut meta = None;
-        let mut stored_context = None;
-        let records_on_disk = scan.records.len() as u64;
-        for rec in scan.records {
-            match rec {
-                Record::Context(c) => stored_context = Some(c),
-                Record::Meta(m) => meta = Some(m),
-                Record::Trial(key, trial) => {
-                    if keys.insert(key.canonical().to_string()) {
-                        trials.push((key, trial));
-                    }
-                }
+        if !segment.pinned {
+            // Fresh (or fully torn) segment: pin magic + context in
+            // one write so a crash tears both or neither.
+            let mut init = Vec::new();
+            if segment.valid_len == 0 {
+                init.extend_from_slice(&MAGIC);
             }
+            init.extend_from_slice(&framed(&Record::Context(context.to_string())));
+            file.write_all(&init)?;
+            file.flush()?;
         }
-        match &stored_context {
-            Some(c) if c != context => {
-                return Err(corrupt(format!(
-                    "segment context `{c}` does not match requested `{context}`"
-                )));
-            }
-            Some(_) => {}
-            None => {
-                // Fresh (or fully torn) segment: pin magic + context in
-                // one write so a crash tears both or neither.
-                let mut init = Vec::new();
-                if scan.valid_len == 0 {
-                    init.extend_from_slice(&MAGIC);
-                }
-                init.extend_from_slice(&framed(&Record::Context(context.to_string())));
-                file.write_all(&init)?;
-                file.flush()?;
-            }
-        }
-        let report = OpenReport {
-            records: records_on_disk,
-            trials: trials.len() as u64,
-            truncated_bytes: scan.truncated_bytes,
-        };
+        let Segment { keys, trials, meta, records, truncated_bytes, .. } = segment;
+        let report = OpenReport { records, trials: trials.len() as u64, truncated_bytes };
         let store = TrialStore {
             path,
             report,
@@ -525,7 +551,7 @@ pub fn segment_path(dir: &Path, context: &str) -> PathBuf {
 /// Dead-segment sweep: remove every `ctx-*.log` segment in `dir` whose
 /// pinned context string is **not** in `keep` (abandoned configs
 /// accumulate dead segments over the life of a repository). A missing
-/// `dir` is created and reports nothing.
+/// `dir` reports nothing and is not created.
 ///
 /// Conservative by construction: files that do not look like segment
 /// files are ignored entirely; segments that cannot be read or whose
@@ -534,13 +560,16 @@ pub fn segment_path(dir: &Path, context: &str) -> PathBuf {
 /// describes what a real sweep would remove. Sweep only a repository
 /// no process is writing to.
 pub fn gc(dir: &Path, keep: &[String], dry_run: bool) -> Result<GcReport, RepoError> {
-    std::fs::create_dir_all(dir)?;
+    let mut report = GcReport { dry_run, ..GcReport::default() };
+    let entries = match std::fs::read_dir(dir) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(report),
+        entries => entries?,
+    };
     let mut names: Vec<std::ffi::OsString> = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
+    for entry in entries {
         names.push(entry?.file_name());
     }
     names.sort();
-    let mut report = GcReport { dry_run, ..GcReport::default() };
     for name in names {
         let Some(text) = name.to_str() else { continue };
         if !text.starts_with("ctx-") || !text.ends_with(".log") {
@@ -627,8 +656,13 @@ pub struct ReplayEvaluator {
 }
 
 impl ReplayEvaluator {
-    /// Load the segment at `path` (see [`TrialStore::load`]) and
-    /// answer from its trials and meta.
+    /// Read the segment at `path` and answer from its trials and meta.
+    ///
+    /// Replay only reads: the file is never created, truncated or
+    /// written, so a replay can run over a store another process is
+    /// still appending to. A missing segment is [`RepoError::Io`]; a
+    /// torn tail is reported on stderr and the records before it are
+    /// served. Validation is [`TrialStore::load`]'s otherwise.
     ///
     /// `config` must be the [`EvalConfig`] the trials were evaluated
     /// under (it is part of every [`CacheKey`]); a mismatched config
@@ -638,12 +672,25 @@ impl ReplayEvaluator {
         context: &str,
         config: EvalConfig,
     ) -> Result<ReplayEvaluator, RepoError> {
-        let (store, loaded) = TrialStore::load(path, context)?;
-        let meta = store
-            .meta()
-            .ok_or_else(|| corrupt(format!("segment {} has no meta record", store.path().display())))?;
-        let trials =
-            loaded.into_iter().map(|(key, trial)| (key.canonical().to_string(), trial)).collect();
+        let path = path.into();
+        let segment = Segment::read(&std::fs::read(&path)?, context)?;
+        if segment.truncated_bytes > 0 {
+            eprintln!(
+                "trial store {}: replaying the records before {} torn tail byte(s) at offset {}; \
+                 the file is left as it is",
+                path.display(),
+                segment.truncated_bytes,
+                segment.valid_len,
+            );
+        }
+        let meta = segment
+            .meta
+            .ok_or_else(|| corrupt(format!("segment {} has no meta record", path.display())))?;
+        let trials = segment
+            .trials
+            .into_iter()
+            .map(|(key, trial)| (key.canonical().to_string(), trial))
+            .collect();
         Ok(ReplayEvaluator {
             trials,
             config,
@@ -1141,8 +1188,46 @@ mod tests {
     #[test]
     fn replay_requires_a_meta_record() {
         let dir = temp_dir("replay-meta");
-        assert!(ReplayEvaluator::open(dir.join("seg.log"), "ctx-test", EvalConfig::default())
-            .is_err());
+        let path = dir.join("seg.log");
+        drop(TrialStore::open(&path, "ctx-test").expect("pin the context"));
+        let err = ReplayEvaluator::open(&path, "ctx-test", EvalConfig::default())
+            .expect_err("no meta record");
+        assert!(err.to_string().contains("no meta record"), "{err}");
+    }
+
+    #[test]
+    fn replay_reads_a_torn_segment_without_writing_it() {
+        let dir = temp_dir("replay-torn");
+        let (path, n) = populated(&dir);
+        let torn = dir.join("torn-copy.log");
+        let clean = std::fs::read(&path).expect("read");
+        std::fs::write(&torn, &clean[..clean.len() - 5]).expect("tear the copy");
+        let replay = ReplayEvaluator::open(&torn, "ctx-test", EvalConfig::default())
+            .expect("a torn tail is not an error");
+        assert_eq!(std::fs::metadata(&torn).expect("stat").len(), clean.len() as u64 - 5);
+        // Every trial before the tear is served; the torn last record
+        // (the every-step failure) is not.
+        for kind in PreprocKind::ALL {
+            let p = Pipeline::from_kinds(&[kind]);
+            assert_eq!(replay.try_evaluate(&p).expect("stored").accuracy, 0.7, "`{p}`");
+        }
+        let torn_trial = replay.try_evaluate_budgeted(&every_step_pipeline(), 0.5);
+        assert!(matches!(torn_trial, Err(EvalError::Transport { .. })));
+        assert_eq!((replay.replayed(), replay.missing()), (n as u64 - 1, 1));
+        // The context check still applies.
+        assert!(ReplayEvaluator::open(&torn, "ctx-other", EvalConfig::default()).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn replay_of_a_missing_segment_errors_and_creates_nothing() {
+        let dir = temp_dir("replay-missing");
+        let path = dir.join("absent.log");
+        let err = ReplayEvaluator::open(&path, "ctx-test", EvalConfig::default())
+            .expect_err("missing segment");
+        assert!(matches!(err, RepoError::Io(ref e) if e.kind() == std::io::ErrorKind::NotFound));
+        assert!(!path.exists(), "replay created {path:?}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1253,5 +1338,17 @@ mod tests {
         assert!(dir.join("ctx-ffffffffffffffff.log").exists());
         assert!(dir.join("notes.txt").exists());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn gc_of_a_missing_dir_reports_nothing_and_creates_nothing() {
+        let dir = temp_dir("gc-missing").join("absent");
+        for dry_run in [true, false] {
+            let report = gc(&dir, &[], dry_run).expect("a missing dir is empty");
+            assert_eq!(report.dry_run, dry_run);
+            assert!(report.kept.is_empty() && report.removed.is_empty());
+            assert!(report.skipped.is_empty() && report.reclaimed_bytes == 0);
+            assert!(!dir.exists(), "gc created {dir:?} (dry run: {dry_run})");
+        }
     }
 }

@@ -43,16 +43,55 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// MurmurHash3_x64_128 (seed 0) over the little-endian bytes of
-/// `words`, returned as `h2 << 64 | h1`. Hand-written for the same
-/// reason as [`fnv1a`]: its output is a pure function of the input
-/// words. The evaluator's fit memo keys on it (shapes, fraction bits,
-/// then every `f64` bit pattern of the train and valid matrices), where
-/// 64 bits would leave too little collision margin and the full key
-/// would cost megabytes.
+/// `words`, returned as `h2 << 64 | h1`: [`Murmur3x64_128`] fed every
+/// word in order. Hand-written for the same reason as [`fnv1a`]: its
+/// output is a pure function of the input words. The evaluator's fit
+/// memo keys on it (shapes, fraction bits, then the words its trainer
+/// reads: every `f64` bit of the train and valid matrices for LR and
+/// MLP, bin codes for XGB), where 64 bits would leave too little
+/// collision margin and the full key would cost megabytes.
 #[inline]
 pub fn murmur3_x64_128(words: impl IntoIterator<Item = u64>) -> u128 {
+    let mut hash = Murmur3x64_128::new();
+    for w in words {
+        hash.write_u64(w);
+    }
+    hash.finish()
+}
+
+/// The incremental form of [`murmur3_x64_128`]: the same digest of the
+/// words passed to [`Murmur3x64_128::write_u64`], without collecting
+/// them first.
+#[derive(Debug, Default)]
+pub struct Murmur3x64_128 {
+    h1: u64,
+    h2: u64,
+    /// The first word of a 16-byte block whose second has not arrived.
+    pending: Option<u64>,
+    /// Words written so far.
+    count: u64,
+}
+
+impl Murmur3x64_128 {
     const C1: u64 = 0x87c3_7b91_1142_53d5;
     const C2: u64 = 0x4cf5_ad43_2745_937f;
+
+    /// An empty digest (seed 0).
+    #[inline]
+    pub fn new() -> Murmur3x64_128 {
+        Murmur3x64_128::default()
+    }
+
+    #[inline]
+    fn mix_k1(k: u64) -> u64 {
+        k.wrapping_mul(Self::C1).rotate_left(31).wrapping_mul(Self::C2)
+    }
+
+    #[inline]
+    fn mix_k2(k: u64) -> u64 {
+        k.wrapping_mul(Self::C2).rotate_left(33).wrapping_mul(Self::C1)
+    }
+
     fn fmix64(mut k: u64) -> u64 {
         k ^= k >> 33;
         k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
@@ -60,42 +99,45 @@ pub fn murmur3_x64_128(words: impl IntoIterator<Item = u64>) -> u128 {
         k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
         k ^ (k >> 33)
     }
-    let mix_k1 = |k: u64| k.wrapping_mul(C1).rotate_left(31).wrapping_mul(C2);
-    let mix_k2 = |k: u64| k.wrapping_mul(C2).rotate_left(33).wrapping_mul(C1);
-    // One 16-byte block per pair of words; an odd last word is the
-    // 8-byte tail.
-    let (mut h1, mut h2, tail, count) =
-        words.into_iter().fold((0u64, 0u64, None, 0u64), |(h1, h2, pending, count), w| {
-            match pending {
-                None => (h1, h2, Some(w), count + 1),
-                Some(k1) => {
-                    let h1 = (h1 ^ mix_k1(k1))
-                        .rotate_left(27)
-                        .wrapping_add(h2)
-                        .wrapping_mul(5)
-                        .wrapping_add(0x52dc_e729);
-                    let h2 = (h2 ^ mix_k2(w))
-                        .rotate_left(31)
-                        .wrapping_add(h1)
-                        .wrapping_mul(5)
-                        .wrapping_add(0x3849_5ab5);
-                    (h1, h2, None, count + 1)
-                }
-            }
-        });
-    if let Some(k1) = tail {
-        h1 ^= mix_k1(k1);
+
+    /// Append one word. Every pair of words is one 16-byte block.
+    #[inline]
+    pub fn write_u64(&mut self, w: u64) {
+        self.count += 1;
+        let Some(k1) = self.pending.take() else {
+            self.pending = Some(w);
+            return;
+        };
+        self.h1 = (self.h1 ^ Self::mix_k1(k1))
+            .rotate_left(27)
+            .wrapping_add(self.h2)
+            .wrapping_mul(5)
+            .wrapping_add(0x52dc_e729);
+        self.h2 = (self.h2 ^ Self::mix_k2(w))
+            .rotate_left(31)
+            .wrapping_add(self.h1)
+            .wrapping_mul(5)
+            .wrapping_add(0x3849_5ab5);
     }
-    let len = count.wrapping_mul(8);
-    h1 ^= len;
-    h2 ^= len;
-    h1 = h1.wrapping_add(h2);
-    h2 = h2.wrapping_add(h1);
-    h1 = fmix64(h1);
-    h2 = fmix64(h2);
-    h1 = h1.wrapping_add(h2);
-    h2 = h2.wrapping_add(h1);
-    (u128::from(h2) << 64) | u128::from(h1)
+
+    /// The digest of every word written, as `h2 << 64 | h1`. An odd
+    /// last word is the 8-byte tail.
+    pub fn finish(&self) -> u128 {
+        let (mut h1, mut h2) = (self.h1, self.h2);
+        if let Some(k1) = self.pending {
+            h1 ^= Self::mix_k1(k1);
+        }
+        let len = self.count.wrapping_mul(8);
+        h1 ^= len;
+        h2 ^= len;
+        h1 = h1.wrapping_add(h2);
+        h2 = h2.wrapping_add(h1);
+        h1 = Self::fmix64(h1);
+        h2 = Self::fmix64(h2);
+        h1 = h1.wrapping_add(h2);
+        h2 = h2.wrapping_add(h1);
+        (u128::from(h2) << 64) | u128::from(h1)
+    }
 }
 
 /// A payload failed to decode.
@@ -465,6 +507,25 @@ mod tests {
     fn murmur3_of_nothing_is_zero() {
         // Seed 0, no blocks, length 0: every finalization step maps 0 to 0.
         assert_eq!(murmur3_x64_128(std::iter::empty()), 0);
+    }
+
+    #[test]
+    fn golden_murmur3_digests_are_locked() {
+        // Digests of the iterator form before it wrapped the incremental
+        // one: one word (a tail only), three (a block and a tail) and 37.
+        let long = (0..37u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        assert_eq!(murmur3_x64_128([1u64]), 0x3d8acdb4d36d9c06004403b7fb05c44a);
+        assert_eq!(murmur3_x64_128([1u64, 2, 3]), 0x57f6887b59f04f45b50a97f8b297f541);
+        assert_eq!(murmur3_x64_128(long.clone()), 0x4757b36a3b893689b24fc6c085f60440);
+        // `finish` does not consume: a digest can be read mid-stream.
+        let mut hash = Murmur3x64_128::new();
+        for w in long.take(3) {
+            hash.write_u64(w);
+        }
+        let mid = hash.finish();
+        assert_eq!(mid, hash.finish());
+        hash.write_u64(0);
+        assert_ne!(mid, hash.finish());
     }
 
     #[test]

@@ -69,6 +69,22 @@ pub trait Trainer: Send + Sync {
 
     /// Short name for reports ("LR", "XGB", "MLP", ...).
     fn name(&self) -> &'static str;
+
+    /// Feed `words` the input of a fit on `train` scored on `valid`:
+    /// words that the validation predictions are a pure function of,
+    /// for this trainer's fixed labels, classes, budget and parameters.
+    /// Two inputs that feed equal words must predict alike, so the
+    /// evaluator's fit memo can key on them; the caller keys the shapes
+    /// itself.
+    ///
+    /// The default feeds every `f64` bit pattern of `train`, then of
+    /// `valid`: exact for any trainer. A trainer that reads less of its
+    /// input may feed less, so more inputs share one fit.
+    fn input_words(&self, train: &Matrix, valid: &Matrix, words: &mut dyn FnMut(u64)) {
+        for v in train.as_slice().iter().chain(valid.as_slice()) {
+            words(v.to_bits());
+        }
+    }
 }
 
 /// The paper's three downstream model families with their default

@@ -246,6 +246,38 @@ impl Trainer for GbdtParams {
     fn name(&self) -> &'static str {
         "XGB"
     }
+
+    /// Feeds, for each column `j` of `Bins::fit(train)`, the edge count
+    /// `edges[j].len()`, then the train codes, then the valid codes
+    /// `bin_index(&edges[j], v)`, one word each.
+    ///
+    /// The key is exact because a fit reads its input only through these
+    /// codes. `Bins::fit` keeps edges sorted, so for finite `v`,
+    /// `v <= edges[j][b]` holds exactly when `bin_index(&edges[j], v) <= b`.
+    /// A non-finite `v` goes right, and its code `edges[j].len()` is
+    /// greater than any split bin. So split search, the row partition,
+    /// the boosting score updates (`predict_row` on train rows agrees
+    /// with the codes), the leaf weights and every validation prediction
+    /// depend only on the codes, the edge counts, the labels, the seed
+    /// and the number of rounds. The thresholds themselves never reach
+    /// the accuracy.
+    ///
+    /// A per-column strictly increasing map keeps every train code, up
+    /// to rounding. It keeps a valid code too when the valid value equals
+    /// a train value, or when the map is affine (a scaler), which moves
+    /// an edge with its two neighbours. A row-wise map such as
+    /// `Normalizer` changes the codes.
+    fn input_words(&self, train: &Matrix, valid: &Matrix, words: &mut dyn FnMut(u64)) {
+        let bins = Bins::fit(train, self.n_bins);
+        for (j, edges) in bins.edges.iter().enumerate() {
+            words(edges.len() as u64);
+            bins.col(j).iter().for_each(|&code| words(u64::from(code)));
+            for row in valid.rows_iter() {
+                // `predict_row` reads a missing feature as 0.0.
+                words(bin_index(edges, row.get(j).copied().unwrap_or(0.0)) as u64);
+            }
+        }
+    }
 }
 
 /// Quantile-sketch bin edges per feature, plus the bin code of every
@@ -282,6 +314,9 @@ impl Bins {
                         autofp_linalg::stats::quantile_sorted(&col, q)
                     })
                     .collect();
+                // Interpolation in floating point does not promise order;
+                // `bin_index` and `predict_row` both rely on it.
+                e.sort_by(f64::total_cmp);
                 e.dedup();
                 e
             };
@@ -798,6 +833,115 @@ mod tests {
             assert_eq!(model.predict_row(x.row(0)), 0, "n_bins {n_bins}");
             assert_eq!(model.predict_row(x.row(69_000)), 0, "n_bins {n_bins}");
         }
+    }
+
+    fn input_words(params: &GbdtParams, train: &Matrix, valid: &Matrix) -> Vec<u64> {
+        let mut words = Vec::new();
+        params.input_words(train, valid, &mut |w| words.push(w));
+        words
+    }
+
+    /// The bit patterns of every validation class probability.
+    fn valid_prediction_bits(
+        params: &GbdtParams,
+        train: &Matrix,
+        y: &[usize],
+        valid: &Matrix,
+        budget: f64,
+    ) -> Vec<u64> {
+        let model = params.train_cancellable(train, y, 3, budget, &CancelToken::new());
+        valid
+            .rows_iter()
+            .flat_map(|row| model.predict_proba_row(row, 3))
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    /// Train and valid matrices with a column of each kind the binning
+    /// treats apart: 7 levels with zeros of both signs (midpoint edges),
+    /// 120 distinct values (quantile edges), a column with NaN and ±inf
+    /// cells, and a constant column. Every validation value is a
+    /// training value, so any increasing map keeps its bin code.
+    fn binning_fixture() -> (Matrix, Vec<usize>, Matrix) {
+        let cell = |i: usize| {
+            let level = (i * 5 % 7) as f64 - 3.0;
+            let zero_sign = if i.is_multiple_of(2) { 0.0 } else { -0.0 };
+            let wild = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            vec![
+                if level == 0.0 { zero_sign } else { level * 0.5 },
+                ((i * 37) % 120) as f64 * 0.25 - 10.0,
+                if i % 11 == 3 { wild[i % 3] } else { (i % 13) as f64 },
+                2.5,
+            ]
+        };
+        let train: Vec<Vec<f64>> = (0..240).map(cell).collect();
+        let y = (0..240).map(|i| (i * 7 + i / 17) % 3).collect();
+        let valid: Vec<Vec<f64>> = (0..60).map(|i| cell(i * 4 + 1)).collect();
+        (Matrix::from_rows(&train), y, Matrix::from_rows(&valid))
+    }
+
+    #[test]
+    fn input_words_are_invariant_under_per_column_monotone_maps() {
+        let (train, y, valid) = binning_fixture();
+        let finite = |f: fn(f64, usize) -> f64| {
+            move |m: &Matrix| {
+                let mut out = m.clone();
+                for i in 0..m.nrows() {
+                    for j in 0..m.ncols() {
+                        let v = m.get(i, j);
+                        out.set(i, j, if v.is_finite() { f(v, j) } else { v });
+                    }
+                }
+                out
+            }
+        };
+        let maps = [
+            ("positive affine", finite(|v, j| v * (j as f64 + 0.5) * 4.0 - 1.5)),
+            ("exp-like", finite(|v, j| (v * 0.2).exp() * 10f64.powi(j as i32 * 3))),
+            ("signed-zero swap", finite(|v, _| if v == 0.0 { -v } else { v })),
+        ];
+        let params = GbdtParams { n_rounds: 8, ..Default::default() };
+        let words = input_words(&params, &train, &valid);
+        for (name, map) in maps {
+            let (mapped_train, mapped_valid) = (map(&train), map(&valid));
+            assert_eq!(input_words(&params, &mapped_train, &mapped_valid), words, "{name}");
+            for budget in [1.0, 0.25] {
+                assert_eq!(
+                    valid_prediction_bits(&params, &mapped_train, &y, &mapped_valid, budget),
+                    valid_prediction_bits(&params, &train, &y, &valid, budget),
+                    "{name} at budget {budget}"
+                );
+            }
+        }
+        // Both edge branches, the non-finite code and the constant column
+        // are in the words: edge counts 6 (7 levels), 47 (capped), 12 and 0.
+        let column = 1 + train.nrows() + valid.nrows();
+        let edge_counts: Vec<u64> = (0..4).map(|j| words[j * column]).collect();
+        assert_eq!(edge_counts, vec![6, 47, 12, 0]);
+        assert!(words[2 * column + 1..3 * column].contains(&12), "non-finite code");
+    }
+
+    #[test]
+    fn input_words_change_under_a_row_wise_map() {
+        let (train, _, valid) = binning_fixture();
+        // Normalizer-style: each row over its L2 norm (finite cells only).
+        let normalize = |m: &Matrix| {
+            let mut out = m.clone();
+            for i in 0..m.nrows() {
+                let norm =
+                    m.row(i).iter().filter(|v| v.is_finite()).map(|v| v * v).sum::<f64>().sqrt();
+                out.row_mut(i).iter_mut().filter(|v| v.is_finite()).for_each(|v| *v /= norm);
+            }
+            out
+        };
+        let params = GbdtParams::default();
+        let words = input_words(&params, &train, &valid);
+        assert_ne!(input_words(&params, &normalize(&train), &normalize(&valid)), words);
+        // So does one validation value moved to another bin, with every
+        // training value unchanged.
+        let mut moved = valid.clone();
+        moved.set(0, 0, moved.get(0, 0) + 1.0);
+        assert_ne!(input_words(&params, &train, &moved), words);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   of panicking: a panic there is contained by `catch_unwind`, but it
 //!   costs the trial and hides the real failure taxonomy.
 //! - **cache-purity** — cache-identity code (`CacheKey`, `fnv1a`, the
-//!   fit memo's `murmur3_x64_128`, `Pipeline::key`) is a pure function
-//!   of its inputs: no interior mutability, no clock, no RNG.
+//!   fit memo's `murmur3_x64_128` and the trainers' `input_words`,
+//!   `Pipeline::key`) is a pure function of its inputs: no interior
+//!   mutability, no clock, no RNG.
 //!
 //! The pipeline split: `collect_local` gathers raw line-local
 //! findings per file; the graph rules append theirs (attributed to
@@ -128,12 +129,18 @@ const DET_CRITICAL: [&str; 17] = [
 
 /// Cache-identity regions: (file, block introducer). The rule applies
 /// inside the brace block following the introducer.
-const CACHE_PURITY_SPANS: [(&str, &str); 5] = [
+const CACHE_PURITY_SPANS: [(&str, &str); 9] = [
     ("crates/core/src/cache.rs", "impl CacheKey"),
     ("crates/linalg/src/codec.rs", "fn fnv1a"),
     ("crates/linalg/src/codec.rs", "fn murmur3_x64_128"),
+    ("crates/linalg/src/codec.rs", "impl Murmur3x64_128"),
     ("crates/core/src/prefix.rs", "impl PrefixKey"),
     ("crates/preprocess/src/pipeline.rs", "fn key"),
+    // The fit memo's input words: `Trainer`'s default and XGB's bin
+    // codes (its override and the `Bins::fit` they come from).
+    ("crates/models/src/classifier.rs", "fn input_words"),
+    ("crates/models/src/gbdt.rs", "fn input_words"),
+    ("crates/models/src/gbdt.rs", "impl Bins"),
 ];
 
 /// Panicking constructs banned on the hot path. `.unwrap()` is matched

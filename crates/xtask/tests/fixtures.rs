@@ -239,6 +239,41 @@ fn beside() -> std::cell::Cell<u64> {
 }
 
 #[test]
+fn cache_purity_covers_the_trainers_input_words() {
+    // A clock read inside an `input_words` override would make the fit
+    // memo's key depend on when it was computed.
+    let src = "\
+impl Trainer for GbdtParams {
+    fn name(&self) -> &'static str {
+        \"XGB\"
+    }
+    fn input_words(&self, train: &Matrix, valid: &Matrix, words: &mut dyn FnMut(u64)) {
+        let t = std::time::Instant::now();
+        words(0);
+    }
+}
+";
+    let vs = lint_file("crates/models/src/gbdt.rs", src);
+    let purity: Vec<usize> =
+        vs.iter().filter(|v| v.rule == "cache-purity").map(|v| v.line).collect();
+    assert_eq!(purity, vec![6], "{vs:#?}");
+    // The trait's default is covered too, and a cell beside it is not.
+    let default = "\
+pub trait Trainer {
+    fn input_words(&self, words: &mut dyn FnMut(u64)) {
+        let seen = std::cell::Cell::new(0u64);
+    }
+}
+fn beside() -> std::cell::Cell<u64> {
+    std::cell::Cell::new(0)
+}
+";
+    let vs = lint_file("crates/models/src/classifier.rs", default);
+    assert_eq!(rules_fired(&vs), vec!["cache-purity"]);
+    assert_eq!(vs.iter().map(|v| v.line).collect::<Vec<_>>(), vec![3]);
+}
+
+#[test]
 fn cache_purity_respects_justified_allow() {
     let src = "\
 pub struct CacheKey;
@@ -328,6 +363,7 @@ fn stale_config_names_missing_files_entries_and_spans() {
     let stale = xtask::stale_config(&moved);
     assert!(stale.contains(&"crates/linalg/src/codec.rs: cache-purity span `fn fnv1a` opens no block".to_string()), "{stale:#?}");
     assert!(stale.contains(&"crates/linalg/src/codec.rs: cache-purity span `fn murmur3_x64_128` opens no block".to_string()), "{stale:#?}");
+    assert!(stale.contains(&"crates/linalg/src/codec.rs: cache-purity span `impl Murmur3x64_128` opens no block".to_string()), "{stale:#?}");
     assert!(!stale.iter().any(|s| s == "crates/linalg/src/codec.rs: configured file does not exist"));
 }
 

@@ -9,13 +9,16 @@
 //! wall-clock fields) and compared across runs.
 //!
 //! It also pins the evaluator's fit memo against a memo-free
-//! reference: an evaluator factory that builds a fresh `Evaluator` for
-//! every evaluation, so no fit result is shared between evaluations.
+//! reference: an evaluator that transforms the split and fits a fresh
+//! trainer for every evaluation, so no fit result is shared between
+//! evaluations.
 
 use autofp_bench::{run_matrix, run_matrix_with, CacheMode, HarnessConfig, MatrixOutcome};
+use autofp_core::evaluator::{check_accuracy, check_transformed};
 use autofp_core::{Budget, EvalConfig, EvalError, Evaluate, Evaluator, FailureKind, Trial};
-use autofp_data::{registry, Dataset, DatasetSpec};
+use autofp_data::{registry, DatasetSpec};
 use autofp_models::classifier::ModelKind;
+use autofp_models::metrics::accuracy;
 use autofp_models::CancelToken;
 use autofp_preprocess::Pipeline;
 use autofp_search::AlgName;
@@ -104,10 +107,12 @@ fn shared_cache_matches_no_cache_and_reuses_across_algorithms() {
     );
 }
 
-/// Evaluates every pipeline on a fresh `Evaluator`: nothing one
-/// evaluation computes can answer another.
+/// Evaluates every pipeline with the steps and checks of
+/// `Evaluator::evaluate_raw` but a fresh trainer and no fit memo, on the
+/// template's split: nothing one evaluation computes can answer another,
+/// not even the template's baseline fit (which an XGB evaluator's memo
+/// serves to every per-column increasing pipeline).
 struct MemoFree {
-    dataset: Dataset,
     template: Evaluator,
 }
 
@@ -118,8 +123,35 @@ impl Evaluate for MemoFree {
         fraction: f64,
         cancel: &CancelToken,
     ) -> Result<Trial, EvalError> {
-        Evaluator::new(&self.dataset, self.template.config().clone())
-            .evaluate_raw(pipeline, fraction, cancel)
+        let (split, config) = (self.template.split(), self.template.config());
+        let (fitted, train_x) = pipeline.fit_transform(&split.train.x);
+        let valid_x = fitted.transform_new(&split.valid.x);
+        let finite = (split.train.x.is_finite(), split.valid.x.is_finite());
+        check_transformed(pipeline, &train_x, &valid_x, finite.0, finite.1)?;
+        if cancel.is_cancelled() {
+            return Err(EvalError::DeadlineExceeded);
+        }
+        let model = config.model.trainer(config.seed).fit_cancellable(
+            &train_x,
+            &split.train.y,
+            split.train.n_classes,
+            fraction,
+            cancel,
+        );
+        let preds = model.predict(&valid_x);
+        if cancel.is_cancelled() {
+            return Err(EvalError::DeadlineExceeded);
+        }
+        let acc = check_accuracy(accuracy(&split.valid.y, &preds))?;
+        Ok(Trial {
+            pipeline: pipeline.clone(),
+            accuracy: acc,
+            error: 1.0 - acc,
+            prep_time: std::time::Duration::ZERO,
+            train_time: std::time::Duration::ZERO,
+            train_fraction: fraction.clamp(0.0, 1.0),
+            failure: None,
+        })
     }
 
     fn config(&self) -> &EvalConfig {
@@ -182,7 +214,7 @@ fn fit_memo_matches_a_memo_free_reference() {
             Box::new(TallyHits { evaluator: Evaluator::new(d, c), hits: hits.clone() })
         }));
         let reference = canonical(&run_matrix_with(&specs, &models, &algs, &cfg, |d, c, _| {
-            Box::new(MemoFree { dataset: d.clone(), template: Evaluator::new(d, c) })
+            Box::new(MemoFree { template: Evaluator::new(d, c) })
         }));
         assert_eq!(memo, reference, "{threads} threads: the fit memo changed a result");
         assert_eq!(tallied, reference, "{threads} threads");
