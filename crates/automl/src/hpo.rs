@@ -122,24 +122,6 @@ fn pick<'a, T>(rng: &mut StdRng, xs: &'a [T]) -> &'a T {
     &xs[rng.gen_range(0..xs.len())]
 }
 
-/// Convenience: the §7 three-way comparison row for one dataset and
-/// model — Auto-FP best vs TPOT-FP best vs HPO best.
-#[derive(Debug, Clone)]
-pub struct ContextComparison {
-    /// Dataset name.
-    pub dataset: String,
-    /// Downstream model family.
-    pub model: ModelKind,
-    /// Best validation accuracy of Auto-FP (PBT).
-    pub auto_fp: f64,
-    /// Best validation accuracy of TPOT's FP module.
-    pub tpot_fp: f64,
-    /// Best validation accuracy of the HPO module.
-    pub hpo: f64,
-    /// Validation accuracy without any preprocessing.
-    pub no_fp: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,6 @@ use autofp_preprocess::Pipeline;
 struct Entry {
     meta: Vec<f64>,
     pipelines: Vec<Pipeline>,
-    task: String,
 }
 
 /// A store of historical (meta-features -> best pipelines) records.
@@ -43,15 +42,15 @@ impl MetaStore {
         self.entries.is_empty()
     }
 
-    /// Record a finished task.
+    /// Record a finished task: its meta-features and best pipelines.
     ///
     /// # Panics
     /// Panics if the meta-feature width disagrees with earlier records.
-    pub fn record(&mut self, task: impl Into<String>, meta: Vec<f64>, pipelines: Vec<Pipeline>) {
+    pub fn record(&mut self, meta: Vec<f64>, pipelines: Vec<Pipeline>) {
         if let Some(first) = self.entries.first() {
             assert_eq!(first.meta.len(), meta.len(), "meta-feature width mismatch");
         }
-        self.entries.push(Entry { meta, pipelines, task: task.into() });
+        self.entries.push(Entry { meta, pipelines });
     }
 
     /// Best pipelines of the `k` most similar historical tasks, closest
@@ -104,11 +103,6 @@ impl MetaStore {
         }
         out
     }
-
-    /// Names of recorded tasks (diagnostics).
-    pub fn tasks(&self) -> Vec<&str> {
-        self.entries.iter().map(|e| e.task.as_str()).collect()
-    }
 }
 
 fn sanitized(v: f64) -> f64 {
@@ -131,8 +125,8 @@ mod tests {
     #[test]
     fn nearest_task_pipelines_come_first() {
         let mut store = MetaStore::new();
-        store.record("near", vec![1.0, 2.0], vec![pipe(&[PreprocKind::StandardScaler])]);
-        store.record("far", vec![100.0, -50.0], vec![pipe(&[PreprocKind::Binarizer])]);
+        store.record(vec![1.0, 2.0], vec![pipe(&[PreprocKind::StandardScaler])]);
+        store.record(vec![100.0, -50.0], vec![pipe(&[PreprocKind::Binarizer])]);
         let warm = store.warm_start(&[1.1, 2.1], 1);
         assert_eq!(warm.len(), 1);
         assert_eq!(warm[0].kinds(), vec![PreprocKind::StandardScaler]);
@@ -142,8 +136,8 @@ mod tests {
     fn k_controls_breadth_and_dedup_applies() {
         let mut store = MetaStore::new();
         let shared = pipe(&[PreprocKind::Normalizer]);
-        store.record("a", vec![0.0], vec![shared.clone(), pipe(&[PreprocKind::MinMaxScaler])]);
-        store.record("b", vec![0.1], vec![shared.clone()]);
+        store.record(vec![0.0], vec![shared.clone(), pipe(&[PreprocKind::MinMaxScaler])]);
+        store.record(vec![0.1], vec![shared.clone()]);
         let warm = store.warm_start(&[0.05], 2);
         // Duplicate Normalizer appears once.
         assert_eq!(warm.len(), 2);
@@ -160,8 +154,8 @@ mod tests {
     fn scale_differences_do_not_dominate() {
         // Feature 0 has huge scale; feature 1 tiny but discriminative.
         let mut store = MetaStore::new();
-        store.record("match", vec![1e6, 0.9], vec![pipe(&[PreprocKind::PowerTransformer])]);
-        store.record("mismatch", vec![1.0001e6, 0.1], vec![pipe(&[PreprocKind::Binarizer])]);
+        store.record(vec![1e6, 0.9], vec![pipe(&[PreprocKind::PowerTransformer])]);
+        store.record(vec![1.0001e6, 0.1], vec![pipe(&[PreprocKind::Binarizer])]);
         // Query: feature-0 halfway, feature-1 clearly like "match".
         let warm = store.warm_start(&[1.00005e6, 0.88], 1);
         assert_eq!(warm[0].kinds(), vec![PreprocKind::PowerTransformer]);
@@ -170,7 +164,7 @@ mod tests {
     #[test]
     fn non_finite_meta_features_are_tolerated() {
         let mut store = MetaStore::new();
-        store.record("t", vec![f64::NAN, 1.0], vec![pipe(&[PreprocKind::MaxAbsScaler])]);
+        store.record(vec![f64::NAN, 1.0], vec![pipe(&[PreprocKind::MaxAbsScaler])]);
         let warm = store.warm_start(&[f64::INFINITY, 1.0], 1);
         assert_eq!(warm.len(), 1);
     }
@@ -179,7 +173,7 @@ mod tests {
     #[should_panic(expected = "meta-feature width mismatch")]
     fn width_mismatch_panics() {
         let mut store = MetaStore::new();
-        store.record("a", vec![1.0, 2.0], vec![]);
-        store.record("b", vec![1.0], vec![]);
+        store.record(vec![1.0, 2.0], vec![]);
+        store.record(vec![1.0], vec![]);
     }
 }

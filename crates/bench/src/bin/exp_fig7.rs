@@ -4,15 +4,16 @@
 //! (their picking and evaluation phases interleave).
 //!
 //! Usage: `cargo run --release -p autofp-bench --bin exp_fig7
-//!   [--scale S] [--budget-ms MS | --evals N] [--seed X]`
+//!   [--scale S] [--budget-ms MS | --evals N] [--seed X] [--workers N]`
 
-use autofp_bench::{f2, print_matrix_stats, print_table, run_matrix, HarnessConfig};
+use autofp_bench::{f2, print_matrix_stats, print_table, run_matrix, spawn_workers, HarnessConfig};
 use autofp_data::registry::bottleneck_seven;
 use autofp_models::classifier::ModelKind;
 use autofp_search::AlgName;
 
 fn main() {
-    let cfg = HarnessConfig::from_args();
+    let mut cfg = HarnessConfig::from_args();
+    let _monitor = spawn_workers(&mut cfg);
     let specs = bottleneck_seven();
     let algorithms: Vec<AlgName> = AlgName::ALL
         .into_iter()

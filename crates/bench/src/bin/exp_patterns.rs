@@ -7,16 +7,17 @@
 //! outcome: no long pattern with meaningful support.
 //!
 //! Usage: `cargo run --release -p autofp-bench --bin exp_patterns
-//!   [--scale S] [--budget-ms MS | --evals N] [--datasets K|all]`
+//!   [--scale S] [--budget-ms MS | --evals N] [--datasets K|all] [--workers N]`
 
-use autofp_bench::{print_matrix_stats, print_table, run_matrix, HarnessConfig};
+use autofp_bench::{print_matrix_stats, print_table, run_matrix, spawn_workers, HarnessConfig};
 use autofp_core::patterns::{mine_frequent_subsequences, strongest_pattern};
 use autofp_models::classifier::ModelKind;
 use autofp_preprocess::Pipeline;
 use autofp_search::AlgName;
 
 fn main() {
-    let cfg = HarnessConfig::from_args();
+    let mut cfg = HarnessConfig::from_args();
+    let _monitor = spawn_workers(&mut cfg);
     let specs = cfg.specs();
     println!("== §5.2: frequent patterns in best pipelines (PBT) ==\n");
 

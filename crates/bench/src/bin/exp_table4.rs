@@ -4,8 +4,7 @@
 //!
 //! Usage: `cargo run --release -p autofp-bench --bin exp_table4
 //!   [--scale S] [--budget-ms MS | --evals N] [--datasets K|all] [--seed X]
-//!   [--workers N | --remote addr,addr,...]
-//!   [--supervise-max-restarts R] [--supervise-backoff-ms MS]`
+//!   [--workers N | --remote addr,addr,...] [--supervise-backoff-ms MS]`
 //!
 //! `--workers N` spawns N supervised local `evald` daemons — dead
 //! workers are respawned in the background and requests fail over to
@@ -13,9 +12,7 @@
 //! through the sharded remote evaluator; `--remote` points at an
 //! already-running (unsupervised) fleet instead.
 
-use autofp_bench::{
-    f2, print_matrix_stats, print_table, run_matrix, spawn_supervised_fleet, HarnessConfig,
-};
+use autofp_bench::{f2, print_matrix_stats, print_table, run_matrix, spawn_workers, HarnessConfig};
 use autofp_core::ranking::{average_rankings, order_by_rank, Scenario, IMPROVEMENT_THRESHOLD};
 use autofp_models::classifier::ModelKind;
 use autofp_search::AlgName;
@@ -23,24 +20,7 @@ use std::collections::BTreeMap;
 
 fn main() {
     let mut cfg = HarnessConfig::from_args();
-    // Spawn the local fleet first so it dies with this process (drop
-    // shuts the children down) even if the run panics. The supervisor
-    // moves onto a background monitor thread that respawns dead workers
-    // and republishes the epoch-bumped fleet spec the matrix routes
-    // over.
-    let monitor = if cfg.workers > 0 && cfg.fleet.is_none() {
-        let supervisor =
-            spawn_supervised_fleet(cfg.workers, cfg.supervisor_config()).expect("spawn evald workers");
-        println!(
-            "spawned {} supervised evald workers: {:?}\n",
-            supervisor.len(),
-            supervisor.addrs()
-        );
-        cfg.fleet = Some(supervisor.fleet());
-        Some(supervisor.monitor(std::time::Duration::from_millis(500)))
-    } else {
-        None
-    };
+    let monitor = spawn_workers(&mut cfg);
     let specs = cfg.specs();
     let algorithms = AlgName::ALL;
     println!(

@@ -2,15 +2,16 @@
 //! and downstream model, for RS, PBT, TEVO_H and TEVO_Y.
 //!
 //! Usage: `cargo run --release -p autofp-bench --bin exp_table5
-//!   [--scale S] [--budget-ms MS | --evals N] [--datasets K|all]`
+//!   [--scale S] [--budget-ms MS | --evals N] [--datasets K|all] [--workers N]`
 
-use autofp_bench::{print_matrix_stats, print_table, run_matrix, HarnessConfig};
+use autofp_bench::{print_matrix_stats, print_table, run_matrix, spawn_workers, HarnessConfig};
 use autofp_models::classifier::ModelKind;
 use autofp_search::AlgName;
 use std::collections::BTreeMap;
 
 fn main() {
-    let cfg = HarnessConfig::from_args();
+    let mut cfg = HarnessConfig::from_args();
+    let _monitor = spawn_workers(&mut cfg);
     let specs = cfg.specs();
     let algorithms = [AlgName::Rs, AlgName::Pbt, AlgName::TevoH, AlgName::TevoY];
     println!("== Table 5: performance bottleneck by scenario bucket ==\n");

@@ -46,7 +46,7 @@ fn main() {
         trials.sort_by(|a, b| b.accuracy.total_cmp(&a.accuracy));
         let best: Vec<_> = trials.into_iter().take(3).map(|t| t.pipeline).collect();
         let meta = extract(&dataset, &mf_cfg).as_slice().to_vec();
-        store.record(name, meta, best);
+        store.record(meta, best);
     }
     println!("meta-store built: {} tasks recorded\n", store.len());
 

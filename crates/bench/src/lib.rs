@@ -21,6 +21,7 @@ use autofp_core::{
     StoreMeta, StoreStats,
 };
 use autofp_data::{registry, spec_by_name, Dataset, DatasetSpec};
+use autofp_evald::launch::FleetMonitor;
 use autofp_evald::{
     EvalContext, FleetSupervisor, SharedFleetSpec, SupervisorConfig, TcpPool,
 };
@@ -76,12 +77,9 @@ pub struct HarnessConfig {
     /// mid-run while clients follow along.
     pub fleet: Option<SharedFleetSpec>,
     /// Number of local `evald` workers to spawn for the run (0 = none).
-    /// The exp binaries spawn the fleet via [`spawn_supervised_fleet`]
-    /// and put its live spec into `fleet`.
+    /// The matrix binaries spawn the fleet via [`spawn_workers`], which
+    /// puts its live spec into `fleet`.
     pub workers: usize,
-    /// Maximum respawns per worker slot for a supervised `--workers`
-    /// fleet.
-    pub supervise_max_restarts: u32,
     /// Base respawn backoff in milliseconds for a supervised fleet
     /// (doubles per restart of the same slot, plus seeded jitter).
     pub supervise_backoff_ms: u64,
@@ -119,7 +117,6 @@ impl Default for HarnessConfig {
             cache_mode: CacheMode::Shared,
             fleet: None,
             workers: 0,
-            supervise_max_restarts: 3,
             supervise_backoff_ms: 50,
             prefix_cache: false,
             cells_out: None,
@@ -161,9 +158,8 @@ impl HarnessConfig {
     /// (deterministic per-cell TSV path), `--trial-store` (durable
     /// trial repository directory; see [`HarnessConfig::trial_store`]),
     /// `--remote` (comma-separated worker addresses), `--workers`
-    /// (local worker processes to spawn), `--supervise-max-restarts` /
-    /// `--supervise-backoff-ms` (supervisor knobs for a `--workers`
-    /// fleet).
+    /// (local worker processes to spawn), `--supervise-backoff-ms`
+    /// (base respawn backoff of a `--workers` fleet).
     ///
     /// Rejected outright: an explicit `--workers 0` (a zero-worker
     /// fleet can serve nothing — omit the flag for an in-process run),
@@ -265,10 +261,6 @@ impl HarnessConfig {
                     }
                     cfg.workers = n;
                 }
-                "--supervise-max-restarts" => {
-                    cfg.supervise_max_restarts =
-                        num(&val, "--supervise-max-restarts takes an integer")?;
-                }
                 "--supervise-backoff-ms" => {
                     cfg.supervise_backoff_ms =
                         num(&val, "--supervise-backoff-ms takes an integer")?;
@@ -294,14 +286,9 @@ impl HarnessConfig {
         Ok(cfg)
     }
 
-    /// The [`SupervisorConfig`] a `--workers` fleet should run with,
-    /// built from the `--supervise-*` knobs over supervisor defaults.
+    /// The [`SupervisorConfig`] a `--workers` fleet should run with.
     pub fn supervisor_config(&self) -> SupervisorConfig {
-        SupervisorConfig {
-            max_restarts: self.supervise_max_restarts,
-            backoff: Duration::from_millis(self.supervise_backoff_ms),
-            ..SupervisorConfig::default()
-        }
+        SupervisorConfig { backoff: Duration::from_millis(self.supervise_backoff_ms) }
     }
 
     /// The dataset specs this run covers.
@@ -451,14 +438,7 @@ pub fn run_matrix(
     let mut outcome = run_matrix_with(specs, models, algorithms, config, move |d, c, _prefix| {
         let spec = spec_by_name(&d.name)
             .unwrap_or_else(|| panic!("remote mode needs registry dataset, got `{}`", d.name));
-        let ctx = EvalContext {
-            dataset: d.name.clone(),
-            scale: config.effective_scale(&spec),
-            model: c.model,
-            train_fraction: c.train_fraction,
-            seed: c.seed,
-            train_subsample: c.train_subsample.map(|v| v as u64),
-        };
+        let ctx = config.eval_context(&spec, c.model);
         Box::new(RemoteEvaluator::new(Box::new(factory_pool.backend(ctx)), c))
     });
     outcome.fleet = Some(pool.fleet_stats());
@@ -488,6 +468,28 @@ pub fn spawn_supervised_fleet(
     config: SupervisorConfig,
 ) -> std::io::Result<FleetSupervisor> {
     FleetSupervisor::spawn(&evald_binary(), n, config)
+}
+
+/// Start the `--workers N` fleet of a matrix binary: spawn `N`
+/// supervised workers ([`spawn_supervised_fleet`]), route `config` over
+/// their live spec and move the supervisor onto a background monitor
+/// that respawns dead workers and republishes the epoch-bumped spec.
+/// Returns `None`, and changes nothing, without `--workers`.
+///
+/// Hold the monitor until the run is done: dropping it shuts the
+/// workers down, so they die with the process even if the run panics.
+///
+/// # Panics
+/// Panics if a worker fails to start.
+pub fn spawn_workers(config: &mut HarnessConfig) -> Option<FleetMonitor> {
+    if config.workers == 0 || config.fleet.is_some() {
+        return None;
+    }
+    let supervisor = spawn_supervised_fleet(config.workers, config.supervisor_config())
+        .expect("spawn evald workers");
+    println!("spawned {} supervised evald workers: {:?}\n", supervisor.len(), supervisor.addrs());
+    config.fleet = Some(supervisor.fleet());
+    Some(supervisor.monitor(Duration::from_millis(500)))
 }
 
 /// [`run_matrix`] with a custom evaluator factory: `make_eval` builds
@@ -793,20 +795,24 @@ mod tests {
         let cfg = HarnessConfig::from_arg_slice(&argv(&[
             "--workers",
             "2",
-            "--supervise-max-restarts",
-            "5",
             "--supervise-backoff-ms",
             "20",
         ]));
-        assert_eq!(cfg.supervise_max_restarts, 5);
         assert_eq!(cfg.supervise_backoff_ms, 20);
         let sup = cfg.supervisor_config();
-        assert_eq!(sup.max_restarts, 5);
         assert_eq!(sup.backoff, Duration::from_millis(20));
         // Defaults flow through unchanged.
         let defaults = HarnessConfig::default().supervisor_config();
-        assert_eq!(defaults.max_restarts, 3);
         assert_eq!(defaults.backoff, Duration::from_millis(50));
+        // The restart cap is a supervisor constant, not a flag.
+        let err = HarnessConfig::try_from_arg_slice(&argv(&[
+            "--workers",
+            "2",
+            "--supervise-max-restarts",
+            "5",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("unknown argument"), "{err}");
     }
 
     #[test]

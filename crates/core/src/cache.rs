@@ -16,9 +16,9 @@
 //! which [`crate::report::matrix_stats_markdown`] renders.
 //!
 //! A trial cache is unbounded and never evicts, so under one cache a
-//! pipeline is evaluated at most once per key. Its map is the crate's
-//! one weighted store (`core::lru`), shared with [`crate::PrefixCache`],
-//! run here without a budget.
+//! pipeline is evaluated at most once per key. Its memo is therefore a
+//! plain map from canonical key to trial: it keeps no recency and no
+//! weights, unlike the bounded stores of `core::lru`.
 //!
 //! The one code path from a cache miss to a fresh evaluation is
 //! [`crate::BatchEvaluator`] with a cache attached; single evaluations
@@ -96,10 +96,10 @@
 use crate::error::FailureKind;
 use crate::evaluator::EvalConfig;
 use crate::history::Trial;
-use crate::lru::Lru;
 use crate::repo::{corrupt, segment_path, RepoError, StoreMeta, TrialStore};
 use autofp_linalg::codec::fnv1a;
 use autofp_preprocess::Pipeline;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -225,10 +225,13 @@ pub struct EvalCache {
     state: Arc<CacheState>,
 }
 
+/// canonical key -> trial; nothing is evicted.
+// lint:allow(nondet): keyed lookup and insert only — nothing iterates the map, so its order never reaches a result
+type Memo = HashMap<String, Trial>;
+
 #[derive(Debug, Default)]
 struct CacheState {
-    /// canonical key -> trial, without a budget: nothing is evicted.
-    memo: Mutex<Lru<Trial>>,
+    memo: Mutex<Memo>,
     /// Durable layer, set at most once by [`EvalCache::attach_segment`]:
     /// every later insert is also appended to this store.
     store: OnceLock<TrialStore>,
@@ -245,9 +248,9 @@ impl EvalCache {
 
     /// A worker thread panicking mid-batch (contained by the batch
     /// layer) may poison this mutex; the memo stays coherent because
-    /// every mutation holds the lock for its full map+recency update,
-    /// so recovering the guard is sound.
-    fn lock(&self) -> MutexGuard<'_, Lru<Trial>> {
+    /// every mutation is one map insert under the lock, so recovering
+    /// the guard is sound.
+    fn lock(&self) -> MutexGuard<'_, Memo> {
         self.state.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -288,7 +291,7 @@ impl EvalCache {
             store.append(key, trial);
         }
         if !never_cached(trial) {
-            self.lock().insert(key.canonical(), trial.clone(), 1);
+            self.lock().insert(key.canonical().to_string(), trial.clone());
         }
     }
 
@@ -324,7 +327,7 @@ impl EvalCache {
         for (key, trial) in trials {
             // A corrupted store must not plant a never-persist memo.
             if !never_cached(&trial) {
-                memo.insert(key.canonical(), trial, 1);
+                memo.insert(key.canonical().to_string(), trial);
             }
         }
         Ok(())

@@ -258,7 +258,7 @@ struct FitMemo {
 
 impl FitMemo {
     fn new() -> FitMemo {
-        FitMemo { entries: Mutex::new(Lru::new(Some(FIT_MEMO_CAPACITY))), hits: AtomicU64::new(0) }
+        FitMemo { entries: Mutex::new(Lru::new(FIT_MEMO_CAPACITY)), hits: AtomicU64::new(0) }
     }
 
     /// The key of a fit of `trainer` on `train` scored on `valid`: the
@@ -350,12 +350,7 @@ impl Evaluator {
     /// Build from a dataset: performs the stratified 80:20 split, then
     /// measures the no-FP baseline accuracy once.
     pub fn new(dataset: &Dataset, config: EvalConfig) -> Evaluator {
-        let split = dataset.stratified_split(config.train_fraction, config.seed);
-        Self::from_split(split, config)
-    }
-
-    /// Build from a pre-made split.
-    pub fn from_split(mut split: Split, config: EvalConfig) -> Evaluator {
+        let mut split = dataset.stratified_split(config.train_fraction, config.seed);
         if let Some(cap) = config.train_subsample {
             split.train = split.train.subsample(cap, config.seed);
         }

@@ -1,15 +1,15 @@
-//! The one least-recently-used store behind the in-memory caches.
+//! The one least-recently-used store behind the bounded in-memory caches.
 //!
-//! [`crate::EvalCache`] (the trial memo), the evaluator's fit memo and
-//! [`crate::PrefixCache`] (transformed prefix matrices) differ only in
-//! what an entry costs and what budget it counts against: the trial
-//! memo runs without a budget, the fit memo charges every entry weight
-//! 1 against an entry capacity, and the prefix cache charges an entry
-//! its size in bytes against a byte budget. Everything else —
-//! canonical-string keys, the recency queue, the running total and the
-//! eviction loop — lives here once. Admission rules (never-persist
-//! failure kinds, poisoned matrices), hit/miss accounting and locking
-//! stay with each cache.
+//! The evaluator's fit memo and [`crate::PrefixCache`] (transformed
+//! prefix matrices) differ only in what an entry costs and what budget
+//! it counts against: the fit memo charges every entry weight 1 against
+//! an entry capacity, and the prefix cache charges an entry its size in
+//! bytes against a byte budget. Everything else — canonical-string
+//! keys, the recency queue, the running total and the eviction loop —
+//! lives here once. Admission rules (finite accuracies, poisoned
+//! matrices), hit/miss accounting and locking stay with each cache.
+//! The trial memo ([`crate::EvalCache`]) never evicts, so it is a plain
+//! keyed map, not an `Lru`.
 //!
 //! Eviction order is a pure function of the call sequence: recency
 //! comes from a monotonic logical tick, never from the wall clock or
@@ -50,14 +50,13 @@ pub(crate) struct Lru<V> {
     tick: u64,
     /// Summed weight of the residents.
     total: u64,
-    /// `None` = unbounded.
-    budget: Option<u64>,
+    /// Maximum summed weight.
+    budget: u64,
 }
 
 impl<V> Lru<V> {
-    /// An empty store holding at most `budget` total weight (`None` =
-    /// unbounded).
-    pub(crate) fn new(budget: Option<u64>) -> Lru<V> {
+    /// An empty store holding at most `budget` total weight.
+    pub(crate) fn new(budget: u64) -> Lru<V> {
         Lru { entries: Default::default(), recency: BTreeMap::new(), tick: 0, total: 0, budget }
     }
 
@@ -98,7 +97,7 @@ impl<V> Lru<V> {
             self.total -= old.weight;
         }
         let mut evicted = Evicted::default();
-        if self.budget.is_some_and(|budget| weight > budget) {
+        if weight > self.budget {
             evicted.count = 1;
             evicted.weight = weight;
             return evicted;
@@ -107,7 +106,7 @@ impl<V> Lru<V> {
         self.entries.insert(key.to_string(), Slot { value, weight, stamp: self.tick });
         self.recency.insert(self.tick, key.to_string());
         self.total += weight;
-        while self.budget.is_some_and(|budget| self.total > budget) {
+        while self.total > self.budget {
             let Some((_, victim)) = self.recency.pop_first() else { break };
             if let Some(dropped) = self.entries.remove(&victim) {
                 self.total -= dropped.weight;
@@ -116,12 +115,6 @@ impl<V> Lru<V> {
             }
         }
         evicted
-    }
-}
-
-impl<V> Default for Lru<V> {
-    fn default() -> Lru<V> {
-        Lru::new(None)
     }
 }
 
@@ -134,7 +127,7 @@ mod tests {
     /// Brute-force reference: residents in a `Vec`, least recent first.
     struct Model {
         residents: Vec<(String, u32, u64)>,
-        budget: Option<u64>,
+        budget: u64,
         evicted: Evicted,
     }
 
@@ -153,13 +146,13 @@ mod tests {
 
         fn insert(&mut self, key: &str, value: u32, weight: u64) {
             self.residents.retain(|r| r.0 != key);
-            if self.budget.is_some_and(|b| weight > b) {
+            if weight > self.budget {
                 self.evicted.count += 1;
                 self.evicted.weight += weight;
                 return;
             }
             self.residents.push((key.to_string(), value, weight));
-            while self.budget.is_some_and(|b| self.total() > b) {
+            while self.total() > self.budget {
                 let (_, _, w) = self.residents.remove(0);
                 self.evicted.count += 1;
                 self.evicted.weight += w;
@@ -170,7 +163,7 @@ mod tests {
     /// Drive the store and the model with one seeded random sequence of
     /// `get`/`insert` calls over a small key space (so re-inserts and
     /// hits are frequent) and compare them after every operation.
-    fn check_against_model(seed: u64, budget: Option<u64>, weight: impl Fn(&mut rand::rngs::StdRng) -> u64) {
+    fn check_against_model(seed: u64, budget: u64, weight: impl Fn(&mut rand::rngs::StdRng) -> u64) {
         let mut rng = rng_from_seed(seed);
         let mut lru: Lru<u32> = Lru::new(budget);
         let mut model = Model { residents: Vec::new(), budget, evicted: Evicted::default() };
@@ -198,22 +191,20 @@ mod tests {
             assert_eq!(residents, model.residents, "seed {seed} step {step}: residents or order");
             assert_eq!(lru.total(), model.total(), "seed {seed} step {step}: total weight");
             assert_eq!(evicted, model.evicted, "seed {seed} step {step}: evicted count/weight");
-            if let Some(b) = budget {
-                assert!(lru.total() <= b);
-            }
+            assert!(lru.total() <= budget);
         }
     }
 
     #[test]
     fn matches_reference_model_in_entry_count_mode() {
-        for (seed, cap) in [(1, Some(0)), (2, Some(1)), (3, Some(3)), (4, Some(8)), (5, None)] {
+        for (seed, cap) in [(1, 0), (2, 1), (3, 3), (4, 8)] {
             check_against_model(seed, cap, |_| 1);
         }
     }
 
     #[test]
     fn matches_reference_model_in_byte_budget_mode() {
-        for (seed, budget) in [(11, Some(0)), (12, Some(40)), (13, Some(100)), (14, Some(257)), (15, None)] {
+        for (seed, budget) in [(11, 0), (12, 40), (13, 100), (14, 257)] {
             // Weights include 0 and entries larger than the budget.
             check_against_model(seed, budget, |rng| match rng.gen_range(0..10u32) {
                 0 => 0,
@@ -225,7 +216,7 @@ mod tests {
 
     #[test]
     fn oversized_reinsert_drops_the_old_entry_and_counts_the_refusal() {
-        let mut lru: Lru<&str> = Lru::new(Some(10));
+        let mut lru: Lru<&str> = Lru::new(10);
         assert_eq!(lru.insert("a", "small", 4), Evicted::default());
         assert_eq!(lru.insert("a", "huge", 11), Evicted { count: 1, weight: 11 });
         assert_eq!((lru.len(), lru.total()), (0, 0));

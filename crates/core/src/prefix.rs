@@ -71,8 +71,7 @@
 //! admitted (counted as an immediate eviction). Eviction only ever
 //! costs recomputation: results are bit-identical with any budget,
 //! including zero. The LRU is the crate's one weighted store
-//! (`core::lru`), shared with [`crate::EvalCache`], which runs it
-//! without a budget.
+//! (`core::lru`), shared with the evaluator's fit memo.
 //!
 //! Like [`crate::EvalCache`], a `PrefixCache` is a cheap-clone handle:
 //! clones share one store and one set of counters, so the bench harness
@@ -225,7 +224,7 @@ pub struct PrefixCache {
     state: Arc<PrefixState>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PrefixState {
     /// canonical key -> prefix state, each weighing its
     /// `entry_bytes` against the byte budget.
@@ -255,8 +254,17 @@ impl PrefixCache {
     /// matrices, evicting least-recently-used entries on overflow.
     /// Budget 0 disables caching entirely (nothing is ever admitted).
     pub fn with_byte_budget(budget: u64) -> PrefixCache {
-        let entries = Mutex::new(Lru::new(Some(budget)));
-        PrefixCache { state: Arc::new(PrefixState { entries, ..PrefixState::default() }) }
+        let state = PrefixState {
+            entries: Mutex::new(Lru::new(budget)),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            bytes_evicted: AtomicU64::new(0),
+            poisoned: AtomicU64::new(0),
+            steps_saved: AtomicU64::new(0),
+            saved_nanos: AtomicU64::new(0),
+        };
+        PrefixCache { state: Arc::new(state) }
     }
 
     /// Same poisoned-mutex policy as [`crate::EvalCache`]: every

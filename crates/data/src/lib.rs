@@ -12,12 +12,10 @@
 //! (scalable) row counts.
 
 pub mod csv;
-pub mod impute;
 pub mod dataset;
 pub mod registry;
 pub mod synth;
 
 pub use dataset::{Dataset, Split};
-pub use impute::{impute_dataset, FittedImputer, ImputeStrategy};
 pub use registry::{registry, spec_by_name, DatasetSpec};
 pub use synth::{Personality, SynthConfig};

@@ -38,6 +38,17 @@ pub const READY_PREFIX: &str = "evald listening on ";
 /// a worker is killed.
 const GRACEFUL_SHUTDOWN_TIMEOUT: Duration = Duration::from_millis(250);
 
+/// Maximum respawns per slot; a slot that exhausts them stays dead (its
+/// keys fail over to rendezvous successors).
+const MAX_RESTARTS: u32 = 3;
+
+/// Seed for the deterministic backoff jitter (mixed with slot and
+/// restart count, so concurrent respawns de-synchronize reproducibly).
+const JITTER_SEED: u64 = 0x5EED_F1EE7;
+
+/// Timeout for the per-slot `Ping` health probe.
+const PING_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// One supervised worker process.
 struct Worker {
     child: Child,
@@ -125,30 +136,16 @@ fn spawn_worker(bin: &Path) -> io::Result<Worker> {
     Starting::start(bin)?.ready()
 }
 
-/// Knobs for [`FleetSupervisor`] health-checking and respawn.
+/// Knobs for [`FleetSupervisor`] respawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorConfig {
-    /// Maximum respawns per slot; a slot that exhausts them stays dead
-    /// (its keys fail over to rendezvous successors).
-    pub max_restarts: u32,
     /// Base respawn backoff; doubles per restart of the same slot.
     pub backoff: Duration,
-    /// Seed for the deterministic backoff jitter (mixed with slot and
-    /// restart count, so concurrent respawns de-synchronize
-    /// reproducibly).
-    pub jitter_seed: u64,
-    /// Timeout for the per-slot `Ping` health probe.
-    pub ping_timeout: Duration,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> SupervisorConfig {
-        SupervisorConfig {
-            max_restarts: 3,
-            backoff: Duration::from_millis(50),
-            jitter_seed: 0x5EED_F1EE7,
-            ping_timeout: Duration::from_secs(2),
-        }
+        SupervisorConfig { backoff: Duration::from_millis(50) }
     }
 }
 
@@ -161,7 +158,7 @@ pub fn respawn_backoff(config: &SupervisorConfig, slot: usize, restarts: u32) ->
     if half_ms == 0 {
         return base;
     }
-    let mixed = mix64(config.jitter_seed ^ ((slot as u64) << 32) ^ u64::from(restarts));
+    let mixed = mix64(JITTER_SEED ^ ((slot as u64) << 32) ^ u64::from(restarts));
     base + Duration::from_millis(mixed % (half_ms + 1))
 }
 
@@ -249,11 +246,11 @@ impl FleetSupervisor {
         let mut respawned = 0usize;
         for (i, slot) in self.slots.iter_mut().enumerate() {
             let addr = slot.worker.addr().to_string();
-            if client::ping(&addr, self.config.ping_timeout).is_ok() {
+            if client::ping(&addr, PING_TIMEOUT).is_ok() {
                 continue;
             }
             let restarts = slot.restarts;
-            if restarts >= self.config.max_restarts {
+            if restarts >= MAX_RESTARTS {
                 continue;
             }
             let delay = respawn_backoff(&self.config, i, restarts);
@@ -365,7 +362,7 @@ mod tests {
         assert!(distinct.len() > 1, "jitter must separate slots");
         // Zero base backoff degrades to no jitter without dividing by
         // zero.
-        let zero = SupervisorConfig { backoff: Duration::ZERO, ..config };
+        let zero = SupervisorConfig { backoff: Duration::ZERO };
         assert_eq!(respawn_backoff(&zero, 3, 2), Duration::ZERO);
     }
 

@@ -1,5 +1,6 @@
 //! A minimal Adam optimizer over flat parameter buffers, shared by the
-//! gradient-trained surrogates (MLP regressor, LSTM regressor/policy).
+//! MLP classifier (`autofp-models`) and the gradient-trained surrogates
+//! (MLP regressor, LSTM regressor/policy).
 
 /// Adam state for one flat parameter vector.
 #[derive(Debug, Clone)]

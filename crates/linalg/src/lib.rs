@@ -4,11 +4,12 @@
 //! The Auto-FP study leans on NumPy/SciPy for its numeric substrate; this
 //! crate is the from-scratch Rust replacement. It deliberately stays small:
 //! a row-major [`Matrix`], descriptive statistics ([`stats`]), probability
-//! helpers ([`dist`]), principal component analysis ([`pca`]), and seeded
-//! randomness utilities ([`rng`]). Everything downstream (preprocessors,
+//! helpers ([`dist`]), principal component analysis ([`pca`]), seeded
+//! randomness utilities ([`rng`]) and the one Adam optimizer ([`adam`]). Everything downstream (preprocessors,
 //! models, surrogates, meta-features) is built on these primitives, and
 //! every byte format in the workspace is built on [`codec`].
 
+pub mod adam;
 pub mod codec;
 pub mod dist;
 pub mod matrix;

@@ -151,29 +151,6 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self * rhs`.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.cols, rhs.rows, "matmul dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let out_row = out.row_mut(r);
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = rhs.row(k);
-                for (c, &b) in b_row.iter().enumerate() {
-                    out_row[c] += a * b;
-                }
-            }
-        }
-        out
-    }
-
     /// Matrix-vector product `self * v`.
     pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(self.cols, v.len(), "matvec dimension mismatch");
@@ -198,14 +175,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Append the rows of `other` below `self`.
-    pub fn vstack(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "vstack column mismatch");
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Matrix::from_vec(self.rows + other.rows, self.cols, data)
     }
 
     /// Apply a function to every element in place.
@@ -295,16 +264,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_small() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
-        let c = a.matmul(&b);
-        assert_eq!(c.row(0), &[19.0, 22.0]);
-        assert_eq!(c.row(1), &[43.0, 50.0]);
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
+    fn matvec_small() {
         let a = Matrix::from_rows(&[vec![1.0, -1.0, 2.0], vec![0.5, 0.0, -3.0]]);
         let v = vec![2.0, 3.0, 1.0];
         assert_eq!(a.matvec(&v), vec![1.0, -2.0]);
@@ -327,15 +287,6 @@ mod tests {
         assert_eq!(r.row(1), &[1.0, 2.0, 3.0]);
         let c = m.select_cols(&[1]);
         assert_eq!(c.col(0), vec![2.0, 5.0, 8.0]);
-    }
-
-    #[test]
-    fn vstack_appends() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0]]);
-        let b = Matrix::from_rows(&[vec![3.0, 4.0], vec![5.0, 6.0]]);
-        let c = a.vstack(&b);
-        assert_eq!(c.shape(), (3, 2));
-        assert_eq!(c.row(2), &[5.0, 6.0]);
     }
 
     #[test]

@@ -147,52 +147,24 @@ impl std::fmt::Display for ModelKind {
     }
 }
 
-/// A constant-prediction classifier (majority class); useful as a
-/// baseline and as the degenerate result of zero-budget training.
-pub struct MajorityClassifier {
-    /// The predicted (majority) class index.
-    pub class: usize,
-}
-
-impl MajorityClassifier {
-    /// Fit: pick the most frequent label.
-    pub fn fit(y: &[usize], n_classes: usize) -> MajorityClassifier {
-        let mut counts = vec![0usize; n_classes];
-        for &c in y {
-            counts[c] += 1;
-        }
-        let class = counts
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, c)| *c)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        MajorityClassifier { class }
-    }
-}
-
-impl Classifier for MajorityClassifier {
-    fn predict_row(&self, _row: &[f64]) -> usize {
-        self.class
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn majority_picks_modal_class() {
-        let m = MajorityClassifier::fit(&[0, 1, 1, 2, 1], 3);
-        assert_eq!(m.class, 1);
-        assert_eq!(m.predict_row(&[0.0]), 1);
-        let x = Matrix::zeros(4, 2);
-        assert_eq!(m.predict(&x), vec![1, 1, 1, 1]);
+    /// A classifier that implements only `predict_row`, so every other
+    /// method is the trait default.
+    struct Always(usize);
+
+    impl Classifier for Always {
+        fn predict_row(&self, _row: &[f64]) -> usize {
+            self.0
+        }
     }
 
     #[test]
-    fn default_proba_is_one_hot() {
-        let m = MajorityClassifier { class: 2 };
+    fn default_predict_and_proba_follow_predict_row() {
+        let m = Always(2);
+        assert_eq!(m.predict(&Matrix::zeros(4, 2)), vec![2, 2, 2, 2]);
         assert_eq!(m.predict_proba_row(&[0.0], 4), vec![0.0, 0.0, 1.0, 0.0]);
     }
 

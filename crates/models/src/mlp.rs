@@ -8,6 +8,7 @@
 
 use crate::cancel::CancelToken;
 use crate::classifier::{Classifier, Trainer};
+use autofp_linalg::adam::Adam;
 use autofp_linalg::dist::softmax_inplace;
 use autofp_linalg::rng::{derive_seed, rng_from_seed, standard_normal};
 use autofp_linalg::Matrix;
@@ -124,36 +125,6 @@ impl Classifier for MlpClassifier {
     }
 }
 
-/// Adam state for one weight matrix.
-struct Adam {
-    m: Matrix,
-    v: Matrix,
-    t: f64,
-}
-
-impl Adam {
-    fn new(rows: usize, cols: usize) -> Adam {
-        Adam { m: Matrix::zeros(rows, cols), v: Matrix::zeros(rows, cols), t: 0.0 }
-    }
-
-    fn step(&mut self, w: &mut Matrix, grad: &Matrix, lr: f64) {
-        self.t += 1.0;
-        let (b1, b2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
-        let bc1 = 1.0 - b1.powf(self.t);
-        let bc2 = 1.0 - b2.powf(self.t);
-        let ws = w.as_mut_slice();
-        let gs = grad.as_slice();
-        let ms = self.m.as_mut_slice();
-        let vs = self.v.as_mut_slice();
-        for i in 0..ws.len() {
-            let g = if gs[i].is_finite() { gs[i] } else { 0.0 };
-            ms[i] = b1 * ms[i] + (1.0 - b1) * g;
-            vs[i] = b2 * vs[i] + (1.0 - b2) * g * g;
-            ws[i] -= lr * (ms[i] / bc1) / ((vs[i] / bc2).sqrt() + eps);
-        }
-    }
-}
-
 impl MlpParams {
     /// Train, returning the concrete model type (the [`Trainer`] impl
     /// boxes this; the artifact exporter serializes its weights).
@@ -236,8 +207,8 @@ impl MlpParams {
             *v = standard_normal(&mut rng) * (1.0 / (h as f64)).sqrt();
         }
 
-        let mut adam1 = Adam::new(h, d + 1);
-        let mut adam2 = Adam::new(k, h + 1);
+        let mut adam1 = Adam::new(h * (d + 1), self.learning_rate);
+        let mut adam2 = Adam::new(k * (h + 1), self.learning_rate);
         let mut g1 = Matrix::zeros(h, d + 1);
         let mut g2 = Matrix::zeros(k, h + 1);
         let mut order: Vec<usize> = (0..n).collect();
@@ -263,8 +234,8 @@ impl MlpParams {
                         *gv = *gv * scale + self.l2 * wv;
                     }
                 }
-                adam1.step(&mut w1, &g1, self.learning_rate);
-                adam2.step(&mut w2, &g2, self.learning_rate);
+                adam1.step(w1.as_mut_slice(), g1.as_slice());
+                adam2.step(w2.as_mut_slice(), g2.as_slice());
             }
         }
         MlpClassifier { w1, w2, n_classes: k }

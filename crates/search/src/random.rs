@@ -131,26 +131,6 @@ impl Searcher for Exhaustive {
     }
 }
 
-/// Evaluate a fixed list of pipelines (baseline comparisons).
-pub struct FixedList {
-    /// The pipelines to evaluate, in order.
-    pub pipelines: Vec<Pipeline>,
-}
-
-impl Searcher for FixedList {
-    fn name(&self) -> &'static str {
-        "Fixed"
-    }
-
-    fn search(&mut self, ctx: &mut SearchContext) {
-        for chunk in self.pipelines.chunks(16) {
-            if ctx.evaluate_batch(chunk).is_none() {
-                return;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,14 +213,5 @@ mod tests {
         let mut ex = Exhaustive { max_len: 1 };
         let out = run_search(&mut ex, &ev, Budget::evals(100));
         assert_eq!(out.history.len(), 7); // the 7 single-step pipelines
-    }
-
-    #[test]
-    fn fixed_list_evaluates_in_order() {
-        let ev = evaluator();
-        let pipelines = vec![Pipeline::empty(), Pipeline::empty()];
-        let mut f = FixedList { pipelines };
-        let out = run_search(&mut f, &ev, Budget::evals(10));
-        assert_eq!(out.history.len(), 2);
     }
 }

@@ -31,7 +31,7 @@ pub fn fit_artifact(
     pipeline: &Pipeline,
     config: &EvalConfig,
 ) -> Result<ServeArtifact, EvalError> {
-    // Mirror of Evaluator::new + from_split: split, then subsample.
+    // Mirror of Evaluator::new: split, then subsample.
     let mut split = dataset.stratified_split(config.train_fraction, config.seed);
     if let Some(cap) = config.train_subsample {
         split.train = split.train.subsample(cap, config.seed);

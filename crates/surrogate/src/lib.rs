@@ -11,8 +11,8 @@
 //!   surrogates (PLNE/PLE).
 //! * [`lstm::SequencePolicy`] — the LSTM controller used by ENAS.
 //!
-//! All gradient-trained surrogates share the [`adam`] optimizer and take
-//! explicit seeds.
+//! All gradient-trained surrogates share the [`autofp_linalg::adam`]
+//! optimizer and take explicit seeds.
 //!
 //! Module-to-paper map:
 //!
@@ -22,9 +22,7 @@
 //! | [`tpe`] | §4.1.2 TPE / §4.1.5 BOHB density models |
 //! | [`mlp_reg`] | §4.1.2 PNAS with MLP surrogates (PMNE, PME) |
 //! | [`lstm`] | §4.1.2 PNAS with LSTM surrogates (PLNE, PLE); §4.1.4 ENAS controller |
-//! | [`adam`] | shared optimizer (implementation detail, no section) |
 
-pub mod adam;
 pub mod lstm;
 pub mod mlp_reg;
 pub mod rf;

@@ -6,7 +6,7 @@
 //! one-hot token sequences over the preprocessor vocabulary (token 0 is
 //! the start/padding symbol).
 
-use crate::adam::Adam;
+use autofp_linalg::adam::Adam;
 use autofp_linalg::dist::softmax_inplace;
 use autofp_linalg::rng::{derive_seed, rng_from_seed, standard_normal, weighted_index};
 use rand::rngs::StdRng;

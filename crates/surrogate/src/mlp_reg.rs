@@ -6,7 +6,7 @@
 //! that the *low fitting cost* of the MLP surrogate is exactly why
 //! PMNE/PME are the only surrogate algorithms to beat random search.
 
-use crate::adam::Adam;
+use autofp_linalg::adam::Adam;
 use autofp_linalg::rng::{derive_seed, rng_from_seed, standard_normal};
 use autofp_linalg::Matrix;
 

@@ -32,7 +32,7 @@ fn main() {
             outcome.best_accuracy(),
             best[0]
         );
-        store.record(name, extract(&dataset, &mf_cfg).as_slice().to_vec(), best);
+        store.record(extract(&dataset, &mf_cfg).as_slice().to_vec(), best);
     }
 
     // Phase 2: warm-start on a new task.

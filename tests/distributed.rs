@@ -73,15 +73,10 @@ fn spawn_fleet(n: usize) -> FleetSupervisor {
         .expect("spawn evald workers")
 }
 
-/// A supervisor tuned for tests: instant-ish respawn (tiny backoff) and
-/// a short health-probe timeout so supervision passes are fast.
+/// A supervisor tuned for tests: instant-ish respawn (tiny backoff) so
+/// supervision passes are fast.
 fn spawn_supervised(n: usize) -> FleetSupervisor {
-    let config = SupervisorConfig {
-        max_restarts: 3,
-        backoff: Duration::from_millis(1),
-        jitter_seed: 0x7E57,
-        ping_timeout: Duration::from_millis(500),
-    };
+    let config = SupervisorConfig { backoff: Duration::from_millis(1) };
     FleetSupervisor::spawn(evald_bin(), n, config).expect("spawn supervised evald workers")
 }
 
