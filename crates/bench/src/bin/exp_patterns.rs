@@ -75,11 +75,7 @@ fn parse_default_pipeline(s: &str) -> Option<Pipeline> {
     if s == "(identity)" || s == "(none)" {
         return None;
     }
-    let kinds: Option<Vec<_>> = s
-        .split(" -> ")
-        .map(|name| {
-            autofp_preprocess::PreprocKind::ALL.iter().copied().find(|k| k.name() == name)
-        })
-        .collect();
+    let kinds: Option<Vec<_>> =
+        s.split(" -> ").map(autofp_preprocess::PreprocKind::parse).collect();
     kinds.map(|k| Pipeline::from_kinds(&k))
 }

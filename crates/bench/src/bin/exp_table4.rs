@@ -57,7 +57,7 @@ fn main() {
     // Table 4: rank per scenario over the improving scenarios.
     let mut scenarios: Vec<(ModelKind, Scenario)> = Vec::new();
     for ((dataset, model), accs) in &grouped {
-        let model_kind = ModelKind::ALL.iter().copied().find(|m| m.name() == *model).unwrap();
+        let model_kind = ModelKind::parse(model).expect("grouped by ModelKind::name");
         scenarios.push((
             model_kind,
             Scenario {

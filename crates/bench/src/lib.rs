@@ -17,7 +17,7 @@
 
 use autofp_core::{
     pool_map, run_search_with, Budget, CacheStats, EvalCache, EvalConfig, Evaluate, Evaluator,
-    FailureStats, FleetStats, PhaseBreakdown, PrefixCache, PrefixStats, RemoteEvaluator,
+    FailureStats, Flags, FleetStats, PhaseBreakdown, PrefixCache, PrefixStats, RemoteEvaluator,
     StoreMeta, StoreStats,
 };
 use autofp_data::{registry, spec_by_name, Dataset, DatasetSpec};
@@ -140,26 +140,19 @@ impl HarnessConfig {
         }
     }
 
-    /// [`HarnessConfig::try_from_arg_slice`] that panics on invalid
-    /// arguments — the test-friendly wrapper.
-    pub fn from_arg_slice(args: &[String]) -> HarnessConfig {
-        match Self::try_from_arg_slice(args) {
-            Ok(cfg) => cfg,
-            Err(msg) => panic!("{msg}"),
-        }
-    }
-
     /// Parse `--key value` style arguments over the defaults.
     ///
     /// Recognized keys: `--scale`, `--budget-ms`, `--evals`, `--seed`,
     /// `--datasets` (count or `all`), `--threads`, `--max-len`,
-    /// `--cache` (`shared`/`off`), `--prefix-cache` (valueless:
-    /// enables the prefix-transform cache), `--cells-out`
-    /// (deterministic per-cell TSV path), `--trial-store` (durable
-    /// trial repository directory; see [`HarnessConfig::trial_store`]),
-    /// `--remote` (comma-separated worker addresses), `--workers`
-    /// (local worker processes to spawn), `--supervise-backoff-ms`
-    /// (base respawn backoff of a `--workers` fleet).
+    /// `--max-rows`, `--min-rows`, `--cache` (`shared`/`off`),
+    /// `--prefix-cache` (valueless: enables the prefix-transform
+    /// cache), `--cells-out` (deterministic per-cell TSV path),
+    /// `--trial-store` (durable trial repository directory; see
+    /// [`HarnessConfig::trial_store`]), `--remote` (comma-separated
+    /// worker addresses), `--workers` (local worker processes to
+    /// spawn), `--supervise-backoff-ms` (base respawn backoff of a
+    /// `--workers` fleet). A value never starts with `--`
+    /// ([`Flags::value`]).
     ///
     /// Rejected outright: an explicit `--workers 0` (a zero-worker
     /// fleet can serve nothing — omit the flag for an in-process run),
@@ -171,64 +164,57 @@ impl HarnessConfig {
     /// writes through the per-group shared caches, so there is nothing
     /// to attach it to under `off`).
     pub fn try_from_arg_slice(args: &[String]) -> Result<HarnessConfig, String> {
-        fn num<T: std::str::FromStr>(val: &str, what: &str) -> Result<T, String> {
-            val.parse().map_err(|_| format!("{what}, got `{val}`"))
-        }
         let mut cfg = HarnessConfig::default();
-        let mut i = 0;
-        while i < args.len() {
-            let key = args[i].as_str();
-            // `--prefix-cache` is the one valueless flag.
-            if key == "--prefix-cache" {
-                cfg.prefix_cache = true;
-                i += 1;
-                continue;
-            }
-            let val = args.get(i + 1).cloned().unwrap_or_default();
-            match key {
-                "--scale" => cfg.scale = num(&val, "--scale takes a float")?,
+        Flags::walk(args, |flag, flags| {
+            match flag {
+                "--scale" => cfg.scale = flags.parse("a float")?,
                 "--budget-ms" => {
-                    let ms: u64 = num(&val, "--budget-ms takes an integer")?;
+                    let ms = flags.parse("an integer")?;
                     cfg.budget = Budget::wall_clock(Duration::from_millis(ms));
                 }
-                "--evals" => {
-                    let n: usize = num(&val, "--evals takes an integer")?;
-                    cfg.budget = Budget::evals(n);
-                }
-                "--seed" => cfg.seed = num(&val, "--seed takes an integer")?,
+                "--evals" => cfg.budget = Budget::evals(flags.parse("an integer")?),
+                "--seed" => cfg.seed = flags.parse("an integer")?,
                 "--datasets" => {
-                    cfg.n_datasets = if val == "all" {
-                        None
-                    } else {
-                        Some(num(&val, "--datasets takes a count or `all`")?)
+                    cfg.n_datasets = match flags.value()? {
+                        "all" => None,
+                        n => Some(n.parse().map_err(|_| {
+                            format!("`--datasets` needs a count or `all`, got `{n}`")
+                        })?),
                     };
                 }
-                "--threads" => cfg.threads = num(&val, "--threads takes an integer")?,
-                "--max-len" => cfg.max_len = num(&val, "--max-len takes an integer")?,
-                "--max-rows" => cfg.max_rows = num(&val, "--max-rows takes an integer")?,
-                "--min-rows" => cfg.min_rows = num(&val, "--min-rows takes an integer")?,
+                "--threads" => cfg.threads = flags.parse("an integer")?,
+                "--max-len" => cfg.max_len = flags.parse("an integer")?,
+                "--max-rows" => cfg.max_rows = flags.parse("an integer")?,
+                "--min-rows" => cfg.min_rows = flags.parse("an integer")?,
                 "--cache" => {
-                    cfg.cache_mode = match val.as_str() {
+                    cfg.cache_mode = match flags.value()? {
                         "shared" => CacheMode::Shared,
                         "off" => CacheMode::Off,
                         other => return Err(format!("--cache takes shared|off, got {other}")),
                     };
                 }
+                "--prefix-cache" => cfg.prefix_cache = true,
                 "--cells-out" => {
-                    if val.is_empty() {
+                    let path = flags.value()?;
+                    if path.is_empty() {
                         return Err("--cells-out needs a file path".into());
                     }
-                    cfg.cells_out = Some(val.clone().into());
+                    cfg.cells_out = Some(path.into());
                 }
                 "--trial-store" => {
-                    if val.is_empty() {
+                    let path = flags.value()?;
+                    if path.is_empty() {
                         return Err("--trial-store needs a directory path".into());
                     }
-                    cfg.trial_store = Some(val.clone().into());
+                    cfg.trial_store = Some(path.into());
                 }
                 "--remote" => {
-                    let addrs: Vec<String> =
-                        val.split(',').filter(|s| !s.is_empty()).map(String::from).collect();
+                    let addrs: Vec<String> = flags
+                        .value()?
+                        .split(',')
+                        .filter(|s| !s.is_empty())
+                        .map(String::from)
+                        .collect();
                     if addrs.is_empty() {
                         return Err("--remote needs at least one host:port address".into());
                     }
@@ -251,7 +237,7 @@ impl HarnessConfig {
                     cfg.fleet = Some(SharedFleetSpec::fixed(addrs));
                 }
                 "--workers" => {
-                    let n: usize = num(&val, "--workers takes an integer")?;
+                    let n: usize = flags.parse("an integer")?;
                     if n == 0 {
                         return Err(
                             "--workers 0 would spawn an empty fleet; \
@@ -261,14 +247,11 @@ impl HarnessConfig {
                     }
                     cfg.workers = n;
                 }
-                "--supervise-backoff-ms" => {
-                    cfg.supervise_backoff_ms =
-                        num(&val, "--supervise-backoff-ms takes an integer")?;
-                }
+                "--supervise-backoff-ms" => cfg.supervise_backoff_ms = flags.parse("an integer")?,
                 other => return Err(format!("unknown argument: {other}")),
             }
-            i += 2;
-        }
+            Ok(())
+        })?;
         if cfg.workers > 0 && cfg.fleet.is_some() {
             return Err(
                 "--workers spawns a local fleet and --remote points at an existing one; \
@@ -747,13 +730,16 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    fn parsed(args: &[String]) -> HarnessConfig {
+        HarnessConfig::try_from_arg_slice(args).unwrap_or_else(|msg| panic!("{msg}"))
+    }
+
     #[test]
     fn arg_slice_parses_remote_and_worker_flags() {
-        let cfg =
-            HarnessConfig::from_arg_slice(&argv(&["--remote", "127.0.0.1:4000,127.0.0.1:4001"]));
+        let cfg = parsed(&argv(&["--remote", "127.0.0.1:4000,127.0.0.1:4001"]));
         let fleet = cfg.fleet.as_ref().expect("--remote sets a fixed fleet").snapshot();
         assert_eq!(fleet.addrs, vec!["127.0.0.1:4000", "127.0.0.1:4001"]);
-        let cfg = HarnessConfig::from_arg_slice(&argv(&["--workers", "2"]));
+        let cfg = parsed(&argv(&["--workers", "2"]));
         assert_eq!(cfg.workers, 2);
         assert!(cfg.fleet.is_none());
     }
@@ -792,7 +778,7 @@ mod tests {
 
     #[test]
     fn supervise_knobs_parse_into_the_supervisor_config() {
-        let cfg = HarnessConfig::from_arg_slice(&argv(&[
+        let cfg = parsed(&argv(&[
             "--workers",
             "2",
             "--supervise-backoff-ms",
@@ -817,7 +803,7 @@ mod tests {
 
     #[test]
     fn trial_store_flag_parses_and_requires_shared_cache() {
-        let cfg = HarnessConfig::from_arg_slice(&argv(&["--trial-store", "/tmp/afp-repo"]));
+        let cfg = parsed(&argv(&["--trial-store", "/tmp/afp-repo"]));
         assert_eq!(cfg.trial_store.as_deref(), Some(std::path::Path::new("/tmp/afp-repo")));
         assert_eq!(cfg.cache_mode, CacheMode::Shared);
         // The durable layer rides the per-group shared caches; without
@@ -832,6 +818,15 @@ mod tests {
         assert!(err.contains("--cache shared"), "{err}");
         // A missing value is an error, not an empty path.
         assert!(HarnessConfig::try_from_arg_slice(&argv(&["--trial-store"])).is_err());
+    }
+
+    #[test]
+    fn a_value_flag_does_not_swallow_the_next_flag() {
+        // Read as a path, `--prefix-cache` would become the store
+        // directory and leave the prefix cache off.
+        let err = HarnessConfig::try_from_arg_slice(&argv(&["--trial-store", "--prefix-cache"]))
+            .unwrap_err();
+        assert_eq!(err, "`--trial-store` needs a value");
     }
 
     #[test]
@@ -854,9 +849,9 @@ mod tests {
 
     #[test]
     fn cache_flag_takes_shared_or_off_only() {
-        let cfg = HarnessConfig::from_arg_slice(&argv(&["--cache", "off"]));
+        let cfg = parsed(&argv(&["--cache", "off"]));
         assert_eq!(cfg.cache_mode, CacheMode::Off);
-        let cfg = HarnessConfig::from_arg_slice(&argv(&["--cache", "shared"]));
+        let cfg = parsed(&argv(&["--cache", "shared"]));
         assert_eq!(cfg.cache_mode, CacheMode::Shared);
         // Trial caches are always unbounded and prefix caches always
         // run at their default budget: no flag sizes or splits them.
@@ -997,10 +992,10 @@ mod tests {
     #[test]
     fn prefix_cache_flags_parse() {
         // `--prefix-cache` is the one valueless flag the parser accepts.
-        let cfg = HarnessConfig::from_arg_slice(&argv(&["--prefix-cache"]));
+        let cfg = parsed(&argv(&["--prefix-cache"]));
         assert!(cfg.prefix_cache);
         // The flag composes with ordinary `--key value` pairs on either side.
-        let cfg = HarnessConfig::from_arg_slice(&argv(&[
+        let cfg = parsed(&argv(&[
             "--workers",
             "2",
             "--prefix-cache",

@@ -18,7 +18,7 @@
 //! A trial cache is unbounded and never evicts, so under one cache a
 //! pipeline is evaluated at most once per key. Its memo is therefore a
 //! plain map from canonical key to trial: it keeps no recency and no
-//! weights, unlike the bounded stores of `core::lru`.
+//! weights, unlike the prefix cache's bounded `core::lru` store.
 //!
 //! The one code path from a cache miss to a fresh evaluation is
 //! [`crate::BatchEvaluator`] with a cache attached; single evaluations

@@ -47,10 +47,15 @@
 //! entry's input words as a witness and assert word equality on every
 //! hit. Two different matrices may share an XGB key on purpose, so the
 //! witness is the words, not the matrices.
+//!
+//! The memo is a plain map from the `u128` digest to the accuracy, and
+//! it never evicts. Where a trial cache is attached (every evald
+//! context, every `--cache shared` run) each memo insert follows a
+//! trial-cache miss, and trial caches never evict either; without one,
+//! the evaluation budget bounds the number of fits.
 
 use crate::error::EvalError;
 use crate::history::Trial;
-use crate::lru::Lru;
 use crate::prefix::{PrefixCache, PrefixKey, PrefixStats};
 use autofp_data::{Dataset, Split};
 use autofp_linalg::codec::Murmur3x64_128;
@@ -59,15 +64,11 @@ use autofp_models::classifier::{ModelKind, Trainer};
 use autofp_models::metrics::accuracy;
 use autofp_models::CancelToken;
 use autofp_preprocess::Pipeline;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Entries one evaluator's fit memo keeps before it evicts the least
-/// recently used, so a long-lived evald context cannot grow without
-/// limit.
-const FIT_MEMO_CAPACITY: u64 = 65_536;
 
 /// Configuration of an evaluator.
 #[derive(Debug, Clone)]
@@ -243,22 +244,26 @@ struct FitMemoEntry {
 
 /// The memo key of one fit.
 struct FitKey {
-    /// The 128-bit digest of the words, as 32 hex digits.
-    digest: String,
+    /// The 128-bit digest of the words.
+    digest: u128,
     /// The words themselves; debug builds only.
     words: Option<Vec<u64>>,
 }
 
+/// Memoized fits by the digest of their inputs.
+// lint:allow(nondet): keyed lookup and insert only — nothing iterates the map, so its order never reaches a result
+type Fits = HashMap<u128, FitMemoEntry>;
+
 /// Validation accuracies keyed by the content digest of the fit's
 /// inputs (see the module docs).
 struct FitMemo {
-    entries: Mutex<Lru<FitMemoEntry>>,
+    entries: Mutex<Fits>,
     hits: AtomicU64,
 }
 
 impl FitMemo {
     fn new() -> FitMemo {
-        FitMemo { entries: Mutex::new(Lru::new(FIT_MEMO_CAPACITY)), hits: AtomicU64::new(0) }
+        FitMemo { entries: Mutex::default(), hits: AtomicU64::new(0) }
     }
 
     /// The key of a fit of `trainer` on `train` scored on `valid`: the
@@ -283,10 +288,10 @@ impl FitMemo {
         };
         header.into_iter().for_each(&mut write);
         trainer.input_words(train, valid, &mut write);
-        FitKey { digest: format!("{:032x}", hash.finish()), words }
+        FitKey { digest: hash.finish(), words }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Lru<FitMemoEntry>> {
+    fn lock(&self) -> MutexGuard<'_, Fits> {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -294,12 +299,12 @@ impl FitMemo {
     /// asserts that `key`'s words equal the words the memoized fit's
     /// key digested.
     fn get(&self, key: &FitKey) -> Option<f64> {
-        let mut entries = self.lock();
+        let entries = self.lock();
         let entry = entries.get(&key.digest)?;
         if let (Some(seen), Some(words)) = (&entry.witness, &key.words) {
             debug_assert!(
                 seen == words,
-                "fit memo digest {} aliases two different inputs",
+                "fit memo digest {:032x} aliases two different inputs",
                 key.digest
             );
         }
@@ -309,7 +314,7 @@ impl FitMemo {
 
     fn insert(&self, key: FitKey, accuracy: f64) {
         let entry = FitMemoEntry { accuracy, witness: key.words };
-        self.lock().insert(&key.digest, entry, 1);
+        self.lock().insert(key.digest, entry);
     }
 }
 
@@ -791,7 +796,6 @@ mod tests {
             let trainer = model.trainer(0);
             let key = |x: &Matrix| FitMemo::key(trainer.as_ref(), x, &valid, 1.0).digest;
             assert_ne!(key(&wide), key(&tall), "{model}");
-            assert_eq!(key(&wide).len(), 32);
         }
     }
 

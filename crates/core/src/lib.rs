@@ -53,6 +53,7 @@ pub mod codec;
 pub mod error;
 pub mod evaluator;
 pub mod fault;
+pub mod flags;
 pub mod framework;
 pub mod history;
 mod lru;
@@ -71,6 +72,7 @@ pub use cache::{CacheKey, CacheStats, EvalCache};
 pub use error::{EvalError, FailureKind, FailureStats};
 pub use evaluator::{evaluate_or_worst, Evaluate, EvalConfig, Evaluator};
 pub use fault::{FaultConfig, FaultInjector, InjectedPanic};
+pub use flags::Flags;
 pub use framework::{run_search, run_search_with, SearchContext, SearchOutcome, Searcher};
 pub use history::{PhaseBreakdown, Trial, TrialHistory};
 pub use order::{nan_largest, nan_smallest};
@@ -79,5 +81,5 @@ pub use remote::{
     mix64, shard, shard_order, shard_weight, FleetStats, RemoteBackend, RemoteEvaluator, RemoteInfo,
 };
 pub use repo::{
-    GcReport, GcSegment, OpenReport, RepoError, ReplayEvaluator, StoreMeta, StoreStats, TrialStore,
+    GcReport, GcSegment, RepoError, ReplayEvaluator, StoreMeta, StoreStats, TrialStore,
 };

@@ -1,15 +1,13 @@
-//! The one least-recently-used store behind the bounded in-memory caches.
+//! The least-recently-used store behind [`crate::PrefixCache`], the
+//! one in-memory cache that evicts.
 //!
-//! The evaluator's fit memo and [`crate::PrefixCache`] (transformed
-//! prefix matrices) differ only in what an entry costs and what budget
-//! it counts against: the fit memo charges every entry weight 1 against
-//! an entry capacity, and the prefix cache charges an entry its size in
-//! bytes against a byte budget. Everything else — canonical-string
-//! keys, the recency queue, the running total and the eviction loop —
-//! lives here once. Admission rules (finite accuracies, poisoned
-//! matrices), hit/miss accounting and locking stay with each cache.
-//! The trial memo ([`crate::EvalCache`]) never evicts, so it is a plain
-//! keyed map, not an `Lru`.
+//! An entry is a transformed prefix matrix pair, weighted by its size
+//! in bytes against a byte budget. The store holds the canonical-string
+//! keys, the recency queue, the running total and the eviction loop;
+//! the admission rule (poisoned matrices), hit/miss accounting and
+//! locking stay with the prefix cache. The trial memo
+//! ([`crate::EvalCache`]) and the evaluator's fit memo never evict, so
+//! each is a plain keyed map, not an `Lru`.
 //!
 //! Eviction order is a pure function of the call sequence: recency
 //! comes from a monotonic logical tick, never from the wall clock or

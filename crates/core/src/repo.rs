@@ -35,10 +35,10 @@
 //! fully assembled record, so a crash can only tear the *tail*, and
 //! [`TrialStore::open`] detects the torn record (short, or checksum
 //! mismatch), truncates the file back to the last good record, and
-//! reports the dropped byte count in [`OpenReport`] — a torn tail is
-//! never silently replayed. A record whose checksum matches but whose
-//! payload does not decode is *format drift*, not a torn write, and is
-//! a hard [`RepoError::Corrupt`].
+//! reports the dropped byte count in [`StoreStats::truncated_bytes`]
+//! — a torn tail is never silently replayed. A record whose checksum
+//! matches but whose payload does not decode is *format drift*, not a
+//! torn write, and is a hard [`RepoError::Corrupt`].
 //!
 //! # Identity
 //!
@@ -196,18 +196,6 @@ fn decode_record(payload: &[u8]) -> Result<Record, RepoError> {
 
 // ---------------------------------------------------------------- scan
 
-/// What [`TrialStore::open`] found in an existing segment file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OpenReport {
-    /// Records decoded (context header and meta included).
-    pub records: u64,
-    /// Trial records loaded.
-    pub trials: u64,
-    /// Bytes dropped from a torn tail (`0` for a clean file). When
-    /// non-zero the file was truncated back to its last good record.
-    pub truncated_bytes: u64,
-}
-
 struct Scan {
     records: Vec<Record>,
     /// Byte offset of the first torn record (file is valid up to here).
@@ -255,8 +243,6 @@ struct Segment {
     keys: BTreeSet<String>,
     /// In file order, the first record of each key.
     trials: Vec<(CacheKey, Trial)>,
-    /// Records decoded (context header and meta included).
-    records: u64,
     /// Byte offset of the first torn record (the image is valid up to here).
     valid_len: u64,
     /// Bytes past `valid_len`.
@@ -275,7 +261,6 @@ impl Segment {
             meta: None,
             keys: BTreeSet::new(),
             trials: Vec::new(),
-            records: scan.records.len() as u64,
             valid_len: scan.valid_len,
             truncated_bytes: scan.truncated_bytes,
         };
@@ -356,7 +341,8 @@ struct StoreInner {
 #[derive(Debug)]
 pub struct TrialStore {
     path: PathBuf,
-    report: OpenReport,
+    /// Torn-tail bytes dropped when the segment was opened.
+    truncated_bytes: u64,
     inner: Mutex<StoreInner>,
     appended: AtomicU64,
     deduped: AtomicU64,
@@ -410,11 +396,10 @@ impl TrialStore {
             file.write_all(&init)?;
             file.flush()?;
         }
-        let Segment { keys, trials, meta, records, truncated_bytes, .. } = segment;
-        let report = OpenReport { records, trials: trials.len() as u64, truncated_bytes };
+        let Segment { keys, trials, meta, truncated_bytes, .. } = segment;
         let store = TrialStore {
             path,
-            report,
+            truncated_bytes,
             inner: Mutex::new(StoreInner { file, keys, meta }),
             appended: AtomicU64::new(0),
             deduped: AtomicU64::new(0),
@@ -436,11 +421,6 @@ impl TrialStore {
     /// The segment file path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// What [`TrialStore::open`] found on disk.
-    pub fn open_report(&self) -> OpenReport {
-        self.report
     }
 
     /// The stored evaluator meta, if one was recorded.
@@ -535,7 +515,7 @@ impl TrialStore {
             io_errors: self.io_errors.load(Ordering::Relaxed),
             preloaded: self.preloaded.load(Ordering::Relaxed),
             trials: self.len() as u64,
-            truncated_bytes: self.report.truncated_bytes,
+            truncated_bytes: self.truncated_bytes,
         }
     }
 }
@@ -963,7 +943,7 @@ mod tests {
         }
         drop(store);
         let (store, loaded) = TrialStore::load(&path, "ctx-test").expect("reopen");
-        assert_eq!(store.open_report().truncated_bytes, 0);
+        assert_eq!(store.stats().truncated_bytes, 0);
         assert_eq!(loaded, written, "reload must be bit-identical in file order");
         assert_eq!(store.len(), written.len());
     }
@@ -976,7 +956,7 @@ mod tests {
         // Tear mid-way through the last record.
         std::fs::write(&path, &clean[..clean.len() - 5]).expect("tear");
         let store = TrialStore::open(&path, "ctx-test").expect("open torn");
-        let report = store.open_report();
+        let report = store.stats();
         assert_eq!(store.len(), n - 1, "the torn record must be dropped");
         assert!(report.truncated_bytes > 0, "truncation must be reported");
         assert_eq!(report.trials, (n - 1) as u64);
@@ -987,7 +967,7 @@ mod tests {
         assert_eq!(store.stats().appended, 1);
         drop(store);
         let store = TrialStore::open(&path, "ctx-test").expect("reopen");
-        assert_eq!(store.open_report().truncated_bytes, 0, "truncation is idempotent");
+        assert_eq!(store.stats().truncated_bytes, 0, "truncation is idempotent");
         assert_eq!(store.len(), n);
     }
 
@@ -1001,7 +981,7 @@ mod tests {
             std::fs::write(&cut_path, &clean[..cut]).expect("write cut");
             let store = TrialStore::open(&cut_path, "ctx-test")
                 .unwrap_or_else(|e| panic!("prefix at {cut} failed to open: {e}"));
-            let report = store.open_report();
+            let report = store.stats();
             // A cut at a record boundary (or an entirely empty file)
             // drops nothing; anything else is a reported torn tail.
             let clean_open = cut == 0 || record_boundary(&clean, cut);
@@ -1010,7 +990,7 @@ mod tests {
             // Recovery is stable: a second open of the truncated file
             // must be clean.
             let store = TrialStore::open(&cut_path, "ctx-test").expect("reopen");
-            assert_eq!(store.open_report().truncated_bytes, 0, "cut {cut} not idempotent");
+            assert_eq!(store.stats().truncated_bytes, 0, "cut {cut} not idempotent");
             std::fs::remove_file(&cut_path).expect("rm");
         }
     }

@@ -13,6 +13,7 @@ use crate::client;
 use crate::launch::READY_PREFIX;
 use crate::server::Server;
 use crate::service::WorkerService;
+use autofp_core::Flags;
 use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
@@ -81,28 +82,17 @@ pub fn run(args: Vec<String>) -> i32 {
 fn serve(args: &[String]) -> i32 {
     let mut bind: std::net::IpAddr = std::net::Ipv4Addr::LOCALHOST.into();
     let mut port: u16 = 0;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--bind" => match it.next().map(|v| v.parse::<std::net::IpAddr>()) {
-                Some(Ok(ip)) => bind = ip,
-                _ => {
-                    eprintln!("evald: --bind needs an IP address (e.g. 127.0.0.1 or ::1)");
-                    return 2;
-                }
-            },
-            "--port" => match it.next().map(|v| v.parse::<u16>()) {
-                Some(Ok(p)) => port = p,
-                _ => {
-                    eprintln!("evald: --port needs an integer in 0..=65535");
-                    return 2;
-                }
-            },
-            other => {
-                eprintln!("evald: unknown serve flag `{other}`\n{USAGE}");
-                return 2;
-            }
+    let parsed = Flags::walk(args, |flag, flags| {
+        match flag {
+            "--bind" => bind = flags.parse("an IP address (e.g. 127.0.0.1 or ::1)")?,
+            "--port" => port = flags.parse("an integer in 0..=65535")?,
+            other => return Err(format!("unknown serve flag `{other}`")),
         }
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        eprintln!("evald: {e}\n{USAGE}");
+        return 2;
     }
     let server = match Server::bind((bind, port), Arc::new(WorkerService::new())) {
         Ok(s) => s,

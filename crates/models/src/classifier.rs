@@ -112,6 +112,11 @@ impl ModelKind {
         }
     }
 
+    /// Parse a report name (case-insensitive): `lr`, `xgb` or `mlp`.
+    pub fn parse(s: &str) -> Option<ModelKind> {
+        Self::ALL.iter().copied().find(|m| m.name().eq_ignore_ascii_case(s))
+    }
+
     /// Stable byte code (the position in [`ModelKind::ALL`]) used by
     /// the wire, trial-context and artifact formats.
     pub fn code(self) -> u8 {
@@ -173,6 +178,11 @@ mod tests {
         assert_eq!(ModelKind::Lr.name(), "LR");
         assert_eq!(ModelKind::Xgb.to_string(), "XGB");
         assert_eq!(ModelKind::ALL.len(), 3);
+        for kind in ModelKind::ALL {
+            assert_eq!(ModelKind::parse(kind.name()), Some(kind));
+            assert_eq!(ModelKind::parse(&kind.name().to_lowercase()), Some(kind));
+        }
+        assert_eq!(ModelKind::parse("svm"), None);
     }
 
     #[test]

@@ -56,6 +56,12 @@ impl PreprocKind {
         Self::ALL[i]
     }
 
+    /// Parse a display name (case-insensitive), as `autofp
+    /// preprocessors` lists them.
+    pub fn parse(s: &str) -> Option<PreprocKind> {
+        Self::ALL.iter().copied().find(|k| k.name().eq_ignore_ascii_case(s))
+    }
+
     /// Short display name matching the paper's figures.
     pub fn name(self) -> &'static str {
         match self {
@@ -85,7 +91,9 @@ mod tests {
         for (i, k) in PreprocKind::ALL.iter().enumerate() {
             assert_eq!(k.index(), i);
             assert_eq!(PreprocKind::from_index(i), *k);
+            assert_eq!(PreprocKind::parse(&k.name().to_lowercase()), Some(*k));
         }
+        assert_eq!(PreprocKind::parse("Imputer"), None);
     }
 
     #[test]

@@ -102,6 +102,17 @@ impl ParamSpace {
         }
     }
 
+    /// The space a command line names: `default`, `low` (Table 6) or
+    /// `high` (Table 7).
+    pub fn parse(s: &str) -> Option<ParamSpace> {
+        match s {
+            "default" => Some(ParamSpace::default_space()),
+            "low" => Some(ParamSpace::low_cardinality()),
+            "high" => Some(ParamSpace::high_cardinality()),
+            _ => None,
+        }
+    }
+
     /// A space with exactly one fixed parameterization per kind — the
     /// Two-step strategy's inner pipeline-search space after its random
     /// parameter assignment.
@@ -183,6 +194,16 @@ mod tests {
             assert_eq!(s.variants_of(kind).len(), 1);
             assert_eq!(s.variants_of(kind)[0], Preproc::default_for(kind));
         }
+    }
+
+    #[test]
+    fn parse_takes_the_three_command_line_names() {
+        let name = |s: &str| ParamSpace::parse(s).map(|space| space.name());
+        assert_eq!(name("default"), Some("default"));
+        assert_eq!(name("low"), Some("low-cardinality"));
+        assert_eq!(name("high"), Some("high-cardinality"));
+        assert_eq!(name("Low"), None);
+        assert_eq!(name("low-cardinality"), None);
     }
 
     #[test]

@@ -106,10 +106,12 @@ const HOT_PATH_PREFIXES: [&str; 3] =
 /// bytes, wire bytes, and served predictions must be pure functions
 /// of their inputs (the train/serve skew and thread-invariance
 /// guarantees depend on it). `linalg/codec.rs` encodes all of those
-/// bytes and hashes every fingerprint.
-const DET_CRITICAL: [&str; 17] = [
+/// bytes and hashes every fingerprint. `core/evaluator.rs` holds the
+/// fit memo, whose accuracies become trial scores.
+const DET_CRITICAL: [&str; 18] = [
     "crates/linalg/src/codec.rs",
     "crates/core/src/history.rs",
+    "crates/core/src/evaluator.rs",
     "crates/core/src/report.rs",
     "crates/core/src/cache.rs",
     "crates/core/src/prefix.rs",

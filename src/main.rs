@@ -17,7 +17,7 @@
 //! the last column (integers or strings). `predict` CSVs carry feature
 //! columns only (no label).
 
-use autofp::core::{run_search, Budget, EvalConfig, Evaluator};
+use autofp::core::{run_search, Budget, EvalConfig, Evaluator, Flags};
 use autofp::data::csv::read_csv_file;
 use autofp::data::Dataset;
 use autofp::metafeatures::{extract, ExtractConfig};
@@ -101,6 +101,19 @@ fn usage(code: i32) -> ! {
     exit(code)
 }
 
+/// Print `msg` and the usage text, then exit 2.
+fn bail(msg: &str) -> ! {
+    eprintln!("error: {msg}\n");
+    usage(2)
+}
+
+/// Exit 2 unless the required option `flag` was given.
+fn require(value: &str, flag: &str) {
+    if value.is_empty() {
+        bail(&format!("{flag} is required"));
+    }
+}
+
 struct SearchArgs {
     csv: String,
     model: ModelKind,
@@ -108,94 +121,56 @@ struct SearchArgs {
     budget: Budget,
     max_len: usize,
     seed: u64,
-    space: &'static str,
+    space: ParamSpace,
     header: bool,
     meta: bool,
 }
 
-fn parse_search_args(args: &[String]) -> SearchArgs {
-    let mut out = SearchArgs {
-        csv: String::new(),
-        model: ModelKind::Lr,
-        alg: AlgName::Pbt,
-        budget: Budget::wall_clock(Duration::from_millis(5000)),
-        max_len: 7,
-        seed: 42,
-        space: "default",
-        header: true,
-        meta: false,
-    };
-    let mut i = 0;
-    let bail = |msg: &str| -> ! {
-        eprintln!("error: {msg}\n");
-        usage(2)
-    };
-    while i < args.len() {
-        let key = args[i].as_str();
-        let val = || -> &str {
-            args.get(i + 1).map(String::as_str).unwrap_or_else(|| bail(&format!("{key} needs a value")))
-        };
-        match key {
-            "--csv" => {
-                out.csv = val().to_string();
-                i += 2;
-            }
-            "--model" => {
-                out.model = match val().to_ascii_lowercase().as_str() {
-                    "lr" => ModelKind::Lr,
-                    "xgb" => ModelKind::Xgb,
-                    "mlp" => ModelKind::Mlp,
-                    other => bail(&format!("unknown model '{other}'")),
-                };
-                i += 2;
-            }
-            "--alg" => {
-                out.alg = AlgName::parse(val())
-                    .unwrap_or_else(|| bail(&format!("unknown algorithm '{}'", val())));
-                i += 2;
-            }
-            "--budget-ms" => {
-                let ms: u64 = val().parse().unwrap_or_else(|_| bail("--budget-ms needs an integer"));
-                out.budget = Budget::wall_clock(Duration::from_millis(ms));
-                i += 2;
-            }
-            "--evals" => {
-                let n: usize = val().parse().unwrap_or_else(|_| bail("--evals needs an integer"));
-                out.budget = Budget::evals(n);
-                i += 2;
-            }
-            "--max-len" => {
-                out.max_len = val().parse().unwrap_or_else(|_| bail("--max-len needs an integer"));
-                i += 2;
-            }
-            "--seed" => {
-                out.seed = val().parse().unwrap_or_else(|_| bail("--seed needs an integer"));
-                i += 2;
-            }
-            "--space" => {
-                out.space = match val() {
-                    "default" => "default",
-                    "low" => "low",
-                    "high" => "high",
-                    other => bail(&format!("unknown space '{other}' (default|low|high)")),
-                };
-                i += 2;
-            }
-            "--no-header" => {
-                out.header = false;
-                i += 1;
-            }
-            "--meta" => {
-                out.meta = true;
-                i += 1;
-            }
-            other => bail(&format!("unknown option '{other}'")),
+impl SearchArgs {
+    fn new() -> SearchArgs {
+        SearchArgs {
+            csv: String::new(),
+            model: ModelKind::Lr,
+            alg: AlgName::Pbt,
+            budget: Budget::wall_clock(Duration::from_millis(5000)),
+            max_len: 7,
+            seed: 42,
+            space: ParamSpace::default_space(),
+            header: true,
+            meta: false,
         }
     }
-    if out.csv.is_empty() {
-        bail("--csv is required");
+
+    /// Apply one search option; any other token is an error.
+    fn apply(&mut self, flag: &str, flags: &mut Flags) -> Result<(), String> {
+        match flag {
+            "--csv" => self.csv = flags.value()?.to_string(),
+            "--model" => {
+                let v = flags.value()?;
+                self.model = ModelKind::parse(v).ok_or_else(|| format!("unknown model '{v}'"))?;
+            }
+            "--alg" => {
+                let v = flags.value()?;
+                self.alg = AlgName::parse(v).ok_or_else(|| format!("unknown algorithm '{v}'"))?;
+            }
+            "--budget-ms" => {
+                let ms = flags.parse("an integer")?;
+                self.budget = Budget::wall_clock(Duration::from_millis(ms));
+            }
+            "--evals" => self.budget = Budget::evals(flags.parse("an integer")?),
+            "--max-len" => self.max_len = flags.parse("an integer")?,
+            "--seed" => self.seed = flags.parse("an integer")?,
+            "--space" => {
+                let v = flags.value()?;
+                self.space = ParamSpace::parse(v)
+                    .ok_or_else(|| format!("unknown space '{v}' (default|low|high)"))?;
+            }
+            "--no-header" => self.header = false,
+            "--meta" => self.meta = true,
+            other => return Err(format!("unknown option '{other}'")),
+        }
+        Ok(())
     }
-    out
 }
 
 /// Read a labelled CSV or exit with a diagnostic.
@@ -218,7 +193,9 @@ fn load_dataset(csv: &str, header: bool) -> Dataset {
 }
 
 fn cmd_search(args: &[String]) {
-    let a = parse_search_args(args);
+    let mut a = SearchArgs::new();
+    Flags::walk(args, |flag, flags| a.apply(flag, flags)).unwrap_or_else(|e| bail(&e));
+    require(&a.csv, "--csv");
     let dataset = load_dataset(&a.csv, a.header);
     println!(
         "dataset: {} rows x {} cols, {} classes",
@@ -235,19 +212,14 @@ fn cmd_search(args: &[String]) {
         println!();
     }
 
-    let space = match a.space {
-        "low" => ParamSpace::low_cardinality(),
-        "high" => ParamSpace::high_cardinality(),
-        _ => ParamSpace::default_space(),
-    };
     let evaluator = Evaluator::new(
         &dataset,
         EvalConfig { model: a.model, train_fraction: 0.8, seed: a.seed, train_subsample: None },
     );
-    println!("model: {}   algorithm: {}   space: {}", a.model, a.alg, space.name());
+    println!("model: {}   algorithm: {}   space: {}", a.model, a.alg, a.space.name());
     println!("no-FP baseline accuracy: {:.4}", evaluator.baseline_accuracy());
 
-    let mut searcher = make_searcher(a.alg, space, a.max_len, a.seed);
+    let mut searcher = make_searcher(a.alg, a.space, a.max_len, a.seed);
     let outcome = run_search(searcher.as_mut(), &evaluator, a.budget);
     match outcome.best() {
         None => {
@@ -270,56 +242,37 @@ fn cmd_search(args: &[String]) {
 
 /// Parse a comma-separated preprocessor list (`autofp preprocessors`
 /// names, case-insensitive) into a pipeline.
-fn parse_pipeline(spec: &str) -> Pipeline {
-    let mut kinds = Vec::new();
-    for name in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        match PreprocKind::ALL.iter().find(|k| k.name().eq_ignore_ascii_case(name)) {
-            Some(kind) => kinds.push(*kind),
-            None => {
-                eprintln!("error: unknown preprocessor '{name}' (see `autofp preprocessors`)\n");
-                usage(2);
-            }
-        }
-    }
-    Pipeline::from_kinds(&kinds)
+fn parse_pipeline(spec: &str) -> Result<Pipeline, String> {
+    let kinds = spec
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(|name| {
+            PreprocKind::parse(name).ok_or_else(|| {
+                format!("unknown preprocessor '{name}' (see `autofp preprocessors`)")
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(Pipeline::from_kinds(&kinds))
 }
 
 fn cmd_export(args: &[String]) {
+    let mut a = SearchArgs::new();
     let mut out_path = String::new();
-    let mut pipeline_spec: Option<String> = None;
-    let mut search_args: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("error: --out needs a value\n");
-                    usage(2);
-                };
-                out_path = v.clone();
-                i += 2;
-            }
-            "--pipeline" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("error: --pipeline needs a value\n");
-                    usage(2);
-                };
-                pipeline_spec = Some(v.clone());
-                i += 2;
-            }
-            _ => {
-                search_args.push(args[i].clone());
-                i += 1;
-            }
+    let mut explicit = None;
+    // Parsing validates an explicit pipeline before touching the
+    // filesystem.
+    Flags::walk(args, |flag, flags| {
+        match flag {
+            "--out" => out_path = flags.value()?.to_string(),
+            "--pipeline" => explicit = Some(parse_pipeline(flags.value()?)?),
+            other => a.apply(other, flags)?,
         }
-    }
-    if out_path.is_empty() {
-        eprintln!("error: --out is required\n");
-        usage(2);
-    }
-    let a = parse_search_args(&search_args);
-    // Validate the explicit pipeline before touching the filesystem.
-    let explicit = pipeline_spec.as_deref().map(parse_pipeline);
+        Ok(())
+    })
+    .unwrap_or_else(|e| bail(&e));
+    require(&out_path, "--out");
+    require(&a.csv, "--csv");
     let dataset = load_dataset(&a.csv, a.header);
     let config =
         EvalConfig { model: a.model, train_fraction: 0.8, seed: a.seed, train_subsample: None };
@@ -329,13 +282,8 @@ fn cmd_export(args: &[String]) {
         None => {
             // No explicit pipeline: search for the winner first, the
             // same way `autofp search` does.
-            let space = match a.space {
-                "low" => ParamSpace::low_cardinality(),
-                "high" => ParamSpace::high_cardinality(),
-                _ => ParamSpace::default_space(),
-            };
             let evaluator = Evaluator::new(&dataset, config.clone());
-            let mut searcher = make_searcher(a.alg, space, a.max_len, a.seed);
+            let mut searcher = make_searcher(a.alg, a.space, a.max_len, a.seed);
             let outcome = run_search(searcher.as_mut(), &evaluator, a.budget);
             match outcome.best() {
                 Some(best) => {
@@ -391,38 +339,18 @@ fn cmd_serve(args: &[String]) {
     let mut bind: std::net::IpAddr = std::net::Ipv4Addr::LOCALHOST.into();
     let mut port: u16 = 0;
     let mut threads: usize = 1;
-    let mut i = 0;
-    let bail = |msg: &str| -> ! {
-        eprintln!("error: {msg}\n");
-        usage(2)
-    };
-    while i < args.len() {
-        let key = args[i].as_str();
-        let val = || -> &str {
-            args.get(i + 1)
-                .map(String::as_str)
-                .unwrap_or_else(|| bail(&format!("{key} needs a value")))
-        };
-        match key {
-            "--artifact" => artifact_path = val().to_string(),
-            "--bind" => {
-                bind = val()
-                    .parse()
-                    .unwrap_or_else(|_| bail("--bind needs an IP address (e.g. 127.0.0.1)"));
-            }
-            "--port" => {
-                port = val().parse().unwrap_or_else(|_| bail("--port needs an integer in 0..=65535"));
-            }
-            "--threads" => {
-                threads = val().parse().unwrap_or_else(|_| bail("--threads needs an integer"));
-            }
-            other => bail(&format!("unknown option '{other}'")),
+    Flags::walk(args, |flag, flags| {
+        match flag {
+            "--artifact" => artifact_path = flags.value()?.to_string(),
+            "--bind" => bind = flags.parse("an IP address (e.g. 127.0.0.1)")?,
+            "--port" => port = flags.parse("an integer in 0..=65535")?,
+            "--threads" => threads = flags.parse("an integer")?,
+            other => return Err(format!("unknown option '{other}'")),
         }
-        i += 2;
-    }
-    if artifact_path.is_empty() {
-        bail("--artifact is required");
-    }
+        Ok(())
+    })
+    .unwrap_or_else(|e| bail(&e));
+    require(&artifact_path, "--artifact");
     let artifact = load_artifact(&artifact_path);
     let m = &artifact.meta;
     eprintln!(
@@ -477,45 +405,19 @@ fn cmd_predict(args: &[String]) {
     let mut csv = String::new();
     let mut threads: usize = 1;
     let mut header = true;
-    let mut i = 0;
-    let bail = |msg: &str| -> ! {
-        eprintln!("error: {msg}\n");
-        usage(2)
-    };
-    while i < args.len() {
-        let key = args[i].as_str();
-        let val = || -> &str {
-            args.get(i + 1)
-                .map(String::as_str)
-                .unwrap_or_else(|| bail(&format!("{key} needs a value")))
-        };
-        match key {
-            "--artifact" => {
-                artifact_path = val().to_string();
-                i += 2;
-            }
-            "--addr" => {
-                addr = val().to_string();
-                i += 2;
-            }
-            "--csv" => {
-                csv = val().to_string();
-                i += 2;
-            }
-            "--threads" => {
-                threads = val().parse().unwrap_or_else(|_| bail("--threads needs an integer"));
-                i += 2;
-            }
-            "--no-header" => {
-                header = false;
-                i += 1;
-            }
-            other => bail(&format!("unknown option '{other}'")),
+    Flags::walk(args, |flag, flags| {
+        match flag {
+            "--artifact" => artifact_path = flags.value()?.to_string(),
+            "--addr" => addr = flags.value()?.to_string(),
+            "--csv" => csv = flags.value()?.to_string(),
+            "--threads" => threads = flags.parse("an integer")?,
+            "--no-header" => header = false,
+            other => return Err(format!("unknown option '{other}'")),
         }
-    }
-    if csv.is_empty() {
-        bail("--csv is required");
-    }
+        Ok(())
+    })
+    .unwrap_or_else(|e| bail(&e));
+    require(&csv, "--csv");
     if artifact_path.is_empty() == addr.is_empty() {
         bail("exactly one of --artifact (file mode) or --addr (TCP mode) is required");
     }
@@ -558,44 +460,22 @@ fn cmd_predict(args: &[String]) {
 
 fn cmd_repo(args: &[String]) {
     if args.first().map(String::as_str) != Some("gc") {
-        eprintln!("error: `autofp repo` supports one subcommand: gc\n");
-        usage(2);
+        bail("`autofp repo` supports one subcommand: gc");
     }
-    let args = &args[1..];
     let mut dir = String::new();
     let mut keep: Vec<String> = Vec::new();
     let mut dry_run = false;
-    let mut i = 0;
-    let bail = |msg: &str| -> ! {
-        eprintln!("error: {msg}\n");
-        usage(2)
-    };
-    while i < args.len() {
-        let key = args[i].as_str();
-        let val = || -> &str {
-            args.get(i + 1)
-                .map(String::as_str)
-                .unwrap_or_else(|| bail(&format!("{key} needs a value")))
-        };
-        match key {
-            "--dir" => {
-                dir = val().to_string();
-                i += 2;
-            }
-            "--keep" => {
-                keep.push(val().to_string());
-                i += 2;
-            }
-            "--dry-run" => {
-                dry_run = true;
-                i += 1;
-            }
-            other => bail(&format!("unknown option '{other}'")),
+    Flags::walk(&args[1..], |flag, flags| {
+        match flag {
+            "--dir" => dir = flags.value()?.to_string(),
+            "--keep" => keep.push(flags.value()?.to_string()),
+            "--dry-run" => dry_run = true,
+            other => return Err(format!("unknown option '{other}'")),
         }
-    }
-    if dir.is_empty() {
-        bail("--dir is required");
-    }
+        Ok(())
+    })
+    .unwrap_or_else(|e| bail(&e));
+    require(&dir, "--dir");
     let report = match autofp::core::repo::gc(std::path::Path::new(&dir), &keep, dry_run) {
         Ok(r) => r,
         Err(e) => {

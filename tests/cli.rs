@@ -262,3 +262,16 @@ fn repo_gc_dry_run_reports_without_deleting() {
     assert!(stderr.contains("gc"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_value_flag_does_not_swallow_the_next_flag() {
+    for (args, flag) in [
+        (&["search", "--csv", "--no-header"][..], "--csv"),
+        (&["repo", "gc", "--dir", "--dry-run"], "--dir"),
+    ] {
+        let out = autofp().args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("`{flag}` needs a value")), "{args:?}: {stderr}");
+    }
+}

@@ -244,7 +244,7 @@ fn a_torn_tail_reopens_with_exactly_the_surviving_records() {
     let context = cfg.eval_context(&specs[0], models[0]).canonical();
     let seg = segment_path(&dir, &context);
     let intact = TrialStore::open(&seg, &context).expect("open intact segment");
-    let before = intact.open_report();
+    let before = intact.stats();
     assert!(before.trials > 1, "need at least two trials to drop one");
     assert_eq!(before.truncated_bytes, 0, "intact segment must open clean");
     drop(intact);
@@ -257,7 +257,7 @@ fn a_torn_tail_reopens_with_exactly_the_surviving_records() {
     drop(f);
 
     let torn = TrialStore::open(&seg, &context).expect("torn tail must still open");
-    let after = torn.open_report();
+    let after = torn.stats();
     assert_eq!(after.trials, before.trials - 1, "exactly the torn record is dropped");
     assert!(after.truncated_bytes > 0, "the dropped bytes are reported, not silent");
     drop(torn);
@@ -265,8 +265,8 @@ fn a_torn_tail_reopens_with_exactly_the_surviving_records() {
     // Open truncated the file back to its last good record; reopening
     // is clean and stable.
     let reopened = TrialStore::open(&seg, &context).expect("reopen after truncation");
-    assert_eq!(reopened.open_report().trials, before.trials - 1);
-    assert_eq!(reopened.open_report().truncated_bytes, 0);
+    assert_eq!(reopened.stats().trials, before.trials - 1);
+    assert_eq!(reopened.stats().truncated_bytes, 0);
     drop(reopened);
 
     // A mid-file checksum break truncates everything after it (the scan
@@ -277,7 +277,7 @@ fn a_torn_tail_reopens_with_exactly_the_surviving_records() {
     std::fs::write(&seg, &bytes).expect("write flipped segment");
     let flipped = TrialStore::open(&seg, &context).expect("mid-file damage must not panic");
     assert!(
-        flipped.open_report().trials < before.trials,
+        flipped.stats().trials < before.trials,
         "damage mid-file must drop at least the damaged record"
     );
     drop(flipped);
