@@ -4,7 +4,7 @@
 //!
 //! Usage: `cargo run --release -p autofp-bench --bin exp_table4
 //!   [--scale S] [--budget-ms MS | --evals N] [--datasets K|all] [--seed X]
-//!   [--workers N | --remote addr,addr,...] [--supervise-backoff-ms MS]`
+//!   [--workers N | --remote addr,addr,...]`
 //!
 //! `--workers N` spawns N supervised local `evald` daemons — dead
 //! workers are respawned in the background and requests fail over to
@@ -111,7 +111,7 @@ fn main() {
     // before the fleet is torn down. Under supervision the membership
     // may have changed mid-run (respawned workers come back on fresh
     // ports), so read the addresses from the live spec.
-    let worker_addrs: Vec<String> = cfg.fleet.as_ref().map_or(Vec::new(), |f| f.snapshot().addrs);
+    let worker_addrs: Vec<String> = cfg.fleet.as_ref().map_or(Vec::new(), |f| f.addrs());
     if !worker_addrs.is_empty() {
         println!("\n-- evald worker stats --");
         for addr in &worker_addrs {

@@ -80,9 +80,6 @@ pub struct HarnessConfig {
     /// The matrix binaries spawn the fleet via [`spawn_workers`], which
     /// puts its live spec into `fleet`.
     pub workers: usize,
-    /// Base respawn backoff in milliseconds for a supervised fleet
-    /// (doubles per restart of the same slot, plus seeded jitter).
-    pub supervise_backoff_ms: u64,
     /// Enable the prefix-transform cache ([`autofp_core::PrefixCache`]):
     /// one cache per *dataset* at [`PrefixCache::DEFAULT_BYTE_BUDGET`],
     /// shared across every model group and algorithm cell of that
@@ -117,7 +114,6 @@ impl Default for HarnessConfig {
             cache_mode: CacheMode::Shared,
             fleet: None,
             workers: 0,
-            supervise_backoff_ms: 50,
             prefix_cache: false,
             cells_out: None,
             trial_store: None,
@@ -150,9 +146,7 @@ impl HarnessConfig {
     /// `--trial-store` (durable trial repository directory; see
     /// [`HarnessConfig::trial_store`]), `--remote` (comma-separated
     /// worker addresses), `--workers` (local worker processes to
-    /// spawn), `--supervise-backoff-ms` (base respawn backoff of a
-    /// `--workers` fleet). A value never starts with `--`
-    /// ([`Flags::value`]).
+    /// spawn). A value never starts with `--` ([`Flags::value`]).
     ///
     /// Rejected outright: an explicit `--workers 0` (a zero-worker
     /// fleet can serve nothing — omit the flag for an in-process run),
@@ -234,7 +228,7 @@ impl HarnessConfig {
                             ));
                         }
                     }
-                    cfg.fleet = Some(SharedFleetSpec::fixed(addrs));
+                    cfg.fleet = Some(SharedFleetSpec::new(addrs));
                 }
                 "--workers" => {
                     let n: usize = flags.parse("an integer")?;
@@ -247,7 +241,6 @@ impl HarnessConfig {
                     }
                     cfg.workers = n;
                 }
-                "--supervise-backoff-ms" => cfg.supervise_backoff_ms = flags.parse("an integer")?,
                 other => return Err(format!("unknown argument: {other}")),
             }
             Ok(())
@@ -267,11 +260,6 @@ impl HarnessConfig {
             );
         }
         Ok(cfg)
-    }
-
-    /// The [`SupervisorConfig`] a `--workers` fleet should run with.
-    pub fn supervisor_config(&self) -> SupervisorConfig {
-        SupervisorConfig { backoff: Duration::from_millis(self.supervise_backoff_ms) }
     }
 
     /// The dataset specs this run covers.
@@ -413,7 +401,7 @@ pub fn run_matrix(
     };
     // One pool for the whole matrix: every (dataset, model) group's
     // backend shares its connections, circuit breakers, and fleet
-    // membership, so a supervisor's epoch bumps reach all of them.
+    // membership, so a supervisor's respawns reach all of them.
     let pool = TcpPool::new(fleet.clone(), REMOTE_TIMEOUT);
     let factory_pool = pool.clone();
     // Remote evaluation ignores the harness prefix cache: the
@@ -443,8 +431,8 @@ pub fn evald_binary() -> std::path::PathBuf {
 /// Spawn `n` supervised local `evald` workers (see [`evald_binary`])
 /// for a `--workers N` run: the returned [`FleetSupervisor`] owns the
 /// children, and its [`FleetSupervisor::monitor`] loop respawns dead
-/// ones and republishes membership. Route the matrix over its live
-/// spec by putting [`FleetSupervisor::fleet`] into
+/// ones, moving each respawned slot to its new address. Route the
+/// matrix over its live spec by putting [`FleetSupervisor::fleet`] into
 /// [`HarnessConfig::fleet`].
 pub fn spawn_supervised_fleet(
     n: usize,
@@ -456,7 +444,7 @@ pub fn spawn_supervised_fleet(
 /// Start the `--workers N` fleet of a matrix binary: spawn `N`
 /// supervised workers ([`spawn_supervised_fleet`]), route `config` over
 /// their live spec and move the supervisor onto a background monitor
-/// that respawns dead workers and republishes the epoch-bumped spec.
+/// that respawns dead workers.
 /// Returns `None`, and changes nothing, without `--workers`.
 ///
 /// Hold the monitor until the run is done: dropping it shuts the
@@ -468,7 +456,7 @@ pub fn spawn_workers(config: &mut HarnessConfig) -> Option<FleetMonitor> {
     if config.workers == 0 || config.fleet.is_some() {
         return None;
     }
-    let supervisor = spawn_supervised_fleet(config.workers, config.supervisor_config())
+    let supervisor = spawn_supervised_fleet(config.workers, SupervisorConfig::default())
         .expect("spawn evald workers");
     println!("spawned {} supervised evald workers: {:?}\n", supervisor.len(), supervisor.addrs());
     config.fleet = Some(supervisor.fleet());
@@ -737,8 +725,8 @@ mod tests {
     #[test]
     fn arg_slice_parses_remote_and_worker_flags() {
         let cfg = parsed(&argv(&["--remote", "127.0.0.1:4000,127.0.0.1:4001"]));
-        let fleet = cfg.fleet.as_ref().expect("--remote sets a fixed fleet").snapshot();
-        assert_eq!(fleet.addrs, vec!["127.0.0.1:4000", "127.0.0.1:4001"]);
+        let fleet = cfg.fleet.as_ref().expect("--remote sets a fixed fleet");
+        assert_eq!(fleet.addrs(), vec!["127.0.0.1:4000", "127.0.0.1:4001"]);
         let cfg = parsed(&argv(&["--workers", "2"]));
         assert_eq!(cfg.workers, 2);
         assert!(cfg.fleet.is_none());
@@ -777,28 +765,14 @@ mod tests {
     }
 
     #[test]
-    fn supervise_knobs_parse_into_the_supervisor_config() {
-        let cfg = parsed(&argv(&[
-            "--workers",
-            "2",
-            "--supervise-backoff-ms",
-            "20",
-        ]));
-        assert_eq!(cfg.supervise_backoff_ms, 20);
-        let sup = cfg.supervisor_config();
-        assert_eq!(sup.backoff, Duration::from_millis(20));
-        // Defaults flow through unchanged.
-        let defaults = HarnessConfig::default().supervisor_config();
-        assert_eq!(defaults.backoff, Duration::from_millis(50));
-        // The restart cap is a supervisor constant, not a flag.
-        let err = HarnessConfig::try_from_arg_slice(&argv(&[
-            "--workers",
-            "2",
-            "--supervise-max-restarts",
-            "5",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("unknown argument"), "{err}");
+    fn supervisor_knobs_are_not_flags() {
+        // The respawn backoff and the restart cap are supervisor
+        // constants, not flags.
+        for flag in ["--supervise-backoff-ms", "--supervise-max-restarts"] {
+            let err = HarnessConfig::try_from_arg_slice(&argv(&["--workers", "2", flag, "5"]))
+                .unwrap_err();
+            assert!(err.contains("unknown argument"), "{flag}: {err}");
+        }
     }
 
     #[test]

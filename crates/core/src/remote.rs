@@ -37,12 +37,13 @@
 //! defaulted trait hooks ([`RemoteBackend::is_routable`] lets a circuit
 //! breaker route around a repeatedly failing worker without paying a
 //! dial; `note_retry` / `note_failover` observe the evaluator's
-//! decisions for [`FleetStats`]). The hooks default to no-ops so simple
-//! backends stay simple.
+//! decisions for [`FleetStats`]). The evald TCP backend implements all
+//! three; a backend with no breakers or counters keeps the no-op
+//! defaults.
 //!
 //! This module is transport-agnostic by design: `autofp-evald` provides
-//! the TCP and in-process loopback backends, keeping `autofp-core` free
-//! of any wire-format knowledge (and of a dependency cycle).
+//! the TCP backend, keeping `autofp-core` free of any wire-format
+//! knowledge (and of a dependency cycle).
 
 use crate::cache::CacheKey;
 use crate::error::EvalError;
@@ -54,13 +55,11 @@ use std::time::Duration;
 
 /// Robustness counters a [`RemoteBackend`] accumulates over its life.
 ///
-/// All counters are cumulative since backend construction; `epoch` and
-/// `workers` describe the fleet spec the backend currently routes over.
+/// All counters are cumulative since backend construction; `workers`
+/// is the slot count of the fleet the backend routes over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FleetStats {
-    /// Fleet-spec epoch the backend last synchronized with.
-    pub epoch: u64,
-    /// Number of worker slots in the current fleet spec.
+    /// Number of worker slots in the fleet.
     pub workers: u64,
     /// Pooled connections that died and were transparently re-dialed.
     pub reconnects: u64,

@@ -106,7 +106,6 @@ pub fn fleet_stats_markdown(stats: &FleetStats) -> String {
     let mut out = String::from("### Fleet robustness\n\n");
     let _ = writeln!(out, "| metric | value |");
     let _ = writeln!(out, "|---|---|");
-    let _ = writeln!(out, "| epoch | {} |", stats.epoch);
     let _ = writeln!(out, "| workers | {} |", stats.workers);
     let _ = writeln!(out, "| reconnects | {} |", stats.reconnects);
     let _ = writeln!(out, "| retries | {} |", stats.retries);

@@ -10,18 +10,14 @@
 //! backend reports it unroutable and `RemoteEvaluator` routes its keys
 //! to their rendezvous successors instead of paying connect timeouts.
 //!
-//! The backend routes over a [`SharedFleetSpec`]: when a supervisor
-//! bumps the epoch (a respawn on a new port), every clone of the
-//! backend notices at its next request, drops connections to replaced
-//! addresses, and resets the affected breakers.
-//!
-//! [`LoopbackBackend`] runs the same requests against in-process
-//! [`WorkerService`]s while still round-tripping every byte through
-//! [`crate::wire`] — tests get full protocol coverage without sockets
-//! or child processes.
+//! The backend routes over a [`SharedFleetSpec`]. Each slot's pooled
+//! state remembers the address its idle connections and breaker belong
+//! to: when a supervisor moves a slot to a new address (a respawn on a
+//! new port), the next request to that slot drops the old connections
+//! and starts a closed breaker, and the outcome of an exchange that
+//! began against the old address touches neither.
 
 use crate::fleet::{CircuitBreaker, SharedFleetSpec};
-use crate::service::WorkerService;
 use crate::wire::{
     decode_response, encode_request, read_frame, write_frame, EvalContext, Request, Response,
     WorkerStats,
@@ -30,7 +26,7 @@ use autofp_core::{EvalError, FleetStats, RemoteBackend, RemoteInfo, Trial};
 use autofp_preprocess::Pipeline;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Idle connections kept per worker slot; checkins beyond this are
@@ -97,8 +93,8 @@ fn info_from(resp: Response, addr: &str) -> Result<RemoteInfo, EvalError> {
     }
 }
 
-/// One worker slot's pooled state: its current address, idle
-/// connections to that address, and its circuit breaker.
+/// One worker slot's pooled state: the address its idle connections
+/// and breaker belong to, those connections, and the breaker.
 struct SlotState {
     addr: String,
     idle: Vec<TcpStream>,
@@ -111,18 +107,13 @@ impl SlotState {
     }
 }
 
-/// Pool state guarded by one mutex: the epoch it was built against
-/// plus per-slot connections and breakers. I/O never happens under
-/// the lock — streams are checked out, used, and checked back in.
-struct PoolState {
-    epoch: u64,
-    slots: Vec<SlotState>,
-}
-
 struct PoolInner {
     fleet: SharedFleetSpec,
     timeout: Duration,
-    state: Mutex<PoolState>,
+    /// Per-slot state, one entry per fleet slot. I/O never happens
+    /// under this lock: streams are checked out, used, and checked back
+    /// in.
+    state: Mutex<Vec<SlotState>>,
     reconnects: AtomicU64,
     retries: AtomicU64,
     failovers: AtomicU64,
@@ -146,14 +137,10 @@ impl TcpPool {
     /// A pool routing over `fleet`, with `timeout` applied to connect,
     /// read and write individually.
     pub fn new(fleet: SharedFleetSpec, timeout: Duration) -> TcpPool {
-        let spec = fleet.snapshot();
         let inner = PoolInner {
+            state: Mutex::new(fleet.addrs().into_iter().map(SlotState::new).collect()),
             fleet,
             timeout,
-            state: Mutex::new(PoolState {
-                epoch: spec.epoch,
-                slots: spec.addrs.into_iter().map(SlotState::new).collect(),
-            }),
             reconnects: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
@@ -162,29 +149,17 @@ impl TcpPool {
         TcpPool { inner: Arc::new(inner) }
     }
 
-    /// A pool over a fixed address list (epoch 1, no supervisor).
-    pub fn fixed(addrs: Vec<String>, timeout: Duration) -> TcpPool {
-        TcpPool::new(SharedFleetSpec::fixed(addrs), timeout)
-    }
-
     /// Bind an evaluation context, yielding a [`RemoteBackend`] that
     /// shares this pool's connections and counters.
     pub fn backend(&self, ctx: EvalContext) -> TcpBackend {
         TcpBackend { ctx, pool: self.clone() }
     }
 
-    /// The fleet spec handle this pool routes over.
-    pub fn fleet(&self) -> SharedFleetSpec {
-        self.inner.fleet.clone()
-    }
-
     /// Snapshot of the pool's robustness counters plus the fleet's
-    /// epoch/size/respawn bookkeeping.
+    /// size and respawn count.
     pub fn fleet_stats(&self) -> FleetStats {
-        let spec = self.inner.fleet.snapshot();
         FleetStats {
-            epoch: spec.epoch,
-            workers: spec.addrs.len() as u64,
+            workers: self.inner.fleet.slots() as u64,
             reconnects: self.inner.reconnects.load(Ordering::Relaxed),
             retries: self.inner.retries.load(Ordering::Relaxed),
             failovers: self.inner.failovers.load(Ordering::Relaxed),
@@ -193,90 +168,82 @@ impl TcpPool {
         }
     }
 
-    /// Lock the pool state, first resynchronizing it with the shared
-    /// fleet spec: on an epoch change, slots whose address survived
-    /// keep their connections and breaker; replaced slots start fresh
-    /// (empty pool, closed breaker).
-    fn sync(&self) -> std::sync::MutexGuard<'_, PoolState> {
-        let mut state = self.inner.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let spec = self.inner.fleet.snapshot();
-        if spec.epoch != state.epoch {
-            let mut old: Vec<SlotState> = state.slots.drain(..).collect();
-            state.slots = spec
-                .addrs
-                .into_iter()
-                .enumerate()
-                .map(|(i, addr)| {
-                    if old.get(i).is_some_and(|s| s.addr == addr) {
-                        std::mem::replace(&mut old[i], SlotState::new(String::new()))
-                    } else {
-                        SlotState::new(addr)
-                    }
-                })
-                .collect();
-            state.epoch = spec.epoch;
+    fn lock(&self) -> MutexGuard<'_, Vec<SlotState>> {
+        // Slot state is only ever replaced whole under the lock; recover
+        // the guard instead of wedging routing.
+        self.inner.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// `worker`'s slot at the fleet's current address for it. A slot
+    /// the supervisor moved since starts over, with no idle connections
+    /// and a closed breaker: both belonged to the old worker.
+    fn current<'a>(&self, slots: &'a mut [SlotState], worker: usize) -> Option<&'a mut SlotState> {
+        let addr = self.inner.fleet.addr(worker)?;
+        let slot = slots.get_mut(worker)?;
+        if slot.addr != addr {
+            *slot = SlotState::new(addr);
         }
-        state
+        Some(slot)
     }
 
-    fn slot_addr(&self, worker: usize) -> Result<String, EvalError> {
-        let state = self.sync();
-        state
-            .slots
-            .get(worker)
-            .map(|s| s.addr.clone())
-            .ok_or_else(|| transport(format!("no worker {worker}")))
-    }
-
+    /// The address to use for one exchange with `worker`, plus an idle
+    /// connection to it if the pool holds one.
     fn checkout(&self, worker: usize) -> Result<(String, Option<TcpStream>), EvalError> {
-        let mut state = self.sync();
-        let slot =
-            state.slots.get_mut(worker).ok_or_else(|| transport(format!("no worker {worker}")))?;
-        Ok((slot.addr.clone(), slot.idle.pop()))
+        let mut slots = self.lock();
+        match self.current(&mut slots, worker) {
+            Some(slot) => Ok((slot.addr.clone(), slot.idle.pop())),
+            None => Err(transport(format!("no worker {worker}"))),
+        }
     }
 
-    /// Return a healthy stream to `worker`'s pool — unless the fleet
-    /// moved or the pool is full, in which case the stream is dropped.
+    /// Apply `f` to `worker`'s slot while it still belongs to `addr`:
+    /// an exchange that began before a respawn must not touch the new
+    /// worker's connections or breaker.
+    fn with_slot(&self, worker: usize, addr: &str, f: impl FnOnce(&mut SlotState)) {
+        let mut slots = self.lock();
+        if let Some(slot) = slots.get_mut(worker).filter(|s| s.addr == addr) {
+            f(slot);
+        }
+    }
+
+    /// Return a healthy stream to `worker`'s pool, unless the slot
+    /// moved off `addr` or the pool is full; then the stream is dropped.
     fn checkin(&self, worker: usize, addr: &str, stream: TcpStream) {
-        let mut state = self.sync();
-        if let Some(slot) = state.slots.get_mut(worker) {
-            if slot.addr == addr && slot.idle.len() < MAX_IDLE_PER_SLOT {
+        self.with_slot(worker, addr, |slot| {
+            if slot.idle.len() < MAX_IDLE_PER_SLOT {
                 slot.idle.push(stream);
             }
-        }
+        });
     }
 
-    fn record_success(&self, worker: usize) {
-        let mut state = self.sync();
-        if let Some(slot) = state.slots.get_mut(worker) {
-            slot.breaker.record_success();
-        }
+    fn record_success(&self, worker: usize, addr: &str) {
+        self.with_slot(worker, addr, |slot| slot.breaker.record_success());
     }
 
-    fn record_failure(&self, worker: usize) {
-        let mut state = self.sync();
-        if let Some(slot) = state.slots.get_mut(worker) {
+    fn record_failure(&self, worker: usize, addr: &str) {
+        self.with_slot(worker, addr, |slot| {
             if slot.breaker.record_failure() {
                 self.inner.circuit_opens.fetch_add(1, Ordering::Relaxed);
             }
-        }
+        });
     }
 
-    /// One request to `worker` over a pooled connection.
+    /// One request to `worker` over a pooled connection. Returns the
+    /// address the exchange used alongside its response.
     ///
     /// A pooled (previously used) connection that fails mid-exchange
     /// is dropped and the exchange retried once on a fresh dial —
     /// requests are pure evaluations, so a resend is safe. Failures on
     /// a fresh connection are final for this exchange and feed the
     /// slot's breaker.
-    fn exchange(&self, worker: usize, req: &Request) -> Result<Response, EvalError> {
+    fn exchange(&self, worker: usize, req: &Request) -> Result<(String, Response), EvalError> {
         let (addr, pooled) = self.checkout(worker)?;
         if let Some(mut stream) = pooled {
             match roundtrip(&mut stream, &addr, req) {
                 Ok(resp) => {
-                    self.record_success(worker);
+                    self.record_success(worker, &addr);
                     self.checkin(worker, &addr, stream);
-                    return Ok(resp);
+                    return Ok((addr, resp));
                 }
                 Err(_) => {
                     // The pooled connection went stale (worker
@@ -293,12 +260,12 @@ impl TcpPool {
         })();
         match fresh {
             Ok((stream, resp)) => {
-                self.record_success(worker);
+                self.record_success(worker, &addr);
                 self.checkin(worker, &addr, stream);
-                Ok(resp)
+                Ok((addr, resp))
             }
             Err(err) => {
-                self.record_failure(worker);
+                self.record_failure(worker, &addr);
                 Err(err)
             }
         }
@@ -315,26 +282,23 @@ pub struct TcpBackend {
 
 impl RemoteBackend for TcpBackend {
     fn workers(&self) -> usize {
-        self.pool.sync().slots.len()
+        self.pool.inner.fleet.slots()
     }
 
     fn evaluate(&self, worker: usize, pipeline: &Pipeline, fraction: f64) -> Result<Trial, EvalError> {
         let req = Request::Eval { ctx: self.ctx.clone(), pipeline: pipeline.clone(), fraction };
-        let addr = self.pool.slot_addr(worker)?;
-        trial_from(self.pool.exchange(worker, &req)?, &addr)
+        let (addr, resp) = self.pool.exchange(worker, &req)?;
+        trial_from(resp, &addr)
     }
 
     fn describe(&self, worker: usize) -> Result<RemoteInfo, EvalError> {
-        let addr = self.pool.slot_addr(worker)?;
-        info_from(self.pool.exchange(worker, &Request::Describe(self.ctx.clone()))?, &addr)
+        let (addr, resp) = self.pool.exchange(worker, &Request::Describe(self.ctx.clone()))?;
+        info_from(resp, &addr)
     }
 
     fn is_routable(&self, worker: usize) -> bool {
-        let mut state = self.pool.sync();
-        match state.slots.get_mut(worker) {
-            Some(slot) => slot.breaker.should_route(),
-            None => false,
-        }
+        let mut slots = self.pool.lock();
+        self.pool.current(&mut slots, worker).is_some_and(|slot| slot.breaker.should_route())
     }
 
     fn note_retry(&self, _worker: usize) {
@@ -343,56 +307,6 @@ impl RemoteBackend for TcpBackend {
 
     fn note_failover(&self, _from: usize, _to: usize) {
         self.pool.inner.failovers.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// [`RemoteBackend`] over in-process services: every request is still
-/// encoded, framed, decoded, handled, re-encoded and re-decoded, so a
-/// loopback run exercises the exact byte path of a TCP run.
-pub struct LoopbackBackend {
-    workers: Vec<Arc<WorkerService>>,
-    ctx: EvalContext,
-}
-
-impl LoopbackBackend {
-    /// A backend sharding over in-process `workers` under `ctx`.
-    pub fn new(workers: Vec<Arc<WorkerService>>, ctx: EvalContext) -> LoopbackBackend {
-        LoopbackBackend { workers, ctx }
-    }
-
-    fn call(&self, worker: usize, req: &Request) -> Result<Response, EvalError> {
-        let service = self
-            .workers
-            .get(worker)
-            .ok_or_else(|| transport(format!("no worker {worker}")))?;
-        // Full wire round-trip in memory.
-        let mut frame = Vec::new();
-        write_frame(&mut frame, &encode_request(req))?;
-        let mut r = &frame[..];
-        let payload =
-            read_frame(&mut r)?.ok_or_else(|| transport("loopback produced no frame"))?;
-        let resp = service.handle(&crate::wire::decode_request(&payload)?);
-        let mut frame = Vec::new();
-        write_frame(&mut frame, &crate::wire::encode_response(&resp))?;
-        let mut r = &frame[..];
-        let payload =
-            read_frame(&mut r)?.ok_or_else(|| transport("loopback produced no response"))?;
-        decode_response(&payload)
-    }
-}
-
-impl RemoteBackend for LoopbackBackend {
-    fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    fn evaluate(&self, worker: usize, pipeline: &Pipeline, fraction: f64) -> Result<Trial, EvalError> {
-        let req = Request::Eval { ctx: self.ctx.clone(), pipeline: pipeline.clone(), fraction };
-        trial_from(self.call(worker, &req)?, "loopback")
-    }
-
-    fn describe(&self, worker: usize) -> Result<RemoteInfo, EvalError> {
-        info_from(self.call(worker, &Request::Describe(self.ctx.clone()))?, "loopback")
     }
 }
 
@@ -423,8 +337,9 @@ pub fn shutdown(addr: &str, timeout: Duration) -> Result<(), EvalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::{FleetSpec, OPEN_AFTER};
+    use crate::fleet::OPEN_AFTER;
     use crate::server::Server;
+    use crate::service::WorkerService;
     use autofp_core::{Evaluate, Evaluator, RemoteEvaluator};
     use autofp_data::spec_by_name;
     use autofp_models::classifier::ModelKind;
@@ -446,13 +361,36 @@ mod tests {
         Evaluator::new(&spec.generate(0.2), ctx().eval_config())
     }
 
+    /// A pool over a fixed address list, as `--remote` builds one.
+    fn pool(addrs: &[&str], timeout: Duration) -> TcpPool {
+        TcpPool::new(SharedFleetSpec::new(addrs.iter().map(|a| a.to_string()).collect()), timeout)
+    }
+
+    /// A worker [`Server`] on a localhost port, running on its own
+    /// thread until [`stop`] sends it `Shutdown`.
+    fn start_server() -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
+        let server = Server::bind("127.0.0.1:0", Arc::new(WorkerService::new())).expect("bind");
+        let addr = server.local_addr().expect("addr").to_string();
+        (addr, std::thread::spawn(move || server.run()))
+    }
+
+    fn stop(addr: &str, handle: std::thread::JoinHandle<std::io::Result<()>>) {
+        shutdown(addr, Duration::from_secs(5)).expect("shutdown");
+        handle.join().expect("server thread").expect("server run");
+    }
+
+    /// An address with no listener: bind, read the port, drop.
+    fn dead_addr() -> String {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        l.local_addr().expect("addr").to_string()
+    }
+
     #[test]
     fn loopback_matches_local_evaluation_bit_exactly() {
-        let backend = LoopbackBackend::new(
-            vec![Arc::new(WorkerService::new()), Arc::new(WorkerService::new())],
-            ctx(),
-        );
-        let remote = RemoteEvaluator::new(Box::new(backend), ctx().eval_config());
+        let (a0, h0) = start_server();
+        let (a1, h1) = start_server();
+        let pool = pool(&[&a0, &a1], Duration::from_secs(30));
+        let remote = RemoteEvaluator::new(Box::new(pool.backend(ctx())), ctx().eval_config());
         let local = local_evaluator();
         assert_eq!(remote.baseline_accuracy().to_bits(), local.baseline_accuracy().to_bits());
         assert_eq!(remote.train_rows(), local.train_rows());
@@ -469,16 +407,15 @@ mod tests {
             assert_eq!(r.error.to_bits(), l.error.to_bits(), "{p}");
             assert_eq!(r.failure, l.failure, "{p}");
         }
+        stop(&a0, h0);
+        stop(&a1, h1);
     }
 
     #[test]
     fn tcp_backend_round_trips_and_reuses_pooled_connections() {
-        let server = Server::bind("127.0.0.1:0", Arc::new(WorkerService::new())).expect("bind");
-        let addr = server.local_addr().expect("addr").to_string();
-        let handle = std::thread::spawn(move || server.run());
-
+        let (addr, handle) = start_server();
         ping(&addr, Duration::from_secs(5)).expect("ping");
-        let pool = TcpPool::fixed(vec![addr.clone()], Duration::from_secs(30));
+        let pool = pool(&[&addr], Duration::from_secs(30));
         let remote = RemoteEvaluator::new(Box::new(pool.backend(ctx())), ctx().eval_config());
         let local = local_evaluator();
         let p = Pipeline::from_kinds(&[PreprocKind::StandardScaler]);
@@ -491,15 +428,12 @@ mod tests {
         let fleet = pool.fleet_stats();
         assert_eq!(fleet.reconnects, 0);
         assert_eq!(fleet.workers, 1);
-        assert_eq!(fleet.epoch, 1);
 
         let s = stats(&addr, Duration::from_secs(5)).expect("stats");
         // Describe (baseline probe) built the context; two evals served.
         assert_eq!(s.served, 2);
         assert_eq!(s.contexts, 1);
-
-        shutdown(&addr, Duration::from_secs(5)).expect("shutdown");
-        handle.join().expect("server thread").expect("server run");
+        stop(&addr, handle);
     }
 
     /// A minimal TCP server that answers exactly one request per
@@ -529,7 +463,7 @@ mod tests {
     #[test]
     fn stale_pooled_connection_reconnects_transparently() {
         let (addr, handle) = one_shot_server();
-        let pool = TcpPool::fixed(vec![addr.clone()], Duration::from_secs(5));
+        let pool = pool(&[&addr], Duration::from_secs(5));
         let backend = pool.backend(ctx());
         let p = Pipeline::empty();
         // First evaluate dials fresh; the server closes after
@@ -546,12 +480,7 @@ mod tests {
 
     #[test]
     fn dead_worker_opens_its_circuit_and_reports_unroutable() {
-        // Bind-then-drop guarantees a port with no listener.
-        let addr = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-            l.local_addr().expect("addr").to_string()
-        };
-        let pool = TcpPool::fixed(vec![addr], Duration::from_millis(200));
+        let pool = pool(&[&dead_addr()], Duration::from_millis(200));
         let backend = pool.backend(ctx());
         let p = Pipeline::empty();
         for _ in 0..OPEN_AFTER {
@@ -563,38 +492,59 @@ mod tests {
     }
 
     #[test]
-    fn epoch_bump_resynchronizes_the_pool() {
-        let fleet = SharedFleetSpec::fixed(vec!["127.0.0.1:1".into()]);
-        let pool = TcpPool::new(fleet.clone(), Duration::from_millis(200));
+    fn replacing_a_slot_address_resets_only_that_slot() {
+        let (live, handle) = start_server();
+        let fleet = SharedFleetSpec::new(vec![live.clone(), dead_addr()]);
+        let pool = TcpPool::new(fleet.clone(), Duration::from_millis(500));
         let backend = pool.backend(ctx());
-        assert_eq!(backend.workers(), 1);
-        assert_eq!(pool.fleet_stats().epoch, 1);
-        // Open the dead slot's circuit.
+        // Slot 0 pools one idle connection to its live worker, then its
+        // breaker is opened; slot 1's dead worker opens its own.
+        backend.describe(0).expect("live worker answers");
+        assert_eq!(pool.lock()[0].idle.len(), 1);
         for _ in 0..OPEN_AFTER {
-            assert!(backend.evaluate(0, &Pipeline::empty(), 1.0).is_err());
+            pool.record_failure(0, &live);
+            assert!(backend.evaluate(1, &Pipeline::empty(), 1.0).is_err());
         }
         assert!(!backend.is_routable(0));
-        // A supervisor publishes a new spec: the slot's address
-        // changed, so its breaker resets and the fleet grows.
-        fleet.publish(FleetSpec {
-            epoch: 2,
-            addrs: vec!["127.0.0.1:2".into(), "127.0.0.1:3".into()],
-        });
+        assert!(!backend.is_routable(1));
+
+        // A respawn moves slot 0: its breaker and idle connections
+        // belonged to the old worker, so both start over.
+        fleet.replace(0, "127.0.0.1:1".into());
+        assert!(backend.is_routable(0), "the moved slot starts with a closed breaker");
+        let (addr, idle) = pool.checkout(0).expect("slot 0");
+        assert_eq!(addr, "127.0.0.1:1");
+        assert!(idle.is_none(), "no connection to the old worker is handed out");
+        assert!(!backend.is_routable(1), "slot 1 kept its open breaker");
         assert_eq!(backend.workers(), 2);
-        assert!(backend.is_routable(0), "replaced slot starts with a closed breaker");
-        assert_eq!(pool.fleet_stats().epoch, 2);
         assert_eq!(pool.fleet_stats().workers, 2);
+        stop(&live, handle);
+    }
+
+    #[test]
+    fn failures_against_a_replaced_address_spare_the_new_worker() {
+        let fleet = SharedFleetSpec::new(vec!["127.0.0.1:1".into()]);
+        let pool = TcpPool::new(fleet.clone(), Duration::from_millis(200));
+        // An exchange checks out the dying worker's address, the
+        // supervisor respawns the slot, and a request to the new worker
+        // resets the slot before the old exchange reports its failure.
+        let (old, _) = pool.checkout(0).expect("slot 0");
+        fleet.replace(0, "127.0.0.1:2".into());
+        let (new, _) = pool.checkout(0).expect("slot 0");
+        assert_ne!(old, new);
+        for _ in 0..OPEN_AFTER {
+            pool.record_failure(0, &old);
+        }
+        assert!(pool.backend(ctx()).is_routable(0), "the new worker's circuit stays closed");
+        assert_eq!(pool.fleet_stats().circuit_opens, 0);
     }
 
     #[test]
     fn dead_address_is_a_transport_error() {
-        let addr = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-            l.local_addr().expect("addr").to_string()
-        };
+        let addr = dead_addr();
         let err = ping(&addr, Duration::from_millis(300)).expect_err("dead worker");
         assert!(matches!(err, EvalError::Transport { .. }), "{err:?}");
-        let backend = TcpPool::fixed(vec![addr], Duration::from_millis(300)).backend(ctx());
+        let backend = pool(&[&addr], Duration::from_millis(300)).backend(ctx());
         let err = backend
             .evaluate(0, &Pipeline::empty(), 1.0)
             .expect_err("dead worker evaluate");
@@ -603,23 +553,27 @@ mod tests {
 
     #[test]
     fn out_of_range_worker_index_is_a_transport_error() {
-        let backend = LoopbackBackend::new(vec![Arc::new(WorkerService::new())], ctx());
+        let (addr, handle) = start_server();
+        let backend = pool(&[&addr], Duration::from_secs(5)).backend(ctx());
         let err = backend.evaluate(5, &Pipeline::empty(), 1.0).expect_err("bad index");
         assert!(matches!(err, EvalError::Transport { .. }), "{err:?}");
-        let tcp = TcpPool::fixed(vec![], Duration::from_millis(100)).backend(ctx());
+        let tcp = pool(&[], Duration::from_millis(100)).backend(ctx());
         let err = tcp.evaluate(0, &Pipeline::empty(), 1.0).expect_err("no slots");
         assert!(matches!(err, EvalError::Transport { .. }), "{err:?}");
         assert!(!tcp.is_routable(0));
+        stop(&addr, handle);
     }
 
     #[test]
     fn server_side_failure_comes_back_as_the_original_error() {
+        let (addr, handle) = start_server();
         let bad = EvalContext { dataset: "nope".into(), ..ctx() };
-        let backend = LoopbackBackend::new(vec![Arc::new(WorkerService::new())], bad);
+        let backend = pool(&[&addr], Duration::from_secs(5)).backend(bad);
         let err = backend.evaluate(0, &Pipeline::empty(), 1.0).expect_err("unknown dataset");
         assert!(
             matches!(err, EvalError::Transport { ref detail } if detail.contains("unknown dataset")),
             "{err:?}"
         );
+        stop(&addr, handle);
     }
 }

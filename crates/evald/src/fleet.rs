@@ -1,22 +1,24 @@
 //! Fleet membership and per-worker failure tracking.
 //!
 //! [`SharedFleetSpec`] is the one copy of fleet membership: the
-//! supervisor publishes epoch-stamped membership changes into it, and
-//! every [`crate::client::TcpPool`] clone reads it at request time,
-//! resynchronizing its connections when the epoch moves. Workers hold
-//! no membership of their own. [`CircuitBreaker`] tracks consecutive
-//! transport failures per worker slot so the router can stop paying
-//! connect timeouts to a dead worker and fail over to the key's
-//! rendezvous successor, while still probing the slot periodically to
-//! notice recovery.
+//! address of each worker slot. The slot count is fixed for the
+//! fleet's life; the supervisor replaces one slot's address when it
+//! respawns that worker on a new port, and every
+//! [`crate::client::TcpPool`] clone compares a slot's address at
+//! checkout, resetting that slot's connections and breaker when it
+//! moved. Workers hold no membership of their own. [`CircuitBreaker`]
+//! tracks consecutive transport failures per worker slot so the router
+//! can stop paying connect timeouts to a dead worker and fail over to
+//! the key's rendezvous successor, while still probing the slot
+//! periodically to notice recovery.
 //!
 //! Everything here is deterministic: breaker transitions are a pure
-//! function of the observed success/failure sequence, and the fleet
-//! spec only moves when a supervisor publishes a strictly describable
-//! membership change. No clocks, no RNG.
+//! function of the observed success/failure sequence, and a slot's
+//! address only moves when a supervisor respawns its worker. No
+//! clocks, no RNG.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Consecutive transport failures that open a worker's circuit.
 pub const OPEN_AFTER: u32 = 3;
@@ -25,71 +27,57 @@ pub const OPEN_AFTER: u32 = 3;
 /// through as a half-open probe so a recovered worker is noticed.
 pub const PROBE_EVERY: u32 = 8;
 
-/// An epoch-stamped description of the worker fleet: which addresses
-/// hold which slots.
+/// Thread-shared fleet membership: worker addresses by slot index, plus
+/// the supervisor's cumulative respawn counter.
 ///
-/// The slot *index* (position in `addrs`) is a worker's routing
-/// identity — rendezvous hashing maps fingerprints to slots, so a
-/// respawned worker that comes back on a new port keeps its keyspace.
-/// `epoch` increases monotonically on every membership change
-/// (a respawn).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FleetSpec {
-    /// Monotonic version of the fleet membership.
-    pub epoch: u64,
-    /// Worker addresses by slot index.
-    pub addrs: Vec<String>,
-}
-
-/// A thread-shared, epoch-stamped [`FleetSpec`] plus the supervisor's
-/// cumulative respawn counter.
-///
-/// Cloning shares the underlying cell: the supervisor and any number
-/// of backends observe the same membership. Publishes are
-/// last-writer-wins guarded by epoch monotonicity, so a slow publisher
-/// cannot roll the fleet back.
+/// The slot *index* is a worker's routing identity — rendezvous hashing
+/// maps fingerprints to slots, so a respawned worker that comes back on
+/// a new port keeps its keyspace. Cloning shares the underlying cells:
+/// the supervisor and any number of backends observe the same
+/// membership.
 #[derive(Debug, Clone)]
 pub struct SharedFleetSpec {
-    spec: Arc<Mutex<FleetSpec>>,
+    addrs: Arc<[Mutex<String>]>,
     respawns: Arc<AtomicU64>,
 }
 
 impl SharedFleetSpec {
-    /// Share `spec` as the initial membership.
-    pub fn new(spec: FleetSpec) -> SharedFleetSpec {
-        SharedFleetSpec { spec: Arc::new(Mutex::new(spec)), respawns: Arc::new(AtomicU64::new(0)) }
-    }
-
-    /// A fixed fleet over `addrs` at epoch 1 (the common case for a
-    /// hand-supplied `--remote` address list with no supervisor).
-    pub fn fixed(addrs: Vec<String>) -> SharedFleetSpec {
-        SharedFleetSpec::new(FleetSpec { epoch: 1, addrs })
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, FleetSpec> {
-        // The spec is replaced wholesale under the lock, never left
-        // half-written; recover the guard instead of wedging routing.
-        self.spec.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// A copy of the current spec.
-    pub fn snapshot(&self) -> FleetSpec {
-        self.lock().clone()
-    }
-
-    /// The current epoch.
-    pub fn epoch(&self) -> u64 {
-        self.lock().epoch
-    }
-
-    /// Adopt `spec` unless it is older than the one held (epochs are
-    /// monotonic). Returns the epoch held afterwards.
-    pub fn publish(&self, spec: FleetSpec) -> u64 {
-        let mut held = self.lock();
-        if spec.epoch >= held.epoch {
-            *held = spec;
+    /// Share `addrs` as the fleet's slots, in slot order.
+    pub fn new(addrs: Vec<String>) -> SharedFleetSpec {
+        SharedFleetSpec {
+            addrs: addrs.into_iter().map(Mutex::new).collect(),
+            respawns: Arc::new(AtomicU64::new(0)),
         }
-        held.epoch
+    }
+
+    /// Number of worker slots (fixed for the fleet's life).
+    pub fn slots(&self) -> usize {
+        self.addrs.len()
+    }
+
+    fn slot(&self, slot: usize) -> Option<MutexGuard<'_, String>> {
+        let addr = self.addrs.get(slot)?;
+        // A slot holds a whole address, never a half-written one;
+        // recover the guard instead of wedging routing.
+        Some(addr.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// The current address of `slot`, or `None` past the last slot.
+    pub fn addr(&self, slot: usize) -> Option<String> {
+        self.slot(slot).as_deref().cloned()
+    }
+
+    /// Current addresses in slot order.
+    pub fn addrs(&self) -> Vec<String> {
+        (0..self.slots()).filter_map(|slot| self.addr(slot)).collect()
+    }
+
+    /// Move `slot` to `addr` (a respawn on a new port); a slot past the
+    /// last one is ignored.
+    pub fn replace(&self, slot: usize, addr: String) {
+        if let Some(mut held) = self.slot(slot) {
+            *held = addr;
+        }
     }
 
     /// Record `n` worker respawns (supervisor-side).
@@ -205,26 +193,21 @@ mod tests {
     }
 
     #[test]
-    fn shared_spec_publish_is_epoch_monotonic() {
-        let fleet = SharedFleetSpec::fixed(vec!["a:1".into(), "b:2".into()]);
-        assert_eq!(fleet.epoch(), 1);
-        let fixed = FleetSpec { epoch: 1, addrs: vec!["a:1".into(), "b:2".into()] };
-        assert_eq!(fleet.snapshot(), fixed);
-
-        let newer = FleetSpec { epoch: 2, addrs: vec!["a:1".into(), "c:3".into()] };
-        assert_eq!(fleet.publish(newer.clone()), 2);
-        assert_eq!(fleet.snapshot(), newer);
-
-        // Stale publishes are ignored; the held epoch is returned.
-        let stale = FleetSpec { epoch: 1, addrs: vec!["z:9".into()] };
-        assert_eq!(fleet.publish(stale), 2);
-        assert_eq!(fleet.snapshot(), newer);
-
-        // Clones share the cell.
+    fn clones_see_a_replaced_slot_and_the_shared_respawn_count() {
+        let fleet = SharedFleetSpec::new(vec!["a:1".into(), "b:2".into()]);
         let view = fleet.clone();
-        let e3 = FleetSpec { epoch: 3, addrs: vec!["d:4".into()] };
-        fleet.publish(e3.clone());
-        assert_eq!(view.snapshot(), e3);
+        assert_eq!(view.slots(), 2);
+        assert_eq!(view.addrs(), vec!["a:1", "b:2"]);
+
+        fleet.replace(1, "c:3".into());
+        assert_eq!(view.addr(1).as_deref(), Some("c:3"));
+        assert_eq!(view.addr(0).as_deref(), Some("a:1"), "other slots keep their address");
+        // The slot count is fixed: a slot past the end neither exists
+        // nor appears.
+        fleet.replace(2, "d:4".into());
+        assert_eq!(view.addr(2), None);
+        assert_eq!(view.addrs(), vec!["a:1", "c:3"]);
+
         view.note_respawns(2);
         assert_eq!(fleet.respawns(), 2);
     }

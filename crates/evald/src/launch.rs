@@ -12,17 +12,17 @@
 //! The supervisor also heals the fleet: it health-checks every slot
 //! via `Ping`, respawns dead workers (capped restarts per slot,
 //! exponential backoff with seeded jitter so the schedule is
-//! reproducible), and publishes the epoch-bumped [`FleetSpec`] into
-//! the shared spec clients route over on any membership change. A
-//! respawned worker comes back on a fresh OS-assigned port but keeps
-//! its *slot*, and rendezvous routing is keyed on slots — so its
-//! keyspace follows it and results stay bit-identical across
-//! kill/respawn. A supervisor that nothing supervises is a fixed
-//! fleet: a killed worker keeps its slot and nothing respawns it.
+//! reproducible), and writes each respawned worker's address into its
+//! slot of the [`SharedFleetSpec`] clients route over. A respawned
+//! worker comes back on a fresh OS-assigned port but keeps its *slot*,
+//! and rendezvous routing is keyed on slots — so its keyspace follows
+//! it and results stay bit-identical across kill/respawn. A supervisor
+//! that nothing supervises is a fixed fleet: a killed worker keeps its
+//! slot and nothing respawns it.
 
 use autofp_core::mix64;
 use crate::client;
-use crate::fleet::{FleetSpec, SharedFleetSpec};
+use crate::fleet::SharedFleetSpec;
 use std::io::{self, BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -168,11 +168,11 @@ struct SupervisedSlot {
 }
 
 /// A self-healing fleet: spawned workers plus the health-check /
-/// respawn / republish loop.
+/// respawn loop.
 ///
 /// The supervisor owns the children (drop tears the fleet down) and the
-/// [`SharedFleetSpec`] that clients route over; every membership
-/// change bumps the spec's epoch. Call
+/// [`SharedFleetSpec`] that clients route over; a respawn replaces its
+/// slot's address there. Call
 /// [`FleetSupervisor::supervise_once`] from your own loop, or hand the
 /// supervisor to [`FleetSupervisor::monitor`] for a background thread.
 pub struct FleetSupervisor {
@@ -183,19 +183,19 @@ pub struct FleetSupervisor {
 }
 
 impl FleetSupervisor {
-    /// Spawn `n` workers from `bin` under the initial fleet spec
-    /// (epoch 1). All `n` children start before any ready line is
-    /// read, so they boot concurrently; the lines are then read in slot
-    /// order. If any worker fails to start or report, every started
-    /// child is killed and reaped (via drop) before the error returns.
+    /// Spawn `n` workers from `bin`, one per slot. All `n` children
+    /// start before any ready line is read, so they boot concurrently;
+    /// the lines are then read in slot order. If any worker fails to
+    /// start or report, every started child is killed and reaped (via
+    /// drop) before the error returns.
     pub fn spawn(bin: &Path, n: usize, config: SupervisorConfig) -> io::Result<FleetSupervisor> {
         let started = (0..n).map(|_| Starting::start(bin)).collect::<io::Result<Vec<_>>>()?;
         let slots = started
             .into_iter()
             .map(|s| Ok(SupervisedSlot { worker: s.ready()?, restarts: 0 }))
             .collect::<io::Result<Vec<_>>>()?;
-        let addrs: Vec<String> = slots.iter().map(|s| s.worker.addr().to_string()).collect();
-        let fleet = SharedFleetSpec::new(FleetSpec { epoch: 1, addrs });
+        let addrs = slots.iter().map(|s| s.worker.addr().to_string()).collect();
+        let fleet = SharedFleetSpec::new(addrs);
         Ok(FleetSupervisor { bin: bin.to_path_buf(), config, slots, fleet })
     }
 
@@ -219,11 +219,6 @@ impl FleetSupervisor {
         self.slots.is_empty()
     }
 
-    /// Current fleet-spec epoch.
-    pub fn epoch(&self) -> u64 {
-        self.fleet.epoch()
-    }
-
     /// Cumulative workers respawned by this supervisor.
     pub fn respawns(&self) -> u64 {
         self.fleet.respawns()
@@ -231,7 +226,7 @@ impl FleetSupervisor {
 
     /// Kill the worker in `slot` (SIGKILL, no respawn until the next
     /// supervision pass) — the chaos-test hook. Its address stays in
-    /// the spec, so requests routed to it fail as transport errors.
+    /// its slot, so requests routed to it fail as transport errors.
     pub fn kill(&mut self, slot: usize) {
         if let Some(s) = self.slots.get_mut(slot) {
             s.worker.kill();
@@ -240,8 +235,9 @@ impl FleetSupervisor {
 
     /// One supervision pass: ping every slot, respawn dead workers
     /// whose restart budget allows it (exponential backoff with seeded
-    /// jitter before each respawn), and republish the fleet spec if
-    /// membership changed. Returns the number of workers respawned.
+    /// jitter before each respawn), and move each respawned slot to
+    /// its new address in the shared spec. Returns the number of
+    /// workers respawned.
     pub fn supervise_once(&mut self) -> usize {
         let mut respawned = 0usize;
         for (i, slot) in self.slots.iter_mut().enumerate() {
@@ -263,23 +259,14 @@ impl FleetSupervisor {
                 // Replacing the Worker drops (and reaps) the dead
                 // child; the slot index — the routing identity —
                 // is preserved.
+                self.fleet.replace(i, worker.addr().to_string());
                 slot.worker = worker;
                 slot.restarts = restarts + 1;
                 respawned += 1;
             }
         }
-        if respawned > 0 {
-            self.fleet.note_respawns(respawned as u64);
-            self.republish();
-        }
+        self.fleet.note_respawns(respawned as u64);
         respawned
-    }
-
-    /// Bump the epoch and publish the current addresses into the
-    /// shared spec.
-    fn republish(&self) {
-        let spec = FleetSpec { epoch: self.fleet.epoch() + 1, addrs: self.addrs() };
-        self.fleet.publish(spec);
     }
 
     /// Move the supervisor onto a background thread that runs

@@ -22,15 +22,14 @@
 //!   `autofp serve` run on, and [`server::Server`], the worker protocol
 //!   on top of it.
 //! * [`fleet`] — fleet membership ([`fleet::SharedFleetSpec`], the one
-//!   copy of the epoch-stamped [`fleet::FleetSpec`]: the supervisor
-//!   publishes it and every backend routes over it; workers hold no
-//!   membership) and per-worker [`fleet::CircuitBreaker`]s.
+//!   copy of each slot's worker address: the supervisor replaces a
+//!   slot's address on a respawn and every backend routes over it;
+//!   workers hold no membership) and per-worker
+//!   [`fleet::CircuitBreaker`]s.
 //! * [`client`] — [`client::TcpBackend`] (persistent pooled
 //!   connections with reconnect-on-failure and per-slot circuit
-//!   breakers, shared through [`client::TcpPool`]) and
-//!   [`client::LoopbackBackend`] (in-process transport that still
-//!   round-trips every byte through [`wire`]), both implementing
-//!   [`autofp_core::RemoteBackend`].
+//!   breakers, shared through [`client::TcpPool`]), the
+//!   [`autofp_core::RemoteBackend`] the harness shards over.
 //! * [`launch`] — spawning and supervising local worker processes:
 //!   [`launch::FleetSupervisor`] (health-checked respawn with capped
 //!   restarts and seeded-jitter backoff; left unsupervised, a fixed
@@ -47,8 +46,8 @@ pub mod server;
 pub mod service;
 pub mod wire;
 
-pub use client::{ping, shutdown, stats, LoopbackBackend, TcpBackend, TcpPool};
-pub use fleet::{CircuitBreaker, FleetSpec, SharedFleetSpec};
+pub use client::{ping, shutdown, stats, TcpBackend, TcpPool};
+pub use fleet::{CircuitBreaker, SharedFleetSpec};
 pub use launch::{FleetSupervisor, SupervisorConfig};
 pub use server::Server;
 pub use service::WorkerService;

@@ -18,8 +18,7 @@
 //! threatens cross-process reproducibility.
 //!
 //! The service is deliberately transport-free: [`crate::server`] feeds
-//! it decoded frames from TCP, [`crate::client::LoopbackBackend`] feeds
-//! it the same frames in memory, and both get byte-identical responses.
+//! it decoded frames from TCP and encodes what it answers.
 
 use crate::wire::{EvalContext, Request, Response, WorkerStats};
 use autofp_core::{

@@ -218,11 +218,11 @@ fn supervisor_respawns_a_worker_killed_mid_run_bit_identically() {
         "failover covers the gap between death and respawn"
     );
     assert_eq!(supervisor.respawns(), 1);
-    assert!(supervisor.epoch() >= 2, "respawn must republish an epoch-bumped spec");
     let stats = outcome.fleet.expect("remote runs carry fleet stats");
     assert_eq!(stats.respawns, 1);
     // The respawned worker answers on its new address.
     let new_addrs = supervisor.addrs();
     assert_ne!(addrs[1], new_addrs[1], "respawn lands on a fresh port");
+    assert_eq!(supervisor.fleet().addrs(), new_addrs, "the spec the pool routes over moved slot 1");
     autofp::evald::ping(&new_addrs[1], Duration::from_secs(2)).expect("respawned worker alive");
 }
