@@ -15,7 +15,7 @@
 use autofp_bench::HarnessConfig;
 use autofp_core::{EvalConfig, Evaluator};
 use autofp_data::{spec_by_name, Dataset, SynthConfig};
-use autofp_linalg::codec::Murmur3x64_128;
+use autofp_linalg::memo::{KeyWords, WordSink};
 use autofp_linalg::Matrix;
 use autofp_models::classifier::ModelKind;
 use autofp_preprocess::{Pipeline, PreprocKind};
@@ -113,13 +113,13 @@ fn bench_fit_memo(c: &mut Criterion) {
         for (label, model) in [("", ModelKind::Lr), ("xgb-codes/", ModelKind::Xgb)] {
             let trainer = model.trainer(0);
             let digest = || {
-                let mut hash = Murmur3x64_128::new();
+                let mut key = KeyWords::new();
                 for w in [train_rows as u64, cols as u64, (rows - train_rows) as u64, cols as u64] {
-                    hash.write_u64(w);
+                    key.word(w);
                 }
-                hash.write_u64(1.0f64.to_bits());
-                trainer.input_words(&train, &valid, &mut |w| hash.write_u64(w));
-                hash.finish()
+                key.word(1.0f64.to_bits());
+                trainer.input_words(&train, &valid, &mut key);
+                key.finish().digest
             };
             let iters = 200u32;
             black_box(digest());

@@ -1,6 +1,8 @@
 //! Microbenchmarks of the seven preprocessors, plus the DESIGN.md
 //! ablations: Yeo-Johnson λ-search cost and QuantileTransformer
-//! resolution. These costs are the "Prep" phase of Figure 7. The
+//! resolution. These costs are the "Prep" phase of Figure 7. Every
+//! timed fit gets a fresh λ memo, so it searches every column; the
+//! `power_lambda` group prices a search against a memo hit. The
 //! `serve_transform_steps` group prices each fitted step of the served
 //! artifact per value, the floor of the serving path's Prep layer.
 
@@ -11,7 +13,7 @@ use autofp_linalg::Matrix;
 use autofp_models::classifier::ModelKind;
 use autofp_preprocess::artifact::step_kind;
 use autofp_preprocess::power::optimal_lambda;
-use autofp_preprocess::{OutputDist, Pipeline, Preproc, PreprocKind};
+use autofp_preprocess::{LambdaMemo, OutputDist, Pipeline, Preproc, PreprocKind};
 use autofp_serve::fit_artifact;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -26,7 +28,7 @@ fn bench_each_preprocessor(c: &mut Criterion) {
         group.bench_function(kind.name(), |b| {
             b.iter(|| {
                 let mut x = dataset.x.clone();
-                let fitted = p.fit_transform(&mut x);
+                let fitted = p.fit_transform(&mut x, &LambdaMemo::new());
                 black_box((fitted, x))
             })
         });
@@ -59,11 +61,44 @@ fn bench_power_wide(c: &mut Criterion) {
     group.bench_function(format!("{rows}x{cols}"), |b| {
         b.iter(|| {
             let mut x = train.x.clone();
-            let fitted = p.fit_transform(&mut x);
+            let fitted = p.fit_transform(&mut x, &LambdaMemo::new());
             black_box((fitted, x))
         })
     });
     group.finish();
+}
+
+fn bench_power_lambda(_: &mut Criterion) {
+    // λ per column, searched against answered by a memo hit, on the
+    // finite training columns of table4-mini (austrilian at scale 0.05,
+    // 128 x 14) and of the wide case (madeline at scale 0.2, 402 x 259).
+    const PASSES: u32 = 20;
+    for (name, scale) in [("austrilian", 0.05), ("madeline", 0.2)] {
+        let spec = spec_by_name(name).expect("registry dataset");
+        let data = HarnessConfig { scale, ..HarnessConfig::default() }.generate(&spec);
+        let train = data.stratified_split(0.8, 7).train;
+        let (rows, cols) = train.x.shape();
+        let columns: Vec<Vec<f64>> = (0..cols)
+            .map(|j| train.x.col(j).into_iter().filter(|v| v.is_finite()).collect())
+            .collect();
+        let memo = LambdaMemo::new();
+        columns.iter().for_each(|col| assert_eq!(memo.lambda(col), optimal_lambda(col)));
+        let per_column = |lambda: &dyn Fn(&[f64]) -> f64| {
+            let start = Instant::now();
+            for _ in 0..PASSES {
+                columns.iter().for_each(|col| {
+                    black_box(lambda(col));
+                });
+            }
+            start.elapsed().as_secs_f64() * 1e6 / f64::from(PASSES) / cols as f64
+        };
+        let search = per_column(&|col| optimal_lambda(col));
+        let hit = per_column(&|col| memo.lambda(col));
+        for (kind, us) in [("search", search), ("hit", hit)] {
+            let name = format!("power_lambda/{kind}/{rows}x{cols}");
+            println!("bench: {name:<48} {us:>12.3} us/column");
+        }
+    }
 }
 
 fn bench_quantile_resolution(c: &mut Criterion) {
@@ -75,7 +110,7 @@ fn bench_quantile_resolution(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(q), &p, |b, p| {
             b.iter(|| {
                 let mut x = dataset.x.clone();
-                black_box(p.fit_transform(&mut x));
+                black_box(p.fit_transform(&mut x, &LambdaMemo::new()));
                 black_box(&x);
             })
         });
@@ -93,7 +128,7 @@ fn bench_pipeline_depth(c: &mut Criterion) {
         let kinds = vec![PreprocKind::StandardScaler; len];
         let p = autofp_preprocess::Pipeline::from_kinds(&kinds);
         group.bench_with_input(BenchmarkId::from_parameter(len), &p, |b, p| {
-            b.iter(|| black_box(p.fit_transform(&dataset.x)))
+            b.iter(|| black_box(p.fit_transform(&dataset.x, &LambdaMemo::new())))
         });
     }
     group.finish();
@@ -158,6 +193,7 @@ criterion_group!(
     bench_each_preprocessor,
     bench_yeo_johnson_lambda,
     bench_power_wide,
+    bench_power_lambda,
     bench_quantile_resolution,
     bench_pipeline_depth,
     bench_serve_transform_steps

@@ -16,7 +16,7 @@ use autofp_data::{Personality, SynthConfig};
 use autofp_models::classifier::Trainer;
 use autofp_models::metrics::auc_binary;
 use autofp_models::mlp::MlpParams;
-use autofp_preprocess::ParamSpace;
+use autofp_preprocess::{LambdaMemo, ParamSpace};
 
 fn ctr_dataset(name: &str, seed: u64, rows: usize) -> autofp_data::Dataset {
     SynthConfig::new(name, rows, 16, 2, seed)
@@ -67,9 +67,11 @@ fn main() {
         let mut rng = autofp_linalg::rng::rng_from_seed(cfg.seed);
         let mut best_auc: f64 = 0.0;
         let mut best_pipe = String::from("(none)");
+        // Every pipeline fits on this split, so one λ memo serves them all.
+        let lambdas = LambdaMemo::new();
         for _ in 0..n_pipelines {
             let p = space.sample_pipeline(&mut rng, cfg.max_len);
-            let (fitted, train_x) = p.fit_transform(&split.train.x);
+            let (fitted, train_x) = p.fit_transform(&split.train.x, &lambdas);
             let valid_x = fitted.transform_new(&split.valid.x);
             let auc = auc_of(&train_x, &valid_x);
             if auc > best_auc {

@@ -39,8 +39,9 @@ pub enum CacheMode {
     Shared,
     /// No trial cache: every proposal, duplicates included, goes to the
     /// evaluator. Each evaluator's fit memo still answers a repeated
-    /// transformed input without refitting; the prefix cache has its
-    /// own switch, `prefix_cache`.
+    /// transformed input without refitting, and its λ memo a repeated
+    /// power-transform column without a λ search; the prefix cache has
+    /// its own switch, `prefix_cache`.
     Off,
 }
 

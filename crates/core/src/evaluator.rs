@@ -31,43 +31,54 @@
 //! the input checks, `evaluate_raw` digests what it is about to train
 //! on — the train and valid shapes, the clamped training-budget
 //! fraction, then the trainer's input words ([`Trainer::input_words`])
-//! — with [`Murmur3x64_128`]. The input words are what the trainer
-//! actually reads: every `f64` bit pattern of the train and valid
-//! matrices for LR and MLP, and each column's bin codes for XGB, whose
-//! splits only see the order of the values. So `[]`, `[StandardScaler]`
-//! and `[MinMaxScaler]` share one XGB fit. On a hit it returns the
+//! — with [`autofp_linalg::codec::Murmur3x64_128`]. The input words are
+//! what the trainer actually reads: every `f64` bit pattern of the
+//! train and valid matrices for LR and MLP, and each column's bin codes
+//! for XGB, whose splits only see the order of the values. So `[]`,
+//! `[StandardScaler]` and `[MinMaxScaler]` share one XGB fit. On a hit it returns the
 //! memoized accuracy without fitting; the labels, seed and model are
 //! fixed per evaluator, so they stay out of the key. Only finished,
 //! uncancelled fits with a finite accuracy are stored, the same rule
 //! as trial-cache admission.
 //!
-//! The memo is the one digest-keyed cache layer (DESIGN.md
-//! "Content-addressed cache identity" says why): a 128-bit digest
-//! collides with probability at most n²/2¹²⁹. Debug builds keep each
-//! entry's input words as a witness and assert word equality on every
-//! hit. Two different matrices may share an XGB key on purpose, so the
-//! witness is the words, not the matrices.
+//! The memo is one of two digest-keyed cache layers (DESIGN.md
+//! "Content-addressed cache identity" says why), an
+//! [`autofp_linalg::memo::DigestMemo`]: a 128-bit digest collides with
+//! probability at most n²/2¹²⁹. Debug builds keep each entry's input
+//! words as a witness and assert word equality on every hit. Two
+//! different matrices may share an XGB key on purpose, so the witness
+//! is the words, not the matrices.
 //!
 //! The memo is a plain map from the `u128` digest to the accuracy, and
 //! it never evicts. Where a trial cache is attached (every evald
 //! context, every `--cache shared` run) each memo insert follows a
 //! trial-cache miss, and trial caches never evict either; without one,
 //! the evaluation budget bounds the number of fits.
+//!
+//! # λ memo
+//!
+//! The other digest-keyed layer sits inside Prep. Every `Evaluator`
+//! also owns an [`autofp_preprocess::LambdaMemo`] and hands it to each
+//! power-transform fit, on the plain path and on the prefix-cache path
+//! alike. It maps the digest of a finite column to the Yeo-Johnson λ
+//! searched for it, so a pipeline that feeds a power step a column this
+//! evaluator already searched (a shared `PowerTransformer` prefix, or a
+//! `Binarizer` after any sign-preserving step) skips the search. The
+//! key, its exactness and its witness are documented in
+//! `autofp_preprocess::power`; it follows the fit memo's rules and
+//! never changes a λ.
 
 use crate::error::EvalError;
 use crate::history::Trial;
 use crate::prefix::{PrefixCache, PrefixKey, PrefixStats};
 use autofp_data::{Dataset, Split};
-use autofp_linalg::codec::Murmur3x64_128;
+use autofp_linalg::memo::{DigestKey, DigestMemo, KeyWords, WordSink};
 use autofp_linalg::Matrix;
 use autofp_models::classifier::{ModelKind, Trainer};
 use autofp_models::metrics::accuracy;
 use autofp_models::CancelToken;
-use autofp_preprocess::Pipeline;
-use std::collections::HashMap;
+use autofp_preprocess::{LambdaMemo, Pipeline};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Configuration of an evaluator.
@@ -235,87 +246,23 @@ pub fn check_accuracy(acc: f64) -> Result<f64, EvalError> {
     }
 }
 
-/// One memoized fit.
-struct FitMemoEntry {
-    accuracy: f64,
-    /// The input words the fit's key digested; debug builds only.
-    witness: Option<Vec<u64>>,
-}
-
-/// The memo key of one fit.
-struct FitKey {
-    /// The 128-bit digest of the words.
-    digest: u128,
-    /// The words themselves; debug builds only.
-    words: Option<Vec<u64>>,
-}
-
-/// Memoized fits by the digest of their inputs.
-// lint:allow(nondet): keyed lookup and insert only — nothing iterates the map, so its order never reaches a result
-type Fits = HashMap<u128, FitMemoEntry>;
-
-/// Validation accuracies keyed by the content digest of the fit's
-/// inputs (see the module docs).
-struct FitMemo {
-    entries: Mutex<Fits>,
-    hits: AtomicU64,
-}
-
-impl FitMemo {
-    fn new() -> FitMemo {
-        FitMemo { entries: Mutex::default(), hits: AtomicU64::new(0) }
-    }
-
-    /// The key of a fit of `trainer` on `train` scored on `valid`: the
-    /// shapes and the clamped fraction, then the trainer's input words.
-    fn key(trainer: &dyn Trainer, train: &Matrix, valid: &Matrix, fraction: f64) -> FitKey {
-        let (train_rows, train_cols) = train.shape();
-        let (valid_rows, valid_cols) = valid.shape();
-        let header = [
-            train_rows as u64,
-            train_cols as u64,
-            valid_rows as u64,
-            valid_cols as u64,
-            fraction.clamp(0.0, 1.0).to_bits(),
-        ];
-        let mut hash = Murmur3x64_128::new();
-        let mut words = cfg!(debug_assertions).then(Vec::new);
-        let mut write = |w: u64| {
-            hash.write_u64(w);
-            if let Some(words) = &mut words {
-                words.push(w);
-            }
-        };
-        header.into_iter().for_each(&mut write);
-        trainer.input_words(train, valid, &mut write);
-        FitKey { digest: hash.finish(), words }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Fits> {
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The memoized accuracy under `key`. In debug builds a hit also
-    /// asserts that `key`'s words equal the words the memoized fit's
-    /// key digested.
-    fn get(&self, key: &FitKey) -> Option<f64> {
-        let entries = self.lock();
-        let entry = entries.get(&key.digest)?;
-        if let (Some(seen), Some(words)) = (&entry.witness, &key.words) {
-            debug_assert!(
-                seen == words,
-                "fit memo digest {:032x} aliases two different inputs",
-                key.digest
-            );
-        }
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(entry.accuracy)
-    }
-
-    fn insert(&self, key: FitKey, accuracy: f64) {
-        let entry = FitMemoEntry { accuracy, witness: key.words };
-        self.lock().insert(key.digest, entry);
-    }
+/// The fit-memo key of a fit of `trainer` on `train` scored on
+/// `valid`: the shapes and the clamped fraction, then the trainer's
+/// input words.
+fn fit_key(trainer: &dyn Trainer, train: &Matrix, valid: &Matrix, fraction: f64) -> DigestKey {
+    let (train_rows, train_cols) = train.shape();
+    let (valid_rows, valid_cols) = valid.shape();
+    let header = [
+        train_rows as u64,
+        train_cols as u64,
+        valid_rows as u64,
+        valid_cols as u64,
+        fraction.clamp(0.0, 1.0).to_bits(),
+    ];
+    let mut key = KeyWords::new();
+    header.into_iter().for_each(|w| key.word(w));
+    trainer.input_words(train, valid, &mut key);
+    key.finish()
 }
 
 /// Evaluates pipelines: transform train+valid, train the downstream
@@ -323,8 +270,8 @@ impl FitMemo {
 ///
 /// An `Evaluator` is `Send + Sync` ([`Trainer`] requires both), so a
 /// [`crate::BatchEvaluator`] can share one instance across worker
-/// threads by reference. Its only mutable state is the fit memo (see
-/// the module docs), which never changes a result.
+/// threads by reference. Its only mutable state lies in the fit and λ memos
+/// (see the module docs), which never change a result.
 pub struct Evaluator {
     split: Split,
     trainer: Box<dyn Trainer>,
@@ -341,7 +288,10 @@ pub struct Evaluator {
     // attached, `evaluate_raw` resumes from the deepest cached prefix
     // of each pipeline and stores every newly computed prefix state.
     prefix_cache: Option<PrefixCache>,
-    fit_memo: FitMemo,
+    // Validation accuracies by the digest of the fit's inputs (see the
+    // module docs).
+    fit_memo: DigestMemo<f64>,
+    lambda_memo: LambdaMemo,
 }
 
 // Compile-time proof of the Sync-friendliness the batch layer relies
@@ -370,7 +320,8 @@ impl Evaluator {
             train_input_finite,
             valid_input_finite,
             prefix_cache: None,
-            fit_memo: FitMemo::new(),
+            fit_memo: DigestMemo::new(),
+            lambda_memo: LambdaMemo::new(),
         };
         ev.baseline = ev.evaluate(&Pipeline::empty()).accuracy;
         ev
@@ -425,7 +376,14 @@ impl Evaluator {
     /// fitting. Above one thread, two evaluations that miss the same
     /// digest at the same time both fit, so the count can vary.
     pub fn fit_memo_hits(&self) -> u64 {
-        self.fit_memo.hits.load(Ordering::Relaxed)
+        self.fit_memo.hits()
+    }
+
+    /// Power-transform columns this evaluator answered from its λ memo
+    /// instead of searching. Above one thread, two fits that miss the
+    /// same column at the same time both search, so the count can vary.
+    pub fn lambda_memo_hits(&self) -> u64 {
+        self.lambda_memo.hits()
     }
 
     /// Transform train + valid through `pipeline`, resuming from the
@@ -444,7 +402,7 @@ impl Evaluator {
             // lint:allow(nondet): per-prefix cost attribution feeds CacheStats-style `saved` accounting, never a search decision
             // lint:allow(nondet-flow): reachable from search, but the reading only feeds cost accounting, never scores or proposals
             let step_start = Instant::now();
-            let fitted = step.fit_transform(&mut train);
+            let fitted = step.fit_transform(&mut train, &self.lambda_memo);
             fitted.transform(&mut valid);
             cost += step_start.elapsed();
             cache.insert(&keys[i], &train, &valid, i + 1, cost);
@@ -488,7 +446,8 @@ impl Evaluate for Evaluator {
         let (train_x, valid_x) = match &self.prefix_cache {
             Some(cache) if !pipeline.is_empty() => self.prefix_transform(pipeline, cache),
             _ => {
-                let (fitted, train_x) = pipeline.fit_transform(&self.split.train.x);
+                let (fitted, train_x) =
+                    pipeline.fit_transform(&self.split.train.x, &self.lambda_memo);
                 let valid_x = fitted.transform_new(&self.split.valid.x);
                 (train_x, valid_x)
             }
@@ -522,7 +481,7 @@ impl Evaluate for Evaluator {
             train_fraction: fraction.clamp(0.0, 1.0),
             failure: None,
         };
-        let memo_key = FitMemo::key(self.trainer.as_ref(), &train_x, &valid_x, fraction);
+        let memo_key = fit_key(self.trainer.as_ref(), &train_x, &valid_x, fraction);
         if let Some(acc) = self.fit_memo.get(&memo_key) {
             return Ok(trial(acc, train_start.elapsed()));
         }
@@ -570,6 +529,7 @@ mod tests {
     use super::*;
     use autofp_data::{Personality, SynthConfig};
     use autofp_preprocess::PreprocKind;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn scale_spread_dataset() -> Dataset {
         let mut p = Personality::default();
@@ -726,6 +686,31 @@ mod tests {
     }
 
     #[test]
+    fn lambda_memo_answers_a_power_step_that_sees_a_searched_column() {
+        let d = scale_spread_dataset();
+        let ev = Evaluator::new(&d, EvalConfig::default());
+        let first = Pipeline::from_kinds(&[PreprocKind::Binarizer, PreprocKind::PowerTransformer]);
+        ev.evaluate(&first);
+        // Binarized columns can repeat within one matrix (every value
+        // positive binarizes to all ones), so count from here.
+        let before = ev.lambda_memo_hits();
+        // MaxAbs keeps every sign, so the Binarizer hands the power step
+        // the first pipeline's columns bit for bit.
+        let second = Pipeline::from_kinds(&[
+            PreprocKind::MaxAbsScaler,
+            PreprocKind::Binarizer,
+            PreprocKind::PowerTransformer,
+        ]);
+        let hit = ev.try_evaluate(&second).expect("healthy pipeline evaluates");
+        assert_eq!(ev.lambda_memo_hits(), before + d.x.ncols() as u64);
+        let fresh = Evaluator::new(&d, EvalConfig::default());
+        let reference = fresh.try_evaluate(&second).expect("healthy pipeline evaluates");
+        assert_eq!(fresh.lambda_memo_hits(), before);
+        assert_eq!(hit.accuracy.to_bits(), reference.accuracy.to_bits());
+        assert_eq!(hit.failure, reference.failure);
+    }
+
+    #[test]
     fn fit_memo_keys_on_the_training_fraction() {
         let d = scale_spread_dataset();
         let ev = Evaluator::new(&d, EvalConfig { model: ModelKind::Xgb, ..Default::default() });
@@ -744,7 +729,7 @@ mod tests {
     /// evaluator and so no memo.
     fn memo_free_accuracy(ev: &Evaluator, pipeline: &Pipeline) -> f64 {
         let split = ev.split();
-        let (fitted, train_x) = pipeline.fit_transform(&split.train.x);
+        let (fitted, train_x) = pipeline.fit_transform(&split.train.x, &LambdaMemo::new());
         let valid_x = fitted.transform_new(&split.valid.x);
         let model = ev.model().trainer(ev.config().seed).fit(
             &train_x,
@@ -794,7 +779,7 @@ mod tests {
         let tall = Matrix::from_vec(3, 2, values);
         for model in ModelKind::ALL {
             let trainer = model.trainer(0);
-            let key = |x: &Matrix| FitMemo::key(trainer.as_ref(), x, &valid, 1.0).digest;
+            let key = |x: &Matrix| fit_key(trainer.as_ref(), x, &valid, 1.0).digest;
             assert_ne!(key(&wide), key(&tall), "{model}");
         }
     }
@@ -869,13 +854,13 @@ mod tests {
             d.x.set(r, 0, d.x.get(r, 0) * 1e307);
         }
         let ev = Evaluator::new(&d, EvalConfig::default());
-        let entries = ev.fit_memo.lock().len();
+        let entries = ev.fit_memo.entries();
         let p = Pipeline::from_kinds(&[PreprocKind::MinMaxScaler]);
         for _ in 0..2 {
             let err = ev.try_evaluate(&p).unwrap_err();
             assert!(matches!(err, EvalError::NonFiniteTransform { .. }), "{err:?}");
         }
-        assert_eq!(ev.fit_memo.lock().len(), entries);
+        assert_eq!(ev.fit_memo.entries(), entries);
         assert_eq!(ev.fit_memo_hits(), 0);
     }
 

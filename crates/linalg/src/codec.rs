@@ -49,7 +49,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// memo keys on it (shapes, fraction bits, then the words its trainer
 /// reads: every `f64` bit of the train and valid matrices for LR and
 /// MLP, bin codes for XGB), where 64 bits would leave too little
-/// collision margin and the full key would cost megabytes.
+/// collision margin and the full key would cost megabytes. So does the
+/// power transform's λ memo (a column's length, then its bits). Both
+/// write their words through [`crate::memo::KeyWords`].
 #[inline]
 pub fn murmur3_x64_128(words: impl IntoIterator<Item = u64>) -> u128 {
     let mut hash = Murmur3x64_128::new();
@@ -104,16 +106,42 @@ impl Murmur3x64_128 {
     #[inline]
     pub fn write_u64(&mut self, w: u64) {
         self.count += 1;
-        let Some(k1) = self.pending.take() else {
-            self.pending = Some(w);
-            return;
-        };
+        match self.pending.take() {
+            Some(k1) => self.block(k1, w),
+            None => self.pending = Some(w),
+        }
+    }
+
+    /// Append the bit pattern of every value in order: the digest of one
+    /// [`Murmur3x64_128::write_u64`] per value, with the block loop
+    /// inlined over the slice.
+    #[inline]
+    pub fn write_f64_bits(&mut self, values: &[f64]) {
+        let mut values = values;
+        if self.pending.is_some() {
+            let Some((first, rest)) = values.split_first() else { return };
+            self.write_u64(first.to_bits());
+            values = rest;
+        }
+        let (blocks, tail) = values.as_chunks::<2>();
+        for &[k1, k2] in blocks {
+            self.block(k1.to_bits(), k2.to_bits());
+        }
+        self.count += 2 * blocks.len() as u64;
+        if let [last] = tail {
+            self.write_u64(last.to_bits());
+        }
+    }
+
+    /// Mix one 16-byte block.
+    #[inline]
+    fn block(&mut self, k1: u64, k2: u64) {
         self.h1 = (self.h1 ^ Self::mix_k1(k1))
             .rotate_left(27)
             .wrapping_add(self.h2)
             .wrapping_mul(5)
             .wrapping_add(0x52dc_e729);
-        self.h2 = (self.h2 ^ Self::mix_k2(w))
+        self.h2 = (self.h2 ^ Self::mix_k2(k2))
             .rotate_left(31)
             .wrapping_add(self.h1)
             .wrapping_mul(5)
@@ -526,6 +554,25 @@ mod tests {
         assert_eq!(mid, hash.finish());
         hash.write_u64(0);
         assert_ne!(mid, hash.finish());
+    }
+
+    #[test]
+    fn bulk_f64_writes_digest_like_one_word_per_value() {
+        let values: Vec<f64> = (0..9).map(|i| f64::from(i) * -0.75).chain([-0.0, 0.0]).collect();
+        // Every split point, so the bulk run starts on either half of a
+        // block and ends on a full block or a tail.
+        for lead in 0..3usize {
+            for len in 0..=values.len() {
+                let lead_words = (0..lead as u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                let want = murmur3_x64_128(
+                    lead_words.clone().chain(values[..len].iter().map(|v| v.to_bits())),
+                );
+                let mut hash = Murmur3x64_128::new();
+                lead_words.for_each(|w| hash.write_u64(w));
+                hash.write_f64_bits(&values[..len]);
+                assert_eq!(hash.finish(), want, "lead {lead}, len {len}");
+            }
+        }
     }
 
     #[test]

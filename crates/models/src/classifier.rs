@@ -1,5 +1,6 @@
 //! The classifier/trainer abstraction shared by the whole benchmark.
 
+use autofp_linalg::memo::WordSink;
 use autofp_linalg::Matrix;
 
 use crate::cancel::CancelToken;
@@ -78,12 +79,12 @@ pub trait Trainer: Send + Sync {
     /// itself.
     ///
     /// The default feeds every `f64` bit pattern of `train`, then of
-    /// `valid`: exact for any trainer. A trainer that reads less of its
+    /// `valid`, one [`WordSink::f64_bits`] call each: exact for any
+    /// trainer. A trainer that reads less of its
     /// input may feed less, so more inputs share one fit.
-    fn input_words(&self, train: &Matrix, valid: &Matrix, words: &mut dyn FnMut(u64)) {
-        for v in train.as_slice().iter().chain(valid.as_slice()) {
-            words(v.to_bits());
-        }
+    fn input_words(&self, train: &Matrix, valid: &Matrix, words: &mut dyn WordSink) {
+        words.f64_bits(train.as_slice());
+        words.f64_bits(valid.as_slice());
     }
 }
 

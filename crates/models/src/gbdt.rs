@@ -11,6 +11,7 @@
 
 use crate::cancel::CancelToken;
 use crate::classifier::{Classifier, Trainer};
+use autofp_linalg::memo::WordSink;
 use autofp_linalg::dist::softmax_inplace;
 use autofp_linalg::rng::{derive_seed, rng_from_seed, sample_indices};
 use autofp_linalg::Matrix;
@@ -267,14 +268,14 @@ impl Trainer for GbdtParams {
     /// a train value, or when the map is affine (a scaler), which moves
     /// an edge with its two neighbours. A row-wise map such as
     /// `Normalizer` changes the codes.
-    fn input_words(&self, train: &Matrix, valid: &Matrix, words: &mut dyn FnMut(u64)) {
+    fn input_words(&self, train: &Matrix, valid: &Matrix, words: &mut dyn WordSink) {
         let bins = Bins::fit(train, self.n_bins);
         for (j, edges) in bins.edges.iter().enumerate() {
-            words(edges.len() as u64);
-            bins.col(j).iter().for_each(|&code| words(u64::from(code)));
+            words.word(edges.len() as u64);
+            bins.col(j).iter().for_each(|&code| words.word(u64::from(code)));
             for row in valid.rows_iter() {
                 // `predict_row` reads a missing feature as 0.0.
-                words(bin_index(edges, row.get(j).copied().unwrap_or(0.0)) as u64);
+                words.word(bin_index(edges, row.get(j).copied().unwrap_or(0.0)) as u64);
             }
         }
     }
@@ -837,7 +838,7 @@ mod tests {
 
     fn input_words(params: &GbdtParams, train: &Matrix, valid: &Matrix) -> Vec<u64> {
         let mut words = Vec::new();
-        params.input_words(train, valid, &mut |w| words.push(w));
+        params.input_words(train, valid, &mut words);
         words
     }
 

@@ -308,7 +308,7 @@ mod tests {
 
         let scaler = autofp_preprocess::Preproc::StandardScaler { with_mean: true };
         let mut xtr = split.train.x.clone();
-        let fitted = scaler.fit_transform(&mut xtr);
+        let fitted = scaler.fit_transform(&mut xtr, &autofp_preprocess::LambdaMemo::new());
         let mut xva = split.valid.x.clone();
         fitted.transform(&mut xva);
         let scaled = trainer.fit(&xtr, &split.train.y, 2);

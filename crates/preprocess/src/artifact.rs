@@ -218,6 +218,7 @@ pub fn decode_pipeline(bytes: &[u8]) -> Result<FittedPipeline, DecodeError> {
 mod tests {
     use super::*;
     use crate::pipeline::Pipeline;
+    use crate::power::LambdaMemo;
     use autofp_linalg::Matrix;
 
     fn train_matrix() -> Matrix {
@@ -231,7 +232,7 @@ mod tests {
 
     fn fit_all_kinds() -> FittedPipeline {
         let p = Pipeline::from_kinds(&PreprocKind::ALL);
-        p.fit_transform(&train_matrix()).0
+        p.fit_transform(&train_matrix(), &LambdaMemo::new()).0
     }
 
     #[test]
@@ -252,7 +253,7 @@ mod tests {
     fn every_step_shape_round_trips() {
         for kind in PreprocKind::ALL {
             let p = Pipeline::from_kinds(&[kind]);
-            let fitted = p.fit_transform(&train_matrix()).0;
+            let fitted = p.fit_transform(&train_matrix(), &LambdaMemo::new()).0;
             let step = &fitted.steps()[0];
             let bytes = encode_step(step);
             let back = decode_step(&bytes).expect("step round trip");
@@ -262,7 +263,7 @@ mod tests {
 
     #[test]
     fn empty_pipeline_round_trips() {
-        let fitted = Pipeline::empty().fit_transform(&train_matrix()).0;
+        let fitted = Pipeline::empty().fit_transform(&train_matrix(), &LambdaMemo::new()).0;
         let bytes = encode_pipeline(&fitted);
         assert_eq!(bytes, vec![0, 0, 0, 0]);
         let back = decode_pipeline(&bytes).expect("empty");

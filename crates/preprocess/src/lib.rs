@@ -25,5 +25,6 @@ pub mod space;
 
 pub use kinds::PreprocKind;
 pub use pipeline::{FittedPipeline, Pipeline, MAX_STEPS};
+pub use power::LambdaMemo;
 pub use preproc::{FittedPreproc, Norm, OutputDist, Preproc};
 pub use space::ParamSpace;

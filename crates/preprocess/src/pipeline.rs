@@ -6,6 +6,7 @@
 //! semantics), and the fitted chain can then transform validation data.
 
 use crate::kinds::PreprocKind;
+use crate::power::LambdaMemo;
 use crate::preproc::{FittedPreproc, Preproc};
 use autofp_linalg::Matrix;
 use std::fmt;
@@ -76,11 +77,12 @@ impl Pipeline {
 
     /// Fit every step in sequence on (a copy of) the training features,
     /// returning the fitted chain and the fully transformed features.
-    pub fn fit_transform(&self, x: &Matrix) -> (FittedPipeline, Matrix) {
+    /// Power steps search λ only for columns `lambdas` has not seen.
+    pub fn fit_transform(&self, x: &Matrix, lambdas: &LambdaMemo) -> (FittedPipeline, Matrix) {
         let mut data = x.clone();
         let mut fitted = Vec::with_capacity(self.steps.len());
         for step in &self.steps {
-            fitted.push(step.fit_transform(&mut data));
+            fitted.push(step.fit_transform(&mut data, lambdas));
         }
         (FittedPipeline { steps: fitted }, data)
     }
@@ -152,7 +154,7 @@ mod tests {
     #[test]
     fn empty_pipeline_is_identity() {
         let x = Matrix::from_rows(&[vec![1.0, -2.0], vec![3.0, 4.0]]);
-        let (fitted, out) = Pipeline::empty().fit_transform(&x);
+        let (fitted, out) = Pipeline::empty().fit_transform(&x, &LambdaMemo::new());
         assert_eq!(out, x);
         let mut v = x.clone();
         fitted.transform(&mut v);
@@ -171,8 +173,8 @@ mod tests {
             Preproc::Binarizer { threshold: 0.5 },
             Preproc::MinMaxScaler,
         ]);
-        let (_, o1) = p1.fit_transform(&x);
-        let (_, o2) = p2.fit_transform(&x);
+        let (_, o1) = p1.fit_transform(&x, &LambdaMemo::new());
+        let (_, o2) = p2.fit_transform(&x, &LambdaMemo::new());
         // p1: minmax -> [0, .2, 1] -> binarize(.5) -> [0,0,1]
         assert_eq!(o1.col(0), vec![0.0, 0.0, 1.0]);
         // p2: binarize(.5) -> [0,1,1] -> minmax -> [0,1,1]
@@ -189,7 +191,7 @@ mod tests {
             PreprocKind::MinMaxScaler,
             PreprocKind::Normalizer,
         ]);
-        let (fitted, out) = p.fit_transform(&x);
+        let (fitted, out) = p.fit_transform(&x, &LambdaMemo::new());
         assert!(out.is_finite());
         // Every row of the output has unit L2 norm (Normalizer is last).
         for row in out.rows_iter() {
@@ -208,7 +210,7 @@ mod tests {
         // fitted means must lie in [0, 1], not in the raw range.
         let x = Matrix::column_vector(&[0.0, 500.0, 1000.0]);
         let p = Pipeline::from_kinds(&[PreprocKind::MinMaxScaler, PreprocKind::StandardScaler]);
-        let (_, out) = p.fit_transform(&x);
+        let (_, out) = p.fit_transform(&x, &LambdaMemo::new());
         let col = out.col(0);
         assert!(autofp_linalg::stats::mean(&col).abs() < 1e-9);
         assert!((autofp_linalg::stats::std_dev(&col) - 1.0).abs() < 1e-9);

@@ -7,7 +7,26 @@
 //! is unimodal in practice). With `standardize = true` (the sklearn
 //! default) the transformed column is then scaled to zero mean and unit
 //! variance.
+//!
+//! # λ memo
+//!
+//! The λ search is most of a power fit: 50 golden-section
+//! likelihood evaluations, each one `exp` per value. Pipelines of one
+//! evaluator often hand the transform a column it has already searched
+//! bit for bit: a shared `PowerTransformer`-first prefix, or a
+//! `Binarizer` after any sign-preserving step. So [`FittedPower::fit`]
+//! takes a [`LambdaMemo`] that maps a 128-bit digest of the finite
+//! column [`optimal_lambda`] reads (its length, then every `f64` bit
+//! pattern) to the λ it returned. λ is a pure function of exactly
+//! those bits, so a hit is the search's own answer. `-0.0` and `0.0`
+//! key apart: `signum` reads the sign of zero in the Jacobian term, and
+//! the key makes no argument about which bits the search may ignore.
+//! The store is the fit memo's [`DigestMemo`]: debug builds keep each
+//! entry's words and assert word equality on every hit, and it never
+//! evicts. It lives as long as its evaluator, whose evaluation budget
+//! bounds the distinct columns it can see.
 
+use autofp_linalg::memo::{DigestKey, DigestMemo, KeyWords, WordSink};
 use autofp_linalg::stats;
 use autofp_linalg::Matrix;
 
@@ -145,6 +164,47 @@ fn golden_section(mut f: impl FnMut(f64) -> f64) -> f64 {
     (a + b) / 2.0
 }
 
+/// The λ memo key of `col`, the finite column [`optimal_lambda`]
+/// reads: its length, then every bit pattern.
+fn lambda_key(col: &[f64]) -> DigestKey {
+    let mut key = KeyWords::new();
+    key.word(col.len() as u64);
+    key.f64_bits(col);
+    key.finish()
+}
+
+/// Fitted λs keyed by the content digest of the column searched (see
+/// the module docs). Share one memo across fits to search each distinct
+/// column once; a fresh memo searches every column.
+#[derive(Debug, Default)]
+pub struct LambdaMemo(DigestMemo<f64>);
+
+impl LambdaMemo {
+    /// An empty memo.
+    pub fn new() -> LambdaMemo {
+        LambdaMemo::default()
+    }
+
+    /// [`optimal_lambda`] of `col`, searched only if no earlier call
+    /// searched the same bits.
+    pub fn lambda(&self, col: &[f64]) -> f64 {
+        let key = lambda_key(col);
+        if let Some(lambda) = self.0.get(&key) {
+            return lambda;
+        }
+        let lambda = optimal_lambda(col);
+        self.0.insert(key, lambda);
+        lambda
+    }
+
+    /// Columns answered from the memo instead of searched. Above one
+    /// thread, two fits that miss the same column at the same time both
+    /// search, so the count can vary between runs.
+    pub fn hits(&self) -> u64 {
+        self.0.hits()
+    }
+}
+
 /// Fitted Yeo-Johnson power transform: per-column λ and (optionally)
 /// post-transform standardization statistics.
 #[derive(Debug, Clone)]
@@ -156,15 +216,16 @@ pub struct FittedPower {
 }
 
 impl FittedPower {
-    /// Fit λ per column on the training matrix.
-    pub fn fit(x: &Matrix, standardize: bool) -> FittedPower {
+    /// Fit λ per column on the training matrix, searching only the
+    /// columns `memo` has not seen.
+    pub fn fit(x: &Matrix, standardize: bool, memo: &LambdaMemo) -> FittedPower {
         let d = x.ncols();
         let mut lambdas = Vec::with_capacity(d);
         let mut means = vec![0.0; d];
         let mut stds = vec![1.0; d];
         for j in 0..d {
             let col: Vec<f64> = x.col(j).into_iter().filter(|v| v.is_finite()).collect();
-            let lambda = optimal_lambda(&col);
+            let lambda = memo.lambda(&col);
             if standardize {
                 let transformed: Vec<f64> =
                     col.iter().map(|&v| clamp_finite(yeo_johnson(v, lambda))).collect();
@@ -251,7 +312,7 @@ mod tests {
         // The paper reports λ ≈ 1.22 for the Figure 1 column and
         // PowerTransformer output (standardized) of -1.72 for x = -1.5.
         let x = Matrix::column_vector(&[-1.5, 1.0, 1.5, 2.5, 3.0, 4.0, 5.0]);
-        let fitted = FittedPower::fit(&x, true);
+        let fitted = FittedPower::fit(&x, true, &LambdaMemo::new());
         let lambda = fitted.lambdas()[0];
         assert!((lambda - 1.22).abs() < 0.15, "lambda {lambda}");
         let mut m = x.clone();
@@ -269,7 +330,7 @@ mod tests {
         let col = lognormal_column();
         let before = stats::skewness(&col).abs();
         let x = Matrix::column_vector(&col);
-        let fitted = FittedPower::fit(&x, false);
+        let fitted = FittedPower::fit(&x, false, &LambdaMemo::new());
         let mut m = x.clone();
         fitted.transform(&mut m);
         let after = stats::skewness(&m.col(0)).abs();
@@ -346,9 +407,83 @@ mod tests {
     }
 
     #[test]
+    fn memo_answers_are_the_searched_lambdas() {
+        let lognormal = lognormal_column();
+        let columns: [&[f64]; 5] = [
+            &[-1.5, 1.0, 1.5, 2.5, 3.0, 4.0, 5.0],
+            &lognormal,
+            // Overflows `(|x| + 1)^λ` on both sides.
+            &[1e200, -1e200, 1.0, -2.0, 0.0],
+            &[4.0],
+            &[4.0; 5],
+        ];
+        let memo = LambdaMemo::new();
+        for (i, col) in columns.iter().enumerate() {
+            let searched = optimal_lambda(col).to_bits();
+            assert_eq!(memo.lambda(col).to_bits(), searched, "miss on column {i}");
+            assert_eq!(memo.hits(), i as u64);
+            assert_eq!(memo.lambda(col).to_bits(), searched, "hit on column {i}");
+            assert_eq!(memo.hits(), i as u64 + 1);
+        }
+        assert_eq!(memo.0.entries(), columns.len());
+    }
+
+    #[test]
+    fn memo_keys_signed_zeros_apart() {
+        let positive = [0.0, 1.0, -2.0, 3.5];
+        let negative = [-0.0, 1.0, -2.0, 3.5];
+        assert_ne!(lambda_key(&positive).digest, lambda_key(&negative).digest);
+        let memo = LambdaMemo::new();
+        for col in [&positive, &negative] {
+            assert_eq!(memo.lambda(col).to_bits(), optimal_lambda(col).to_bits());
+        }
+        assert_eq!(memo.hits(), 0);
+        assert_eq!(memo.0.entries(), 2);
+    }
+
+    #[test]
+    fn memo_keys_the_finite_cells_a_fit_searches() {
+        // Both columns hold 1, 2, 3 in order among NaN and ±inf cells.
+        let x = Matrix::from_rows(&[
+            vec![1.0, f64::NAN],
+            vec![f64::NAN, 1.0],
+            vec![2.0, 2.0],
+            vec![f64::INFINITY, f64::NEG_INFINITY],
+            vec![3.0, 3.0],
+            vec![f64::NEG_INFINITY, f64::INFINITY],
+        ]);
+        let memo = LambdaMemo::new();
+        let fitted = FittedPower::fit(&x, true, &memo);
+        assert_eq!(memo.hits(), 1);
+        let searched = optimal_lambda(&[1.0, 2.0, 3.0]).to_bits();
+        assert_eq!(fitted.lambdas().iter().map(|l| l.to_bits()).collect::<Vec<_>>(), [searched; 2]);
+        let fresh = FittedPower::fit(&x, true, &LambdaMemo::new());
+        assert_eq!(format!("{fitted:?}"), format!("{fresh:?}"));
+    }
+
+    #[test]
+    fn memo_searches_a_repeated_column_once() {
+        let skewed = lognormal_column();
+        let other: Vec<f64> = skewed.iter().map(|v| -v).collect();
+        let rows: Vec<Vec<f64>> =
+            skewed.iter().zip(&other).map(|(&a, &b)| vec![a, b, a, a]).collect();
+        let x = Matrix::from_rows(&rows);
+        let memo = LambdaMemo::new();
+        let first = FittedPower::fit(&x, true, &memo);
+        // Two searches, columns 2 and 3 answered from column 0's.
+        assert_eq!((memo.hits(), memo.0.entries()), (2, 2));
+        let again = FittedPower::fit(&x, true, &memo);
+        assert_eq!((memo.hits(), memo.0.entries()), (6, 2));
+        let fresh = FittedPower::fit(&x, true, &LambdaMemo::new());
+        for fitted in [&first, &again] {
+            assert_eq!(format!("{fitted:?}"), format!("{fresh:?}"));
+        }
+    }
+
+    #[test]
     fn constant_column_passthrough() {
         let x = Matrix::column_vector(&[4.0; 5]);
-        let fitted = FittedPower::fit(&x, true);
+        let fitted = FittedPower::fit(&x, true, &LambdaMemo::new());
         let mut m = x.clone();
         fitted.transform(&mut m);
         assert!(m.is_finite());
@@ -357,7 +492,7 @@ mod tests {
     #[test]
     fn extreme_values_stay_finite() {
         let x = Matrix::column_vector(&[0.0, 1.0, 1e9, -1e9]);
-        let fitted = FittedPower::fit(&x, true);
+        let fitted = FittedPower::fit(&x, true, &LambdaMemo::new());
         let mut m = Matrix::column_vector(&[1e15, -1e15, 5.0, 0.0]);
         fitted.transform(&mut m);
         assert!(m.is_finite());

@@ -7,7 +7,7 @@
 //! requires exactly this asymmetry).
 
 use crate::kinds::PreprocKind;
-use crate::power;
+use crate::power::{self, LambdaMemo};
 use crate::quantile;
 use autofp_linalg::matrix::{norm_l1, norm_l2, norm_max};
 use autofp_linalg::Matrix;
@@ -136,8 +136,9 @@ impl Preproc {
         }
     }
 
-    /// Fit this preprocessor on training features.
-    pub fn fit(&self, x: &Matrix) -> FittedPreproc {
+    /// Fit this preprocessor on training features. A power transform
+    /// searches λ only for columns `lambdas` has not seen.
+    pub fn fit(&self, x: &Matrix, lambdas: &LambdaMemo) -> FittedPreproc {
         let d = x.ncols();
         match self {
             Preproc::Binarizer { threshold } => FittedPreproc::Binarizer { threshold: *threshold },
@@ -178,7 +179,7 @@ impl Preproc {
                 FittedPreproc::Standard { means, stds }
             }
             Preproc::PowerTransformer { standardize } => {
-                FittedPreproc::Power(power::FittedPower::fit(x, *standardize))
+                FittedPreproc::Power(power::FittedPower::fit(x, *standardize, lambdas))
             }
             Preproc::QuantileTransformer { n_quantiles, output } => FittedPreproc::Quantile(
                 quantile::FittedQuantile::fit(x, *n_quantiles, *output),
@@ -187,8 +188,8 @@ impl Preproc {
     }
 
     /// Fit on `x` and transform it in place (the common training-side call).
-    pub fn fit_transform(&self, x: &mut Matrix) -> FittedPreproc {
-        let fitted = self.fit(x);
+    pub fn fit_transform(&self, x: &mut Matrix, lambdas: &LambdaMemo) -> FittedPreproc {
+        let fitted = self.fit(x, lambdas);
         fitted.transform(x);
         fitted
     }
@@ -325,7 +326,7 @@ mod tests {
 
     fn transform_with(p: &Preproc, x: &Matrix) -> Vec<f64> {
         let mut m = x.clone();
-        p.fit(x).transform(&mut m);
+        p.fit(x, &LambdaMemo::new()).transform(&mut m);
         m.col(0)
     }
 
@@ -392,10 +393,10 @@ mod tests {
     fn normalizer_l1_and_max() {
         let x = Matrix::from_rows(&[vec![3.0, -1.0]]);
         let mut m = x.clone();
-        Preproc::Normalizer { norm: Norm::L1 }.fit(&x).transform(&mut m);
+        Preproc::Normalizer { norm: Norm::L1 }.fit(&x, &LambdaMemo::new()).transform(&mut m);
         assert_close(m.row(0), &[0.75, -0.25], 1e-12);
         let mut m = x.clone();
-        Preproc::Normalizer { norm: Norm::Max }.fit(&x).transform(&mut m);
+        Preproc::Normalizer { norm: Norm::Max }.fit(&x, &LambdaMemo::new()).transform(&mut m);
         assert_close(m.row(0), &[1.0, -1.0 / 3.0], 1e-12);
     }
 
@@ -428,7 +429,7 @@ mod tests {
     fn fitted_state_applies_to_unseen_data() {
         // Fit MinMax on train, apply to valid with out-of-range values.
         let train = Matrix::column_vector(&[0.0, 10.0]);
-        let fitted = Preproc::MinMaxScaler.fit(&train);
+        let fitted = Preproc::MinMaxScaler.fit(&train, &LambdaMemo::new());
         let mut valid = Matrix::column_vector(&[-5.0, 5.0, 20.0]);
         fitted.transform(&mut valid);
         assert_close(&valid.col(0), &[-0.5, 0.5, 2.0], 1e-12);

@@ -239,7 +239,7 @@ mod tests {
     use autofp_data::SynthConfig;
     use autofp_linalg::Matrix;
     use autofp_models::CancelToken;
-    use autofp_preprocess::{Pipeline, PreprocKind};
+    use autofp_preprocess::{LambdaMemo, Pipeline, PreprocKind};
 
     fn sample_artifact(kind: ModelKind) -> ServeArtifact {
         let d = SynthConfig::new("artifact-serve", 90, 4, 2, 5).generate();
@@ -247,7 +247,7 @@ mod tests {
             PreprocKind::StandardScaler,
             PreprocKind::QuantileTransformer,
         ]);
-        let (fitted, train_x) = pipeline.fit_transform(&d.x);
+        let (fitted, train_x) = pipeline.fit_transform(&d.x, &LambdaMemo::new());
         let model =
             TrainedModel::train(kind, 3, &train_x, &d.y, d.n_classes, 1.0, &CancelToken::new());
         ServeArtifact {
@@ -306,7 +306,7 @@ mod tests {
                 train_rows: 4,
                 accuracy: 0.5,
             },
-            pipeline: Pipeline::empty().fit_transform(&Matrix::zeros(1, 1)).0,
+            pipeline: Pipeline::empty().fit_transform(&Matrix::zeros(1, 1), &LambdaMemo::new()).0,
             model: TrainedModel::train(
                 ModelKind::Lr,
                 7,

@@ -17,7 +17,7 @@ use autofp_core::{EvalConfig, EvalError};
 use autofp_data::Dataset;
 use autofp_models::metrics::accuracy;
 use autofp_models::{CancelToken, Classifier, TrainedModel};
-use autofp_preprocess::Pipeline;
+use autofp_preprocess::{LambdaMemo, Pipeline};
 
 /// Fit `pipeline` + the configured model on `dataset` the way the
 /// evaluator would, and package the result as a serve artifact.
@@ -37,8 +37,9 @@ pub fn fit_artifact(
         split.train = split.train.subsample(cap, config.seed);
     }
 
-    // Mirror of Evaluator::evaluate_raw at full budget.
-    let (fitted, train_x) = pipeline.fit_transform(&split.train.x);
+    // Mirror of Evaluator::evaluate_raw at full budget. A memo never
+    // changes a λ, so a fresh one fits what the evaluator's memo did.
+    let (fitted, train_x) = pipeline.fit_transform(&split.train.x, &LambdaMemo::new());
     let valid_x = fitted.transform_new(&split.valid.x);
     check_transformed(
         pipeline,

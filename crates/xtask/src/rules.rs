@@ -17,9 +17,9 @@
 //!   of panicking: a panic there is contained by `catch_unwind`, but it
 //!   costs the trial and hides the real failure taxonomy.
 //! - **cache-purity** — cache-identity code (`CacheKey`, `fnv1a`, the
-//!   fit memo's `murmur3_x64_128` and the trainers' `input_words`,
-//!   `Pipeline::key`) is a pure function of its inputs: no interior
-//!   mutability, no clock, no RNG.
+//!   fit memo's `murmur3_x64_128` and the trainers' `input_words`, the
+//!   λ memo's `lambda_key`, `Pipeline::key`) is a pure function of its
+//!   inputs: no interior mutability, no clock, no RNG.
 //!
 //! The pipeline split: `collect_local` gathers raw line-local
 //! findings per file; the graph rules append theirs (attributed to
@@ -79,9 +79,11 @@ impl Violation {
 /// hot path too: its decoders face untrusted artifact files and
 /// untrusted request frames, and its engine/server answer live
 /// traffic where a panic drops the daemon. `linalg/codec.rs` is the
-/// byte codec every one of those decoders is built on.
-const HOT_PATH: [&str; 12] = [
+/// byte codec every one of those decoders is built on, and
+/// `linalg/memo.rs` holds the evaluator's fit and λ memos.
+const HOT_PATH: [&str; 13] = [
     "crates/linalg/src/codec.rs",
+    "crates/linalg/src/memo.rs",
     "crates/core/src/batch.rs",
     "crates/core/src/evaluator.rs",
     "crates/core/src/cache.rs",
@@ -106,9 +108,11 @@ const HOT_PATH_PREFIXES: [&str; 3] =
 /// bytes, wire bytes, and served predictions must be pure functions
 /// of their inputs (the train/serve skew and thread-invariance
 /// guarantees depend on it). `linalg/codec.rs` encodes all of those
-/// bytes and hashes every fingerprint. `core/evaluator.rs` holds the
-/// fit memo, whose accuracies become trial scores.
-const DET_CRITICAL: [&str; 18] = [
+/// bytes and hashes every fingerprint. `linalg/memo.rs` stores the fit
+/// memo's accuracies, which become trial scores, and the λ memo's λs,
+/// which become transformed values; `core/evaluator.rs` and
+/// `preprocess/power.rs` key and read them.
+const DET_CRITICAL: [&str; 20] = [
     "crates/linalg/src/codec.rs",
     "crates/core/src/history.rs",
     "crates/core/src/evaluator.rs",
@@ -127,15 +131,19 @@ const DET_CRITICAL: [&str; 18] = [
     "crates/serve/src/artifact.rs",
     "crates/serve/src/engine.rs",
     "crates/serve/src/wire.rs",
+    "crates/preprocess/src/power.rs",
+    "crates/linalg/src/memo.rs",
 ];
 
 /// Cache-identity regions: (file, block introducer). The rule applies
 /// inside the brace block following the introducer.
-const CACHE_PURITY_SPANS: [(&str, &str); 9] = [
+const CACHE_PURITY_SPANS: [(&str, &str); 11] = [
     ("crates/core/src/cache.rs", "impl CacheKey"),
     ("crates/linalg/src/codec.rs", "fn fnv1a"),
     ("crates/linalg/src/codec.rs", "fn murmur3_x64_128"),
     ("crates/linalg/src/codec.rs", "impl Murmur3x64_128"),
+    // The sink both memo keys are written through.
+    ("crates/linalg/src/memo.rs", "impl WordSink for KeyWords"),
     ("crates/core/src/prefix.rs", "impl PrefixKey"),
     ("crates/preprocess/src/pipeline.rs", "fn key"),
     // The fit memo's input words: `Trainer`'s default and XGB's bin
@@ -143,6 +151,8 @@ const CACHE_PURITY_SPANS: [(&str, &str); 9] = [
     ("crates/models/src/classifier.rs", "fn input_words"),
     ("crates/models/src/gbdt.rs", "fn input_words"),
     ("crates/models/src/gbdt.rs", "impl Bins"),
+    // The λ memo's column key.
+    ("crates/preprocess/src/power.rs", "fn lambda_key"),
 ];
 
 /// Panicking constructs banned on the hot path. `.unwrap()` is matched

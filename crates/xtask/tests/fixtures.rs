@@ -247,9 +247,9 @@ impl Trainer for GbdtParams {
     fn name(&self) -> &'static str {
         \"XGB\"
     }
-    fn input_words(&self, train: &Matrix, valid: &Matrix, words: &mut dyn FnMut(u64)) {
+    fn input_words(&self, train: &Matrix, valid: &Matrix, words: &mut dyn WordSink) {
         let t = std::time::Instant::now();
-        words(0);
+        words.word(0);
     }
 }
 ";
@@ -260,7 +260,7 @@ impl Trainer for GbdtParams {
     // The trait's default is covered too, and a cell beside it is not.
     let default = "\
 pub trait Trainer {
-    fn input_words(&self, words: &mut dyn FnMut(u64)) {
+    fn input_words(&self, words: &mut dyn WordSink) {
         let seen = std::cell::Cell::new(0u64);
     }
 }
@@ -271,6 +271,34 @@ fn beside() -> std::cell::Cell<u64> {
     let vs = lint_file("crates/models/src/classifier.rs", default);
     assert_eq!(rules_fired(&vs), vec!["cache-purity"]);
     assert_eq!(vs.iter().map(|v| v.line).collect::<Vec<_>>(), vec![3]);
+}
+
+#[test]
+fn cache_purity_covers_the_lambda_key_and_its_sink() {
+    // The λ memo's key sits beside the memo's own mutex: the key fires,
+    // the memo does not.
+    let src = "\
+fn lambda_key(col: &[f64]) -> DigestKey {
+    let seen = std::cell::Cell::new(0u64);
+    KeyWords::new().finish()
+}
+pub struct LambdaMemo {
+    entries: std::sync::Mutex<Lambdas>,
+}
+";
+    let vs = lint_file("crates/preprocess/src/power.rs", src);
+    let purity: Vec<usize> =
+        vs.iter().filter(|v| v.rule == "cache-purity").map(|v| v.line).collect();
+    assert_eq!(purity, vec![2], "{vs:#?}");
+    let sink = "\
+impl WordSink for KeyWords {
+    fn word(&mut self, w: u64) {
+        let t = std::time::SystemTime::now();
+    }
+}
+";
+    let vs = lint_file("crates/linalg/src/memo.rs", sink);
+    assert!(vs.iter().any(|v| v.rule == "cache-purity" && v.line == 3), "{vs:#?}");
 }
 
 #[test]
@@ -355,6 +383,8 @@ fn stale_config_names_missing_files_entries_and_spans() {
         "crates/evald/src/server.rs: entry `fn serve_connection` names no fn",
         "crates/core/src/cache.rs: root `impl CacheKey` has no fn",
         "crates/serve/src/: no file under the configured prefix",
+        "crates/preprocess/src/power.rs: configured file does not exist",
+        "crates/linalg/src/memo.rs: configured file does not exist",
     ] {
         assert!(stale.iter().any(|s| s == want), "missing `{want}` in {stale:#?}");
     }
@@ -365,6 +395,17 @@ fn stale_config_names_missing_files_entries_and_spans() {
     assert!(stale.contains(&"crates/linalg/src/codec.rs: cache-purity span `fn murmur3_x64_128` opens no block".to_string()), "{stale:#?}");
     assert!(stale.contains(&"crates/linalg/src/codec.rs: cache-purity span `impl Murmur3x64_128` opens no block".to_string()), "{stale:#?}");
     assert!(!stale.iter().any(|s| s == "crates/linalg/src/codec.rs: configured file does not exist"));
+    // A renamed λ key or key sink leaves its span stale.
+    let renamed = [
+        (
+            "crates/preprocess/src/power.rs".to_string(),
+            "fn column_key(col: &[f64]) -> u128 {\n    0\n}\n".to_string(),
+        ),
+        ("crates/linalg/src/memo.rs".to_string(), "impl WordSink for Words {}\n".to_string()),
+    ];
+    let stale = xtask::stale_config(&renamed);
+    assert!(stale.contains(&"crates/preprocess/src/power.rs: cache-purity span `fn lambda_key` opens no block".to_string()), "{stale:#?}");
+    assert!(stale.contains(&"crates/linalg/src/memo.rs: cache-purity span `impl WordSink for KeyWords` opens no block".to_string()), "{stale:#?}");
 }
 
 // ------------------------------------------------- scanner regressions

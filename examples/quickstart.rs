@@ -12,7 +12,7 @@
 use autofp::core::{run_search, Budget, EvalConfig, Evaluator};
 use autofp::data::{Personality, SynthConfig};
 use autofp::linalg::Matrix;
-use autofp::preprocess::{ParamSpace, Preproc, PreprocKind};
+use autofp::preprocess::{LambdaMemo, ParamSpace, Preproc, PreprocKind};
 use autofp::search::RandomSearch;
 
 fn main() {
@@ -34,7 +34,7 @@ fn figure1() {
     for kind in PreprocKind::ALL {
         let preproc = Preproc::default_for(kind);
         let mut transformed = x.clone();
-        preproc.fit(&x).transform(&mut transformed);
+        preproc.fit(&x, &LambdaMemo::new()).transform(&mut transformed);
         outputs.push((kind.name().to_string(), transformed.col(0)));
     }
 

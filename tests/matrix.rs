@@ -8,10 +8,10 @@
 //! algorithms) is canonicalized to a byte string (f64 bit patterns, no
 //! wall-clock fields) and compared across runs.
 //!
-//! It also pins the evaluator's fit memo against a memo-free
-//! reference: an evaluator that transforms the split and fits a fresh
-//! trainer for every evaluation, so no fit result is shared between
-//! evaluations.
+//! It also pins the evaluator's fit and λ memos against a memo-free
+//! reference: an evaluator that transforms the split with a fresh λ
+//! memo and fits a fresh trainer for every evaluation, so no fit or λ
+//! is shared between evaluations.
 
 use autofp_bench::{run_matrix, run_matrix_with, CacheMode, HarnessConfig, MatrixOutcome};
 use autofp_core::evaluator::{check_accuracy, check_transformed};
@@ -20,7 +20,7 @@ use autofp_data::{registry, DatasetSpec};
 use autofp_models::classifier::ModelKind;
 use autofp_models::metrics::accuracy;
 use autofp_models::CancelToken;
-use autofp_preprocess::Pipeline;
+use autofp_preprocess::{LambdaMemo, Pipeline};
 use autofp_search::AlgName;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -108,10 +108,10 @@ fn shared_cache_matches_no_cache_and_reuses_across_algorithms() {
 }
 
 /// Evaluates every pipeline with the steps and checks of
-/// `Evaluator::evaluate_raw` but a fresh trainer and no fit memo, on the
-/// template's split: nothing one evaluation computes can answer another,
-/// not even the template's baseline fit (which an XGB evaluator's memo
-/// serves to every per-column increasing pipeline).
+/// `Evaluator::evaluate_raw` but a fresh λ memo, a fresh trainer and no
+/// fit memo, on the template's split: nothing one evaluation computes
+/// can answer another, not even the template's baseline fit (which an
+/// XGB evaluator's memo serves to every per-column increasing pipeline).
 struct MemoFree {
     template: Evaluator,
 }
@@ -124,7 +124,7 @@ impl Evaluate for MemoFree {
         cancel: &CancelToken,
     ) -> Result<Trial, EvalError> {
         let (split, config) = (self.template.split(), self.template.config());
-        let (fitted, train_x) = pipeline.fit_transform(&split.train.x);
+        let (fitted, train_x) = pipeline.fit_transform(&split.train.x, &LambdaMemo::new());
         let valid_x = fitted.transform_new(&split.valid.x);
         let finite = (split.train.x.is_finite(), split.valid.x.is_finite());
         check_transformed(pipeline, &train_x, &valid_x, finite.0, finite.1)?;
@@ -167,16 +167,18 @@ impl Evaluate for MemoFree {
     }
 }
 
-/// The harness's own evaluator, adding its fit-memo hits to a shared
-/// tally when the matrix drops it.
+/// The harness's own evaluator, adding its fit-memo and λ-memo hits
+/// to shared tallies when the matrix drops it.
 struct TallyHits {
     evaluator: Evaluator,
     hits: Arc<AtomicU64>,
+    lambda_hits: Arc<AtomicU64>,
 }
 
 impl Drop for TallyHits {
     fn drop(&mut self) {
         self.hits.fetch_add(self.evaluator.fit_memo_hits(), Ordering::Relaxed);
+        self.lambda_hits.fetch_add(self.evaluator.lambda_memo_hits(), Ordering::Relaxed);
     }
 }
 
@@ -210,16 +212,25 @@ fn fit_memo_matches_a_memo_free_reference() {
         cfg.threads = threads;
         let memo = canonical(&run_matrix(&specs, &models, &algs, &cfg));
         let hits = Arc::new(AtomicU64::new(0));
+        let lambda_hits = Arc::new(AtomicU64::new(0));
         let tallied = canonical(&run_matrix_with(&specs, &models, &algs, &cfg, |d, c, _| {
-            Box::new(TallyHits { evaluator: Evaluator::new(d, c), hits: hits.clone() })
+            Box::new(TallyHits {
+                evaluator: Evaluator::new(d, c),
+                hits: hits.clone(),
+                lambda_hits: lambda_hits.clone(),
+            })
         }));
         let reference = canonical(&run_matrix_with(&specs, &models, &algs, &cfg, |d, c, _| {
             Box::new(MemoFree { template: Evaluator::new(d, c) })
         }));
-        assert_eq!(memo, reference, "{threads} threads: the fit memo changed a result");
+        assert_eq!(memo, reference, "{threads} threads: a memo changed a result");
         assert_eq!(tallied, reference, "{threads} threads");
         // Not vacuous: pipelines with bit-identical transforms (and,
         // above one thread, trial-cache misses that race) reach the memo.
         assert!(hits.load(Ordering::Relaxed) > 0, "{threads} threads: no fit memo hit");
+        // Pipelines that hand a power step a column it already searched
+        // (a shared `PowerTransformer` prefix, say) reach the λ memo.
+        let lambda_hits = lambda_hits.load(Ordering::Relaxed);
+        assert!(lambda_hits > 0, "{threads} threads: no λ memo hit");
     }
 }

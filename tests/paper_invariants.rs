@@ -5,7 +5,7 @@
 use autofp::data::registry;
 use autofp::linalg::Matrix;
 use autofp::preprocess::enumerate::{enumerate_pipelines, total_count};
-use autofp::preprocess::{ParamSpace, Preproc, PreprocKind};
+use autofp::preprocess::{LambdaMemo, ParamSpace, Preproc, PreprocKind};
 use autofp::search::AlgName;
 
 #[test]
@@ -30,7 +30,7 @@ fn figure1_values_match_paper() {
     let x = Matrix::column_vector(&column);
     let check = |kind: PreprocKind, expected: &[f64], tol: f64| {
         let mut m = x.clone();
-        Preproc::default_for(kind).fit(&x).transform(&mut m);
+        Preproc::default_for(kind).fit(&x, &LambdaMemo::new()).transform(&mut m);
         for (got, want) in m.col(0).iter().zip(expected) {
             assert!((got - want).abs() <= tol, "{kind}: {:?} vs {expected:?}", m.col(0));
         }

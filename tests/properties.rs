@@ -11,7 +11,7 @@ use autofp::linalg::rng::rng_from_seed;
 use autofp::linalg::stats::average_ranks;
 use autofp::linalg::Matrix;
 use autofp::models::metrics::{accuracy, auc_binary};
-use autofp::preprocess::{ParamSpace, Pipeline, Preproc, PreprocKind};
+use autofp::preprocess::{LambdaMemo, ParamSpace, Pipeline, Preproc, PreprocKind};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -47,7 +47,7 @@ fn any_pipeline_on_any_data_stays_finite() {
     for_cases(0xA1, |rng| {
         let x = small_matrix(rng);
         let p = small_pipeline(rng);
-        let (fitted, train_out) = p.fit_transform(&x);
+        let (fitted, train_out) = p.fit_transform(&x, &LambdaMemo::new());
         assert!(train_out.is_finite(), "train output not finite for {p}");
         assert_eq!(train_out.shape(), x.shape());
         // Transforming fresh data through the fitted chain also stays finite.
@@ -63,7 +63,7 @@ fn minmax_maps_training_data_into_unit_interval() {
     for_cases(0xA2, |rng| {
         let x = small_matrix(rng);
         let mut m = x.clone();
-        Preproc::MinMaxScaler.fit(&x).transform(&mut m);
+        Preproc::MinMaxScaler.fit(&x, &LambdaMemo::new()).transform(&mut m);
         for &v in m.as_slice() {
             assert!((-1e-9..=1.0 + 1e-9).contains(&v), "minmax value {v}");
         }
@@ -75,7 +75,7 @@ fn maxabs_maps_training_data_into_unit_ball() {
     for_cases(0xA3, |rng| {
         let x = small_matrix(rng);
         let mut m = x.clone();
-        Preproc::MaxAbsScaler.fit(&x).transform(&mut m);
+        Preproc::MaxAbsScaler.fit(&x, &LambdaMemo::new()).transform(&mut m);
         for &v in m.as_slice() {
             assert!(v.abs() <= 1.0 + 1e-9, "maxabs value {v}");
         }
@@ -88,7 +88,7 @@ fn binarizer_outputs_zero_or_one() {
         let x = small_matrix(rng);
         let threshold = rng.gen_range(-10.0..10.0);
         let mut m = x.clone();
-        Preproc::Binarizer { threshold }.fit(&x).transform(&mut m);
+        Preproc::Binarizer { threshold }.fit(&x, &LambdaMemo::new()).transform(&mut m);
         for &v in m.as_slice() {
             assert!(v == 0.0 || v == 1.0);
         }
@@ -100,7 +100,7 @@ fn normalizer_rows_have_unit_norm_or_zero() {
     for_cases(0xA5, |rng| {
         let x = small_matrix(rng);
         let mut m = x.clone();
-        Preproc::default_for(PreprocKind::Normalizer).fit(&x).transform(&mut m);
+        Preproc::default_for(PreprocKind::Normalizer).fit(&x, &LambdaMemo::new()).transform(&mut m);
         for row in m.rows_iter() {
             let n = autofp::linalg::matrix::norm_l2(row);
             assert!(n < 1e-9 || (n - 1.0).abs() < 1e-9, "row norm {n}");
@@ -113,7 +113,7 @@ fn quantile_uniform_output_in_unit_interval() {
     for_cases(0xA6, |rng| {
         let x = small_matrix(rng);
         let mut m = x.clone();
-        Preproc::default_for(PreprocKind::QuantileTransformer).fit(&x).transform(&mut m);
+        Preproc::default_for(PreprocKind::QuantileTransformer).fit(&x, &LambdaMemo::new()).transform(&mut m);
         for &v in m.as_slice() {
             assert!((0.0..=1.0).contains(&v), "quantile value {v}");
         }
@@ -125,7 +125,7 @@ fn standard_scaler_train_columns_are_standardized() {
     for_cases(0xA7, |rng| {
         let x = small_matrix(rng);
         let mut m = x.clone();
-        Preproc::StandardScaler { with_mean: true }.fit(&x).transform(&mut m);
+        Preproc::StandardScaler { with_mean: true }.fit(&x, &LambdaMemo::new()).transform(&mut m);
         for j in 0..m.ncols() {
             let col = m.col(j);
             let mean = autofp::linalg::stats::mean(&col);
@@ -141,7 +141,7 @@ fn standard_scaler_train_columns_are_standardized() {
 fn power_transform_is_monotone_per_column() {
     for_cases(0xA8, |rng| {
         let x = small_matrix(rng);
-        let fitted = Preproc::PowerTransformer { standardize: false }.fit(&x);
+        let fitted = Preproc::PowerTransformer { standardize: false }.fit(&x, &LambdaMemo::new());
         let mut m = x.clone();
         fitted.transform(&mut m);
         for j in 0..x.ncols() {

@@ -5,7 +5,7 @@ use autofp::core::{EvalConfig, Evaluator};
 use autofp::data::SynthConfig;
 use autofp::models::classifier::ModelKind;
 use autofp::models::Classifier;
-use autofp::preprocess::{Pipeline, PreprocKind};
+use autofp::preprocess::{LambdaMemo, Pipeline, PreprocKind};
 use autofp::serve::{
     fit_artifact, RowOutcome, ServeArtifact, ServeClient, ServeEngine, ServeServer,
 };
@@ -57,7 +57,8 @@ fn serve_transform_has_zero_train_serve_skew() {
 
         // Replay the evaluator's own fit path and compare the served
         // transform + prediction on every validation row.
-        let (fitted, _train_x) = pipeline.fit_transform(&evaluator.split().train.x);
+        let (fitted, _train_x) =
+            pipeline.fit_transform(&evaluator.split().train.x, &LambdaMemo::new());
         let valid_x = fitted.transform_new(&evaluator.split().valid.x);
 
         let engine = ServeEngine::new(artifact);
