@@ -118,7 +118,7 @@ fn bench_fit_memo(c: &mut Criterion) {
                     key.word(w);
                 }
                 key.word(1.0f64.to_bits());
-                trainer.input_words(&train, &valid, &mut key);
+                drop(trainer.input_words(&train, &valid, &mut key));
                 key.finish().digest
             };
             let iters = 200u32;

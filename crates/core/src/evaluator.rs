@@ -74,7 +74,7 @@ use crate::prefix::{PrefixCache, PrefixKey, PrefixStats};
 use autofp_data::{Dataset, Split};
 use autofp_linalg::memo::{DigestKey, DigestMemo, KeyWords, WordSink};
 use autofp_linalg::Matrix;
-use autofp_models::classifier::{ModelKind, Trainer};
+use autofp_models::classifier::{Fit, ModelKind, Trainer};
 use autofp_models::metrics::accuracy;
 use autofp_models::CancelToken;
 use autofp_preprocess::{LambdaMemo, Pipeline};
@@ -248,8 +248,13 @@ pub fn check_accuracy(acc: f64) -> Result<f64, EvalError> {
 
 /// The fit-memo key of a fit of `trainer` on `train` scored on
 /// `valid`: the shapes and the clamped fraction, then the trainer's
-/// input words.
-fn fit_key(trainer: &dyn Trainer, train: &Matrix, valid: &Matrix, fraction: f64) -> DigestKey {
+/// input words. Also returns the fit itself, to run on a memo miss.
+fn fit_key<'a>(
+    trainer: &'a dyn Trainer,
+    train: &'a Matrix,
+    valid: &Matrix,
+    fraction: f64,
+) -> (DigestKey, Fit<'a>) {
     let (train_rows, train_cols) = train.shape();
     let (valid_rows, valid_cols) = valid.shape();
     let header = [
@@ -261,8 +266,8 @@ fn fit_key(trainer: &dyn Trainer, train: &Matrix, valid: &Matrix, fraction: f64)
     ];
     let mut key = KeyWords::new();
     header.into_iter().for_each(|w| key.word(w));
-    trainer.input_words(train, valid, &mut key);
-    key.finish()
+    let fit = trainer.input_words(train, valid, &mut key);
+    (key.finish(), fit)
 }
 
 /// Evaluates pipelines: transform train+valid, train the downstream
@@ -481,17 +486,11 @@ impl Evaluate for Evaluator {
             train_fraction: fraction.clamp(0.0, 1.0),
             failure: None,
         };
-        let memo_key = fit_key(self.trainer.as_ref(), &train_x, &valid_x, fraction);
+        let (memo_key, fit) = fit_key(self.trainer.as_ref(), &train_x, &valid_x, fraction);
         if let Some(acc) = self.fit_memo.get(&memo_key) {
             return Ok(trial(acc, train_start.elapsed()));
         }
-        let model = self.trainer.fit_cancellable(
-            &train_x,
-            &self.split.train.y,
-            self.split.train.n_classes,
-            fraction,
-            cancel,
-        );
+        let model = fit(&self.split.train.y, self.split.train.n_classes, fraction, cancel);
         let preds = model.predict(&valid_x);
         let train_time = train_start.elapsed();
 
@@ -779,7 +778,7 @@ mod tests {
         let tall = Matrix::from_vec(3, 2, values);
         for model in ModelKind::ALL {
             let trainer = model.trainer(0);
-            let key = |x: &Matrix| fit_key(trainer.as_ref(), x, &valid, 1.0).digest;
+            let key = |x: &Matrix| fit_key(trainer.as_ref(), x, &valid, 1.0).0.digest;
             assert_ne!(key(&wide), key(&tall), "{model}");
         }
     }

@@ -76,17 +76,34 @@ pub trait Trainer: Send + Sync {
     /// for this trainer's fixed labels, classes, budget and parameters.
     /// Two inputs that feed equal words must predict alike, so the
     /// evaluator's fit memo can key on them; the caller keys the shapes
-    /// itself.
+    /// itself. Returns the fit on `train`, for the caller to run on a
+    /// memo miss: a trainer whose words come from work its fit also
+    /// does (XGB's binning) hands that work to the fit.
     ///
     /// The default feeds every `f64` bit pattern of `train`, then of
     /// `valid`, one [`WordSink::f64_bits`] call each: exact for any
-    /// trainer. A trainer that reads less of its
-    /// input may feed less, so more inputs share one fit.
-    fn input_words(&self, train: &Matrix, valid: &Matrix, words: &mut dyn WordSink) {
+    /// trainer. Its fit is [`Trainer::fit_cancellable`]. A trainer that
+    /// reads less of its input may feed less, so more inputs share one
+    /// fit.
+    fn input_words<'a>(
+        &'a self,
+        train: &'a Matrix,
+        valid: &Matrix,
+        words: &mut dyn WordSink,
+    ) -> Fit<'a> {
         words.f64_bits(train.as_slice());
         words.f64_bits(valid.as_slice());
+        Box::new(move |y, n_classes, budget, cancel| {
+            self.fit_cancellable(train, y, n_classes, budget, cancel)
+        })
     }
 }
+
+/// A pending fit, as [`Trainer::input_words`] returns it: called with
+/// the labels, class count, budget and token of
+/// [`Trainer::fit_cancellable`].
+pub type Fit<'a> =
+    Box<dyn FnOnce(&[usize], usize, f64, &CancelToken) -> Box<dyn Classifier> + 'a>;
 
 /// The paper's three downstream model families with their default
 /// hyperparameters, as a convenient value type for experiment configs.

@@ -10,7 +10,7 @@
 //! paper's observation that FP improves XGB in many fewer scenarios.
 
 use crate::cancel::CancelToken;
-use crate::classifier::{Classifier, Trainer};
+use crate::classifier::{Classifier, Fit, Trainer};
 use autofp_linalg::memo::WordSink;
 use autofp_linalg::dist::softmax_inplace;
 use autofp_linalg::rng::{derive_seed, rng_from_seed, sample_indices};
@@ -143,11 +143,24 @@ impl GbdtParams {
         budget: f64,
         cancel: &CancelToken,
     ) -> Gbdt {
+        self.train_binned(&Bins::fit(x, self.n_bins), x, y, n_classes, budget, cancel)
+    }
+
+    /// [`GbdtParams::train_cancellable`] on `x` binned as `bins`
+    /// (`Bins::fit(x, self.n_bins)`).
+    fn train_binned(
+        &self,
+        bins: &Bins,
+        x: &Matrix,
+        y: &[usize],
+        n_classes: usize,
+        budget: f64,
+        cancel: &CancelToken,
+    ) -> Gbdt {
         let n = x.nrows();
         assert_eq!(n, y.len());
         let k = n_classes;
-        let bins = Bins::fit(x, self.n_bins);
-        let mut scratch = Scratch::new(&bins);
+        let mut scratch = Scratch::new(bins);
         let mut grad = vec![0.0; n];
         let mut hess = vec![0.0; n];
         let mut probs = Matrix::zeros(n, k);
@@ -169,7 +182,7 @@ impl GbdtParams {
                     }
                     let mut nodes = Vec::new();
                     let mut tree_rows = rows.to_vec();
-                    grow(&bins, &mut tree_rows, &grad, &hess, self, 0, &mut scratch, &mut nodes);
+                    grow(bins, &mut tree_rows, &grad, &hess, self, 0, &mut scratch, &mut nodes);
                     RegTree { nodes }
                 })
                 .collect()
@@ -268,7 +281,14 @@ impl Trainer for GbdtParams {
     /// a train value, or when the map is affine (a scaler), which moves
     /// an edge with its two neighbours. A row-wise map such as
     /// `Normalizer` changes the codes.
-    fn input_words(&self, train: &Matrix, valid: &Matrix, words: &mut dyn WordSink) {
+    ///
+    /// The returned fit trains on the bins the words came from.
+    fn input_words<'a>(
+        &'a self,
+        train: &'a Matrix,
+        valid: &Matrix,
+        words: &mut dyn WordSink,
+    ) -> Fit<'a> {
         let bins = Bins::fit(train, self.n_bins);
         for (j, edges) in bins.edges.iter().enumerate() {
             words.word(edges.len() as u64);
@@ -278,6 +298,9 @@ impl Trainer for GbdtParams {
                 words.word(bin_index(edges, row.get(j).copied().unwrap_or(0.0)) as u64);
             }
         }
+        Box::new(move |y, n_classes, budget, cancel| {
+            Box::new(self.train_binned(&bins, train, y, n_classes, budget, cancel))
+        })
     }
 }
 
@@ -349,11 +372,11 @@ fn bin_index(edges: &[f64], v: f64) -> usize {
 
 /// Buffers the split search reuses at every node of every tree of a fit.
 struct Scratch {
-    /// Per-bin `(G, H)` sums of one feature.
+    /// Per-bin `(G, H)` sums of one feature; every bin is `(+0, +0)`
+    /// between features.
     hist: Vec<(f64, f64)>,
-    /// Left-child prefix sums `(G_L, H_L)` through each bin.
-    prefix: Vec<(f64, f64)>,
-    /// Bit b set when bin b holds a row of the node.
+    /// Bit b set when bin b holds a row of the node; all clear between
+    /// features.
     occupied: Vec<u64>,
     /// The right child's rows while a node's rows are partitioned.
     right: Vec<usize>,
@@ -364,7 +387,6 @@ impl Scratch {
         let nb = (0..bins.edges.len()).map(|j| bins.n_bins(j)).max().unwrap_or(0);
         Scratch {
             hist: vec![(0.0, 0.0); nb],
-            prefix: vec![(0.0, 0.0); nb],
             occupied: vec![0; nb.div_ceil(64)],
             right: Vec::with_capacity(bins.n),
         }
@@ -400,40 +422,39 @@ fn grow(
         if nb <= 1 {
             continue;
         }
-        // Histogram of (G, H) per bin, each bin summed in row order.
+        // Histogram of (G, H) per bin, each bin summed in row order, into
+        // the all-(+0, +0) scratch.
         let codes = bins.col(j);
         let hist = &mut s.hist[..nb];
         let occupied = &mut s.occupied[..nb.div_ceil(64)];
-        hist.fill((0.0, 0.0));
-        occupied.fill(0);
         for &i in rows.iter() {
             let b = codes[i] as usize;
             hist[b].0 += grad[i];
             hist[b].1 += hess[i];
             occupied[b / 64] |= 1 << (b % 64);
         }
-        // Left-child sums through each candidate bin, added bin by bin.
+        // Left-child sums through each candidate bin, taken over the
+        // occupied bins in ascending order. An empty bin holds (+0, +0),
+        // and no sum here is -0 (each starts from +0, and a sum that
+        // starts from +0 is never -0), so adding an empty bin leaves the
+        // sums unchanged: skipping it is exact. An empty bin b >= 1 thus
+        // repeats the gain of bin b - 1, which comes first and wins any
+        // strict tie, so only bin 0 and the occupied bins can be chosen.
+        // Each bin the histogram touched is cleared as it is read.
+        occupied[0] |= 1;
         let mut gl = 0.0;
         let mut hl = 0.0;
-        for (p, &(gb, hb)) in s.prefix.iter_mut().zip(&hist[..nb - 1]) {
-            gl += gb;
-            hl += hb;
-            *p = (gl, hl);
-        }
-        // An empty bin b >= 1 repeats the prefix sums, and so the gain, of
-        // bin b - 1, which comes first and wins any strict tie: only bin 0
-        // and the occupied bins can be chosen. Scanning them in ascending
-        // order keeps the first strict maximum.
-        occupied[0] |= 1;
-        for (w, &word) in occupied.iter().enumerate() {
-            let mut word = word;
+        for (w, word) in occupied.iter_mut().enumerate() {
+            let mut word = std::mem::take(word);
             while word != 0 {
                 let b = w * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
+                let (gb, hb) = std::mem::take(&mut hist[b]);
+                gl += gb;
+                hl += hb;
                 if b >= nb - 1 {
-                    break;
+                    continue;
                 }
-                let (gl, hl) = s.prefix[b];
                 let (gr, hr) = (g - gl, h - hl);
                 if hl < mcw || hr < mcw {
                     continue;
@@ -556,14 +577,16 @@ mod tests {
             .with_personality(clean_personality())
             .generate();
         let params = GbdtParams { n_rounds: 20, ..Default::default() };
-        let _full = params.fit_budgeted(&d.x, &d.y, 2, 1.0);
-        let small = params.fit_budgeted(&d.x, &d.y, 2, 0.1);
-        // Can't downcast through the trait object; check behaviourally by
-        // training a Gbdt directly.
-        let _ = small;
-        let direct: Box<dyn Classifier> = params.fit_budgeted(&d.x, &d.y, 2, 0.05);
-        let preds = direct.predict(&d.x);
-        assert!(preds.iter().all(|&p| p < 2));
+        let live = CancelToken::new();
+        let rounds = |budget: f64, cancel: &CancelToken| {
+            params.train_cancellable(&d.x, &d.y, 2, budget, cancel).n_rounds()
+        };
+        assert_eq!(rounds(1.0, &live), 20);
+        assert_eq!(rounds(0.1, &live), 2);
+        assert_eq!(rounds(0.05, &live), 1);
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        assert_eq!(rounds(1.0, &cancelled), 1);
     }
 
     #[test]
@@ -819,6 +842,61 @@ mod tests {
     }
 
     #[test]
+    fn split_kernel_is_bit_identical_when_deep_nodes_leave_most_bins_empty() {
+        // Columns 1 and 3 hold 200 distinct values under 255 bins: 200 bins
+        // over four occupancy words, and nodes eight levels down hold a few
+        // rows, so almost every bin they scan is empty. Column 0 has 5
+        // levels and column 2 has 70, each ahead of a wider column, so a
+        // bin one column's scan left dirty would leak into the next one's
+        // sums.
+        let live = CancelToken::new();
+        let mut d = SynthConfig::new("gbdt-bits-sparse", 200, 4, 3, 21).generate();
+        for i in 0..d.x.nrows() {
+            d.x.set(i, 0, (i * 7 % 5) as f64);
+            d.x.set(i, 2, (i * 37 % 70) as f64);
+        }
+        let bins = Bins::fit(&d.x, 255);
+        let widths: Vec<usize> = (0..4).map(|j| bins.n_bins(j)).collect();
+        assert_eq!(widths, vec![5, 200, 70, 200]);
+        let deep = GbdtParams { n_rounds: 4, max_depth: 8, n_bins: 255, ..Default::default() };
+        let model = assert_bit_identical(&deep, &d.x, &d.y, 3, 1.0, &live);
+        let depth_of = |tree: &RegTree| {
+            fn depth(nodes: &[TreeNode], i: usize) -> usize {
+                match nodes[i] {
+                    TreeNode::Leaf { .. } => 0,
+                    TreeNode::Split { left, right, .. } => {
+                        1 + depth(nodes, left).max(depth(nodes, right))
+                    }
+                }
+            }
+            depth(&tree.nodes, 0)
+        };
+        assert!(model.trees.iter().flatten().any(|t| depth_of(t) >= 6));
+        // With no child-weight floor and a negative gain floor, empty bins
+        // are live candidates at every node.
+        let loose = GbdtParams { min_child_weight: 0.0, min_split_gain: -0.5, ..deep.clone() };
+        assert_bit_identical(&loose, &d.x, &d.y, 3, 1.0, &live);
+        let sub = GbdtParams { subsample: 0.6, seed: 9, ..loose };
+        assert_bit_identical(&sub, &d.x, &d.y, 3, 1.0, &live);
+    }
+
+    #[test]
+    fn the_fit_input_words_returns_is_train_cancellable() {
+        let (train, y, valid) = binning_fixture();
+        let params = GbdtParams { n_rounds: 8, subsample: 0.8, seed: 2, ..Default::default() };
+        for budget in [1.0, 0.25] {
+            let fit = params.input_words(&train, &valid, &mut Vec::new());
+            let model = fit(&y, 3, budget, &CancelToken::new());
+            let handed: Vec<u64> = valid
+                .rows_iter()
+                .flat_map(|row| model.predict_proba_row(row, 3))
+                .map(f64::to_bits)
+                .collect();
+            assert_eq!(handed, valid_prediction_bits(&params, &train, &y, &valid, budget));
+        }
+    }
+
+    #[test]
     fn more_bins_than_u16_codes_still_split_where_they_predict() {
         // With more distinct values than a u16 code can name, the edge
         // count is capped, so training codes agree with the thresholds
@@ -838,7 +916,7 @@ mod tests {
 
     fn input_words(params: &GbdtParams, train: &Matrix, valid: &Matrix) -> Vec<u64> {
         let mut words = Vec::new();
-        params.input_words(train, valid, &mut words);
+        drop(params.input_words(train, valid, &mut words));
         words
     }
 

@@ -90,9 +90,8 @@ impl LogisticParams {
             block_logits(w, &xs, d, &mut logits);
             let mut loss = 0.0;
             for (i, z) in logits.chunks_exact_mut(n_classes.max(1)).enumerate() {
-                let lse = autofp_linalg::dist::logsumexp(z);
-                loss += lse - z[y[i]];
-                softmax_inplace(z);
+                let target = z[y[i]];
+                loss += softmax_lse_inplace(z) - target;
                 let row = &xs[i * d..(i + 1) * d];
                 for (c, &p) in z.iter().enumerate() {
                     let delta = p - if c == y[i] { 1.0 } else { 0.0 };
@@ -163,6 +162,36 @@ impl LogisticParams {
             prev_loss = loss;
         }
         LogisticRegression { weights: w, n_classes: k }
+    }
+}
+
+/// Softmax of `z` in place, returning the log-sum-exp of the logits:
+/// bit for bit `dist::logsumexp(z)` followed by `softmax_inplace(z)`,
+/// with one `exp(z - m)` per logit serving both.
+///
+/// The two share the max `m` and the terms `exp(z - m)`. `logsumexp`
+/// sums its terms from -0.0 and `softmax_inplace` from +0.0; every term
+/// is +0.0 or more (or NaN), and adding such a term to either zero gives
+/// the same bits, so the two sums agree. An infinite `m` (an all -inf or
+/// a +inf logit) is the log-sum-exp itself, as in `logsumexp`.
+fn softmax_lse_inplace(z: &mut [f64]) -> f64 {
+    let m = z.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let mut sum = 0.0;
+    for v in z.iter_mut() {
+        *v = (*v - m).exp();
+        sum += *v;
+    }
+    if sum > 0.0 {
+        for v in z.iter_mut() {
+            *v /= sum;
+        }
+    } else {
+        z.fill(1.0 / z.len() as f64);
+    }
+    if m.is_infinite() {
+        m
+    } else {
+        m + sum.ln()
     }
 }
 
@@ -450,6 +479,35 @@ mod tests {
         let never = LogisticParams { tol: 0.0, ..Default::default() };
         let full = assert_bit_identical(&never, &d.x, &d.y, 2, 1.0, &live);
         assert_ne!(stopped, full, "tol 1e-2 must stop before the last epoch");
+    }
+
+    #[test]
+    fn fused_softmax_matches_logsumexp_then_softmax() {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let rows: [&[f64]; 12] = [
+            &[0.3, -1.2],
+            &[2.0, 2.0, -7.5],
+            &[inf, 1.0],
+            &[-inf, 0.5, 1.5],
+            &[inf, inf],
+            &[inf, -inf],
+            &[nan, 1.0, -2.0],
+            &[nan, nan],
+            &[-inf, -inf, -inf],
+            &[4.25],
+            &[-inf],
+            &[1e308, -1e308, 0.0],
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for row in rows {
+            let mut fused = row.to_vec();
+            let lse = softmax_lse_inplace(&mut fused);
+            let mut reference = row.to_vec();
+            let reference_lse = autofp_linalg::dist::logsumexp(&reference);
+            softmax_inplace(&mut reference);
+            assert_eq!(lse.to_bits(), reference_lse.to_bits(), "log-sum-exp of {row:?}");
+            assert_eq!(bits(&fused), bits(&reference), "softmax of {row:?}");
+        }
     }
 
     #[test]

@@ -102,6 +102,13 @@ fn forward(w1: &Matrix, w2: &Matrix, xs: &[f64], hidden: &mut [f64], out: &mut [
             *a = zb.max(0.0); // ReLU
         }
     }
+    output(w2, hidden, out);
+}
+
+/// The output logits for the ReLU activations `hidden` into `out` (one
+/// per row of `w2`): the bias plus `w[j] * a[j]` for j in order.
+fn output(w2: &Matrix, hidden: &[f64], out: &mut [f64]) {
+    let h = hidden.len();
     for (c, o) in out.iter_mut().enumerate() {
         let wr = w2.row(c);
         let mut z = wr[h];
@@ -110,6 +117,49 @@ fn forward(w1: &Matrix, w2: &Matrix, xs: &[f64], hidden: &mut [f64], out: &mut [
         }
         *o = z;
     }
+}
+
+/// Hidden units whose pre-activations [`forward_transposed`] keeps in
+/// registers together.
+const UNIT_LANES: usize = 8;
+
+/// `w1` (`h x (d + 1)`) transposed into `w1t`: `d + 1` rows of
+/// `h.next_multiple_of(UNIT_LANES)` weights. Row j holds every hidden
+/// unit's weight on input j, the last row their biases; the padding
+/// stays zero.
+fn transpose_into(w1: &Matrix, w1t: &mut [f64]) {
+    let stride = w1.nrows().next_multiple_of(UNIT_LANES);
+    for (u, wr) in w1.rows_iter().enumerate() {
+        for (j, &w) in wr.iter().enumerate() {
+            w1t[j * stride + u] = w;
+        }
+    }
+}
+
+/// The training forward pass: like [`forward`], but [`UNIT_LANES`]
+/// hidden units advance together, one input at a time, reading the
+/// transposed first layer `w1t` (see [`transpose_into`]).
+///
+/// Each pre-activation still starts from its bias and adds `w[j] * x[j]`
+/// for j in order; only the units' interleaving changes, and units are
+/// independent. The padding units' sums are dropped.
+fn forward_transposed(w1t: &[f64], w2: &Matrix, xs: &[f64], hidden: &mut [f64], out: &mut [f64]) {
+    let h = hidden.len();
+    let stride = h.next_multiple_of(UNIT_LANES);
+    let bias = &w1t[xs.len() * stride..];
+    for u in (0..h).step_by(UNIT_LANES) {
+        let mut z: [f64; UNIT_LANES] = std::array::from_fn(|b| bias[u + b]);
+        for (j, &v) in xs.iter().enumerate() {
+            let w = &w1t[j * stride + u..][..UNIT_LANES];
+            for (zb, &wb) in z.iter_mut().zip(w) {
+                *zb += wb * v;
+            }
+        }
+        for (a, zb) in hidden[u..].iter_mut().zip(z) {
+            *a = zb.max(0.0); // ReLU
+        }
+    }
+    output(w2, hidden, out);
 }
 
 impl Classifier for MlpClassifier {
@@ -142,48 +192,53 @@ impl MlpParams {
         // `sanitize` is idempotent, so sanitizing once per fit gives every
         // epoch the operands the per-element calls would.
         let xs: Vec<f64> = x.as_slice().iter().map(|&v| sanitize(v)).collect();
+        let mut w1t = vec![0.0; (d + 1) * h.next_multiple_of(UNIT_LANES)];
         let mut hidden = vec![0.0; h];
         let mut probs = vec![0.0; k];
         let mut dhidden = vec![0.0; h];
-        self.adam_epochs(n, d, k, budget, cancel, |w1, w2, i, g1, g2| {
-            let row = &xs[i * d..(i + 1) * d];
-            forward(w1, w2, row, &mut hidden, &mut probs);
-            softmax_inplace(&mut probs);
-            // Backward.
-            dhidden.fill(0.0);
-            for c in 0..k {
-                let delta = probs[c] - (y[i] == c) as u8 as f64;
-                if delta == 0.0 {
-                    continue;
+        self.adam_epochs(n, d, k, budget, cancel, |w1, w2, batch, g1, g2| {
+            // The weights change only between batches.
+            transpose_into(w1, &mut w1t);
+            for &i in batch {
+                let row = &xs[i * d..(i + 1) * d];
+                forward_transposed(&w1t, w2, row, &mut hidden, &mut probs);
+                softmax_inplace(&mut probs);
+                // Backward.
+                dhidden.fill(0.0);
+                for c in 0..k {
+                    let delta = probs[c] - (y[i] == c) as u8 as f64;
+                    if delta == 0.0 {
+                        continue;
+                    }
+                    let gr = g2.row_mut(c);
+                    for (j, &a) in hidden.iter().enumerate() {
+                        gr[j] += delta * a;
+                    }
+                    gr[h] += delta;
+                    let wr = w2.row(c);
+                    for (j, dh) in dhidden.iter_mut().enumerate() {
+                        *dh += delta * wr[j];
+                    }
                 }
-                let gr = g2.row_mut(c);
-                for (j, &a) in hidden.iter().enumerate() {
-                    gr[j] += delta * a;
+                // A unit is active exactly when its ReLU output is positive
+                // (never NaN: `max` drops a NaN pre-activation to 0).
+                for (jh, (&dh, &a)) in dhidden.iter().zip(&hidden).enumerate() {
+                    if a <= 0.0 || dh == 0.0 {
+                        continue;
+                    }
+                    let gr = g1.row_mut(jh);
+                    for (gj, &v) in gr.iter_mut().zip(row) {
+                        *gj += dh * v;
+                    }
+                    gr[d] += dh;
                 }
-                gr[h] += delta;
-                let wr = w2.row(c);
-                for (j, dh) in dhidden.iter_mut().enumerate() {
-                    *dh += delta * wr[j];
-                }
-            }
-            // A unit is active exactly when its ReLU output is positive
-            // (never NaN: `max` drops a NaN pre-activation to 0).
-            for (jh, (&dh, &a)) in dhidden.iter().zip(&hidden).enumerate() {
-                if a <= 0.0 || dh == 0.0 {
-                    continue;
-                }
-                let gr = g1.row_mut(jh);
-                for (gj, &v) in gr.iter_mut().zip(row) {
-                    *gj += dh * v;
-                }
-                gr[d] += dh;
             }
         })
     }
 
     /// Initialization, the per-epoch shuffle, minibatching, L2 and Adam.
-    /// `sample` adds row `i`'s loss gradient at `(w1, w2)` into the
-    /// batch's `(g1, g2)`; the rows of a batch come in shuffled order.
+    /// `batch_gradient` adds the loss gradients at `(w1, w2)` of a batch's
+    /// rows, in their (shuffled) order, into the zeroed `(g1, g2)`.
     fn adam_epochs(
         &self,
         n: usize,
@@ -191,7 +246,7 @@ impl MlpParams {
         k: usize,
         budget: f64,
         cancel: &CancelToken,
-        mut sample: impl FnMut(&Matrix, &Matrix, usize, &mut Matrix, &mut Matrix),
+        mut batch_gradient: impl FnMut(&Matrix, &Matrix, &[usize], &mut Matrix, &mut Matrix),
     ) -> MlpClassifier {
         let h = self.hidden;
         let epochs = ((self.max_epochs as f64 * budget.clamp(0.0, 1.0)).round() as usize).max(1);
@@ -223,9 +278,7 @@ impl MlpParams {
             for batch in order.chunks(self.batch_size.max(1)) {
                 g1.as_mut_slice().fill(0.0);
                 g2.as_mut_slice().fill(0.0);
-                for &i in batch {
-                    sample(&w1, &w2, i, &mut g1, &mut g2);
-                }
+                batch_gradient(&w1, &w2, batch, &mut g1, &mut g2);
                 let scale = 1.0 / batch.len() as f64;
                 for (g, w) in [(&mut g1, &w1), (&mut g2, &w2)] {
                     let gs = g.as_mut_slice();
@@ -411,50 +464,52 @@ mod tests {
         let mut act = vec![false; h];
         let mut probs = vec![0.0; k];
         let mut dhidden = vec![0.0; h];
-        params.adam_epochs(x.nrows(), d, k, budget, cancel, |w1, w2, i, g1, g2| {
-            let row = x.row(i);
-            for (jh, (a, wr)) in hidden.iter_mut().zip(w1.rows_iter()).enumerate() {
-                let mut z = wr[d];
-                for (j, &v) in row.iter().enumerate() {
-                    z += wr[j] * sanitize(v);
+        params.adam_epochs(x.nrows(), d, k, budget, cancel, |w1, w2, batch, g1, g2| {
+            for &i in batch {
+                let row = x.row(i);
+                for (jh, (a, wr)) in hidden.iter_mut().zip(w1.rows_iter()).enumerate() {
+                    let mut z = wr[d];
+                    for (j, &v) in row.iter().enumerate() {
+                        z += wr[j] * sanitize(v);
+                    }
+                    act[jh] = z > 0.0;
+                    *a = z.max(0.0);
                 }
-                act[jh] = z > 0.0;
-                *a = z.max(0.0);
-            }
-            for (c, p) in probs.iter_mut().enumerate() {
-                let wr = w2.row(c);
-                let mut z = wr[h];
-                for (j, &a) in hidden.iter().enumerate() {
-                    z += wr[j] * a;
+                for (c, p) in probs.iter_mut().enumerate() {
+                    let wr = w2.row(c);
+                    let mut z = wr[h];
+                    for (j, &a) in hidden.iter().enumerate() {
+                        z += wr[j] * a;
+                    }
+                    *p = z;
                 }
-                *p = z;
-            }
-            softmax_inplace(&mut probs);
-            dhidden.fill(0.0);
-            for c in 0..k {
-                let delta = probs[c] - (y[i] == c) as u8 as f64;
-                if delta == 0.0 {
-                    continue;
+                softmax_inplace(&mut probs);
+                dhidden.fill(0.0);
+                for c in 0..k {
+                    let delta = probs[c] - (y[i] == c) as u8 as f64;
+                    if delta == 0.0 {
+                        continue;
+                    }
+                    let gr = g2.row_mut(c);
+                    for (j, &a) in hidden.iter().enumerate() {
+                        gr[j] += delta * a;
+                    }
+                    gr[h] += delta;
+                    let wr = w2.row(c);
+                    for (j, dh) in dhidden.iter_mut().enumerate() {
+                        *dh += delta * wr[j];
+                    }
                 }
-                let gr = g2.row_mut(c);
-                for (j, &a) in hidden.iter().enumerate() {
-                    gr[j] += delta * a;
+                for (jh, &dh) in dhidden.iter().enumerate() {
+                    if !act[jh] || dh == 0.0 {
+                        continue;
+                    }
+                    let gr = g1.row_mut(jh);
+                    for (j, &v) in row.iter().enumerate() {
+                        gr[j] += dh * sanitize(v);
+                    }
+                    gr[d] += dh;
                 }
-                gr[h] += delta;
-                let wr = w2.row(c);
-                for (j, dh) in dhidden.iter_mut().enumerate() {
-                    *dh += delta * wr[j];
-                }
-            }
-            for (jh, &dh) in dhidden.iter().enumerate() {
-                if !act[jh] || dh == 0.0 {
-                    continue;
-                }
-                let gr = g1.row_mut(jh);
-                for (j, &v) in row.iter().enumerate() {
-                    gr[j] += dh * sanitize(v);
-                }
-                gr[d] += dh;
             }
         })
     }
@@ -497,7 +552,7 @@ mod tests {
     #[test]
     fn epoch_kernel_is_bit_identical_to_the_reference() {
         let live = CancelToken::new();
-        // Every remainder of the hidden width modulo the unit block.
+        // Hidden widths below, at and above a multiple of both unit blocks.
         for (hidden, k) in [(1, 2), (5, 3), (32, 5), (33, 2)] {
             let params = MlpParams { hidden, max_epochs: 4, seed: 11, ..Default::default() };
             let d = SynthConfig::new("mlp-bits", 45, 6, k, hidden as u64).generate();

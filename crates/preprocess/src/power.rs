@@ -219,10 +219,48 @@ impl FittedPower {
     /// Fit λ per column on the training matrix, searching only the
     /// columns `memo` has not seen.
     pub fn fit(x: &Matrix, standardize: bool, memo: &LambdaMemo) -> FittedPower {
+        FittedPower::fit_columns(x, standardize, memo).0
+    }
+
+    /// [`FittedPower::fit`] on `x`, then [`FittedPower::transform`] of
+    /// `x`, bit for bit. A standardizing fit already transforms every
+    /// finite training value to get its mean and std; those values are
+    /// standardized in place rather than transformed again. Non-finite
+    /// cells take `transform`'s path.
+    pub fn fit_transform(x: &mut Matrix, standardize: bool, memo: &LambdaMemo) -> FittedPower {
+        let (fitted, transformed) = FittedPower::fit_columns(x, standardize, memo);
+        if !standardize {
+            fitted.transform(x);
+            return fitted;
+        }
+        let cols = x.ncols();
+        // The next unread transformed value of each column.
+        let mut next = vec![0; cols];
+        for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+            let j = i % cols;
+            let t = if v.is_finite() {
+                next[j] += 1;
+                transformed[j][next[j] - 1]
+            } else {
+                clamp_finite(yeo_johnson(*v, fitted.lambdas[j]))
+            };
+            *v = (t - fitted.means[j]) / fitted.stds[j];
+        }
+        fitted
+    }
+
+    /// The fit, plus each column's transformed finite values in row
+    /// order when standardizing (no columns otherwise).
+    fn fit_columns(
+        x: &Matrix,
+        standardize: bool,
+        memo: &LambdaMemo,
+    ) -> (FittedPower, Vec<Vec<f64>>) {
         let d = x.ncols();
         let mut lambdas = Vec::with_capacity(d);
         let mut means = vec![0.0; d];
         let mut stds = vec![1.0; d];
+        let mut columns = Vec::with_capacity(if standardize { d } else { 0 });
         for j in 0..d {
             let col: Vec<f64> = x.col(j).into_iter().filter(|v| v.is_finite()).collect();
             let lambda = memo.lambda(&col);
@@ -232,10 +270,11 @@ impl FittedPower {
                 means[j] = stats::mean(&transformed);
                 let s = stats::std_dev(&transformed);
                 stds[j] = if s > 0.0 { s } else { 1.0 };
+                columns.push(transformed);
             }
             lambdas.push(lambda);
         }
-        FittedPower { lambdas, means, stds, standardize }
+        (FittedPower { lambdas, means, stds, standardize }, columns)
     }
 
     /// Per-column fitted exponents.
@@ -477,6 +516,32 @@ mod tests {
         let fresh = FittedPower::fit(&x, true, &LambdaMemo::new());
         for fitted in [&first, &again] {
             assert_eq!(format!("{fitted:?}"), format!("{fresh:?}"));
+        }
+    }
+
+    #[test]
+    fn fit_transform_is_fit_then_transform_bit_for_bit() {
+        let skewed = lognormal_column();
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let wild = [nan, inf, -inf, 1e300, -0.0];
+        let rows: Vec<Vec<f64>> = skewed
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| {
+                let cell = if i % 7 == 3 { wild[i % 5] } else { -a };
+                vec![a, cell, 4.0, if i % 2 == 0 { 1e9 } else { -1e9 }]
+            })
+            .collect();
+        let x = Matrix::from_rows(&rows);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        for standardize in [true, false] {
+            let mut reference = x.clone();
+            let fitted = FittedPower::fit(&x, standardize, &LambdaMemo::new());
+            fitted.transform(&mut reference);
+            let mut fused = x.clone();
+            let refit = FittedPower::fit_transform(&mut fused, standardize, &LambdaMemo::new());
+            assert_eq!(bits(&fused), bits(&reference), "standardize {standardize}");
+            assert_eq!(format!("{refit:?}"), format!("{fitted:?}"));
         }
     }
 

@@ -189,6 +189,10 @@ impl Preproc {
 
     /// Fit on `x` and transform it in place (the common training-side call).
     pub fn fit_transform(&self, x: &mut Matrix, lambdas: &LambdaMemo) -> FittedPreproc {
+        if let Preproc::PowerTransformer { standardize } = self {
+            let fitted = power::FittedPower::fit_transform(x, *standardize, lambdas);
+            return FittedPreproc::Power(fitted);
+        }
         let fitted = self.fit(x, lambdas);
         fitted.transform(x);
         fitted
